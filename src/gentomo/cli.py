@@ -94,7 +94,11 @@ def _family_from_args(args, ndim: int) -> LevelFamily:
     if name in ("quadric", "hybrid"):
         if not args.B:
             raise CliError(f"--family {name} requires --B", EXIT_BAD_INPUT)
-        entries = [float(tok) for tok in args.B.split(",") if tok.strip()]
+        try:
+            entries = [float(tok) for tok in args.B.split(",") if tok.strip()]
+        except ValueError:
+            raise CliError(f"--B must be a comma list of numbers, got "
+                           f"{args.B!r}", EXIT_BAD_INPUT) from None
         n = int(round(len(entries) ** 0.5))
         if n * n != len(entries):
             raise CliError("--B must hold a square row-major matrix",
@@ -104,7 +108,13 @@ def _family_from_args(args, ndim: int) -> LevelFamily:
                            EXIT_INCONSISTENT)
         split = ()
         if args.split:
-            split = tuple(int(tok) for tok in args.split.split(",") if tok.strip())
+            try:
+                split = tuple(int(tok) for tok in args.split.split(",")
+                              if tok.strip())
+            except ValueError:
+                raise CliError(f"--split must be a comma list of axis "
+                               f"indices, got {args.split!r}",
+                               EXIT_BAD_INPUT) from None
         try:
             form = QuadricForm(np.array(entries).reshape(n, n), linear_axes=split)
             return Hybrid(form) if name == "hybrid" else Quadric(form)
@@ -199,7 +209,11 @@ def cmd_invert(args) -> int:
             f"tomogram was produced by the {tomo.family_tag!r} family, "
             f"flags request {family.tag!r}", EXIT_INCONSISTENT)
     out_grid = _parse_box(args.q_box, args.q_count)
-    taper = args.taper if args.taper is not None else None
+    taper = args.taper
+    if taper is not None and taper is not True \
+            and not (np.isfinite(taper) and taper > 0):
+        raise CliError(f"--taper width must be finite and > 0, got {taper:g}",
+                       EXIT_BAD_INPUT)
     slc = characteristic_slice(tomo)
     field, diag = invert_for_family(slc, family, out_grid,
                                     decay_floor=args.decay_floor, taper=taper)

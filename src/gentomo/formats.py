@@ -14,8 +14,8 @@ import struct
 
 import numpy as np
 
-from .core import (GridSpec, ScalarField, TomogramFamily, GaussianMixture,
-                   Phantom, UniformBall, UniformBox, gaussian)
+from .core import (GridError, GridSpec, ScalarField, TomogramFamily,
+                   GaussianMixture, Phantom, UniformBall, UniformBox, gaussian)
 
 FIELD_MAGIC = b"GTM1"
 TOMOGRAM_MAGIC = b"GTMT"
@@ -44,14 +44,21 @@ def _pack_grid(grid: GridSpec) -> bytes:
 
 
 def _unpack_grid(buf: bytes, off: int) -> tuple[GridSpec, int]:
+    if len(buf) < off + 4:
+        raise FormatError("file ends inside a grid header")
     (ndim,) = struct.unpack_from("<I", buf, off)
     off += 4
+    if len(buf) < off + 20 * ndim:
+        raise FormatError("file ends inside a grid header")
     axes = []
     for _ in range(ndim):
         lo, hi, n = struct.unpack_from("<ddI", buf, off)
         off += 20
         axes.append((lo, hi, n))
-    return GridSpec(tuple(axes)), off
+    try:
+        return GridSpec(tuple(axes)), off
+    except GridError as exc:
+        raise FormatError(f"bad grid header: {exc}") from None
 
 
 def write_field(path, field: ScalarField) -> None:
@@ -90,6 +97,8 @@ def read_tomogram(path) -> TomogramFamily:
         buf = fh.read()
     if buf[:4] != TOMOGRAM_MAGIC:
         raise FormatError(f"not a GTM-T tomogram file: {path}")
+    if len(buf) < 6:
+        raise FormatError(f"file ends inside the family tag: {path}")
     (tag,) = struct.unpack_from("<H", buf, 4)
     if tag not in TAG_NAMES:
         raise FormatError(f"unknown family tag value {tag}")

@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import (DimensionMismatchError, GridError, GridSpec, Phantom,
                    ScalarField, TomogramFamily)
-from .geometry import Deformed, Diffeomorphism, LevelFamily
+from .geometry import Diffeomorphism, LevelFamily
 
 # elements per (source x parameter) work block; sized so the block arrays
 # stay cache-resident, which dominates deposit throughput
@@ -301,9 +301,3 @@ def pullback_density(target: Phantom, diffeo: Diffeomorphism,
     if np.any(ok):
         values[ok] = target.pdf(diffeo.map_fn(pts[ok])) * diffeo.jacobian_fn(pts[ok])
     return ScalarField(q_grid, values)
-
-
-def deformed_reference(target: Phantom, family: Deformed,
-                       q_grid: GridSpec) -> ScalarField:
-    """Pullback field for a deformed family (reference for round trips)."""
-    return pullback_density(target, family.diffeo, q_grid)

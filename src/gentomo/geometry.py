@@ -325,9 +325,6 @@ class Deformed(LevelFamily):
         mapped = self.diffeo.map_fn(np.asarray(points, dtype=float))
         return lambda pblock: mapped @ pblock.T
 
-    def mapped_points(self, points: np.ndarray) -> np.ndarray:
-        return self.diffeo.map_fn(np.asarray(points, dtype=float))
-
     def jacobian_weights(self, points):
         return self.diffeo.jacobian_fn(np.asarray(points, dtype=float))
 

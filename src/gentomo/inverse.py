@@ -23,7 +23,9 @@ from .geometry import (Deformed, Diffeomorphism, Hybrid, Hyperplane,
 
 DEFAULT_DECAY_FLOOR = 1e-4
 
-# out-points per kernel block in the direct (non-separable) summation
+# out-points per kernel block in the direct (non-separable) summation; a
+# block holds one b x P_k exponential per parameter axis and a b x P / P_n
+# partial sum, never the full b x P phase matrix
 _OUT_CHUNK = 512
 
 
@@ -40,8 +42,11 @@ class CharacteristicSlice:
         """Apply a Gaussian window exp(-|mu|^2 / (2 width^2)) to the values.
 
         Windows bias amplitudes, so tapering is opt-in for slowly decaying
-        slices and never the default.
+        slices and never the default.  The width must be finite and > 0.
         """
+        if not (np.isfinite(width) and width > 0):
+            raise ValueError(
+                f"taper width must be finite and > 0, got {width!r}")
         mu = self.param_grid.points()
         damp = np.exp(-np.sum(mu * mu, axis=1) / (2.0 * width**2))
         return CharacteristicSlice(self.param_grid, self.values * damp,
@@ -133,7 +138,7 @@ def _prepare(slc: CharacteristicSlice, decay_floor: float, taper):
             f"characteristic values at the parameter-box boundary are "
             f"{decay:.3g} of the peak (floor {decay_floor:g}); widen the box")
     work = slc
-    if taper:
+    if taper is not None and taper is not False:
         if taper is True:
             lo, hi, _ = min(slc.param_grid.axes, key=lambda a: a[1] - a[0])
             width = (hi - lo) / 6.0
@@ -152,12 +157,27 @@ def _field_from_complex(out_grid: GridSpec, fc: np.ndarray):
 
 
 def _direct_sum(coef: np.ndarray, phase_lhs: np.ndarray,
-                phase_rhs: np.ndarray) -> np.ndarray:
-    """sum_mu coef[mu] * exp(i phase_lhs[q] . phase_rhs[mu]) in blocks."""
+                param_grid: GridSpec) -> np.ndarray:
+    """sum_mu coef[mu] * exp(i phase_lhs[q] . mu) over the box param_grid.
+
+    coef is ordered like ``param_grid.points()``.  On a box the plane wave
+    factors exactly, e^{i l . mu} = prod_k e^{i l_k mu_k}, so each block of
+    out points contracts the last axis against coef with one complex matrix
+    product and every other axis elementwise, one b x P_k exponential per
+    axis: N_out * sum_k P_k exponentials instead of N_out * P.
+    """
+    mu = [param_grid.axis_points(k) for k in range(param_grid.ndim)]
+    lead = param_grid.shape[:-1]
+    coef_t = coef.reshape(-1, param_grid.shape[-1]).T
     out = np.empty(len(phase_lhs), dtype=complex)
     for s in range(0, len(phase_lhs), _OUT_CHUNK):
-        block = phase_lhs[s:s + _OUT_CHUNK] @ phase_rhs.T
-        out[s:s + _OUT_CHUNK] = np.exp(1j * block) @ coef
+        lhs = phase_lhs[s:s + _OUT_CHUNK]
+        acc = (np.exp(1j * (lhs[:, -1:] * mu[-1])) @ coef_t).reshape(
+            len(lhs), *lead)
+        for k in range(len(lead) - 1, -1, -1):
+            acc = np.einsum("b...k,bk->b...", acc,
+                            np.exp(1j * (lhs[:, k:k + 1] * mu[k])))
+        out[s:s + _OUT_CHUNK] = acc
     return out
 
 
@@ -173,8 +193,8 @@ def invert_hyperplane(slc: CharacteristicSlice, out_grid: GridSpec,
     if out_grid.ndim != n:
         raise DimensionMismatchError("out_grid rank must match the parameter box")
     coef, warnings, decay = _prepare(slc, decay_floor, taper)
-    mu = slc.param_grid.points()
-    fc = _direct_sum(coef, -out_grid.points(), mu) / (2 * np.pi) ** n
+    fc = _direct_sum(coef, -out_grid.points(), slc.param_grid)
+    fc /= (2 * np.pi) ** n
     out_field, imag_ratio = _field_from_complex(out_grid, fc)
     return out_field, InversionDiagnostics(imag_ratio=imag_ratio,
                                            boundary_decay=decay,
@@ -201,7 +221,7 @@ def invert_deformed(slc: CharacteristicSlice, diffeo: Diffeomorphism,
     if np.any(ok):
         mapped = diffeo.map_fn(pts[ok])
         jac = diffeo.jacobian_fn(pts[ok])
-        fc[ok] = jac * _direct_sum(coef, -mapped, slc.param_grid.points())
+        fc[ok] = jac * _direct_sum(coef, -mapped, slc.param_grid)
     fc /= (2 * np.pi) ** n
     out_field, imag_ratio = _field_from_complex(out_grid, fc)
     return out_field, InversionDiagnostics(
@@ -216,8 +236,9 @@ def invert_quadric(slc: CharacteristicSlice, form: QuadricForm,
     """Shifted-quadric inversion with the |det B| / pi^n prefactor.
 
     The kernel e^{-i (q - mu, B (q - mu))} is evaluated through its exact
-    factorization e^{-i qBq} e^{2i qB . mu} e^{-i mBm}, which reduces the
-    inner loop to one oscillatory matrix product.
+    factorization e^{-i qBq} e^{2i qB . mu} e^{-i mBm}, which leaves a plane
+    wave in mu; that sum factors over the parameter-box axes (see
+    ``_direct_sum``).
     """
     n = form.ndim
     if slc.param_grid.ndim != n or out_grid.ndim != n:
@@ -231,7 +252,7 @@ def invert_quadric(slc: CharacteristicSlice, form: QuadricForm,
     pts = out_grid.points()
     qB = pts @ form.B
     qBq = np.sum(qB * pts, axis=1)
-    fc = np.exp(-1j * qBq) * _direct_sum(coef, 2.0 * qB, mu)
+    fc = np.exp(-1j * qBq) * _direct_sum(coef, 2.0 * qB, slc.param_grid)
     fc *= abs(form.core_determinant) / np.pi**n
     out_field, imag_ratio = _field_from_complex(out_grid, fc)
     return out_field, InversionDiagnostics(imag_ratio=imag_ratio,
@@ -286,7 +307,8 @@ def invert_hybrid(slc: CharacteristicSlice, form: QuadricForm,
         lhs = np.empty_like(pts)
         lhs[:, qa_i] = 2.0 * qB
         lhs[:, la_i] = -pts[:, la_i]
-        fc = prefactor * np.exp(-1j * qBq) * _direct_sum(coef, lhs, mu)
+        fc = prefactor * np.exp(-1j * qBq) \
+            * _direct_sum(coef, lhs, slc.param_grid)
     out_field, imag_ratio = _field_from_complex(out_grid, fc)
     return out_field, InversionDiagnostics(imag_ratio=imag_ratio,
                                            boundary_decay=decay,

@@ -71,6 +71,22 @@ class TestForwardCommand:
         out = tmp_path / "t.gtmt"
         assert main(_forward_args(gauss_field, out, family="quadric")) == 2
 
+    def test_non_numeric_B_exits_2(self, tmp_path, gauss_field, capsys):
+        out = tmp_path / "t.gtmt"
+        args = _forward_args(gauss_field, out, family="quadric",
+                             extra=["--B", "1,x,0,1"])
+        assert main(args) == 2
+        assert "--B" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_integer_split_exits_2(self, tmp_path, gauss_field, capsys):
+        out = tmp_path / "t.gtmt"
+        args = _forward_args(gauss_field, out, family="hybrid",
+                             extra=["--B", "1,0,0,0", "--split", "1,z"])
+        assert main(args) == 2
+        assert "--split" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_quadric_with_B(self, tmp_path, gauss_field):
         out = tmp_path / "t.gtmt"
         args = ["forward", str(gauss_field), "--family", "quadric",
@@ -113,6 +129,27 @@ class TestInvertCommand:
         assert main(["invert", str(tomo), "--family", "circle",
                      "--q-box=-4,4;-4,4", "--q-count", "17;17",
                      "--out", str(tmp_path / "r.gtm")]) == 3
+
+    @pytest.mark.parametrize("taper", ["--taper=0", "--taper=-1",
+                                       "--taper=nan", "--taper=inf"])
+    def test_bad_taper_width_exits_2(self, tmp_path, gauss_field, taper,
+                                     capsys):
+        tomo = tmp_path / "t.gtmt"
+        assert main(_forward_args(gauss_field, tomo)) == 0
+        recon = tmp_path / "r.gtm"
+        assert main(["invert", str(tomo), "--family", "hyperplane",
+                     "--q-box=-2,2;-2,2", "--q-count", "5;5", taper,
+                     "--out", str(recon)]) == 2
+        assert "--taper" in capsys.readouterr().err
+        assert not recon.exists()
+
+    @pytest.mark.parametrize("taper", [["--taper"], ["--taper", "1.5"]])
+    def test_taper_accepted(self, tmp_path, gauss_field, taper):
+        tomo = tmp_path / "t.gtmt"
+        assert main(_forward_args(gauss_field, tomo)) == 0
+        assert main(["invert", str(tomo), "--family", "hyperplane",
+                     "--q-box=-2,2;-2,2", "--q-count", "5;5", *taper,
+                     "--out", str(tmp_path / "r.gtm")]) == 0
 
     def test_zero_tomogram_gives_zero_field(self, tmp_path, gauss_field):
         from gentomo.core import TomogramFamily, make_grid
@@ -163,6 +200,13 @@ class TestExportCommand:
         write_field(path, ScalarField(g, np.zeros(g.size)))
         assert main(["export", str(path), "--format", "pgm",
                      "--out", str(tmp_path / "x.pgm")]) == 2
+
+    def test_truncated_header_exits_2(self, tmp_path, gauss_field, capsys):
+        p = tmp_path / "cut.gtm"
+        p.write_bytes(gauss_field.read_bytes()[:30])
+        assert main(["export", str(p), "--format", "csv",
+                     "--out", str(tmp_path / "x.csv")]) == 2
+        assert "header" in capsys.readouterr().err
 
     def test_garbage_input_rejected(self, tmp_path):
         p = tmp_path / "junk.bin"

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,22 @@ class TestGTM:
         with pytest.raises(FormatError):
             read_field(p)
 
+    def test_every_truncation_is_a_format_error(self, field, tmp_path):
+        p = tmp_path / "a.gtm"
+        write_field(p, field)
+        raw = p.read_bytes()
+        for n in range(len(raw)):
+            p.write_bytes(raw[:n])
+            with pytest.raises(FormatError):
+                read_field(p)
+
+    def test_invalid_axis_in_header_is_a_format_error(self, tmp_path):
+        p = tmp_path / "a.gtm"
+        p.write_bytes(b"GTM1" + struct.pack("<IddI", 1, -1.0, 1.0, 1)
+                      + bytes(8))
+        with pytest.raises(FormatError, match="count"):
+            read_field(p)
+
 
 class TestGTMT:
     def test_tomogram_roundtrip_bit_identical(self, tomogram, tmp_path):
@@ -84,6 +102,15 @@ class TestGTMT:
         p.write_bytes(bytes(raw))
         with pytest.raises(FormatError):
             read_tomogram(p)
+
+    def test_every_truncation_is_a_format_error(self, tomogram, tmp_path):
+        p = tmp_path / "a.gtmt"
+        write_tomogram(p, tomogram)
+        raw = p.read_bytes()
+        for n in range(len(raw)):
+            p.write_bytes(raw[:n])
+            with pytest.raises(FormatError):
+                read_tomogram(p)
 
 
 class TestCSV:

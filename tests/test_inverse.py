@@ -9,9 +9,11 @@ from gentomo.core import (GaussianMixture, ScalarField, TomogramFamily,
 from gentomo.forward import forward_binned, normalization_profile
 from gentomo.geometry import (Hybrid, Hyperplane, Quadric, QuadricForm,
                               circle_family, identity_map)
-from gentomo.inverse import (CharacteristicSlice, characteristic_slice,
-                             invert_deformed, invert_hybrid,
-                             invert_hyperplane, invert_quadric, roundtrip)
+from gentomo import inverse
+from gentomo.inverse import (CharacteristicSlice, _direct_sum,
+                             characteristic_slice, invert_deformed,
+                             invert_hybrid, invert_hyperplane, invert_quadric,
+                             roundtrip)
 
 
 def _tomogram_from_function(fn, x_grid, param_grid, tag="hyperplane"):
@@ -25,6 +27,101 @@ def _slice_from_values(param_grid, values, tag="hyperplane"):
     return CharacteristicSlice(param_grid=param_grid,
                                values=np.asarray(values, dtype=complex),
                                family_tag=tag)
+
+
+def _pointwise_sum(coef, phase_lhs, param_grid):
+    """Brute-force reference for the kernel sum: form and exponentiate the
+    full out x parameter phase matrix, one block of out points at a time."""
+    mu = param_grid.points()
+    out = np.empty(len(phase_lhs), dtype=complex)
+    for s in range(0, len(phase_lhs), 512):
+        block = phase_lhs[s:s + 512] @ mu.T
+        out[s:s + 512] = np.exp(1j * block) @ coef
+    return out
+
+
+def _assert_close_to_peak(got, ref, rtol=1e-12):
+    """Agreement relative to the largest reference magnitude (element-wise
+    relative error is meaningless where the sum cancels to near zero)."""
+    assert np.max(np.abs(got - ref)) <= rtol * np.max(np.abs(ref))
+
+
+def _random_coef(pg, seed=0):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=pg.size) + 1j * rng.normal(size=pg.size)
+
+
+class TestDirectSum:
+    """The per-axis factored kernel sum against the point-wise reference."""
+
+    def test_one_dimensional_box(self):
+        pg = make_grid(1, [(-3, 2, 41)])
+        lhs = np.random.default_rng(1).normal(scale=3.0, size=(700, 1))
+        coef = _random_coef(pg)
+        _assert_close_to_peak(_direct_sum(coef, lhs, pg),
+                              _pointwise_sum(coef, lhs, pg))
+
+    def test_non_square_box_keeps_axis_order(self):
+        # unequal ranges and counts: a swapped or transposed axis shows
+        pg = make_grid(2, [(-2, 3, 7), (-1, 1, 5)])
+        lhs = np.random.default_rng(2).normal(scale=2.0, size=(1100, 2))
+        coef = _random_coef(pg)
+        _assert_close_to_peak(_direct_sum(coef, lhs, pg),
+                              _pointwise_sum(coef, lhs, pg))
+
+    def test_hybrid_general_split_three_dimensional(self, monkeypatch):
+        B = np.zeros((3, 3))
+        B[:2, :2] = [[1.0, 0.3], [0.3, 2.0]]
+        form = QuadricForm(B, linear_axes=(2,))
+        pg = make_grid(3, [(-2, 2, 6), (-1.5, 2.5, 5), (-3, 1, 4)])
+        out = make_grid(3, [(-1, 1, 9), (-1, 1, 8), (-1, 1, 10)])
+        slc = _slice_from_values(pg, _random_coef(pg, seed=3), tag="hybrid")
+        field, diag = invert_hybrid(slc, form, out)
+        monkeypatch.setattr(inverse, "_direct_sum", _pointwise_sum)
+        ref, ref_diag = invert_hybrid(slc, form, out)
+        _assert_close_to_peak(field.values, ref.values)
+        assert diag.imag_ratio == pytest.approx(ref_diag.imag_ratio, rel=1e-9)
+
+    def test_deformed_with_singular_origin(self, monkeypatch):
+        pg = make_grid(2, [(-5, 5, 32), (-4, 4, 27)])
+        slc = _slice_from_values(pg, _random_coef(pg, seed=4), tag="circle")
+        out = make_grid(2, [(-2, 2, 41), (-2, 2, 41)])  # holds the origin
+        diffeo = circle_family().diffeo
+        field, diag = invert_deformed(slc, diffeo, out)
+        monkeypatch.setattr(inverse, "_direct_sum", _pointwise_sum)
+        ref, ref_diag = invert_deformed(slc, diffeo, out)
+        assert field.values[20, 20] == 0.0
+        assert diag.singular_fraction == 1 / 41**2
+        assert ref_diag.singular_fraction == diag.singular_fraction
+        _assert_close_to_peak(field.values, ref.values)
+
+
+class TestTaper:
+    def _slice(self):
+        pg = make_grid(2, [(-3, 3, 9), (-3, 3, 9)])
+        return _slice_from_values(pg, np.ones(pg.size))
+
+    @pytest.mark.parametrize("width", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_width_rejected(self, width):
+        with pytest.raises(ValueError, match="taper width"):
+            self._slice().tapered(width)
+        with pytest.raises(ValueError, match="taper width"):
+            invert_hyperplane(self._slice(), make_grid(2, [(-1, 1, 3)] * 2),
+                              taper=width)
+
+    @pytest.mark.parametrize("off", [None, False])
+    def test_none_and_false_mean_off(self, off):
+        out = make_grid(2, [(-1, 1, 3)] * 2)
+        plain, _ = invert_hyperplane(self._slice(), out)
+        field, _ = invert_hyperplane(self._slice(), out, taper=off)
+        assert np.array_equal(field.values, plain.values)
+
+    def test_positive_width_damps_box_corners(self):
+        slc = self._slice().tapered(1.5)
+        vals = slc.values.reshape(9, 9)
+        assert vals[4, 4] == 1.0
+        assert abs(vals[0, 0]) == pytest.approx(math.exp(-18 / 4.5))
+        assert "taper width 1.5" in slc.warnings
 
 
 class TestCharacteristicSlice:
