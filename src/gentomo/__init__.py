@@ -24,9 +24,8 @@ from .geometry import (CircleDescriptor, Deformed, Diffeomorphism, Hybrid,
                        identity_map, is_singular, jacobian_weight,
                        level_value)
 from .inverse import (CharacteristicSlice, InversionDiagnostics,
-                      RoundtripReport, characteristic_slice, invert_deformed,
-                      invert_for_family, invert_hybrid, invert_hyperplane,
-                      invert_quadric, roundtrip)
+                      RoundtripReport, characteristic_slice, invert_for_family,
+                      roundtrip)
 from .oracle import (MCTomogram, chi_square_density, disk_chord_tomogram,
                      mc_tomogram)
 

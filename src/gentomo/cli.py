@@ -214,6 +214,9 @@ def cmd_invert(args) -> int:
             and not (np.isfinite(taper) and taper > 0):
         raise CliError(f"--taper width must be finite and > 0, got {taper:g}",
                        EXIT_BAD_INPUT)
+    if not args.decay_floor >= 0:
+        raise CliError(f"--decay-floor must be >= 0, got {args.decay_floor:g}",
+                       EXIT_BAD_INPUT)
     slc = characteristic_slice(tomo)
     field, diag = invert_for_family(slc, family, out_grid,
                                     decay_floor=args.decay_floor, taper=taper)

@@ -197,7 +197,7 @@ class QuadricForm:
     @property
     def B_core(self) -> np.ndarray:
         """B restricted to the non-linear coordinates."""
-        idx = np.array(self.quadric_axes)
+        idx = np.array(self.quadric_axes, dtype=int)
         return self.B[np.ix_(idx, idx)]
 
     @property
@@ -250,17 +250,16 @@ class LevelFamily:
 
     def level_values(self, points: np.ndarray, params: np.ndarray) -> np.ndarray:
         """g at each point for a single parameter vector; no singular checks."""
-        return self.level_matrix(points, np.atleast_2d(params))[:, 0]
-
-    def level_matrix(self, points: np.ndarray, params: np.ndarray) -> np.ndarray:
-        """g for a block of parameter vectors, shape (n_points, n_params)."""
-        raise NotImplementedError
+        points = np.asarray(points, dtype=float)
+        params = np.atleast_2d(np.asarray(params, dtype=float))
+        self._check(points, params)
+        return self.level_evaluator(points)(params)[:, 0]
 
     def level_evaluator(self, points: np.ndarray):
-        """Closure mapping parameter blocks to level matrices, with the
-        point-dependent work hoisted out of the per-block loop."""
-        points = np.asarray(points, dtype=float)
-        return lambda pblock: self.level_matrix(points, pblock)
+        """Closure mapping a (C, param_dim) parameter block to the (N, C)
+        level matrix at the N points, with the point-dependent work hoisted
+        out of the per-block loop."""
+        raise NotImplementedError
 
     def jacobian_weights(self, points: np.ndarray) -> np.ndarray:
         return np.ones(len(points))
@@ -292,11 +291,9 @@ class Hyperplane(LevelFamily):
     def param_dim(self) -> int:
         return self.ndim
 
-    def level_matrix(self, points, params):
+    def level_evaluator(self, points):
         points = np.asarray(points, dtype=float)
-        params = np.asarray(params, dtype=float)
-        self._check(points, params)
-        return points @ params.T
+        return lambda pblock: points @ pblock.T
 
 
 @dataclass(frozen=True)
@@ -314,12 +311,6 @@ class Deformed(LevelFamily):
     @property
     def param_dim(self) -> int:
         return self.diffeo.ndim
-
-    def level_matrix(self, points, params):
-        points = np.asarray(points, dtype=float)
-        params = np.asarray(params, dtype=float)
-        self._check(points, params)
-        return self.diffeo.map_fn(points) @ params.T
 
     def level_evaluator(self, points):
         mapped = self.diffeo.map_fn(np.asarray(points, dtype=float))
@@ -366,20 +357,10 @@ class Quadric(LevelFamily):
     def param_dim(self) -> int:
         return self.form.ndim
 
-    def level_matrix(self, points, params):
-        points = np.asarray(points, dtype=float)
-        params = np.asarray(params, dtype=float)
-        self._check(points, params)
-        B = self.form.B
-        # (q-m, B(q-m)) = qBq - 2 qBm + mBm, BLAS-friendly over blocks
-        qB = points @ B
-        qBq = np.sum(qB * points, axis=1)
-        mBm = np.sum((params @ B) * params, axis=1)
-        return qBq[:, None] - 2.0 * (qB @ params.T) + mBm[None, :]
-
     def level_evaluator(self, points):
         points = np.asarray(points, dtype=float)
         B = self.form.B
+        # (q-m, B(q-m)) = qBq - 2 qBm + mBm, BLAS-friendly over blocks
         qB = points @ B
         qBq = np.sum(qB * points, axis=1)[:, None]
         neg2qB = -2.0 * qB
@@ -416,12 +397,6 @@ class Hybrid(LevelFamily):
     @property
     def param_dim(self) -> int:
         return self.form.ndim
-
-    def level_matrix(self, points, params):
-        points = np.asarray(points, dtype=float)
-        params = np.asarray(params, dtype=float)
-        self._check(points, params)
-        return self.level_evaluator(points)(params)
 
     def level_evaluator(self, points):
         points = np.asarray(points, dtype=float)
@@ -460,7 +435,7 @@ def level_value(family: LevelFamily, q, params) -> float:
 
 def jacobian_weight(family: LevelFamily, q) -> float:
     """Jacobian weight at one point: the deformation determinant for deformed
-    families, exactly 1 otherwise (quadric prefactors live in the inverters)."""
+    families, exactly 1 otherwise (quadric prefactors live in the inversion)."""
     q = np.atleast_2d(np.asarray(q, dtype=float))
     if family.singular_mask(q)[0]:
         raise SingularPointError(f"point {q[0]} is singular for {family.tag}")

@@ -19,7 +19,7 @@ from .core import (DimensionMismatchError, GridSpec, Phantom, ScalarField,
                    TomogramFamily, l2_rel_error, sample_phantom)
 from .forward import forward_binned, normalization_profile, pullback_density
 from .geometry import (Deformed, Diffeomorphism, Hybrid, Hyperplane,
-                       LevelFamily, Quadric, QuadricForm)
+                       LevelFamily, Quadric, QuadricForm, identity_map)
 
 DEFAULT_DECAY_FLOOR = 1e-4
 
@@ -130,7 +130,10 @@ def _boundary_decay(slc: CharacteristicSlice) -> float:
 
 
 def _prepare(slc: CharacteristicSlice, decay_floor: float, taper):
-    """Quadrature-weighted kernel coefficients, plus boundary diagnostics."""
+    """Quadrature-weighted kernel coefficients, plus boundary diagnostics
+    and the taper note.  The decay floor must be >= 0 (not NaN)."""
+    if not decay_floor >= 0:
+        raise ValueError(f"decay floor must be >= 0, got {decay_floor!r}")
     warnings = []
     decay = _boundary_decay(slc)
     if decay > decay_floor:
@@ -145,6 +148,7 @@ def _prepare(slc: CharacteristicSlice, decay_floor: float, taper):
         else:
             width = float(taper)
         work = work.tapered(width)
+        warnings.append(work.warnings[-1])
     coef = work.values * slc.param_grid.trapezoid_weights().ravel()
     return coef, warnings, decay
 
@@ -182,137 +186,103 @@ def _direct_sum(coef: np.ndarray, phase_lhs: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# inverters
+# inversion engine
 # ---------------------------------------------------------------------------
 
 
-def invert_hyperplane(slc: CharacteristicSlice, out_grid: GridSpec,
+def _kernel(family: LevelFamily) -> tuple[QuadricForm, Diffeomorphism | None]:
+    """The family's inversion kernel as (form, diffeo): the shifted quadric
+    of ``form`` on its core axes and a plane wave on its linear axes,
+    evaluated at phi(q) for the diffeomorphism phi (at q itself for None).
+
+    Hyperplanes are the identity deformation of the all-linear form.
+    """
+    if isinstance(family, (Quadric, Hybrid)):
+        return family.form, None
+    n = family.ndim
+    plane_wave = QuadricForm(np.zeros((n, n)), linear_axes=range(n))
+    if isinstance(family, Deformed):
+        return plane_wave, family.diffeo
+    if isinstance(family, Hyperplane):
+        return plane_wave, identity_map(n)
+    raise TypeError(f"no inverter for family {family!r}")
+
+
+def _separable_sum(coef: np.ndarray, form: QuadricForm,
+                   param_grid: GridSpec, out_grid: GridSpec) -> np.ndarray:
+    """Kernel sum for a diagonal core: the kernel is a product of one-axis
+    kernels, so the box is contracted one axis at a time against a small
+    out x parameter kernel matrix per axis."""
+    T = coef.reshape(param_grid.shape).astype(complex)
+    diag = dict(zip(form.quadric_axes, np.diag(form.B_core)))
+    for ax in range(form.ndim):
+        q_pts = out_grid.axis_points(ax)
+        m_pts = param_grid.axis_points(ax)
+        if ax in diag:
+            kern = np.exp(-1j * diag[ax] * (q_pts[:, None] - m_pts[None, :]) ** 2)
+        else:
+            kern = np.exp(-1j * q_pts[:, None] * m_pts[None, :])
+        # contract the leading parameter axis, append the out axis last
+        T = np.tensordot(T, kern, axes=([0], [1]))
+    return T.ravel()
+
+
+def invert_for_family(slc: CharacteristicSlice, family: LevelFamily,
+                      out_grid: GridSpec,
                       decay_floor: float = DEFAULT_DECAY_FLOOR, taper=None):
-    """f(q) = (2 pi)^{-n} sum_mu w(mu) e^{-i mu . q} over the parameter box."""
-    n = slc.param_grid.ndim
-    if out_grid.ndim != n:
-        raise DimensionMismatchError("out_grid rank must match the parameter box")
-    coef, warnings, decay = _prepare(slc, decay_floor, taper)
-    fc = _direct_sum(coef, -out_grid.points(), slc.param_grid)
-    fc /= (2 * np.pi) ** n
-    out_field, imag_ratio = _field_from_complex(out_grid, fc)
-    return out_field, InversionDiagnostics(imag_ratio=imag_ratio,
-                                           boundary_decay=decay,
-                                           warnings=tuple(warnings))
+    """Invert a characteristic slice of ``family`` onto ``out_grid``.
 
+    With p = phi(q) and the family's form split into a core block B2 on k
+    axes and m linear axes,
 
-def invert_deformed(slc: CharacteristicSlice, diffeo: Diffeomorphism,
-                    out_grid: GridSpec,
-                    decay_floor: float = DEFAULT_DECAY_FLOOR, taper=None):
-    """Deformed-kernel inversion: J(q) (2 pi)^{-n} sum_mu w(mu) e^{-i mu . phi(q)}.
+        f(q) = J(q) |det B2| / pi^k (2 pi)^{-m}
+               sum_mu w(mu) e^{-i (p' - mu', B2 (p' - mu'))} e^{-i mu_lin . p_lin}
 
-    Output points on the diffeomorphism's singular set get value zero and
-    are tallied in the diagnostics.
+    which is the plane-wave kernel for hyperplanes (phi the identity) and
+    deformed families, and the shifted-quadric kernel for quadric and
+    hybrid forms.  A diagonal core without deformation separates per axis
+    (``_separable_sum``); every other kernel is summed directly through the
+    exact factorization e^{-i p'B2p'} e^{2i p'B2 . mu'} e^{-i mu'B2mu'},
+    which leaves a plane wave in mu (see ``_direct_sum``).  Output points on
+    the diffeomorphism's singular set get value zero and are tallied in the
+    diagnostics.
     """
-    n = slc.param_grid.ndim
-    if out_grid.ndim != n or diffeo.ndim != n:
-        raise DimensionMismatchError("out_grid, diffeomorphism and parameter "
-                                     "box must agree in dimension")
-    coef, warnings, decay = _prepare(slc, decay_floor, taper)
-    pts = out_grid.points()
-    sing = diffeo.singular_fn(pts)
-    ok = ~sing
-    fc = np.zeros(len(pts), dtype=complex)
-    if np.any(ok):
-        mapped = diffeo.map_fn(pts[ok])
-        jac = diffeo.jacobian_fn(pts[ok])
-        fc[ok] = jac * _direct_sum(coef, -mapped, slc.param_grid)
-    fc /= (2 * np.pi) ** n
-    out_field, imag_ratio = _field_from_complex(out_grid, fc)
-    return out_field, InversionDiagnostics(
-        imag_ratio=imag_ratio, boundary_decay=decay,
-        singular_fraction=float(sing.sum()) / len(pts),
-        warnings=tuple(warnings))
-
-
-def invert_quadric(slc: CharacteristicSlice, form: QuadricForm,
-                   out_grid: GridSpec,
-                   decay_floor: float = DEFAULT_DECAY_FLOOR, taper=None):
-    """Shifted-quadric inversion with the |det B| / pi^n prefactor.
-
-    The kernel e^{-i (q - mu, B (q - mu))} is evaluated through its exact
-    factorization e^{-i qBq} e^{2i qB . mu} e^{-i mBm}, which leaves a plane
-    wave in mu; that sum factors over the parameter-box axes (see
-    ``_direct_sum``).
-    """
+    form, diffeo = _kernel(family)
     n = form.ndim
     if slc.param_grid.ndim != n or out_grid.ndim != n:
-        raise DimensionMismatchError("parameter box, out_grid and B must agree")
-    if form.signature[2] > 0:
-        raise ValueError("degenerate B: declare the split and use invert_hybrid")
+        raise DimensionMismatchError("parameter box, out_grid and family "
+                                     "must agree in dimension")
     coef, warnings, decay = _prepare(slc, decay_floor, taper)
-    mu = slc.param_grid.points()
-    mBm = np.sum((mu @ form.B) * mu, axis=1)
-    coef = coef * np.exp(-1j * mBm)
-    pts = out_grid.points()
-    qB = pts @ form.B
-    qBq = np.sum(qB * pts, axis=1)
-    fc = np.exp(-1j * qBq) * _direct_sum(coef, 2.0 * qB, slc.param_grid)
-    fc *= abs(form.core_determinant) / np.pi**n
-    out_field, imag_ratio = _field_from_complex(out_grid, fc)
-    return out_field, InversionDiagnostics(imag_ratio=imag_ratio,
-                                           boundary_decay=decay,
-                                           warnings=tuple(warnings))
-
-
-def invert_hybrid(slc: CharacteristicSlice, form: QuadricForm,
-                  out_grid: GridSpec,
-                  decay_floor: float = DEFAULT_DECAY_FLOOR, taper=None):
-    """Hybrid inversion: quadric kernel on the core axes, plane-wave kernel
-    on the declared linear axes, prefactor (|det B2| / pi^k) (2 pi)^{-m}.
-
-    When the core block is diagonal the kernel separates per axis and the
-    parameter sum is evaluated as a chain of small tensor contractions,
-    which is what makes three-dimensional boxes affordable.
-    """
-    n = form.ndim
-    if not form.linear_axes:
-        raise ValueError("hybrid inversion requires a declared linear_axes split")
-    if slc.param_grid.ndim != n or out_grid.ndim != n:
-        raise DimensionMismatchError("parameter box, out_grid and B must agree")
-    coef, warnings, decay = _prepare(slc, decay_floor, taper)
-    qa, la = form.quadric_axes, form.linear_axes
+    qa, la = list(form.quadric_axes), list(form.linear_axes)
     B2 = form.B_core
     prefactor = abs(form.core_determinant) / np.pi ** len(qa) \
         / (2 * np.pi) ** len(la)
-
     off_diag = np.abs(B2 - np.diag(np.diag(B2))).max() if len(qa) > 1 else 0.0
-    if off_diag <= 1e-12 * max(np.abs(B2).max(), 1e-300):
-        # separable path: contract one axis at a time
-        T = coef.reshape(slc.param_grid.shape).astype(complex)
-        diag = {a: np.diag(B2)[k] for k, a in enumerate(qa)}
-        for ax in range(n):
-            q_pts = out_grid.axis_points(ax)
-            m_pts = slc.param_grid.axis_points(ax)
-            if ax in diag:
-                kern = np.exp(-1j * diag[ax] * (q_pts[:, None] - m_pts[None, :]) ** 2)
-            else:
-                kern = np.exp(-1j * q_pts[:, None] * m_pts[None, :])
-            # contract the leading parameter axis, append the out axis last
-            T = np.tensordot(T, kern, axes=([0], [1]))
-        fc = prefactor * T.ravel()
+    singular_fraction = 0.0
+    if diffeo is None and off_diag <= 1e-12 * max(np.abs(B2).max(), 1e-300):
+        fc = prefactor * _separable_sum(coef, form, slc.param_grid, out_grid)
     else:
-        qa_i, la_i = np.array(qa), np.array(la)
-        mu = slc.param_grid.points()
-        mBm = np.sum((mu[:, qa_i] @ B2) * mu[:, qa_i], axis=1)
-        coef = coef * np.exp(-1j * mBm)
         pts = out_grid.points()
-        qB = pts[:, qa_i] @ B2
-        qBq = np.sum(qB * pts[:, qa_i], axis=1)
+        ok = np.ones(len(pts), dtype=bool)
+        weight = prefactor
+        if diffeo is not None:
+            ok = ~diffeo.singular_fn(pts)
+            singular_fraction = float((~ok).sum()) / len(pts)
+            weight = prefactor * diffeo.jacobian_fn(pts[ok])
+            pts = diffeo.map_fn(pts[ok])
+        mu = slc.param_grid.points()[:, qa]
+        coef = coef * np.exp(-1j * np.sum((mu @ B2) * mu, axis=1))
+        qB = pts[:, qa] @ B2
         lhs = np.empty_like(pts)
-        lhs[:, qa_i] = 2.0 * qB
-        lhs[:, la_i] = -pts[:, la_i]
-        fc = prefactor * np.exp(-1j * qBq) \
+        lhs[:, qa] = 2.0 * qB
+        lhs[:, la] = -pts[:, la]
+        fc = np.zeros(len(ok), dtype=complex)
+        fc[ok] = weight * np.exp(-1j * np.sum(qB * pts[:, qa], axis=1)) \
             * _direct_sum(coef, lhs, slc.param_grid)
     out_field, imag_ratio = _field_from_complex(out_grid, fc)
-    return out_field, InversionDiagnostics(imag_ratio=imag_ratio,
-                                           boundary_decay=decay,
-                                           warnings=tuple(warnings))
+    return out_field, InversionDiagnostics(
+        imag_ratio=imag_ratio, boundary_decay=decay,
+        singular_fraction=singular_fraction, warnings=tuple(warnings))
 
 
 # ---------------------------------------------------------------------------
@@ -335,20 +305,6 @@ class RoundtripReport:
     warnings: tuple[str, ...]
     reconstruction: ScalarField
     reference: ScalarField
-
-
-def invert_for_family(slc: CharacteristicSlice, family: LevelFamily,
-                      out_grid: GridSpec, **kwargs):
-    """Dispatch to the inverter matching the family type."""
-    if isinstance(family, Hyperplane):
-        return invert_hyperplane(slc, out_grid, **kwargs)
-    if isinstance(family, Deformed):
-        return invert_deformed(slc, family.diffeo, out_grid, **kwargs)
-    if isinstance(family, Quadric):
-        return invert_quadric(slc, family.form, out_grid, **kwargs)
-    if isinstance(family, Hybrid):
-        return invert_hybrid(slc, family.form, out_grid, **kwargs)
-    raise TypeError(f"no inverter for family {family!r}")
 
 
 def roundtrip(phantom: Phantom, family: LevelFamily, q_grid: GridSpec,

@@ -143,13 +143,27 @@ class TestInvertCommand:
         assert "--taper" in capsys.readouterr().err
         assert not recon.exists()
 
+    @pytest.mark.parametrize("floor", ["--decay-floor=nan",
+                                       "--decay-floor=-1"])
+    def test_bad_decay_floor_exits_2(self, tmp_path, gauss_field, floor,
+                                     capsys):
+        tomo = tmp_path / "t.gtmt"
+        assert main(_forward_args(gauss_field, tomo)) == 0
+        recon = tmp_path / "r.gtm"
+        assert main(["invert", str(tomo), "--family", "hyperplane",
+                     "--q-box=-2,2;-2,2", "--q-count", "5;5", floor,
+                     "--out", str(recon)]) == 2
+        assert "--decay-floor" in capsys.readouterr().err
+        assert not recon.exists()
+
     @pytest.mark.parametrize("taper", [["--taper"], ["--taper", "1.5"]])
-    def test_taper_accepted(self, tmp_path, gauss_field, taper):
+    def test_taper_accepted(self, tmp_path, gauss_field, taper, capsys):
         tomo = tmp_path / "t.gtmt"
         assert main(_forward_args(gauss_field, tomo)) == 0
         assert main(["invert", str(tomo), "--family", "hyperplane",
                      "--q-box=-2,2;-2,2", "--q-count", "5;5", *taper,
                      "--out", str(tmp_path / "r.gtm")]) == 0
+        assert "warning: taper width" in capsys.readouterr().err
 
     def test_zero_tomogram_gives_zero_field(self, tmp_path, gauss_field):
         from gentomo.core import TomogramFamily, make_grid

@@ -216,6 +216,11 @@ class TestQuadricForm:
         form = QuadricForm(np.diag([2.0, 3.0, 0.0]), linear_axes=(2,))
         assert form.core_determinant == pytest.approx(6.0)
 
+    def test_all_linear_form_has_empty_core(self):
+        form = QuadricForm(np.zeros((2, 2)), linear_axes=(0, 1))
+        assert form.B_core.shape == (0, 0)
+        assert form.core_determinant == 1.0
+
     def test_quadric_family_rejects_degenerate(self):
         with pytest.raises(ValueError):
             Quadric(QuadricForm(np.diag([1.0, 0.0])))

@@ -7,12 +7,12 @@ from gentomo.core import (GaussianMixture, ScalarField, TomogramFamily,
                           gaussian, l2_rel_error, make_grid, sample_phantom,
                           standard_gaussian, total_mass)
 from gentomo.forward import forward_binned, normalization_profile
-from gentomo.geometry import (Hybrid, Hyperplane, Quadric, QuadricForm,
-                              circle_family, identity_map)
+from gentomo.geometry import (Deformed, Hybrid, Hyperplane, Quadric,
+                              QuadricForm, circle_family, hyperbola_family,
+                              hyperboloid_family, identity_map)
 from gentomo import inverse
 from gentomo.inverse import (CharacteristicSlice, _direct_sum,
-                             characteristic_slice, invert_deformed,
-                             invert_hybrid, invert_hyperplane, invert_quadric,
+                             characteristic_slice, invert_for_family,
                              roundtrip)
 
 
@@ -76,9 +76,9 @@ class TestDirectSum:
         pg = make_grid(3, [(-2, 2, 6), (-1.5, 2.5, 5), (-3, 1, 4)])
         out = make_grid(3, [(-1, 1, 9), (-1, 1, 8), (-1, 1, 10)])
         slc = _slice_from_values(pg, _random_coef(pg, seed=3), tag="hybrid")
-        field, diag = invert_hybrid(slc, form, out)
+        field, diag = invert_for_family(slc, Hybrid(form), out)
         monkeypatch.setattr(inverse, "_direct_sum", _pointwise_sum)
-        ref, ref_diag = invert_hybrid(slc, form, out)
+        ref, ref_diag = invert_for_family(slc, Hybrid(form), out)
         _assert_close_to_peak(field.values, ref.values)
         assert diag.imag_ratio == pytest.approx(ref_diag.imag_ratio, rel=1e-9)
 
@@ -86,14 +86,97 @@ class TestDirectSum:
         pg = make_grid(2, [(-5, 5, 32), (-4, 4, 27)])
         slc = _slice_from_values(pg, _random_coef(pg, seed=4), tag="circle")
         out = make_grid(2, [(-2, 2, 41), (-2, 2, 41)])  # holds the origin
-        diffeo = circle_family().diffeo
-        field, diag = invert_deformed(slc, diffeo, out)
+        field, diag = invert_for_family(slc, circle_family(), out)
         monkeypatch.setattr(inverse, "_direct_sum", _pointwise_sum)
-        ref, ref_diag = invert_deformed(slc, diffeo, out)
+        ref, ref_diag = invert_for_family(slc, circle_family(), out)
         assert field.values[20, 20] == 0.0
         assert diag.singular_fraction == 1 / 41**2
         assert ref_diag.singular_fraction == diag.singular_fraction
         _assert_close_to_peak(field.values, ref.values)
+
+
+def _random_slice(pg):
+    rng = np.random.default_rng(2)
+    vals = (rng.normal(size=pg.size) + 1j * rng.normal(size=pg.size)) \
+        * np.exp(-np.sum(pg.points()**2, axis=1) / 2)
+    return _slice_from_values(pg, vals)
+
+
+def _deformed_kernel(phi, jac, singular):
+    """J(q) (2 pi)^{-2} e^{-i mu . phi(q)}, zero on the singular set."""
+    def kernel(q, mu):
+        if singular(q):
+            return np.zeros(len(mu))
+        return jac(q) / (2 * np.pi) ** 2 * np.exp(-1j * (mu @ phi(q)))
+    return kernel
+
+
+def _quadric_kernel(B, linear=()):
+    """|det B2| / pi^k (2 pi)^{-m} e^{-i [(q'-mu', B2 (q'-mu')) + mu_l . q_l]}."""
+    B = np.asarray(B, dtype=float)
+    lin = list(linear)
+    core = [a for a in range(len(B)) if a not in lin]
+    B2 = B[np.ix_(core, core)]
+    scale = abs(np.linalg.det(B2)) / np.pi ** len(core) \
+        / (2 * np.pi) ** len(lin)
+
+    def kernel(q, mu):
+        d = q[core] - mu[:, core]
+        phase = np.sum((d @ B2) * d, axis=1) + mu[:, lin] @ q[lin]
+        return scale * np.exp(-1j * phase)
+    return kernel
+
+
+_B_HYBRID = np.zeros((3, 3))
+_B_HYBRID[:2, :2] = [[1.0, 0.3], [0.3, 2.0]]
+# 2-d boxes of unequal ranges and counts; the out grid holds the origin and
+# both coordinate axes, where the deformed families are singular
+_PG2 = make_grid(2, [(-3, 2.5, 9), (-2, 3, 8)])
+_OUT2 = make_grid(2, [(-1, 1, 11), (-1.2, 1.2, 9)])
+_ORACLE_CASES = {
+    "hyperplane": (Hyperplane(2), _PG2, _OUT2, _deformed_kernel(
+        lambda q: q, lambda q: 1.0, lambda q: False)),
+    "circle": (circle_family(), _PG2, _OUT2, _deformed_kernel(
+        lambda q: q / (q @ q), lambda q: 1.0 / (q @ q) ** 2,
+        lambda q: not q.any())),
+    "hyperbola": (hyperbola_family(), _PG2, _OUT2, _deformed_kernel(
+        lambda q: np.array([1.0 / q[0], q[1]]), lambda q: 1.0 / q[0] ** 2,
+        lambda q: q[0] == 0.0)),
+    "hyperboloid": (hyperboloid_family(1), _PG2, _OUT2, _deformed_kernel(
+        lambda q: np.array([q[0], q[0] * q[1]]), lambda q: abs(q[0]),
+        lambda q: q[0] == 0.0)),
+    "quadric_diagonal": (Quadric(QuadricForm(np.diag([1.0, 2.5]))), _PG2,
+                         _OUT2, _quadric_kernel(np.diag([1.0, 2.5]))),
+    "quadric_general": (Quadric(QuadricForm([[1.0, 0.4], [0.4, 2.0]])), _PG2,
+                        _OUT2, _quadric_kernel([[1.0, 0.4], [0.4, 2.0]])),
+    "quadric_indefinite": (Quadric(QuadricForm([[1.0, 0.2], [0.2, -1.5]])),
+                           _PG2, _OUT2,
+                           _quadric_kernel([[1.0, 0.2], [0.2, -1.5]])),
+    "hybrid_diagonal": (
+        Hybrid(QuadricForm(np.diag([1.0, 2.0, 0.0]), linear_axes=(2,))),
+        make_grid(3, [(-2, 2, 7)] * 3), make_grid(3, [(-1, 1, 4)] * 3),
+        _quadric_kernel(np.diag([1.0, 2.0, 0.0]), linear=(2,))),
+    "hybrid_general": (
+        Hybrid(QuadricForm(_B_HYBRID, linear_axes=(2,))),
+        make_grid(3, [(-2, 2, 6)] * 3), make_grid(3, [(-1, 1, 3)] * 3),
+        _quadric_kernel(_B_HYBRID, linear=(2,))),
+}
+
+
+class TestKernelOracle:
+    """invert_for_family against the paper's kernel summed point by point."""
+
+    @pytest.mark.parametrize("case", list(_ORACLE_CASES))
+    def test_matches_pointwise_kernel(self, case):
+        family, pg, out, kernel = _ORACLE_CASES[case]
+        slc = _random_slice(pg)
+        field, diag = invert_for_family(slc, family, out)
+        mu = pg.points()
+        coef = slc.values * pg.trapezoid_weights().ravel()
+        expect = np.array([kernel(q, mu) @ coef for q in out.points()])
+        _assert_close_to_peak(field.values.ravel(), expect.real)
+        assert diag.imag_ratio == pytest.approx(
+            np.abs(expect.imag).max() / np.abs(expect.real).max(), rel=1e-9)
 
 
 class TestTaper:
@@ -106,14 +189,15 @@ class TestTaper:
         with pytest.raises(ValueError, match="taper width"):
             self._slice().tapered(width)
         with pytest.raises(ValueError, match="taper width"):
-            invert_hyperplane(self._slice(), make_grid(2, [(-1, 1, 3)] * 2),
-                              taper=width)
+            invert_for_family(self._slice(), Hyperplane(2),
+                              make_grid(2, [(-1, 1, 3)] * 2), taper=width)
 
     @pytest.mark.parametrize("off", [None, False])
     def test_none_and_false_mean_off(self, off):
         out = make_grid(2, [(-1, 1, 3)] * 2)
-        plain, _ = invert_hyperplane(self._slice(), out)
-        field, _ = invert_hyperplane(self._slice(), out, taper=off)
+        plain, _ = invert_for_family(self._slice(), Hyperplane(2), out)
+        field, _ = invert_for_family(self._slice(), Hyperplane(2), out,
+                                     taper=off)
         assert np.array_equal(field.values, plain.values)
 
     def test_positive_width_damps_box_corners(self):
@@ -122,6 +206,35 @@ class TestTaper:
         assert vals[4, 4] == 1.0
         assert abs(vals[0, 0]) == pytest.approx(math.exp(-18 / 4.5))
         assert "taper width 1.5" in slc.warnings
+
+    @pytest.mark.parametrize("taper, note", [(1.5, "taper width 1.5"),
+                                             (True, "taper width 1")])
+    def test_note_reaches_diagnostics(self, taper, note):
+        out = make_grid(2, [(-1, 1, 3)] * 2)
+        _, diag = invert_for_family(self._slice(), Hyperplane(2), out,
+                                    taper=taper)
+        assert note in diag.warnings
+
+    def test_roundtrip_reports_each_warning_once(self):
+        # the X window clips most of the mass, so the forward step warns
+        rep = roundtrip(standard_gaussian(2), Hyperplane(2),
+                        q_grid=make_grid(2, [(-4, 4, 32)] * 2),
+                        x_grid=make_grid(1, [(-1, 1, 21)]),
+                        param_grid=make_grid(2, [(-3, 3, 8)] * 2),
+                        out_grid=make_grid(2, [(-1, 1, 5)] * 2), taper=1.5)
+        assert any("overflow" in w for w in rep.warnings)
+        assert "taper width 1.5" in rep.warnings
+        assert len(set(rep.warnings)) == len(rep.warnings)
+
+
+class TestDecayFloor:
+    @pytest.mark.parametrize("floor", [math.nan, -1.0, -math.inf])
+    def test_nan_or_negative_rejected(self, floor):
+        pg = make_grid(2, [(-3, 3, 9), (-3, 3, 9)])
+        slc = _slice_from_values(pg, np.ones(pg.size))
+        with pytest.raises(ValueError, match="decay floor"):
+            invert_for_family(slc, Hyperplane(2), make_grid(2, [(-1, 1, 3)] * 2),
+                              decay_floor=floor)
 
 
 class TestCharacteristicSlice:
@@ -204,7 +317,7 @@ class TestInvertHyperplane:
     def test_reconstructs_gaussian_peak(self):
         slc = self._gaussian_slice()
         out = make_grid(2, [(-5, 5, 64), (-5, 5, 64)])
-        field, diag = invert_hyperplane(slc, out)
+        field, diag = invert_for_family(slc, Hyperplane(2), out)
         center = np.unravel_index(np.argmax(field.values), field.values.shape)
         pts = out.points().reshape(64, 64, 2)
         assert np.linalg.norm(pts[center]) <= out.spacing[0]
@@ -216,14 +329,14 @@ class TestInvertHyperplane:
         pg = make_grid(2, [(-5, 5, 16), (-5, 5, 16)])
         slc = _slice_from_values(pg, np.zeros(pg.size))
         out = make_grid(2, [(-3, 3, 9), (-3, 3, 9)])
-        field, diag = invert_hyperplane(slc, out)
+        field, diag = invert_for_family(slc, Hyperplane(2), out)
         assert np.all(field.values == 0.0)
         assert diag.imag_ratio == 0.0
 
     def test_shift_moves_the_peak(self):
         slc = self._gaussian_slice(mean=(3.0, 0.0))
         out = make_grid(2, [(-5, 5, 64), (-5, 5, 64)])
-        field, _ = invert_hyperplane(slc, out)
+        field, _ = invert_for_family(slc, Hyperplane(2), out)
         peak = np.unravel_index(np.argmax(field.values), field.values.shape)
         pts = out.points().reshape(64, 64, 2)
         assert np.linalg.norm(pts[peak] - [3.0, 0.0]) <= out.spacing[0]
@@ -234,10 +347,11 @@ class TestInvertHyperplane:
         v1 = rng.normal(size=pg.size) + 1j * rng.normal(size=pg.size)
         v2 = rng.normal(size=pg.size) + 1j * rng.normal(size=pg.size)
         out = make_grid(2, [(-2, 2, 9), (-2, 2, 9)])
-        f1, _ = invert_hyperplane(_slice_from_values(pg, v1), out)
-        f2, _ = invert_hyperplane(_slice_from_values(pg, v2), out)
-        f12, _ = invert_hyperplane(_slice_from_values(pg, 2.0 * v1 - 0.5 * v2),
-                                   out)
+        plane = Hyperplane(2)
+        f1, _ = invert_for_family(_slice_from_values(pg, v1), plane, out)
+        f2, _ = invert_for_family(_slice_from_values(pg, v2), plane, out)
+        f12, _ = invert_for_family(_slice_from_values(pg, 2.0 * v1 - 0.5 * v2),
+                                   plane, out)
         assert np.allclose(f12.values, 2.0 * f1.values - 0.5 * f2.values,
                            rtol=1e-10, atol=1e-14)
 
@@ -247,7 +361,7 @@ class TestInvertHyperplane:
         narrow = CharacteristicSlice(pg, slc.values.reshape(64, 64)[:8, :8]
                                      .ravel(), "hyperplane")
         out = make_grid(2, [(-2, 2, 9), (-2, 2, 9)])
-        _, diag = invert_hyperplane(narrow, out)
+        _, diag = invert_for_family(narrow, Hyperplane(2), out)
         assert diag.boundary_decay > 1e-4
         assert any("widen" in w for w in diag.warnings)
 
@@ -255,7 +369,7 @@ class TestInvertHyperplane:
         from gentomo.core import DimensionMismatchError
         slc = self._gaussian_slice()
         with pytest.raises(DimensionMismatchError):
-            invert_hyperplane(slc, make_grid(1, [(-1, 1, 8)]))
+            invert_for_family(slc, Hyperplane(2), make_grid(1, [(-1, 1, 8)]))
 
 
 class TestInvertDeformed:
@@ -265,8 +379,8 @@ class TestInvertDeformed:
         vals = np.exp(-np.sum(mu**2, axis=1) / 2)
         slc = _slice_from_values(pg, vals)
         out = make_grid(2, [(-4, 4, 25), (-4, 4, 25)])
-        f_plane, _ = invert_hyperplane(slc, out)
-        f_id, diag = invert_deformed(slc, identity_map(2), out)
+        f_plane, _ = invert_for_family(slc, Hyperplane(2), out)
+        f_id, diag = invert_for_family(slc, Deformed(identity_map(2)), out)
         assert np.array_equal(f_plane.values, f_id.values)
         assert diag.singular_fraction == 0.0
 
@@ -276,7 +390,7 @@ class TestInvertDeformed:
         slc = _slice_from_values(pg, vals, tag="circle")
         out = make_grid(2, [(-2, 2, 5), (-2, 2, 5)])  # contains the origin
         fam = circle_family()
-        field, diag = invert_deformed(slc, fam.diffeo, out)
+        field, diag = invert_for_family(slc, fam, out)
         assert field.values[2, 2] == 0.0
         assert diag.singular_fraction == pytest.approx(1 / 25)
 
@@ -294,7 +408,7 @@ class TestInvertQuadric:
         pg = make_grid(2, [(-6, 6, 96), (-6, 6, 96)])
         slc = self._identity_B_slice(pg)
         out = make_grid(2, [(-2, 2, 17), (-2, 2, 17)])
-        field, diag = invert_quadric(slc, QuadricForm(np.eye(2)), out)
+        field, diag = invert_for_family(slc, Quadric(QuadricForm(np.eye(2))), out)
         center = 1 / (2 * math.pi)
         assert field.values[8, 8] == pytest.approx(center, rel=0.10)
         assert diag.imag_ratio <= 0.05
@@ -303,15 +417,15 @@ class TestInvertQuadric:
         pg = make_grid(2, [(-4, 4, 16), (-4, 4, 16)])
         slc = _slice_from_values(pg, np.zeros(pg.size), tag="quadric")
         out = make_grid(2, [(-1, 1, 5), (-1, 1, 5)])
-        field, _ = invert_quadric(slc, QuadricForm(np.eye(2)), out)
+        field, _ = invert_for_family(slc, Quadric(QuadricForm(np.eye(2))), out)
         assert np.all(field.values == 0.0)
 
     def test_degenerate_form_rejected(self):
         pg = make_grid(2, [(-4, 4, 16), (-4, 4, 16)])
         slc = _slice_from_values(pg, np.zeros(pg.size), tag="quadric")
         with pytest.raises(ValueError, match="hybrid"):
-            invert_quadric(slc, QuadricForm(np.diag([1.0, 0.0])),
-                           make_grid(2, [(-1, 1, 5), (-1, 1, 5)]))
+            invert_for_family(slc, Quadric(QuadricForm(np.diag([1.0, 0.0]))),
+                              make_grid(2, [(-1, 1, 5), (-1, 1, 5)]))
 
     def test_prefactor_compensates_scaling(self):
         # B and 4B on the correspondingly scaled X axis reconstruct the same
@@ -326,65 +440,20 @@ class TestInvertQuadric:
             s2 = np.sum(mu**2, axis=1)
             vals = np.exp(1j * lam * s2 / (1 - 2j * lam)) / (1 - 2j * lam)
             slc = _slice_from_values(pg, vals, tag="quadric")
-            f, _ = invert_quadric(slc, QuadricForm(lam * np.eye(2)), out)
+            f, _ = invert_for_family(slc, Quadric(QuadricForm(lam * np.eye(2))),
+                                     out)
             recons.append(f)
         assert l2_rel_error(recons[0], ref) <= 0.05
         assert l2_rel_error(recons[1], recons[0]) <= 0.05
 
 
 class TestInvertHybrid:
-    def _make_slice(self, pg):
-        rng = np.random.default_rng(2)
-        vals = (rng.normal(size=pg.size) + 1j * rng.normal(size=pg.size)) \
-            * np.exp(-np.sum(pg.points()**2, axis=1) / 2)
-        return _slice_from_values(pg, vals, tag="hybrid")
-
-    def test_separable_path_matches_direct_sum(self):
-        form = QuadricForm(np.diag([1.0, 2.0, 0.0]), linear_axes=(2,))
-        pg = make_grid(3, [(-2, 2, 7), (-2, 2, 7), (-2, 2, 7)])
-        out = make_grid(3, [(-1, 1, 4), (-1, 1, 4), (-1, 1, 4)])
-        slc = self._make_slice(pg)
-        field, _ = invert_hybrid(slc, form, out)
-        # brute force: sum the kernel over every parameter point
-        mu = pg.points()
-        w = pg.trapezoid_weights().ravel()
-        pts = out.points()
-        B2 = np.diag([1.0, 2.0])
-        expect = np.empty(len(pts), dtype=complex)
-        for i, qv in enumerate(pts):
-            d = qv[:2] - mu[:, :2]
-            phase = np.sum((d @ B2) * d, axis=1) + mu[:, 2] * qv[2]
-            expect[i] = np.sum(slc.values * w * np.exp(-1j * phase))
-        expect *= abs(np.linalg.det(B2)) / np.pi**2 / (2 * np.pi)
-        assert np.allclose(field.values.ravel(), expect.real, atol=1e-12)
-
-    def test_general_split_path(self):
-        # off-diagonal core forces the direct path; agree with brute force
-        B = np.zeros((3, 3))
-        B[:2, :2] = [[1.0, 0.3], [0.3, 2.0]]
-        form = QuadricForm(B, linear_axes=(2,))
-        pg = make_grid(3, [(-2, 2, 6), (-2, 2, 6), (-2, 2, 6)])
-        out = make_grid(3, [(-1, 1, 3), (-1, 1, 3), (-1, 1, 3)])
-        slc = self._make_slice(pg)
-        field, _ = invert_hybrid(slc, form, out)
-        mu = pg.points()
-        w = pg.trapezoid_weights().ravel()
-        pts = out.points()
-        B2 = B[:2, :2]
-        expect = np.empty(len(pts), dtype=complex)
-        for i, qv in enumerate(pts):
-            d = qv[:2] - mu[:, :2]
-            phase = np.sum((d @ B2) * d, axis=1) + mu[:, 2] * qv[2]
-            expect[i] = np.sum(slc.values * w * np.exp(-1j * phase))
-        expect *= abs(np.linalg.det(B2)) / np.pi**2 / (2 * np.pi)
-        assert np.allclose(field.values.ravel(), expect.real, atol=1e-12)
-
     def test_missing_split_rejected(self):
         pg = make_grid(3, [(-1, 1, 4)] * 3)
-        slc = self._make_slice(pg)
+        slc = _random_slice(pg)
         with pytest.raises(ValueError, match="split"):
-            invert_hybrid(slc, QuadricForm(np.diag([1.0, 1.0, 0.0])),
-                          make_grid(3, [(-1, 1, 3)] * 3))
+            invert_for_family(slc, Hybrid(QuadricForm(np.diag([1.0, 1.0, 0.0]))),
+                              make_grid(3, [(-1, 1, 3)] * 3))
 
     def test_product_source_factorizes(self):
         # the kernel separates over the split, so the reconstruction of a
@@ -396,8 +465,8 @@ class TestInvertHybrid:
                            make_grid(3, [(-4, 4, 20)] * 3),
                            make_grid(1, [(-18, 120, 553)]),
                            make_grid(3, [(-4.5, 4.5, 36)] * 3))
-        field, _ = invert_hybrid(characteristic_slice(t), form,
-                                 make_grid(3, [(-2, 2, 16)] * 3))
+        field, _ = invert_for_family(characteristic_slice(t), Hybrid(form),
+                                     make_grid(3, [(-2, 2, 16)] * 3))
         unfold = field.values.reshape(16 * 16, 16)
         s = np.linalg.svd(unfold, compute_uv=False)
         assert s[1] / s[0] <= 0.02
@@ -406,7 +475,8 @@ class TestInvertHybrid:
         form = QuadricForm(np.diag([1.0, 1.0, 0.0]), linear_axes=(2,))
         pg = make_grid(3, [(-2, 2, 5)] * 3)
         slc = _slice_from_values(pg, np.zeros(pg.size), tag="hybrid")
-        field, _ = invert_hybrid(slc, form, make_grid(3, [(-1, 1, 3)] * 3))
+        field, _ = invert_for_family(slc, Hybrid(form),
+                                     make_grid(3, [(-1, 1, 3)] * 3))
         assert np.all(field.values == 0.0)
 
 
@@ -436,7 +506,8 @@ class TestRoundtrip:
         # run the pipeline again on its own output field
         t2 = forward_binned(rep.reconstruction, Hyperplane(2),
                             grids["param_grid"], grids["x_grid"])
-        f2, _ = invert_hyperplane(characteristic_slice(t2), grids["out_grid"])
+        f2, _ = invert_for_family(characteristic_slice(t2), Hyperplane(2),
+                                  grids["out_grid"])
         assert l2_rel_error(f2, rep.reconstruction) <= 0.10
 
     def test_mixture_matches_reference_quality(self):
