@@ -13,7 +13,6 @@ code; only precondition violations do.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 import numpy as np
@@ -21,7 +20,7 @@ import numpy as np
 from . import checks, formats
 from .core import (GridError, GridSpec, ScalarField, make_grid, sample_phantom,
                    total_mass)
-from .forward import forward_binned, normalization_profile
+from .forward import forward_binned, normalization_profile, thread_count
 from .geometry import (Hybrid, Hyperplane, LevelFamily, Quadric, QuadricForm,
                        circle_family, hyperbola_family, hyperboloid_family)
 from .inverse import characteristic_slice, invert_for_family
@@ -43,20 +42,14 @@ def _warn(msg: str) -> None:
 
 
 def _threads() -> int:
-    """GENTOMO_THREADS caps worker parallelism (0 = auto).
+    """Validate GENTOMO_THREADS before any work, so a bad value exits 2.
 
-    The numerical engines are sequential and deterministic, which satisfies
-    the cap for every value; the variable is validated so misuse fails fast.
+    The forward deposit reads the same variable through ``thread_count``.
     """
-    raw = os.environ.get("GENTOMO_THREADS", "0")
     try:
-        n = int(raw)
-    except ValueError:
-        raise CliError(f"GENTOMO_THREADS must be an integer, got {raw!r}",
-                       EXIT_BAD_INPUT) from None
-    if n < 0:
-        raise CliError("GENTOMO_THREADS must be >= 0", EXIT_BAD_INPUT)
-    return n
+        return thread_count()
+    except ValueError as exc:
+        raise CliError(str(exc), EXIT_BAD_INPUT) from None
 
 
 def _parse_box(text: str, count_text: str) -> GridSpec:

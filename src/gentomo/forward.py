@@ -12,6 +12,8 @@ from bugs.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,9 +22,11 @@ from .core import (DimensionMismatchError, GridError, GridSpec, Phantom,
                    ScalarField, TomogramFamily)
 from .geometry import Diffeomorphism, LevelFamily
 
-# elements per (source x parameter) work block; sized so the block arrays
-# stay cache-resident, which dominates deposit throughput
-_CHUNK_ELEMS = 2_000_000
+# (source point x parameter) pairs per deposit block; sized so the block
+# arrays stay cache-resident, which dominates deposit throughput
+_CHUNK_ELEMS = 500_000
+# pairs in flight across all deposit workers, which bounds peak memory
+_INFLIGHT_ELEMS = 2_000_000
 
 DEFAULT_OVERFLOW_THRESHOLD = 0.01
 
@@ -87,13 +91,75 @@ def _source_points_masses(source, q_grid: GridSpec | None, supersample: int = 1)
     raise TypeError(f"source must be a ScalarField or Phantom, got {type(source)}")
 
 
+def thread_count() -> int:
+    """Deposit worker threads from ``GENTOMO_THREADS``.
+
+    0 or unset means the cores this process may run on.  Raises ValueError
+    for a value that is not an integer >= 0.
+    """
+    raw = os.environ.get("GENTOMO_THREADS", "0")
+    try:
+        n = int(raw)
+    except ValueError:
+        raise ValueError(
+            f"GENTOMO_THREADS must be an integer, got {raw!r}") from None
+    if n < 0:
+        raise ValueError(f"GENTOMO_THREADS must be >= 0, got {raw!r}")
+    return n or len(os.sched_getaffinity(0))
+
+
+def _run_blocks(new_worker, starts, workers: int) -> None:
+    """Run every block start on ``workers`` threads, the caller's included.
+
+    Each thread calls ``new_worker()`` once for a block function that owns
+    its scratch buffers, then feeds it starts taken from a shared iterator.
+    The first exception raised in any thread is re-raised after all threads
+    have stopped.
+    """
+    pending = iter(starts)
+    lock = threading.Lock()
+    errors = []
+
+    def work():
+        try:
+            run = new_worker()
+            while not errors:
+                with lock:
+                    start = next(pending, None)
+                if start is None:
+                    return
+                run(start)
+        except BaseException as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work) for _ in range(1, workers)]
+    for t in threads:
+        t.start()
+    work()
+    for t in threads:
+        t.join()
+    if errors:
+        raise errors[0]
+
+
 def _deposit(family: LevelFamily, points, masses, param_points, x_grid: GridSpec):
     """Accumulate mass into X bins for every parameter point.
 
-    Returns (values (P, Nx), overflow (P,)).  Work is chunked over parameter
-    points with a fixed block size, so results are independent of memory
-    limits and bitwise reproducible.
+    Returns (values (P, Nx), overflow (P,)).  Parameter points are cut into
+    blocks of about ``_CHUNK_ELEMS`` (source point x parameter) pairs; the
+    partition depends only on the source size, never on the thread count.
+    Up to ``thread_count()`` workers take whole blocks, at most
+    ``_INFLIGHT_ELEMS`` pairs in flight so peak memory does not grow with
+    the thread count, and each block writes its own rows of values and
+    overflow.  Every column is therefore summed in the same order, and the
+    output bytes are identical for every ``GENTOMO_THREADS``.
+
+    The block size is not free: it sets the BLAS block shapes of level
+    evaluation, and a one-column block takes the matrix-vector path.  With
+    2 M-pair blocks instead of the default, tomograms move by at most 1e-15
+    of their peak on the tested problems (7.7e-16 at worst there).
     """
+    workers = thread_count()
     n_bins = x_grid.shape[0]
     x0 = x_grid.axes[0][0]
     dx = x_grid.spacing[0]
@@ -103,37 +169,50 @@ def _deposit(family: LevelFamily, points, masses, param_points, x_grid: GridSpec
     if len(points) == 0:
         return values, overflow
 
-    chunk = max(1, _CHUNK_ELEMS // max(len(points), 1))
+    chunk = max(1, _CHUNK_ELEMS // len(points))
+    workers = min(workers, -(-n_par // chunk),
+                  max(1, _INFLIGHT_ELEMS // (chunk * len(points))))
     # buckets per column: [0] underflow, [1 .. n_bins] bins, [n_bins+1] and
     # [n_bins+2] overflow (the clamp below parks far-out mass at the edges,
     # where the split weight degenerates to all-left)
     slots = n_bins + 3
     evaluate = family.level_evaluator(points)
-    for start in range(0, n_par, chunk):
-        pblock = param_points[start:start + chunk]
-        g = evaluate(pblock)                             # (Nq, C)
-        c = g.shape[1]
-        np.multiply(g, 1.0 / dx, out=g)
-        g -= x0 / dx
-        np.clip(g, -1.0, float(n_bins), out=g)
-        left = np.floor(g)
-        g -= left                                        # g now holds frac
-        idx = left.astype(np.int64)
-        idx += 1
-        idx *= c
-        idx += np.arange(c, dtype=np.int64)[None, :]
-        w_right = masses[:, None] * g
-        acc = np.bincount((idx + c).ravel(), weights=w_right.ravel(),
-                          minlength=slots * c)
-        w_right -= masses[:, None]
-        np.negative(w_right, out=w_right)                # left weight
-        acc += np.bincount(idx.ravel(), weights=w_right.ravel(),
-                           minlength=slots * c)
+    m = masses[:, None]
 
-        acc = acc.reshape(slots, c)
-        values[start:start + chunk] = acc[1:n_bins + 1].T
-        overflow[start:start + chunk] = acc[0] + acc[n_bins + 1] + acc[n_bins + 2]
-    values /= dx
+    def new_worker():
+        # scratch reused by every block of one worker: a fresh multi-MB
+        # array per block would be page-faulted in anew each time
+        key_buf = np.empty(chunk * len(points))
+        idx_buf = np.empty(chunk * len(points), dtype=np.int64)
+
+        def deposit_block(start):
+            g = evaluate(param_points[start:start + chunk])   # (Nq, C)
+            c = g.shape[1]
+            key = key_buf[:g.size].reshape(g.shape)
+            idx = idx_buf[:g.size]
+            np.multiply(g, 1.0 / dx, out=g)
+            g -= x0 / dx
+            np.clip(g, -1.0, float(n_bins), out=g)
+            np.floor(g, out=key)
+            g -= key                                      # g now holds frac
+            # bucket of the left neighbour, (left + 1) * c + column: exact
+            # in float for these integers, so one cast gives the index
+            key *= c
+            key += np.arange(c, 2 * c, dtype=float)
+            np.copyto(idx, key.ravel(), casting="unsafe")
+            g *= m                                        # right weight
+            np.subtract(m, g, out=key)                    # left weight
+            acc = np.bincount(idx, weights=key.ravel(), minlength=slots * c)
+            right = np.bincount(idx, weights=g.ravel(), minlength=slots * c)
+            acc[c:] += right[:-c]            # right neighbour: one bin row up
+            acc = acc.reshape(slots, c)
+            np.divide(acc[1:n_bins + 1].T, dx, out=values[start:start + c])
+            overflow[start:start + c] = (acc[0] + acc[n_bins + 1]
+                                         + acc[n_bins + 2])
+
+        return deposit_block
+
+    _run_blocks(new_worker, range(0, n_par, chunk), workers)
     return values, overflow
 
 

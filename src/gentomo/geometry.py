@@ -387,6 +387,9 @@ class Hybrid(LevelFamily):
     def __post_init__(self):
         if not self.form.linear_axes:
             raise ValueError("hybrid family requires a declared linear_axes split")
+        if not self.form.quadric_axes:
+            raise ValueError("hybrid form has no quadric core: every axis is "
+                             "declared linear; use the hyperplane family")
         core = QuadricForm(self.form.B_core)
         core.require_nondegenerate()
 

@@ -1,12 +1,15 @@
-"""Pin BLAS pools to one thread before numpy loads anywhere (so measured
-runtimes reflect the single-threaded budget) and echo the acceptance
-report lines in the terminal summary."""
+"""Pin BLAS pools and the forward deposit to one thread before numpy loads
+anywhere (so measured runtimes reflect the single-threaded budget) and echo
+the acceptance report lines in the terminal summary."""
 
 import os
 import sys
 
 for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(var, "1")
+# one deposit worker too, so the runtime budgets stay single-threaded; tests
+# that exercise threads set GENTOMO_THREADS themselves
+os.environ.setdefault("GENTOMO_THREADS", "1")
 
 
 def pytest_terminal_summary(terminalreporter):

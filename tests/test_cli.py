@@ -87,6 +87,15 @@ class TestForwardCommand:
         assert "--split" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_hybrid_without_quadric_core_exits_2(self, tmp_path, gauss_field,
+                                                 capsys):
+        out = tmp_path / "t.gtmt"
+        args = _forward_args(gauss_field, out, family="hybrid",
+                             extra=["--B", "0,0,0,0", "--split", "0,1"])
+        assert main(args) == 2
+        assert "no quadric core" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_quadric_with_B(self, tmp_path, gauss_field):
         out = tmp_path / "t.gtmt"
         args = ["forward", str(gauss_field), "--family", "quadric",
@@ -252,6 +261,15 @@ class TestDeterminism:
         monkeypatch.setenv("GENTOMO_THREADS", "many")
         assert main(["phantom", str(gauss_config),
                      "--out", str(tmp_path / "x.gtm")]) == 2
+
+    @pytest.mark.parametrize("raw", ["many", "-1"])
+    def test_bad_thread_env_exits_2_with_message(self, gauss_field, tmp_path,
+                                                 raw, monkeypatch, capsys):
+        monkeypatch.setenv("GENTOMO_THREADS", raw)
+        out = tmp_path / "t.gtmt"
+        assert main(_forward_args(gauss_field, out)) == 2
+        assert "GENTOMO_THREADS" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCheckCommand:

@@ -1,15 +1,20 @@
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gentomo import forward
 from gentomo.core import (ScalarField, UniformBall, gaussian, make_grid,
                           sample_phantom, standard_gaussian, total_mass)
-from gentomo.forward import (forward_binned, forward_binned_at,
-                             gaussian_hyperplane_tomogram,
+from gentomo.forward import (_deposit, _run_blocks, forward_binned,
+                             forward_binned_at, gaussian_hyperplane_tomogram,
                              homogeneity_residual, normalization_profile,
-                             pullback_density)
-from gentomo.geometry import (Hyperplane, Quadric, QuadricForm,
+                             pullback_density, thread_count)
+from gentomo.geometry import (Hybrid, Hyperplane, Quadric, QuadricForm,
                               axis_inversion, circle_family,
                               conformal_inversion, hyperbola_family,
                               hyperboloid_family, identity_map)
@@ -245,3 +250,202 @@ class TestDiffeoEquivalence:
                                   q_plane)
         gap = np.abs(t_def.values - t_ref.values).sum(axis=1) * dx
         assert gap.max() <= 3e-2
+
+
+def _reference_deposit(family, points, masses, param_points, x_grid,
+                       chunk_elems):
+    """Reference deposit, one block at a time: one bincount of the right
+    weights at the shifted index idx + c and one of the left weights at
+    idx, with integer bucket arithmetic and fresh arrays throughout."""
+    n_bins = x_grid.shape[0]
+    x0 = x_grid.axes[0][0]
+    dx = x_grid.spacing[0]
+    n_par = len(param_points)
+    values = np.zeros((n_par, n_bins))
+    overflow = np.zeros(n_par)
+    chunk = max(1, chunk_elems // len(points))
+    slots = n_bins + 3
+    evaluate = family.level_evaluator(points)
+    for start in range(0, n_par, chunk):
+        g = evaluate(param_points[start:start + chunk])
+        c = g.shape[1]
+        np.multiply(g, 1.0 / dx, out=g)
+        g -= x0 / dx
+        np.clip(g, -1.0, float(n_bins), out=g)
+        left = np.floor(g)
+        g -= left
+        idx = left.astype(np.int64)
+        idx += 1
+        idx *= c
+        idx += np.arange(c, dtype=np.int64)[None, :]
+        w_right = masses[:, None] * g
+        acc = np.bincount((idx + c).ravel(), weights=w_right.ravel(),
+                          minlength=slots * c)
+        w_right -= masses[:, None]
+        np.negative(w_right, out=w_right)
+        acc += np.bincount(idx.ravel(), weights=w_right.ravel(),
+                           minlength=slots * c)
+        acc = acc.reshape(slots, c)
+        values[start:start + chunk] = acc[1:n_bins + 1].T
+        overflow[start:start + chunk] = acc[0] + acc[n_bins + 1] + acc[n_bins + 2]
+    values /= dx
+    return values, overflow
+
+
+# every family in 2-D, each with an X window whose spacing is a power of two:
+# on the dyadic lattice below, the hyperplane and quadric level values land
+# exactly on bin edges, the clamp edges g = -1 and g = n_bins included
+DEPOSIT_CASES = {
+    "hyperplane": (Hyperplane(2), (-2.0, 2.0, 17)),
+    "circle": (circle_family(), (-2.0, 2.0, 17)),
+    "hyperbola": (hyperbola_family(), (-2.0, 2.0, 17)),
+    "hyperboloid": (hyperboloid_family(1), (-2.0, 2.0, 17)),
+    "quadric": (Quadric(QuadricForm(np.eye(2))), (1.0, 4.5, 8)),
+    "hybrid": (Hybrid(QuadricForm(np.diag([1.0, 0.0]), linear_axes=(1,))),
+               (-1.0, 3.0, 17)),
+}
+
+
+def _deposit_inputs(family):
+    rng = np.random.default_rng(5)
+    lattice = np.arange(-12, 13) / 4.0
+    mesh = np.stack(np.meshgrid(lattice, lattice, indexing="ij"), -1)
+    points = np.concatenate([mesh.reshape(-1, 2),
+                             rng.uniform(-3, 3, size=(200, 2))])
+    points = points[~family.singular_mask(points)]
+    masses = rng.normal(size=len(points))      # fields can be signed
+    params = rng.integers(-8, 9, size=(23, 2)) / 4.0
+    return points, masses, params
+
+
+class TestDepositKernel:
+    @pytest.mark.parametrize("name", sorted(DEPOSIT_CASES))
+    @pytest.mark.parametrize("cols", [1, 5, 1000])
+    def test_matches_reference_loop(self, name, cols, monkeypatch):
+        family, x_axis = DEPOSIT_CASES[name]
+        x_grid = make_grid(1, [x_axis])
+        points, masses, params = _deposit_inputs(family)
+        n_bins, x0, dx = x_axis[2], x_axis[0], x_grid.spacing[0]
+        g = family.level_evaluator(points)(params) / dx - x0 / dx
+        assert (g < -1).any() and ((g > 0) & (g < n_bins - 1)).any() \
+            and (g > n_bins).any()
+        if name in ("hyperplane", "quadric"):
+            assert (g == -1).any() and (g == n_bins).any()
+        monkeypatch.setattr(forward, "_CHUNK_ELEMS", cols * len(points))
+        monkeypatch.setenv("GENTOMO_THREADS", "2")
+        values, overflow = _deposit(family, points, masses, params, x_grid)
+        ref_values, ref_overflow = _reference_deposit(
+            family, points, masses, params, x_grid, cols * len(points))
+        assert np.array_equal(values, ref_values)
+        assert np.array_equal(overflow, ref_overflow)
+
+    @pytest.mark.parametrize("name", sorted(DEPOSIT_CASES))
+    def test_block_size_tolerance(self, gauss2d, name, monkeypatch):
+        """2 M-pair blocks move tomograms by at most 1e-15 of the peak.
+
+        127^2 cell centers give 31 columns per default block, so 94
+        parameters leave a last block of one column, which takes the
+        matrix-vector path of BLAS, against one 94-column block at 2 M.
+        """
+        family = DEPOSIT_CASES[name][0]
+        q = make_grid(2, [(-6, 6, 128), (-6, 6, 128)])
+        params = np.random.default_rng(3).uniform(-3, 3, size=(94, 2))
+        x_grid = make_grid(1, [(-12, 40, 301)])
+        small = forward_binned_at(gauss2d, family, params, x_grid, q)
+        monkeypatch.setattr(forward, "_CHUNK_ELEMS", 2_000_000)
+        large = forward_binned_at(gauss2d, family, params, x_grid, q)
+        peak = np.abs(small.values).max()
+        assert np.abs(small.values - large.values).max() <= 1e-15 * peak
+        assert np.abs(small.overflow - large.overflow).max() <= 1e-15 * peak
+
+
+class TestDepositThreads:
+    def test_bytes_identical_for_every_thread_count(self, gauss2d,
+                                                    monkeypatch):
+        q = make_grid(2, [(-6, 6, 128), (-6, 6, 128)])
+        pg = make_grid(2, [(-3, 3, 12), (-3, 3, 12)])
+        x_grid = make_grid(1, [(-5, 60, 401)])
+        family = Quadric(QuadricForm(np.array([[1.0, 0.3], [0.3, 2.0]])))
+        n_blocks = -(-pg.size // (forward._CHUNK_ELEMS // q.size))
+        assert n_blocks >= 5
+        used = []
+
+        def spy(new_worker, starts, workers):
+            used.append(workers)
+            return _run_blocks(new_worker, starts, workers)
+
+        monkeypatch.setattr(forward, "_run_blocks", spy)
+        outs = []
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("GENTOMO_THREADS", threads)
+            t = forward_binned(gauss2d, family, pg, x_grid, q)
+            outs.append((t.values.tobytes(), t.overflow.tobytes()))
+        assert used == [1, 2, 3]
+        assert outs[0] == outs[1] == outs[2]
+
+    @pytest.mark.parametrize("raw", ["many", "-1", "1.5"])
+    def test_bad_thread_env_raises(self, gauss2d, raw, monkeypatch):
+        monkeypatch.setenv("GENTOMO_THREADS", raw)
+        with pytest.raises(ValueError, match="GENTOMO_THREADS"):
+            forward_binned_at(gauss2d, Hyperplane(2), [[1.0, 0.0]],
+                              make_grid(1, [(-6, 6, 61)]),
+                              make_grid(2, [(-6, 6, 16), (-6, 6, 16)]))
+
+    def test_zero_or_unset_means_usable_cores(self, monkeypatch):
+        monkeypatch.setenv("GENTOMO_THREADS", "0")
+        assert thread_count() == len(os.sched_getaffinity(0))
+        monkeypatch.delenv("GENTOMO_THREADS")
+        assert thread_count() == len(os.sched_getaffinity(0))
+
+    def test_every_block_runs_once_under_contention(self):
+        done = []
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            _run_blocks(lambda: done.append, range(0, 2000, 3), 8)
+        finally:
+            sys.setswitchinterval(old)
+        assert sorted(done) == list(range(0, 2000, 3))
+
+    def test_worker_error_is_raised(self):
+        def run(start):
+            if start == 7:
+                raise RuntimeError("block 7")
+
+        with pytest.raises(RuntimeError, match="block 7"):
+            _run_blocks(lambda: run, range(20), 3)
+
+
+PROPERTY_FAMILIES = [
+    Hyperplane(2), circle_family(), hyperbola_family(), hyperboloid_family(1),
+    Quadric(QuadricForm(np.array([[1.0, 0.4], [0.4, -0.5]]))),
+    Hybrid(QuadricForm(np.diag([-2.0, 0.0]), linear_axes=(1,))),
+]
+
+
+class TestDepositProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(family=st.sampled_from(PROPERTY_FAMILIES),
+           seed=st.integers(0, 2**32 - 1),
+           q_half=st.floats(0.5, 4.0), q_counts=st.tuples(
+               st.integers(2, 14), st.integers(2, 14)),
+           x_lo=st.floats(-10.0, 5.0), x_width=st.floats(0.1, 20.0),
+           x_count=st.integers(2, 40), n_params=st.integers(1, 12),
+           cols=st.integers(1, 4))
+    def test_mass_conserved_and_nonnegative(self, family, seed, q_half,
+                                            q_counts, x_lo, x_width, x_count,
+                                            n_params, cols):
+        rng = np.random.default_rng(seed)
+        q = make_grid(2, [(-q_half, q_half, n) for n in q_counts])
+        field = ScalarField(q, rng.random(q.size) * (rng.random(q.size) < 0.8))
+        params = rng.uniform(-2, 2, size=(n_params, 2))
+        x_grid = make_grid(1, [(x_lo, x_lo + x_width, x_count)])
+        masses = field.flat * q.trapezoid_weights().ravel()
+        mass = masses[~family.singular_mask(q.points())].sum()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("GENTOMO_THREADS", "2")
+            mp.setattr(forward, "_CHUNK_ELEMS", cols * q.size)
+            t = forward_binned_at(field, family, params, x_grid)
+        accounted = t.binned_mass() + t.overflow
+        assert np.all(np.abs(accounted - mass) <= 1e-12 * mass)
+        assert t.values.min() >= 0.0 and t.overflow.min() >= 0.0

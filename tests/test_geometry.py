@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from gentomo.geometry import (CircleDescriptor, HorizontalLine, Hyperplane,
-                              HyperbolaDescriptor, LineDescriptor, Quadric,
+from gentomo.geometry import (CircleDescriptor, HorizontalLine, Hybrid,
+                              Hyperplane, HyperbolaDescriptor,
+                              LineDescriptor, Quadric,
                               QuadricClass, QuadricForm, QuadrantClass,
                               SingularPointError, VerticalLine,
                               axis_inversion, circle_descriptor,
@@ -220,6 +221,10 @@ class TestQuadricForm:
         form = QuadricForm(np.zeros((2, 2)), linear_axes=(0, 1))
         assert form.B_core.shape == (0, 0)
         assert form.core_determinant == 1.0
+
+    def test_hybrid_needs_a_quadric_core(self):
+        with pytest.raises(ValueError, match="no quadric core"):
+            Hybrid(QuadricForm(np.zeros((2, 2)), linear_axes=(0, 1)))
 
     def test_quadric_family_rejects_degenerate(self):
         with pytest.raises(ValueError):
