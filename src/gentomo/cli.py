@@ -18,8 +18,8 @@ import sys
 import numpy as np
 
 from . import checks, formats
-from .core import (GridError, GridSpec, ScalarField, make_grid, sample_phantom,
-                   total_mass)
+from .core import (DimensionMismatchError, GridError, GridSpec, ScalarField,
+                   make_grid, sample_phantom, total_mass)
 from .forward import forward_binned, normalization_profile, thread_count
 from .geometry import (Hybrid, Hyperplane, LevelFamily, Quadric, QuadricForm,
                        circle_family, hyperbola_family, hyperboloid_family)
@@ -44,7 +44,8 @@ def _warn(msg: str) -> None:
 def _threads() -> int:
     """Validate GENTOMO_THREADS before any work, so a bad value exits 2.
 
-    The forward deposit reads the same variable through ``thread_count``.
+    The forward deposit and the phantom quadrature read the same variable
+    through ``thread_count``.
     """
     try:
         return thread_count()
@@ -172,7 +173,11 @@ def cmd_forward(args) -> int:
             raise CliError("phantom sources require --q-box/--q-count",
                            EXIT_BAD_INPUT)
         q_grid = _parse_box(args.q_box, args.q_count)
-    tomo = forward_binned(source, family, param_grid, x_grid, q_grid)
+    try:
+        tomo = forward_binned(source, family, param_grid, x_grid, q_grid)
+    except DimensionMismatchError as exc:
+        raise CliError(f"inconsistent dimensions: {exc}",
+                       EXIT_INCONSISTENT) from None
     for w in tomo.warnings:
         _warn(w)
     if args.family == "circle":
@@ -211,8 +216,13 @@ def cmd_invert(args) -> int:
         raise CliError(f"--decay-floor must be >= 0, got {args.decay_floor:g}",
                        EXIT_BAD_INPUT)
     slc = characteristic_slice(tomo)
-    field, diag = invert_for_family(slc, family, out_grid,
-                                    decay_floor=args.decay_floor, taper=taper)
+    try:
+        field, diag = invert_for_family(slc, family, out_grid,
+                                        decay_floor=args.decay_floor,
+                                        taper=taper)
+    except DimensionMismatchError as exc:
+        raise CliError(f"inconsistent dimensions: {exc}",
+                       EXIT_INCONSISTENT) from None
     for w in diag.warnings:
         _warn(w)
     _write_field(args.out, field)

@@ -119,27 +119,39 @@ def read_tomogram(path) -> TomogramFamily:
 # ---------------------------------------------------------------------------
 
 
+def _write_csv_rows(path, header, prefixes, tail, rows) -> None:
+    """Header line, then ``prefix,tail[j],rows[i][j]`` per cell, row-major.
+
+    Every float is written as ``repr(float(v))``; each tail value and each
+    prefix is formatted once, and each row goes out in one write.
+    """
+    tail = [f"{v!r}," for v in tail.tolist()]
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for prefix, row in zip(prefixes, rows.tolist()):
+            fh.write("".join([f"{prefix}{x}{v!r}\n" for x, v in zip(tail, row)]))
+
+
+def _prefixes(points: np.ndarray) -> list[str]:
+    return [",".join(map(repr, p)) + "," for p in points.tolist()]
+
+
 def write_field_csv(path, field: ScalarField) -> None:
     """One header row of axis names, then one row per grid point."""
-    names = [f"q{i + 1}" for i in range(field.grid.ndim)]
-    pts = field.grid.points()
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(names + ["value"]) + "\n")
-        for row, v in zip(pts, field.flat):
-            fh.write(",".join(repr(float(c)) for c in row)
-                     + f",{float(v)!r}\n")
+    grid = field.grid
+    names = [f"q{i + 1}" for i in range(grid.ndim)]
+    lead = grid.axes[:-1]
+    prefixes = _prefixes(GridSpec(lead).points()) if lead else [""]
+    _write_csv_rows(path, names + ["value"], prefixes,
+                    grid.axis_points(grid.ndim - 1),
+                    field.values.reshape(len(prefixes), -1))
 
 
 def write_tomogram_csv(path, t: TomogramFamily) -> None:
     names = [f"param{i + 1}" for i in range(t.param_grid.ndim)]
-    params = t.param_grid.points()
-    xs = t.x_grid.axis_points(0)
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(names + ["X", "omega"]) + "\n")
-        for p_row, v_row in zip(params, t.values):
-            prefix = ",".join(repr(float(c)) for c in p_row)
-            for xv, om in zip(xs, v_row):
-                fh.write(prefix + f",{float(xv)!r},{float(om)!r}\n")
+    _write_csv_rows(path, names + ["X", "omega"],
+                    _prefixes(t.param_grid.points()), t.x_grid.axis_points(0),
+                    t.values)
 
 
 def write_pgm(path, values: np.ndarray) -> tuple[float, float]:

@@ -96,6 +96,18 @@ class TestForwardCommand:
         assert "no quadric core" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_q_box_rank_mismatch_exits_3(self, tmp_path, gauss_config,
+                                         capsys):
+        out = tmp_path / "t.gtmt"
+        args = ["forward", str(gauss_config), "--family", "hyperplane",
+                "--mu-box=-1,1;-1,1", "--mu-count", "4;4",
+                "--x-range=-6,6", "--x-count", "61", "--q-box=-6,6",
+                "--q-count", "16", "--out", str(out)]
+        assert main(args) == 3
+        err = capsys.readouterr().err
+        assert "inconsistent dimensions" in err and len(err.splitlines()) == 1
+        assert not out.exists()
+
     def test_quadric_with_B(self, tmp_path, gauss_field):
         out = tmp_path / "t.gtmt"
         args = ["forward", str(gauss_field), "--family", "quadric",
@@ -138,6 +150,19 @@ class TestInvertCommand:
         assert main(["invert", str(tomo), "--family", "circle",
                      "--q-box=-4,4;-4,4", "--q-count", "17;17",
                      "--out", str(tmp_path / "r.gtm")]) == 3
+
+    def test_out_grid_rank_mismatch_exits_3(self, tmp_path, gauss_field,
+                                            capsys):
+        tomo = tmp_path / "t.gtmt"
+        assert main(_forward_args(gauss_field, tomo)) == 0
+        capsys.readouterr()
+        recon = tmp_path / "r.gtm"
+        assert main(["invert", str(tomo), "--family", "hyperplane",
+                     "--q-box=-1,1", "--q-count", "4",
+                     "--out", str(recon)]) == 3
+        err = capsys.readouterr().err
+        assert "inconsistent dimensions" in err and len(err.splitlines()) == 1
+        assert not recon.exists()
 
     @pytest.mark.parametrize("taper", ["--taper=0", "--taper=-1",
                                        "--taper=nan", "--taper=inf"])

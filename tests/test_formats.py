@@ -113,7 +113,60 @@ class TestGTMT:
                 read_tomogram(p)
 
 
+def _rowwise_field_csv(path, field):
+    """Reference field export: one formatted line per grid point."""
+    names = [f"q{i + 1}" for i in range(field.grid.ndim)]
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(names + ["value"]) + "\n")
+        for row, v in zip(field.grid.points(), field.flat):
+            fh.write(",".join(repr(float(c)) for c in row)
+                     + f",{float(v)!r}\n")
+
+
+def _rowwise_tomogram_csv(path, t):
+    """Reference tomogram export: one write per (parameter, X) value."""
+    names = [f"param{i + 1}" for i in range(t.param_grid.ndim)]
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(names + ["X", "omega"]) + "\n")
+        for p_row, v_row in zip(t.param_grid.points(), t.values):
+            prefix = ",".join(repr(float(c)) for c in p_row)
+            for xv, om in zip(t.x_grid.axis_points(0), v_row):
+                fh.write(prefix + f",{float(xv)!r},{float(om)!r}\n")
+
+
 class TestCSV:
+    @pytest.mark.parametrize("axes", [
+        [(-2, 2, 9)],
+        [(-2, 2, 9), (-1, 3, 5)],
+        [(-0.3, 0.7, 4), (-1, 3, 5), (1e-7, 2e5, 3)],
+    ])
+    def test_field_csv_equals_rowwise_writer(self, axes, tmp_path):
+        grid = make_grid(len(axes), axes)
+        rng = np.random.default_rng(len(axes))
+        f = ScalarField(grid, rng.normal(size=grid.size) * 10.0 ** rng
+                        .integers(-300, 300, size=grid.size))
+        write_field_csv(tmp_path / "a.csv", f)
+        _rowwise_field_csv(tmp_path / "b.csv", f)
+        assert (tmp_path / "a.csv").read_bytes() \
+            == (tmp_path / "b.csv").read_bytes()
+
+    @pytest.mark.parametrize("param_axes", [
+        [(-1, 1, 7)],
+        [(-1, 1, 3), (-0.1, 0.35, 4)],
+    ])
+    def test_tomogram_csv_equals_rowwise_writer(self, param_axes, tmp_path):
+        pg = make_grid(len(param_axes), param_axes)
+        xg = make_grid(1, [(-3.3, 7.1, 29)])
+        rng = np.random.default_rng(7)
+        values = rng.random((pg.size, xg.size))
+        values[0, :3] = (0.0, 1e-320, 5e300)
+        t = TomogramFamily(x_grid=xg, param_grid=pg, values=values,
+                           family_tag="circle")
+        write_tomogram_csv(tmp_path / "a.csv", t)
+        _rowwise_tomogram_csv(tmp_path / "b.csv", t)
+        assert (tmp_path / "a.csv").read_bytes() \
+            == (tmp_path / "b.csv").read_bytes()
+
     def test_field_csv_layout(self, field, tmp_path):
         p = tmp_path / "f.csv"
         write_field_csv(p, field)

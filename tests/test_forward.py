@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gentomo import forward
-from gentomo.core import (ScalarField, UniformBall, gaussian, make_grid,
-                          sample_phantom, standard_gaussian, total_mass)
+from gentomo.core import (GaussianMixture, ScalarField, UniformBall,
+                          UniformBox, gaussian, make_grid, sample_phantom,
+                          standard_gaussian, total_mass)
 from gentomo.forward import (_deposit, _run_blocks, forward_binned,
                              forward_binned_at, gaussian_hyperplane_tomogram,
                              homogeneity_residual, normalization_profile,
@@ -340,6 +341,28 @@ class TestDepositKernel:
         assert np.array_equal(overflow, ref_overflow)
 
     @pytest.mark.parametrize("name", sorted(DEPOSIT_CASES))
+    def test_slabs_match_reference_loop(self, name, monkeypatch):
+        """Slab partial sums stay within 1e-13 of the peak of one long
+        bincount per column."""
+        family, x_axis = DEPOSIT_CASES[name]
+        x_grid = make_grid(1, [x_axis])
+        points, masses, params = _deposit_inputs(family)
+        n_bins, x0, dx = x_axis[2], x_axis[0], x_grid.spacing[0]
+        g = family.level_evaluator(points)(params) / dx - x0 / dx
+        assert (g < -1).any() and ((g > 0) & (g < n_bins - 1)).any() \
+            and (g > n_bins).any()
+        slab = len(points) // 4 - 1
+        assert -(-len(points) // slab) >= 4 and len(points) % slab
+        monkeypatch.setattr(forward, "_CHUNK_ELEMS", slab)
+        monkeypatch.setenv("GENTOMO_THREADS", "2")
+        values, overflow = _deposit(family, points, masses, params, x_grid)
+        ref_values, ref_overflow = _reference_deposit(
+            family, points, masses, params, x_grid, len(points))
+        peak = np.abs(ref_values).max()
+        assert np.abs(values - ref_values).max() <= 1e-13 * peak
+        assert np.abs(overflow - ref_overflow).max() <= 1e-13 * peak
+
+    @pytest.mark.parametrize("name", sorted(DEPOSIT_CASES))
     def test_block_size_tolerance(self, gauss2d, name, monkeypatch):
         """2 M-pair blocks move tomograms by at most 1e-15 of the peak.
 
@@ -359,6 +382,15 @@ class TestDepositKernel:
         assert np.abs(small.overflow - large.overflow).max() <= 1e-15 * peak
 
 
+def _deposit_spy(used):
+    """A ``_run_blocks`` that records the worker count of deposit calls."""
+    def spy(new_worker, starts, workers):
+        if new_worker.__qualname__.startswith("_deposit."):
+            used.append(workers)
+        return _run_blocks(new_worker, starts, workers)
+    return spy
+
+
 class TestDepositThreads:
     def test_bytes_identical_for_every_thread_count(self, gauss2d,
                                                     monkeypatch):
@@ -370,15 +402,32 @@ class TestDepositThreads:
         assert n_blocks >= 5
         used = []
 
-        def spy(new_worker, starts, workers):
-            used.append(workers)
-            return _run_blocks(new_worker, starts, workers)
-
-        monkeypatch.setattr(forward, "_run_blocks", spy)
+        monkeypatch.setattr(forward, "_run_blocks", _deposit_spy(used))
         outs = []
         for threads in ("1", "2", "3"):
             monkeypatch.setenv("GENTOMO_THREADS", threads)
             t = forward_binned(gauss2d, family, pg, x_grid, q)
+            outs.append((t.values.tobytes(), t.overflow.tobytes()))
+        assert used == [1, 2, 3]
+        assert outs[0] == outs[1] == outs[2]
+
+    def test_slab_bytes_identical_for_every_thread_count(self, gauss2d,
+                                                         monkeypatch):
+        """More points than one slab holds: one column per block, five
+        slabs with a short last one."""
+        q = make_grid(2, [(-6, 6, 128), (-6, 6, 128)])
+        params = np.random.default_rng(4).uniform(-3, 3, size=(7, 2))
+        x_grid = make_grid(1, [(-5, 60, 401)])
+        family = Quadric(QuadricForm(np.array([[1.0, 0.3], [0.3, 2.0]])))
+        monkeypatch.setattr(forward, "_CHUNK_ELEMS", 4000)
+        nodes = len(q.cell_centers())
+        assert (nodes // 4000, nodes % 4000) == (4, 129)
+        used = []
+        monkeypatch.setattr(forward, "_run_blocks", _deposit_spy(used))
+        outs = []
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("GENTOMO_THREADS", threads)
+            t = forward_binned_at(gauss2d, family, params, x_grid, q)
             outs.append((t.values.tobytes(), t.overflow.tobytes()))
         assert used == [1, 2, 3]
         assert outs[0] == outs[1] == outs[2]
@@ -431,10 +480,10 @@ class TestDepositProperties:
                st.integers(2, 14), st.integers(2, 14)),
            x_lo=st.floats(-10.0, 5.0), x_width=st.floats(0.1, 20.0),
            x_count=st.integers(2, 40), n_params=st.integers(1, 12),
-           cols=st.integers(1, 4))
+           chunk_frac=st.floats(0.02, 4.0))
     def test_mass_conserved_and_nonnegative(self, family, seed, q_half,
                                             q_counts, x_lo, x_width, x_count,
-                                            n_params, cols):
+                                            n_params, chunk_frac):
         rng = np.random.default_rng(seed)
         q = make_grid(2, [(-q_half, q_half, n) for n in q_counts])
         field = ScalarField(q, rng.random(q.size) * (rng.random(q.size) < 0.8))
@@ -444,8 +493,30 @@ class TestDepositProperties:
         mass = masses[~family.singular_mask(q.points())].sum()
         with pytest.MonkeyPatch.context() as mp:
             mp.setenv("GENTOMO_THREADS", "2")
-            mp.setattr(forward, "_CHUNK_ELEMS", cols * q.size)
+            # below q.size the points are cut into slabs
+            mp.setattr(forward, "_CHUNK_ELEMS",
+                       max(1, int(chunk_frac * q.size)))
             t = forward_binned_at(field, family, params, x_grid)
         accounted = t.binned_mass() + t.overflow
         assert np.all(np.abs(accounted - mass) <= 1e-12 * mass)
         assert t.values.min() >= 0.0 and t.overflow.min() >= 0.0
+
+
+class TestPhantomQuadrature:
+    @pytest.mark.parametrize("source", [
+        gaussian([0.3, -0.2], [[1.2, 0.4], [0.4, 0.8]]),
+        GaussianMixture(weights=(0.3, 0.7), means=((1.0, 0.5), (-1.0, 0.0)),
+                        covariances=(((1.0, 0.2), (0.2, 0.5)),
+                                     ((0.7, -0.3), (-0.3, 1.5)))),
+        UniformBall(center=(0.2, 0.1), radius=2.5),
+        UniformBox(lo=(-2.0, -1.0), hi=(1.5, 3.0)),
+    ], ids=["gaussian", "mixture", "ball", "box"])
+    def test_slabs_equal_one_pdf_call(self, source, monkeypatch):
+        q = make_grid(2, [(-6, 6, 400), (-5, 5, 401)])
+        nodes = q.cell_centers().shape[0]
+        assert nodes > 2 * forward._PDF_SLAB and nodes % forward._PDF_SLAB
+        monkeypatch.setenv("GENTOMO_THREADS", "2")
+        pts, masses = forward._source_points_masses(source, q)
+        expect = source.pdf(q.cell_centers()) * q.cell_volume
+        assert np.array_equal(pts, q.cell_centers())
+        assert masses.tobytes() == expect.tobytes()
