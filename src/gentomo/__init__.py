@@ -10,10 +10,9 @@ from .core import (DimensionMismatchError, GaussianMixture, GridError,
                    GridSpec, Phantom, ScalarField, TomogramFamily,
                    UniformBall, UniformBox, gaussian, l2_rel_error, make_grid,
                    sample_phantom, standard_gaussian, total_mass)
-from .forward import (Gaussian1D, TomogramTable, forward_binned,
-                      forward_binned_at, gaussian_hyperplane_tomogram,
-                      homogeneity_residual, normalization_profile,
-                      pullback_density)
+from .forward import (Gaussian1D, forward_binned, forward_binned_at,
+                      gaussian_hyperplane_tomogram, homogeneity_residual,
+                      normalization_profile, pullback_density)
 from .geometry import (CircleDescriptor, Deformed, Diffeomorphism, Hybrid,
                        Hyperplane, HyperbolaDescriptor, LevelFamily,
                        LineDescriptor, Quadric, QuadricClass, QuadricForm,

@@ -364,17 +364,22 @@ class TomogramFamily:
     """Sampled marginal density over an X grid for every parameter point.
 
     ``values[p, k]`` is the marginal density in the bin centered at the k-th
-    X grid point, for the p-th parameter point (row-major order over
-    ``param_grid``).  ``overflow[p]`` is the source mass that fell outside
-    the X window and was kept out of the bins; ``singular_fraction`` is the
-    share of source points skipped because the level function is undefined
-    there.  ``warnings`` carries data-quality flags, never errors.
+    X grid point, for the parameter point ``param_points[p]``.  A tomogram
+    taken on a parameter box keeps the box in ``param_grid`` and its points
+    in row-major order (the default ``param_points``); inversion and the
+    GTM-T format need the box.  A tomogram at an explicit list of points,
+    such as unit directions, has ``param_grid`` None.  ``overflow[p]`` is the
+    source mass that fell outside the X window and was kept out of the bins;
+    ``singular_fraction`` is the share of source points skipped because the
+    level function is undefined there.  ``warnings`` carries data-quality
+    flags, never errors.
     """
 
     x_grid: GridSpec
-    param_grid: GridSpec
     values: np.ndarray
     family_tag: str
+    param_grid: GridSpec | None = None
+    param_points: np.ndarray = None
     overflow: np.ndarray = None
     singular_fraction: float = 0.0
     warnings: tuple[str, ...] = ()
@@ -382,8 +387,21 @@ class TomogramFamily:
     def __post_init__(self):
         if self.x_grid.ndim != 1:
             raise GridError("x_grid must be one-dimensional")
+        if self.param_points is None:
+            if self.param_grid is None:
+                raise GridError("a tomogram needs param_grid or param_points")
+            pts = self.param_grid.points()
+        else:
+            pts = np.array(self.param_points, dtype=np.float64, ndmin=2)
+            if self.param_grid is not None and \
+                    pts.shape != (self.param_grid.size, self.param_grid.ndim):
+                raise DimensionMismatchError(
+                    f"param_points shape {pts.shape} does not match the "
+                    f"parameter box")
+        pts.setflags(write=False)
+        object.__setattr__(self, "param_points", pts)
+        n_par = len(pts)
         v = np.asarray(self.values, dtype=np.float64)
-        n_par = self.param_grid.size
         if v.shape != (n_par, self.x_grid.size):
             raise DimensionMismatchError(
                 f"values shape {v.shape} != ({n_par}, {self.x_grid.size})")
@@ -398,7 +416,7 @@ class TomogramFamily:
 
     @property
     def n_params(self) -> int:
-        return self.param_grid.size
+        return len(self.param_points)
 
     def binned_mass(self) -> np.ndarray:
         """Exact mass captured by the bins, per parameter (sum of value*dX)."""

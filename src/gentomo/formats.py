@@ -81,9 +81,13 @@ def read_field(path) -> ScalarField:
 
 
 def write_tomogram(path, t: TomogramFamily) -> None:
+    """GTM-T file of a tomogram on a parameter box (``param_grid`` set)."""
     tag = FAMILY_TAGS.get(t.family_tag)
     if tag is None:
         raise FormatError(f"unknown family tag {t.family_tag!r}")
+    if t.param_grid is None:
+        raise FormatError("GTM-T stores a parameter box; this tomogram has "
+                          "only a list of parameter points")
     with open(path, "wb") as fh:
         fh.write(TOMOGRAM_MAGIC)
         fh.write(struct.pack("<H", tag))
@@ -148,10 +152,9 @@ def write_field_csv(path, field: ScalarField) -> None:
 
 
 def write_tomogram_csv(path, t: TomogramFamily) -> None:
-    names = [f"param{i + 1}" for i in range(t.param_grid.ndim)]
-    _write_csv_rows(path, names + ["X", "omega"],
-                    _prefixes(t.param_grid.points()), t.x_grid.axis_points(0),
-                    t.values)
+    names = [f"param{i + 1}" for i in range(t.param_points.shape[1])]
+    _write_csv_rows(path, names + ["X", "omega"], _prefixes(t.param_points),
+                    t.x_grid.axis_points(0), t.values)
 
 
 def write_pgm(path, values: np.ndarray) -> tuple[float, float]:

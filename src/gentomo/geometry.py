@@ -1,10 +1,12 @@
 """Level-set family catalogue: hyperplanes, diffeomorphism-deformed surfaces
 (circles through the origin, hyperbolas, hyperboloids) and shifted quadrics.
 
-Every family exposes a level function g(q; params), a Jacobian weight used
-by the deformed inversion kernel, and a singular-set predicate.  Singular
-points are handled by exclusion: scalar entry points raise, the vectorized
-methods let the marginal engine skip offending cells (a measure-zero set).
+Every family is one ``LevelFamily``: a quadric form, possibly all-linear,
+over an optional diffeomorphism.  It exposes a level function g(q; params),
+a Jacobian weight used by the deformed inversion kernel, and a singular-set
+predicate.  Singular points are handled by exclusion: scalar entry points
+raise, the vectorized methods let the marginal engine skip offending cells
+(a measure-zero set).
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -160,12 +163,11 @@ class QuadricForm:
 
     B: np.ndarray
     linear_axes: tuple[int, ...] = ()
-    _eigs: np.ndarray = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         B = np.asarray(self.B, dtype=float)
-        if B.ndim != 2 or B.shape[0] != B.shape[1]:
-            raise ValueError("B must be a square matrix")
+        if B.ndim != 2 or B.shape[0] != B.shape[1] or B.size == 0:
+            raise ValueError("B must be a non-empty square matrix")
         scale = max(np.abs(B).max(), 1e-300)
         if not np.allclose(B, B.T, atol=1e-12 * scale):
             raise ValueError("B must be symmetric")
@@ -182,9 +184,6 @@ class QuadricForm:
             idx = np.array(lin)
             if np.abs(B[idx, :]).max() > 1e-12 * scale:
                 raise ValueError("declared linear axes must decouple from B")
-        eigs = np.linalg.eigvalsh(B)
-        eigs.setflags(write=False)
-        object.__setattr__(self, "_eigs", eigs)
 
     @property
     def ndim(self) -> int:
@@ -202,10 +201,14 @@ class QuadricForm:
 
     @property
     def signature(self) -> tuple[int, int, int]:
-        """(n_plus, n_minus, n_zero) counted with a relative zero threshold."""
-        tol = ZERO_EIG_RTOL * max(np.abs(self._eigs).max(), 0.0)
-        n_plus = int(np.sum(self._eigs > tol))
-        n_minus = int(np.sum(self._eigs < -tol))
+        """(n_plus, n_minus, n_zero) counted with a relative zero threshold.
+
+        Computed on demand: the first LAPACK call of a process costs about
+        1 MB of resident memory, which all-linear forms never need."""
+        eigs = np.linalg.eigvalsh(self.B)
+        tol = ZERO_EIG_RTOL * max(np.abs(eigs).max(), 0.0)
+        n_plus = int(np.sum(eigs > tol))
+        n_minus = int(np.sum(eigs < -tol))
         return n_plus, n_minus, self.ndim - n_plus - n_minus
 
     @property
@@ -240,13 +243,42 @@ def classify_quadric(form: QuadricForm) -> QuadricClass:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
 class LevelFamily:
-    """Parameterized family of codimension-one level sets g(q; params) = X."""
+    """Family of codimension-one level sets g(q; mu) = X: the shifted
+    quadric of ``form`` over the optional deformation ``diffeo``,
 
-    tag: str
-    ndim: int            # dimension of the q space
-    param_dim: int       # dimension of the parameter vector
-    linear_in_params: bool
+        g(q; mu) = (p' - mu', B2 (p' - mu')) + mu_lin . p_lin,  p = phi(q)
+
+    with B2 the form's core block on its quadric axes (primed) and p = q
+    when ``diffeo`` is None.  An all-linear form gives hyperplanes, or
+    deformed hyperplanes under phi; a form with a core gives quadrics, or
+    hybrids when linear axes remain.
+    """
+
+    form: QuadricForm
+    diffeo: Diffeomorphism | None = None
+    tag: str = field(kw_only=True)
+
+    def __post_init__(self):
+        if self.diffeo is not None and self.diffeo.ndim != self.form.ndim:
+            raise DimensionMismatchError(
+                f"diffeomorphism is {self.diffeo.ndim}-d, "
+                f"form is {self.form.ndim}-d")
+
+    @property
+    def ndim(self) -> int:
+        """Dimension of the q space."""
+        return self.form.ndim
+
+    @property
+    def param_dim(self) -> int:
+        return self.form.ndim
+
+    @property
+    def linear_in_params(self) -> bool:
+        """True when the form has no quadric core, so g is linear in mu."""
+        return not self.form.quadric_axes
 
     def level_values(self, points: np.ndarray, params: np.ndarray) -> np.ndarray:
         """g at each point for a single parameter vector; no singular checks."""
@@ -257,18 +289,56 @@ class LevelFamily:
 
     def level_evaluator(self, points: np.ndarray):
         """Closure mapping a (C, param_dim) parameter block to the (N, C)
-        level matrix at the N points, with the point-dependent work hoisted
-        out of the per-block loop."""
-        raise NotImplementedError
+        level matrix at the N points.
+
+        The level is hoisted as g = L(p) . mu + a(p) + b(mu) with
+        L = [-2 B2 p', p_lin], a = p'B2p' and b = mu'B2mu', so the
+        point-dependent work runs once, outside the per-block loop.
+        """
+        p = np.asarray(points, dtype=float)
+        if self.diffeo is not None:
+            p = self.diffeo.map_fn(p)
+        if self.linear_in_params:
+            return lambda pblock: p @ pblock.T
+        qa = np.array(self.form.quadric_axes)
+        la = np.array(self.form.linear_axes, dtype=int)
+        B2 = self.form.B_core
+        # no copy of p without linear axes, and L and a filled in place:
+        # fewer live (N, ndim) temporaries here lower the deposit's peak
+        # memory (about 2 MB on 65 k points)
+        pc = p[:, qa] if la.size else p
+        pB = pc @ B2
+        # one matmul gives both the cross term and the linear part
+        L = np.empty((len(p), self.ndim))
+        np.multiply(pB, -2.0, out=L[:, :len(qa)])
+        L[:, len(qa):] = p[:, la]
+        pB *= pc
+        a = np.sum(pB, axis=1)[:, None]
+
+        def evaluate(pblock):
+            mc = pblock[:, qa]
+            b = np.sum((mc @ B2) * mc, axis=1)
+            g = L @ np.concatenate([mc, pblock[:, la]], axis=1).T
+            g += a
+            g += b[None, :]
+            return g
+
+        return evaluate
 
     def jacobian_weights(self, points: np.ndarray) -> np.ndarray:
-        return np.ones(len(points))
+        if self.diffeo is None:
+            return np.ones(len(points))
+        return self.diffeo.jacobian_fn(np.asarray(points, dtype=float))
 
     def singular_mask(self, points: np.ndarray) -> np.ndarray:
-        return np.zeros(len(points), dtype=bool)
+        if self.diffeo is None:
+            return np.zeros(len(points), dtype=bool)
+        return self.diffeo.singular_fn(np.asarray(points, dtype=float))
 
     def singular_distance(self, points: np.ndarray) -> np.ndarray:
-        return np.full(len(points), np.inf)
+        if self.diffeo is None:
+            return np.full(len(points), np.inf)
+        return self.diffeo.singular_distance_fn(np.asarray(points, dtype=float))
 
     def _check(self, points: np.ndarray, params: np.ndarray):
         if points.shape[1] != self.ndim:
@@ -279,51 +349,25 @@ class LevelFamily:
                 f"params are {params.shape[1]}-d, family wants {self.param_dim}-d")
 
 
-@dataclass(frozen=True)
+@lru_cache(maxsize=None)
+def _plane_wave(n: int) -> QuadricForm:
+    """The all-linear form on n axes, g = mu . p; one shared instance per
+    n, so equal hyperplane families compare equal."""
+    return QuadricForm(np.zeros((n, n)), linear_axes=range(n))
+
+
 class Hyperplane(LevelFamily):
     """g(q; mu) = mu . q"""
 
-    ndim: int
-    tag: str = "hyperplane"
-    linear_in_params: bool = True
-
-    @property
-    def param_dim(self) -> int:
-        return self.ndim
-
-    def level_evaluator(self, points):
-        points = np.asarray(points, dtype=float)
-        return lambda pblock: points @ pblock.T
+    def __init__(self, ndim: int, tag: str = "hyperplane"):
+        super().__init__(_plane_wave(ndim), tag=tag)
 
 
-@dataclass(frozen=True)
 class Deformed(LevelFamily):
     """g(q; mu) = mu . phi(q) for a fixed diffeomorphism phi."""
 
-    diffeo: Diffeomorphism
-    tag: str = "deformed"
-    linear_in_params: bool = True
-
-    @property
-    def ndim(self) -> int:
-        return self.diffeo.ndim
-
-    @property
-    def param_dim(self) -> int:
-        return self.diffeo.ndim
-
-    def level_evaluator(self, points):
-        mapped = self.diffeo.map_fn(np.asarray(points, dtype=float))
-        return lambda pblock: mapped @ pblock.T
-
-    def jacobian_weights(self, points):
-        return self.diffeo.jacobian_fn(np.asarray(points, dtype=float))
-
-    def singular_mask(self, points):
-        return self.diffeo.singular_fn(np.asarray(points, dtype=float))
-
-    def singular_distance(self, points):
-        return self.diffeo.singular_distance_fn(np.asarray(points, dtype=float))
+    def __init__(self, diffeo: Diffeomorphism, tag: str = "deformed"):
+        super().__init__(_plane_wave(diffeo.ndim), diffeo, tag=tag)
 
 
 def circle_family() -> Deformed:
@@ -338,89 +382,26 @@ def hyperboloid_family(n: int) -> Deformed:
     return Deformed(hyperboloid_map(n), tag="hyperboloid")
 
 
-@dataclass(frozen=True)
 class Quadric(LevelFamily):
     """g(q; mu) = (q - mu, B (q - mu)) for a fixed non-degenerate B."""
 
-    form: QuadricForm
-    tag: str = "quadric"
-    linear_in_params: bool = False
-
-    def __post_init__(self):
-        self.form.require_nondegenerate()
-
-    @property
-    def ndim(self) -> int:
-        return self.form.ndim
-
-    @property
-    def param_dim(self) -> int:
-        return self.form.ndim
-
-    def level_evaluator(self, points):
-        points = np.asarray(points, dtype=float)
-        B = self.form.B
-        # (q-m, B(q-m)) = qBq - 2 qBm + mBm, BLAS-friendly over blocks
-        qB = points @ B
-        qBq = np.sum(qB * points, axis=1)[:, None]
-        neg2qB = -2.0 * qB
-
-        def evaluate(pblock):
-            mBm = np.sum((pblock @ B) * pblock, axis=1)
-            g = neg2qB @ pblock.T
-            g += qBq
-            g += mBm[None, :]
-            return g
-
-        return evaluate
+    def __init__(self, form: QuadricForm, tag: str = "quadric"):
+        form.require_nondegenerate()
+        super().__init__(form, tag=tag)
 
 
-@dataclass(frozen=True)
 class Hybrid(LevelFamily):
     """Degenerate-B transform: quadric in the core coordinates, linear in the
     declared axes.  g(q; mu) = (q' - mu', B2 (q' - mu')) + mu_lin . q_lin."""
 
-    form: QuadricForm
-    tag: str = "hybrid"
-    linear_in_params: bool = False
-
-    def __post_init__(self):
-        if not self.form.linear_axes:
+    def __init__(self, form: QuadricForm, tag: str = "hybrid"):
+        if not form.linear_axes:
             raise ValueError("hybrid family requires a declared linear_axes split")
-        if not self.form.quadric_axes:
+        if not form.quadric_axes:
             raise ValueError("hybrid form has no quadric core: every axis is "
                              "declared linear; use the hyperplane family")
-        core = QuadricForm(self.form.B_core)
-        core.require_nondegenerate()
-
-    @property
-    def ndim(self) -> int:
-        return self.form.ndim
-
-    @property
-    def param_dim(self) -> int:
-        return self.form.ndim
-
-    def level_evaluator(self, points):
-        points = np.asarray(points, dtype=float)
-        qa = np.array(self.form.quadric_axes)
-        la = np.array(self.form.linear_axes)
-        B2 = self.form.B_core
-        qc, ql = points[:, qa], points[:, la]
-        qB = qc @ B2
-        qBq = np.sum(qB * qc, axis=1)[:, None]
-        # single matmul for both the cross term and the linear part
-        lhs = np.concatenate([-2.0 * qB, ql], axis=1)
-
-        def evaluate(pblock):
-            mc, ml = pblock[:, qa], pblock[:, la]
-            mBm = np.sum((mc @ B2) * mc, axis=1)
-            g = lhs @ np.concatenate([mc, ml], axis=1).T
-            g += qBq
-            g += mBm[None, :]
-            return g
-
-        return evaluate
+        QuadricForm(form.B_core).require_nondegenerate()
+        super().__init__(form, tag=tag)
 
 
 # ---------------------------------------------------------------------------

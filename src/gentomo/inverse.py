@@ -15,11 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DimensionMismatchError, GridSpec, Phantom, ScalarField,
-                   TomogramFamily, l2_rel_error, sample_phantom)
+from .core import (DimensionMismatchError, GridError, GridSpec, Phantom,
+                   ScalarField, TomogramFamily, l2_rel_error, sample_phantom)
 from .forward import forward_binned, normalization_profile, pullback_density
-from .geometry import (Deformed, Diffeomorphism, Hybrid, Hyperplane,
-                       LevelFamily, Quadric, QuadricForm, identity_map)
+from .geometry import LevelFamily, QuadricForm
 
 DEFAULT_DECAY_FLOOR = 1e-4
 
@@ -93,8 +92,11 @@ def characteristic_slice(t: TomogramFamily, tail_correction: bool = True,
     Trapezoid quadrature, plus asymptotic tail terms built from the window
     endpoint values and slopes.  The tail terms restore the contribution of
     smoothly decaying mass beyond the window and vanish when the window
-    already covers the support (endpoint density zero).
+    already covers the support (endpoint density zero).  The tomogram must
+    lie on a parameter box.
     """
+    if t.param_grid is None:
+        raise GridError("inversion needs a tomogram on a parameter box")
     x = t.x_grid.axis_points(0)
     dx = t.x_grid.spacing[0]
     n = t.x_grid.shape[0]
@@ -190,24 +192,6 @@ def _direct_sum(coef: np.ndarray, phase_lhs: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def _kernel(family: LevelFamily) -> tuple[QuadricForm, Diffeomorphism | None]:
-    """The family's inversion kernel as (form, diffeo): the shifted quadric
-    of ``form`` on its core axes and a plane wave on its linear axes,
-    evaluated at phi(q) for the diffeomorphism phi (at q itself for None).
-
-    Hyperplanes are the identity deformation of the all-linear form.
-    """
-    if isinstance(family, (Quadric, Hybrid)):
-        return family.form, None
-    n = family.ndim
-    plane_wave = QuadricForm(np.zeros((n, n)), linear_axes=range(n))
-    if isinstance(family, Deformed):
-        return plane_wave, family.diffeo
-    if isinstance(family, Hyperplane):
-        return plane_wave, identity_map(n)
-    raise TypeError(f"no inverter for family {family!r}")
-
-
 def _separable_sum(coef: np.ndarray, form: QuadricForm,
                    param_grid: GridSpec, out_grid: GridSpec) -> np.ndarray:
     """Kernel sum for a diagonal core: the kernel is a product of one-axis
@@ -238,16 +222,17 @@ def invert_for_family(slc: CharacteristicSlice, family: LevelFamily,
         f(q) = J(q) |det B2| / pi^k (2 pi)^{-m}
                sum_mu w(mu) e^{-i (p' - mu', B2 (p' - mu'))} e^{-i mu_lin . p_lin}
 
-    which is the plane-wave kernel for hyperplanes (phi the identity) and
-    deformed families, and the shifted-quadric kernel for quadric and
-    hybrid forms.  A diagonal core without deformation separates per axis
-    (``_separable_sum``); every other kernel is summed directly through the
-    exact factorization e^{-i p'B2p'} e^{2i p'B2 . mu'} e^{-i mu'B2mu'},
+    with p = q when the family has no diffeomorphism: the plane-wave kernel
+    for all-linear forms (hyperplanes, deformed hyperplanes) and the
+    shifted-quadric kernel for forms with a core.  A non-empty diagonal
+    core without deformation separates per axis (``_separable_sum``);
+    every other kernel, hyperplanes included, is summed directly through
+    the exact factorization e^{-i p'B2p'} e^{2i p'B2 . mu'} e^{-i mu'B2mu'},
     which leaves a plane wave in mu (see ``_direct_sum``).  Output points on
     the diffeomorphism's singular set get value zero and are tallied in the
     diagnostics.
     """
-    form, diffeo = _kernel(family)
+    form, diffeo = family.form, family.diffeo
     n = form.ndim
     if slc.param_grid.ndim != n or out_grid.ndim != n:
         raise DimensionMismatchError("parameter box, out_grid and family "
@@ -259,7 +244,8 @@ def invert_for_family(slc: CharacteristicSlice, family: LevelFamily,
         / (2 * np.pi) ** len(la)
     off_diag = np.abs(B2 - np.diag(np.diag(B2))).max() if len(qa) > 1 else 0.0
     singular_fraction = 0.0
-    if diffeo is None and off_diag <= 1e-12 * max(np.abs(B2).max(), 1e-300):
+    if diffeo is None and qa and \
+            off_diag <= 1e-12 * max(np.abs(B2).max(), 1e-300):
         fc = prefactor * _separable_sum(coef, form, slc.param_grid, out_grid)
     else:
         pts = out_grid.points()
@@ -314,15 +300,16 @@ def roundtrip(phantom: Phantom, family: LevelFamily, q_grid: GridSpec,
               tail_correction: bool = True) -> RoundtripReport:
     """Run the full pipeline and score the reconstruction.
 
-    For deformed families the transformed density is the phantom's pullback
-    (the density whose deformed tomograms equal the phantom's straight-line
-    tomograms), and the reconstruction is scored against that pullback; all
-    other families transform and score the phantom itself.
+    For a family with a diffeomorphism the transformed density is the
+    phantom's pullback (the density whose deformed tomograms equal the
+    phantom's undeformed ones), and the reconstruction is scored against
+    that pullback; all other families transform and score the phantom
+    itself.
     ``exclusion_margin`` removes out-grid points closer than the margin to
     the family's singular set from the error norm.
     """
     t0 = time.perf_counter()
-    if isinstance(family, Deformed):
+    if family.diffeo is not None:
         source = pullback_density(phantom, family.diffeo, q_grid)
         reference = pullback_density(phantom, family.diffeo, out_grid)
     else:

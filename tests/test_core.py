@@ -193,6 +193,28 @@ class TestTomogramFamily:
             TomogramFamily(x_grid=g2, param_grid=pg, values=np.zeros((3, 9)),
                            family_tag="hyperplane")
 
+    def test_needs_a_box_or_points(self):
+        xg = make_grid(1, [(0, 1, 5)])
+        with pytest.raises(GridError):
+            TomogramFamily(x_grid=xg, values=np.zeros((2, 5)),
+                           family_tag="hyperplane")
+
+    def test_points_must_match_the_box(self):
+        xg = make_grid(1, [(0, 1, 5)])
+        pg = make_grid(1, [(0, 1, 3)])
+        with pytest.raises(DimensionMismatchError):
+            TomogramFamily(x_grid=xg, param_grid=pg,
+                           param_points=np.zeros((2, 1)),
+                           values=np.zeros((2, 5)), family_tag="hyperplane")
+
+    def test_points_default_to_the_box(self):
+        xg = make_grid(1, [(0, 1, 5)])
+        pg = make_grid(2, [(0, 1, 2), (0, 1, 3)])
+        t = TomogramFamily(x_grid=xg, param_grid=pg, values=np.zeros((6, 5)),
+                           family_tag="hyperplane")
+        assert np.array_equal(t.param_points, pg.points())
+        assert not t.param_points.flags.writeable
+
     def test_binned_mass(self):
         xg = make_grid(1, [(0, 1, 5)])
         pg = make_grid(1, [(0, 1, 2)])

@@ -112,6 +112,15 @@ class TestGTMT:
             with pytest.raises(FormatError):
                 read_tomogram(p)
 
+    def test_tomogram_without_a_box_rejected(self, tomogram, tmp_path):
+        points_only = TomogramFamily(
+            x_grid=tomogram.x_grid, param_points=tomogram.param_points,
+            values=tomogram.values, family_tag="hyperplane")
+        p = tmp_path / "a.gtmt"
+        with pytest.raises(FormatError, match="parameter box"):
+            write_tomogram(p, points_only)
+        assert not p.exists()
+
 
 def _rowwise_field_csv(path, field):
     """Reference field export: one formatted line per grid point."""

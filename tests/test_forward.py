@@ -8,18 +8,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gentomo import forward
-from gentomo.core import (GaussianMixture, ScalarField, UniformBall,
-                          UniformBox, gaussian, make_grid, sample_phantom,
-                          standard_gaussian, total_mass)
+from gentomo.core import (GaussianMixture, GridError, ScalarField,
+                          TomogramFamily, UniformBall, UniformBox, gaussian,
+                          make_grid, sample_phantom, standard_gaussian,
+                          total_mass)
 from gentomo.forward import (_deposit, _run_blocks, forward_binned,
                              forward_binned_at, gaussian_hyperplane_tomogram,
                              homogeneity_residual, normalization_profile,
                              pullback_density, thread_count)
-from gentomo.geometry import (Hybrid, Hyperplane, Quadric, QuadricForm,
-                              axis_inversion, circle_family,
+from gentomo.geometry import (Hybrid, Hyperplane, LevelFamily, Quadric,
+                              QuadricForm, axis_inversion, circle_family,
                               conformal_inversion, hyperbola_family,
                               hyperboloid_family, identity_map)
-from gentomo.oracle import chi_square_density
+from gentomo.inverse import characteristic_slice
+from gentomo.oracle import chi_square_density, mc_tomogram
+
+
+def _circle_quadric():
+    """The paper's deformed quadric: the B = diag(1, 2.5) family under the
+    conformal inversion."""
+    return LevelFamily(QuadricForm(np.diag([1.0, 2.5])), conformal_inversion(),
+                       tag="circle_quadric")
 
 
 @pytest.fixture(scope="module")
@@ -126,6 +135,21 @@ class TestForwardBinned:
         assert np.array_equal(t1.values, t2.values)
         assert t1.family_tag == "hyperplane"
 
+    def test_both_entry_points_return_one_container(self, gauss2d, q_grid):
+        x_grid = make_grid(1, [(-6, 6, 61)])
+        pg = make_grid(2, [(-1, 1, 3), (-1, 1, 2)])
+        t1 = forward_binned(gauss2d, Hyperplane(2), pg, x_grid, q_grid)
+        t2 = forward_binned_at(gauss2d, Hyperplane(2), pg.points(), x_grid,
+                               q_grid)
+        assert type(t1) is type(t2) is TomogramFamily
+        assert t1.param_grid == pg and t2.param_grid is None
+        assert np.array_equal(t1.param_points, pg.points())
+        assert np.array_equal(t2.param_points, pg.points())
+        assert t1.n_params == t2.n_params == 6
+        characteristic_slice(t1)
+        with pytest.raises(GridError, match="parameter box"):
+            characteristic_slice(t2)
+
     def test_singular_cells_are_skipped_and_counted(self, gauss2d):
         # first axis chosen so one column of cell centers is exactly q = 0
         fam = hyperbola_family()
@@ -193,6 +217,16 @@ class TestHomogeneity:
             homogeneity_residual(gauss2d, fam, np.array([0.0, 0.0]), 2.0,
                                  q_grid, make_grid(1, [(-8, 8, 101)]))
 
+    def test_deformed_quadric_rejected(self, gauss2d):
+        grid = make_grid(2, [(-4, 4, 64), (-4, 4, 64)])
+        x_grid = make_grid(1, [(-8, 8, 101)])
+        with pytest.raises(ValueError, match="circle_quadric"):
+            homogeneity_residual(gauss2d, _circle_quadric(),
+                                 np.array([0.7, 0.4]), 2.0, grid, x_grid)
+        assert homogeneity_residual(gauss2d, circle_family(),
+                                    np.array([0.7, 0.4]), 2.0, grid,
+                                    x_grid) >= 0.0
+
     def test_zero_factor_rejected(self, gauss2d, q_grid):
         with pytest.raises(ValueError):
             homogeneity_residual(gauss2d, Hyperplane(2), np.array([1.0, 0.0]),
@@ -251,6 +285,27 @@ class TestDiffeoEquivalence:
                                   q_plane)
         gap = np.abs(t_def.values - t_ref.values).sum(axis=1) * dx
         assert gap.max() <= 3e-2
+
+
+class TestDeformedQuadric:
+    def test_matches_monte_carlo(self):
+        """Binned tomogram within 3 standard errors of a Monte-Carlo
+        histogram plus the 5e-3 binning allowance of the other MC checks.
+
+        The offset parameter keeps the tomogram smooth on the bin scale,
+        where the binned engine's linear weights and the histogram's box
+        bins agree.
+        """
+        fam = _circle_quadric()
+        phantom = gaussian((1.0, 0.5), 0.04 * np.eye(2))
+        q = make_grid(2, [(-0.2, 2.2, 256), (-0.7, 1.7, 256)])
+        x_grid = make_grid(1, [(-1, 9, 101)])
+        mu = (-0.7, -0.1)
+        t = forward_binned_at(phantom, fam, [mu], x_grid, q)
+        mc = mc_tomogram(phantom, fam, mu, x_grid, 1_000_000, seed=11)
+        assert t.overflow[0] <= 1e-3 and t.values[0].max() > 0.5
+        excess = (np.abs(t.values[0] - mc.density) - 3 * mc.stderr).max()
+        assert excess <= 5e-3
 
 
 def _reference_deposit(family, points, masses, param_points, x_grid,

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from gentomo.geometry import (CircleDescriptor, HorizontalLine, Hybrid,
-                              Hyperplane, HyperbolaDescriptor,
-                              LineDescriptor, Quadric,
+from gentomo.geometry import (CircleDescriptor, Deformed, HorizontalLine,
+                              Hybrid, Hyperplane, HyperbolaDescriptor,
+                              LevelFamily, LineDescriptor, Quadric,
                               QuadricClass, QuadricForm, QuadrantClass,
                               SingularPointError, VerticalLine,
                               axis_inversion, circle_descriptor,
@@ -229,6 +229,58 @@ class TestQuadricForm:
     def test_quadric_family_rejects_degenerate(self):
         with pytest.raises(ValueError):
             Quadric(QuadricForm(np.diag([1.0, 0.0])))
+
+
+class TestNamedFamilies:
+    """The named constructors build (form, diffeo, tag) triples whose derived
+    properties are those of the former per-family classes."""
+
+    @pytest.mark.parametrize("make,cls,ndim,linear,tag,diffeo", [
+        (lambda: Hyperplane(3), Hyperplane, 3, True, "hyperplane", None),
+        (circle_family, Deformed, 2, True, "circle", "conformal_inversion"),
+        (hyperbola_family, Deformed, 2, True, "hyperbola", "axis_inversion"),
+        (lambda: hyperboloid_family(2), Deformed, 4, True, "hyperboloid",
+         "hyperboloid_map"),
+        (lambda: Quadric(QuadricForm(np.eye(2))), Quadric, 2, False,
+         "quadric", None),
+        (lambda: Hybrid(QuadricForm(np.diag([1.0, 2.0, 0.0]),
+                                    linear_axes=(2,))),
+         Hybrid, 3, False, "hybrid", None),
+    ])
+    def test_derived_properties(self, make, cls, ndim, linear, tag, diffeo):
+        fam = make()
+        assert isinstance(fam, LevelFamily) and type(fam) is cls
+        assert (fam.ndim, fam.param_dim) == (ndim, ndim)
+        assert fam.form.ndim == ndim
+        assert fam.linear_in_params is linear
+        assert fam.tag == tag
+        assert (fam.diffeo and fam.diffeo.name) == diffeo
+        assert isinstance(fam, Deformed) is (cls is Deformed)
+
+    @pytest.mark.parametrize("make,message", [
+        (lambda: Quadric(QuadricForm(np.diag([1.0, 0.0]))),
+         "B is degenerate; declare linear_axes and use the hybrid family"),
+        (lambda: Hybrid(QuadricForm(np.diag([1.0, 2.0]))),
+         "hybrid family requires a declared linear_axes split"),
+        (lambda: Hybrid(QuadricForm(np.zeros((2, 2)), linear_axes=(0, 1))),
+         "hybrid form has no quadric core: every axis is declared linear; "
+         "use the hyperplane family"),
+        (lambda: Hyperplane(0), "B must be a non-empty square matrix"),
+    ])
+    def test_constructor_errors(self, make, message):
+        with pytest.raises(ValueError) as info:
+            make()
+        assert str(info.value) == message
+
+    def test_diffeo_must_match_the_form(self):
+        from gentomo.core import DimensionMismatchError
+        with pytest.raises(DimensionMismatchError):
+            LevelFamily(QuadricForm(np.eye(3)), conformal_inversion(),
+                        tag="bad")
+
+    def test_equal_hyperplanes_compare_equal(self):
+        assert Hyperplane(2) == Hyperplane(2)
+        assert Hyperplane(2) != Hyperplane(3)
 
 
 class TestLevelSetHomogeneity:

@@ -7,8 +7,9 @@ from gentomo.core import (GaussianMixture, ScalarField, TomogramFamily,
                           gaussian, l2_rel_error, make_grid, sample_phantom,
                           standard_gaussian, total_mass)
 from gentomo.forward import forward_binned, normalization_profile
-from gentomo.geometry import (Deformed, Hybrid, Hyperplane, Quadric,
-                              QuadricForm, circle_family, hyperbola_family,
+from gentomo.geometry import (Deformed, Hybrid, Hyperplane, LevelFamily,
+                              Quadric, QuadricForm, circle_family,
+                              conformal_inversion, hyperbola_family,
                               hyperboloid_family, identity_map)
 from gentomo import inverse
 from gentomo.inverse import (CharacteristicSlice, _direct_sum,
@@ -127,6 +128,15 @@ def _quadric_kernel(B, linear=()):
     return kernel
 
 
+def _pulled_back(kernel, phi, jac, singular):
+    """kernel evaluated at phi(q), times J(q), zero on the singular set."""
+    def pulled(q, mu):
+        if singular(q):
+            return np.zeros(len(mu))
+        return jac(q) * kernel(phi(q), mu)
+    return pulled
+
+
 _B_HYBRID = np.zeros((3, 3))
 _B_HYBRID[:2, :2] = [[1.0, 0.3], [0.3, 2.0]]
 # 2-d boxes of unequal ranges and counts; the out grid holds the origin and
@@ -160,6 +170,14 @@ _ORACLE_CASES = {
         Hybrid(QuadricForm(_B_HYBRID, linear_axes=(2,))),
         make_grid(3, [(-2, 2, 6)] * 3), make_grid(3, [(-1, 1, 3)] * 3),
         _quadric_kernel(_B_HYBRID, linear=(2,))),
+    # the paper's deformed quadric: the B = diag(1, 2.5) ellipse family
+    # under the conformal inversion
+    "circle_quadric": (
+        LevelFamily(QuadricForm(np.diag([1.0, 2.5])), conformal_inversion(),
+                    tag="circle_quadric"), _PG2, _OUT2,
+        _pulled_back(_quadric_kernel(np.diag([1.0, 2.5])),
+                     lambda q: q / (q @ q), lambda q: 1.0 / (q @ q) ** 2,
+                     lambda q: not q.any())),
 }
 
 
