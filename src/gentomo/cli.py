@@ -8,6 +8,18 @@ Subcommands: ``phantom`` (sample a configured phantom to a GTM field),
 Exit codes: 0 success (warnings included), 2 bad input, 3 inconsistent
 inputs, 4 I/O failure.  Warnings go to stderr and never change the exit
 code; only precondition violations do.
+
+Commands raise; ``main`` alone maps an exception to its exit code and
+prints one ``error:`` line: ``OSError`` -> 4, ``DimensionMismatchError``
+-> 3, any other ``ValueError`` (format and grid errors, and every value
+the library rejects, ``check`` values included) -> 2, and a ``CliError``
+carries its own code.  Commands catch only to add context the exception
+lacks: the ``--B`` and ``--split`` token parsers, the grid flag parsers,
+and the ``bad config:`` / ``bad source`` wrappers, which also keep a
+phantom config's internal dimension errors at exit 2.  The ``--taper``,
+``--decay-floor``, family tag and hyperboloid dimension checks stay in the
+commands because the library cannot name those flags.  Any other
+exception is a bug and keeps its traceback.
 """
 
 from __future__ import annotations
@@ -18,8 +30,8 @@ import sys
 import numpy as np
 
 from . import checks, formats
-from .core import (DimensionMismatchError, GridError, GridSpec, ScalarField,
-                   make_grid, sample_phantom, total_mass)
+from .core import (DimensionMismatchError, GridSpec, ScalarField, make_grid,
+                   sample_phantom, total_mass)
 from .forward import forward_binned, normalization_profile, thread_count
 from .geometry import (Hybrid, Hyperplane, LevelFamily, Quadric, QuadricForm,
                        circle_family, hyperbola_family, hyperboloid_family)
@@ -41,18 +53,6 @@ def _warn(msg: str) -> None:
     print(f"warning: {msg}", file=sys.stderr)
 
 
-def _threads() -> int:
-    """Validate GENTOMO_THREADS before any work, so a bad value exits 2.
-
-    The forward deposit and the phantom quadrature read the same variable
-    through ``thread_count``.
-    """
-    try:
-        return thread_count()
-    except ValueError as exc:
-        raise CliError(str(exc), EXIT_BAD_INPUT) from None
-
-
 def _parse_box(text: str, count_text: str) -> GridSpec:
     """--*-box 'lo,hi;lo,hi' + --*-count 'n;n' (singletons broadcast)."""
     boxes = [part for part in text.split(";") if part.strip()]
@@ -68,7 +68,7 @@ def _parse_box(text: str, count_text: str) -> GridSpec:
             lo, hi = (float(tok) for tok in box.split(","))
             axes.append((lo, hi, int(cnt)))
         return GridSpec(tuple(axes))
-    except (ValueError, GridError) as exc:
+    except ValueError as exc:
         raise CliError(f"bad grid flags: {exc}", EXIT_BAD_INPUT) from None
 
 
@@ -109,11 +109,8 @@ def _family_from_args(args, ndim: int) -> LevelFamily:
                 raise CliError(f"--split must be a comma list of axis "
                                f"indices, got {args.split!r}",
                                EXIT_BAD_INPUT) from None
-        try:
-            form = QuadricForm(np.array(entries).reshape(n, n), linear_axes=split)
-            return Hybrid(form) if name == "hybrid" else Quadric(form)
-        except ValueError as exc:
-            raise CliError(str(exc), EXIT_BAD_INPUT) from None
+        form = QuadricForm(np.array(entries).reshape(n, n), linear_axes=split)
+        return Hybrid(form) if name == "hybrid" else Quadric(form)
     raise CliError(f"unknown family {name!r}", EXIT_BAD_INPUT)
 
 
@@ -121,14 +118,11 @@ def _load_source(path: str):
     try:
         with open(path, "rb") as fh:
             magic = fh.read(4)
-    except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}", EXIT_IO) from None
-    try:
         if magic == formats.FIELD_MAGIC:
             return formats.read_field(path)
         with open(path, "r") as fh:
             return formats.phantom_from_config(formats.parse_config(fh.read()))
-    except (formats.FormatError, ValueError, UnicodeDecodeError) as exc:
+    except ValueError as exc:
         raise CliError(f"bad source {path}: {exc}", EXIT_BAD_INPUT) from None
 
 
@@ -141,15 +135,12 @@ def cmd_phantom(args) -> int:
     try:
         with open(args.config) as fh:
             cfg = formats.parse_config(fh.read())
-    except OSError as exc:
-        raise CliError(f"cannot read config: {exc}", EXIT_IO) from None
-    try:
         phantom = formats.phantom_from_config(cfg)
         grid = formats.grid_from_config(cfg)
         field = sample_phantom(phantom, grid)
-    except (formats.FormatError, ValueError) as exc:
+    except ValueError as exc:
         raise CliError(f"bad config: {exc}", EXIT_BAD_INPUT) from None
-    _write_field(args.out, field)
+    formats.write_field(args.out, field)
     print(f"total mass {total_mass(field):.9g}")
     return EXIT_OK
 
@@ -159,13 +150,10 @@ def cmd_forward(args) -> int:
     ndim = source.grid.ndim if isinstance(source, ScalarField) else source.ndim
     family = _family_from_args(args, ndim)
     param_grid = _parse_box(args.mu_box, args.mu_count)
-    if param_grid.ndim != family.param_dim:
-        raise CliError("parameter box rank does not match the family",
-                       EXIT_INCONSISTENT)
     try:
         lo, hi = (float(tok) for tok in args.x_range.split(","))
         x_grid = make_grid(1, [(lo, hi, int(args.x_count))])
-    except (ValueError, GridError) as exc:
+    except ValueError as exc:
         raise CliError(f"bad X grid flags: {exc}", EXIT_BAD_INPUT) from None
     q_grid = None
     if not isinstance(source, ScalarField):
@@ -173,21 +161,14 @@ def cmd_forward(args) -> int:
             raise CliError("phantom sources require --q-box/--q-count",
                            EXIT_BAD_INPUT)
         q_grid = _parse_box(args.q_box, args.q_count)
-    try:
-        tomo = forward_binned(source, family, param_grid, x_grid, q_grid)
-    except DimensionMismatchError as exc:
-        raise CliError(f"inconsistent dimensions: {exc}",
-                       EXIT_INCONSISTENT) from None
+    tomo = forward_binned(source, family, param_grid, x_grid, q_grid)
     for w in tomo.warnings:
         _warn(w)
     if args.family == "circle":
         degenerate = np.all(param_grid.points() == 0.0, axis=1)
         if degenerate.any():
             _warn("parameter grid contains the degenerate direction (0, 0)")
-    try:
-        formats.write_tomogram(args.out, tomo)
-    except OSError as exc:
-        raise CliError(f"cannot write {args.out}: {exc}", EXIT_IO) from None
+    formats.write_tomogram(args.out, tomo)
     norm = normalization_profile(tomo)
     print(f"normalization min {norm.min():.6g} max {norm.max():.6g}")
     print(f"overflow mass max {tomo.overflow.max():.6g}")
@@ -195,12 +176,7 @@ def cmd_forward(args) -> int:
 
 
 def cmd_invert(args) -> int:
-    try:
-        tomo = formats.read_tomogram(args.input)
-    except OSError as exc:
-        raise CliError(f"cannot read {args.input}: {exc}", EXIT_IO) from None
-    except formats.FormatError as exc:
-        raise CliError(str(exc), EXIT_BAD_INPUT) from None
+    tomo = formats.read_tomogram(args.input)
     family = _family_from_args(args, tomo.param_grid.ndim)
     if family.tag != tomo.family_tag:
         raise CliError(
@@ -216,27 +192,19 @@ def cmd_invert(args) -> int:
         raise CliError(f"--decay-floor must be >= 0, got {args.decay_floor:g}",
                        EXIT_BAD_INPUT)
     slc = characteristic_slice(tomo)
-    try:
-        field, diag = invert_for_family(slc, family, out_grid,
-                                        decay_floor=args.decay_floor,
-                                        taper=taper)
-    except DimensionMismatchError as exc:
-        raise CliError(f"inconsistent dimensions: {exc}",
-                       EXIT_INCONSISTENT) from None
+    field, diag = invert_for_family(slc, family, out_grid,
+                                    decay_floor=args.decay_floor, taper=taper)
     for w in diag.warnings:
         _warn(w)
-    _write_field(args.out, field)
+    formats.write_field(args.out, field)
     print(f"imaginary residual ratio {diag.imag_ratio:.6g}")
     print(f"boundary decay {diag.boundary_decay:.6g}")
     return EXIT_OK
 
 
 def cmd_check(args) -> int:
-    try:
-        results = checks.run_suite(args.suite, seed=args.seed,
-                                   samples=args.samples, lam=args.lam)
-    except KeyError as exc:
-        raise CliError(str(exc.args[0]), EXIT_BAD_INPUT) from None
+    results = checks.run_suite(args.suite, seed=args.seed,
+                               samples=args.samples, lam=args.lam)
     failed = 0
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -246,42 +214,28 @@ def cmd_check(args) -> int:
 
 
 def cmd_export(args) -> int:
-    try:
-        with open(args.input, "rb") as fh:
-            magic = fh.read(4)
-    except OSError as exc:
-        raise CliError(f"cannot read {args.input}: {exc}", EXIT_IO) from None
+    with open(args.input, "rb") as fh:
+        magic = fh.read(4)
     if magic not in (formats.FIELD_MAGIC, formats.TOMOGRAM_MAGIC):
         raise CliError(f"{args.input} is neither a GTM nor a GTM-T file",
                        EXIT_BAD_INPUT)
     is_field = magic == formats.FIELD_MAGIC
-    try:
-        obj = (formats.read_field if is_field else formats.read_tomogram)(args.input)
-    except formats.FormatError as exc:
-        raise CliError(str(exc), EXIT_BAD_INPUT) from None
-    try:
-        if args.format == "csv":
-            if is_field:
-                formats.write_field_csv(args.out, obj)
-            else:
-                formats.write_tomogram_csv(args.out, obj)
+    obj = (formats.read_field if is_field else formats.read_tomogram)(args.input)
+    if args.format == "csv":
+        if is_field:
+            formats.write_field_csv(args.out, obj)
         else:
-            if is_field:
-                if obj.grid.ndim != 2:
-                    raise CliError(
-                        "PGM export of a field needs two dimensions "
-                        "(a slice flag for higher ranks is not implemented)",
-                        EXIT_BAD_INPUT)
-                lo, hi = formats.write_pgm(args.out, obj.values)
-            else:
-                if obj.param_grid.ndim != 1:
-                    raise CliError("PGM export of a tomogram needs a "
-                                   "one-dimensional parameter grid",
-                                   EXIT_BAD_INPUT)
-                lo, hi = formats.write_pgm(args.out, obj.values)
-            print(f"scaling min {lo:.9g} max {hi:.9g}")
-    except OSError as exc:
-        raise CliError(f"cannot write {args.out}: {exc}", EXIT_IO) from None
+            formats.write_tomogram_csv(args.out, obj)
+        return EXIT_OK
+    if is_field and obj.grid.ndim != 2:
+        raise CliError("PGM export of a field needs two dimensions "
+                       "(a slice flag for higher ranks is not implemented)",
+                       EXIT_BAD_INPUT)
+    if not is_field and obj.param_grid.ndim != 1:
+        raise CliError("PGM export of a tomogram needs a one-dimensional "
+                       "parameter grid", EXIT_BAD_INPUT)
+    lo, hi = formats.write_pgm(args.out, obj.values)
+    print(f"scaling min {lo:.9g} max {hi:.9g}")
     return EXIT_OK
 
 
@@ -349,22 +303,21 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _write_field(path, field: ScalarField) -> None:
-    try:
-        formats.write_field(path, field)
-    except OSError as exc:
-        raise CliError(f"cannot write {path}: {exc}", EXIT_IO) from None
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
+    args = build_parser().parse_args(argv)
     try:
-        args = parser.parse_args(argv)
-        _threads()
+        thread_count()  # a bad GENTOMO_THREADS exits 2 before any work
         return args.fn(args)
     except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        code, message = exc.code, str(exc)
+    except OSError as exc:
+        code, message = EXIT_IO, str(exc)
+    except DimensionMismatchError as exc:
+        code, message = EXIT_INCONSISTENT, f"inconsistent dimensions: {exc}"
+    except ValueError as exc:
+        code, message = EXIT_BAD_INPUT, str(exc)
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

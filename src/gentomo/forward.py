@@ -81,7 +81,7 @@ def _source_points_masses(source, q_grid: GridSpec | None, supersample: int = 1)
         s = int(supersample)
         if s < 1:
             raise ValueError("supersample must be >= 1")
-        pts = q_grid.cell_centers() if s == 1 else _refined_cell_centers(q_grid, s)
+        pts = _refined_cell_centers(q_grid, s)
         volume = q_grid.cell_volume / s**q_grid.ndim
         masses = np.empty(len(pts))
 
@@ -232,8 +232,8 @@ def _deposit(family: LevelFamily, points, masses, param_points, x_grid: GridSpec
     return values, overflow
 
 
-def _binned(source, family, param_points, x_grid, q_grid, overflow_threshold,
-            supersample, param_grid=None) -> TomogramFamily:
+def _binned(source, family, param_points, x_grid, q_grid, supersample,
+            param_grid=None) -> TomogramFamily:
     if x_grid.ndim != 1:
         raise GridError("x_grid must be one-dimensional")
     param_points = np.atleast_2d(np.asarray(param_points, dtype=float))
@@ -258,10 +258,10 @@ def _binned(source, family, param_points, x_grid, q_grid, overflow_threshold,
     total = float(masses.sum())
     if total > 0.0:
         worst = float(overflow.max()) / total
-        if worst > overflow_threshold:
+        if worst > DEFAULT_OVERFLOW_THRESHOLD:
             warnings.append(
                 f"overflow mass up to {worst:.3g} of source mass exceeds "
-                f"threshold {overflow_threshold:g}")
+                f"threshold {DEFAULT_OVERFLOW_THRESHOLD:g}")
     if singular_fraction > 0.05:
         warnings.append(
             f"singular set covers {singular_fraction:.3g} of source points")
@@ -274,7 +274,6 @@ def _binned(source, family, param_points, x_grid, q_grid, overflow_threshold,
 
 def forward_binned(source, family: LevelFamily, param_grid: GridSpec,
                    x_grid: GridSpec, q_grid: GridSpec | None = None,
-                   overflow_threshold: float = DEFAULT_OVERFLOW_THRESHOLD,
                    supersample: int = 1) -> TomogramFamily:
     """Tomogram family of a source over a rectangular parameter grid.
 
@@ -285,17 +284,15 @@ def forward_binned(source, family: LevelFamily, param_grid: GridSpec,
     if param_grid.ndim != family.param_dim:
         raise DimensionMismatchError("param_grid rank must match the family")
     return _binned(source, family, param_grid.points(), x_grid, q_grid,
-                   overflow_threshold, supersample, param_grid)
+                   supersample, param_grid)
 
 
 def forward_binned_at(source, family: LevelFamily, param_points,
                       x_grid: GridSpec, q_grid: GridSpec | None = None,
-                      overflow_threshold: float = DEFAULT_OVERFLOW_THRESHOLD,
                       supersample: int = 1) -> TomogramFamily:
     """Tomograms at an explicit (P, param_dim) array of parameter points;
     the result has no parameter box (``param_grid`` is None)."""
-    return _binned(source, family, param_points, x_grid, q_grid,
-                   overflow_threshold, supersample)
+    return _binned(source, family, param_points, x_grid, q_grid, supersample)
 
 
 # ---------------------------------------------------------------------------
@@ -340,17 +337,17 @@ def normalization_profile(t) -> np.ndarray:
 
 
 def homogeneity_residual(source, family: LevelFamily, params, lam: float,
-                         q_grid: GridSpec | None, x_grid: GridSpec,
-                         x_samples=None) -> float:
+                         q_grid: GridSpec | None, x_grid: GridSpec) -> float:
     """Largest violation of |lam| w(lam X; lam params) = w(X; params).
 
     Two binned runs with matched binning: the second uses the scaled
     parameters and an X grid whose bins are the first grid's bins scaled by
     lam, so corresponding bins describe the same level sets exactly.  Only
-    meaningful for families whose level function is linear in the parameters.
+    meaningful for families whose level function is linear in the parameters;
+    lam must be finite and nonzero.
     """
-    if lam == 0.0:
-        raise ValueError("lam must be nonzero")
+    if not (math.isfinite(lam) and lam != 0.0):
+        raise ValueError(f"lam must be finite and nonzero, got {lam:g}")
     if not family.linear_in_params:
         raise ValueError(
             f"homogeneity needs a parameter-linear family, not {family.tag}")
@@ -366,12 +363,6 @@ def homogeneity_residual(source, family: LevelFamily, params, lam: float,
     scaled = forward_binned_at(source, family, (lam * params)[None, :],
                                scaled_grid, q_grid)
     diff = np.abs(abs(lam) * scaled.values[0][reorder] - base.values[0])
-    if x_samples is not None:
-        xs = np.asarray(x_samples, dtype=float)
-        idx = np.rint((xs - lo) / x_grid.spacing[0]).astype(int)
-        if np.any((idx < 0) | (idx >= n)):
-            raise ValueError("x_samples outside the X grid")
-        diff = diff[idx]
     return float(diff.max())
 
 

@@ -359,8 +359,8 @@ def _plane_wave(n: int) -> QuadricForm:
 class Hyperplane(LevelFamily):
     """g(q; mu) = mu . q"""
 
-    def __init__(self, ndim: int, tag: str = "hyperplane"):
-        super().__init__(_plane_wave(ndim), tag=tag)
+    def __init__(self, ndim: int):
+        super().__init__(_plane_wave(ndim), tag="hyperplane")
 
 
 class Deformed(LevelFamily):
@@ -385,23 +385,23 @@ def hyperboloid_family(n: int) -> Deformed:
 class Quadric(LevelFamily):
     """g(q; mu) = (q - mu, B (q - mu)) for a fixed non-degenerate B."""
 
-    def __init__(self, form: QuadricForm, tag: str = "quadric"):
+    def __init__(self, form: QuadricForm):
         form.require_nondegenerate()
-        super().__init__(form, tag=tag)
+        super().__init__(form, tag="quadric")
 
 
 class Hybrid(LevelFamily):
     """Degenerate-B transform: quadric in the core coordinates, linear in the
     declared axes.  g(q; mu) = (q' - mu', B2 (q' - mu')) + mu_lin . q_lin."""
 
-    def __init__(self, form: QuadricForm, tag: str = "hybrid"):
+    def __init__(self, form: QuadricForm):
         if not form.linear_axes:
             raise ValueError("hybrid family requires a declared linear_axes split")
         if not form.quadric_axes:
             raise ValueError("hybrid form has no quadric core: every axis is "
                              "declared linear; use the hyperplane family")
         QuadricForm(form.B_core).require_nondegenerate()
-        super().__init__(form, tag=tag)
+        super().__init__(form, tag="hybrid")
 
 
 # ---------------------------------------------------------------------------

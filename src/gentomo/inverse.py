@@ -85,8 +85,8 @@ def _endpoint_fit(values: np.ndarray, dx: float, k: int, end: str):
     return mean + slope * (0.0 - um), slope
 
 
-def characteristic_slice(t: TomogramFamily, tail_correction: bool = True,
-                         tail_fit_bins: int | None = None) -> CharacteristicSlice:
+def characteristic_slice(t: TomogramFamily,
+                         tail_correction: bool = True) -> CharacteristicSlice:
     """Integrate omega(X) e^{iX} over the X window for every parameter.
 
     Trapezoid quadrature, plus asymptotic tail terms built from the window
@@ -104,8 +104,7 @@ def characteristic_slice(t: TomogramFamily, tail_correction: bool = True,
     phase = np.exp(1j * x)
     values = t.values @ (phase * w)
     if tail_correction and n >= 3:
-        k = tail_fit_bins if tail_fit_bins is not None else min(max(n // 12, 3), 25)
-        k = max(2, min(int(k), n))
+        k = min(max(n // 12, 3), 25)
         om_hi, d_hi = _endpoint_fit(t.values, dx, k, "hi")
         om_lo, d_lo = _endpoint_fit(t.values, dx, k, "lo")
         values = values + (1j * (om_hi * phase[-1] - om_lo * phase[0])
@@ -295,9 +294,7 @@ class RoundtripReport:
 
 def roundtrip(phantom: Phantom, family: LevelFamily, q_grid: GridSpec,
               x_grid: GridSpec, param_grid: GridSpec, out_grid: GridSpec,
-              exclusion_margin: float = 0.0,
-              decay_floor: float = DEFAULT_DECAY_FLOOR, taper=None,
-              tail_correction: bool = True) -> RoundtripReport:
+              exclusion_margin: float = 0.0, taper=None) -> RoundtripReport:
     """Run the full pipeline and score the reconstruction.
 
     For a family with a diffeomorphism the transformed density is the
@@ -317,9 +314,8 @@ def roundtrip(phantom: Phantom, family: LevelFamily, q_grid: GridSpec,
         reference = sample_phantom(phantom, out_grid)
     tomo = forward_binned(source, family, param_grid, x_grid,
                           None if isinstance(source, ScalarField) else q_grid)
-    slc = characteristic_slice(tomo, tail_correction=tail_correction)
-    recon, diag = invert_for_family(slc, family, out_grid,
-                                    decay_floor=decay_floor, taper=taper)
+    slc = characteristic_slice(tomo)
+    recon, diag = invert_for_family(slc, family, out_grid, taper=taper)
     mask = None
     if exclusion_margin > 0.0:
         dist = family.singular_distance(out_grid.points())

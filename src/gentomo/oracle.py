@@ -39,12 +39,16 @@ def mc_tomogram(phantom: Phantom, family: LevelFamily, params, x_grid: GridSpec,
     Bins are centered on the x_grid points (width = grid spacing); samples on
     the family's singular set are dropped and counted.  The standard error
     per bin is sqrt(p (1-p) / n) / dX with p the bin hit fraction.
+    Raises ValueError for n_samples < 1.
     """
     if x_grid.ndim != 1:
         raise GridError("x_grid must be one-dimensional")
+    n = int(n_samples)
+    if n < 1:
+        raise ValueError("n_samples must be >= 1")
     params = np.asarray(params, dtype=float)
     rng = np.random.Generator(np.random.PCG64(seed))
-    draws = phantom.draw(rng, int(n_samples))
+    draws = phantom.draw(rng, n)
     sing = family.singular_mask(draws)
     n_singular = int(sing.sum())
     if n_singular:
@@ -55,7 +59,6 @@ def mc_tomogram(phantom: Phantom, family: LevelFamily, params, x_grid: GridSpec,
     lo, hi, n_bins = x_grid.axes[0]
     edges = np.linspace(lo - 0.5 * dx, hi + 0.5 * dx, n_bins + 1)
     counts, _ = np.histogram(g, bins=edges)
-    n = int(n_samples)
     p = counts / n
     density = p / dx
     stderr = np.sqrt(p * (1.0 - p) / n) / dx

@@ -30,6 +30,15 @@ def _forward_args(field, out, family="hyperplane", extra=()):
             "--out", str(out), *extra]
 
 
+def _one_error_line(capsys) -> str:
+    """The captured stderr must be a single ``error:`` line."""
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    return lines[0]
+
+
 class TestPhantomCommand:
     def test_writes_field_and_prints_mass(self, tmp_path, gauss_config, capsys):
         out = tmp_path / "f.gtm"
@@ -316,3 +325,69 @@ class TestCheckCommand:
         assert main(["check", "oracle-agreement", "--seed", "7",
                      "--samples", "50000"]) == 0
         assert capsys.readouterr().out == first
+
+    @pytest.mark.parametrize("argv", [
+        ["homogeneity", "--lambda", "0"],
+        ["homogeneity", "--lambda", "nan"],
+        ["oracle-agreement", "--samples", "0"],
+        ["oracle-agreement", "--samples", "-5"],
+    ], ids=["lambda=0", "lambda=nan", "samples=0", "samples=-5"])
+    def test_bad_value_exits_2(self, argv, capsys):
+        assert main(["check", *argv]) == 2
+        line = _one_error_line(capsys)
+        assert ("lam" if argv[0] == "homogeneity" else "n_samples") in line
+
+
+def _written(tmp_path, name, data):
+    path = tmp_path / name
+    path.write_bytes(data)
+    return str(path)
+
+
+class TestExitCodes:
+    """Every branch of the exception-to-exit-code map in ``main`` has a
+    row, and every row ends in one ``error:`` line and writes nothing."""
+
+    @pytest.mark.parametrize("code, make_argv", [
+        pytest.param(3, lambda tmp, field: [
+            "forward", str(field), "--family", "hyperplane",
+            "--mu-box=-1,1", "--mu-count", "4", "--x-range=-8,8",
+            "--x-count", "61", "--out", str(tmp / "t.gtmt")],
+            id="forward-1d-mu-box-on-2d-field"),
+        pytest.param(4, lambda tmp, field: [
+            "forward", str(field), "--family", "hyperplane",
+            "--mu-box=-1,1;-1,1", "--mu-count", "4", "--x-range=-8,8",
+            "--x-count", "61", "--out", str(tmp / "missing" / "t.gtmt")],
+            id="forward-out-in-missing-dir"),
+        pytest.param(4, lambda tmp, field: [
+            "invert", str(tmp / "none.gtmt"), "--family", "hyperplane",
+            "--q-box=-1,1;-1,1", "--q-count", "5;5",
+            "--out", str(tmp / "r.gtm")], id="invert-missing-file"),
+        pytest.param(4, lambda tmp, field: [
+            "export", str(tmp / "none.gtm"), "--format", "csv",
+            "--out", str(tmp / "x.csv")], id="export-missing-file"),
+        pytest.param(2, lambda tmp, field: [
+            "forward", _written(tmp, "cut.gtm", field.read_bytes()[:30]),
+            "--family", "hyperplane", "--mu-box=-1,1;-1,1", "--mu-count", "4",
+            "--x-range=-8,8", "--x-count", "61", "--out", str(tmp / "t.gtmt")],
+            id="forward-truncated-field"),
+        pytest.param(2, lambda tmp, field: [
+            "invert", _written(tmp, "cut.gtmt", b"GTMT\x01"),
+            "--family", "hyperplane", "--q-box=-1,1;-1,1", "--q-count", "5;5",
+            "--out", str(tmp / "r.gtm")], id="invert-truncated-tomogram"),
+        pytest.param(2, lambda tmp, field: [
+            "phantom", _written(tmp, "junk.cfg", b"no key here\n"),
+            "--out", str(tmp / "t.gtm")], id="phantom-unparsable-config"),
+        # a config's own dimension clash stays bad input, not exit 3
+        pytest.param(2, lambda tmp, field: [
+            "phantom", _written(tmp, "3d.cfg", b"type=gaussian\n"
+                                b"mean=0,0,0\ncov=1,0,0,0,1,0,0,0,1\n"
+                                b"grid=-6,6,16;-6,6,16\n"),
+            "--out", str(tmp / "t.gtm")], id="phantom-config-rank-clash"),
+    ])
+    def test_one_error_line(self, tmp_path, gauss_field, code, make_argv,
+                            capsys):
+        capsys.readouterr()
+        assert main(make_argv(tmp_path, gauss_field)) == code
+        _one_error_line(capsys)
+        assert not list(tmp_path.glob("[tr].gtm*"))
