@@ -8,28 +8,34 @@ rounding and the result is nonnegative for nonnegative sources
 in per-parameter overflow counters so normalization checks can tell
 truncation from bugs.
 
-The output bytes are identical for every ``GENTOMO_THREADS`` (in
-tests/test_forward.py,
-``TestDepositThreads::test_bytes_identical_for_every_thread_count`` and
+The deposit runs a compiled loop (``_deposit.c``, built on first use) or,
+where nothing can be compiled, the same steps in numpy; the two give equal
+bytes (tests/test_forward.py, ``TestCompiledDeposit``).  The output bytes
+are identical for every ``GENTOMO_THREADS``
+(``TestDepositThreads::test_bytes_identical_for_every_thread_count`` and
 ``::test_slab_bytes_identical_for_every_thread_count``; AC-10 through the
-CLI).  The summation order is fixed by the slab/block partition, and a
-different partition moves tomograms by at most 1e-13 of their peak
-(``TestDepositKernel::test_slabs_match_reference_loop`` and
-``::test_block_size_tolerance``).
+CLI) and for every block of parameter columns
+(``TestDepositKernel::test_block_size_tolerance``).  Only the slab
+partition of the source points moves results, by at most 1e-13 of the
+peak (``TestDepositKernel::test_slabs_match_reference_loop``).
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
+import shutil
+import tempfile
 import threading
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from .core import (DimensionMismatchError, GridError, GridSpec, Phantom,
                    ScalarField, TomogramFamily)
-from .geometry import Diffeomorphism, LevelFamily
+from .geometry import Diffeomorphism, LevelFamily, combine_levels
 
 # (source point x parameter) pairs per deposit slab; sized so the slab
 # arrays stay cache-resident, which dominates deposit throughput
@@ -147,6 +153,93 @@ def _run_blocks(new_worker, starts, workers: int) -> None:
         raise errors[0]
 
 
+# the compiled deposit: _UNSET until the first deposit builds it, then the
+# ctypes function, or None (numpy path) with the reason in _kernel_missing
+_UNSET = object()
+_kernel = _UNSET
+_kernel_missing = ""
+_KERNEL_SOURCE = Path(__file__).with_name("_deposit.c")
+# no -ffast-math or -march=native: no FMA and no reassociation, so every
+# operation rounds as the numpy path's does
+_KERNEL_FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
+
+
+def _compile_kernel(cc: str, source: bytes, target: Path) -> None:
+    """Compile into a temporary name next to ``target``, then rename it, so
+    a concurrent process sees the whole library or none.  Raises OSError
+    when the directory cannot be written, RuntimeError when cc fails."""
+    import subprocess       # on first use: imports add to startup time
+    fd, tmp = tempfile.mkstemp(dir=target.parent, suffix=".so.tmp")
+    os.close(fd)
+    try:
+        proc = subprocess.run([cc, *_KERNEL_FLAGS, "-x", "c", "-o", tmp, "-"],
+                              input=source, capture_output=True)
+        if proc.returncode:
+            err = proc.stderr.decode(errors="replace").strip().splitlines()
+            raise RuntimeError(f"{cc} exited {proc.returncode}"
+                               + (f": {err[-1]}" if err else ""))
+        os.replace(tmp, target)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+def _build_kernel():
+    """(function, "") for the compiled deposit, or (None, reason).
+
+    The library is named by the sha256 of source and flags, under
+    ``$XDG_CACHE_HOME/gentomo`` (default ``~/.cache/gentomo``); when that
+    cannot be written it is built into a per-process temporary directory.
+    """
+    import hashlib          # on first use: imports add to startup time
+    cc = shutil.which("cc") or shutil.which("gcc")
+    if cc is None:
+        return None, "no C compiler (cc or gcc) on PATH"
+    try:
+        source = _KERNEL_SOURCE.read_bytes()
+    except OSError as exc:
+        return None, f"cannot read the kernel source: {exc}"
+    digest = hashlib.sha256(source + " ".join(_KERNEL_FLAGS).encode())
+    name = f"deposit-{digest.hexdigest()[:16]}.so"
+    cache = Path(os.environ.get("XDG_CACHE_HOME")
+                 or Path.home() / ".cache") / "gentomo"
+    try:
+        target = cache / name
+        if not target.exists():
+            cache.mkdir(parents=True, exist_ok=True)
+            _compile_kernel(cc, source, target)
+        lib = ctypes.CDLL(str(target))
+    except OSError:
+        with tempfile.TemporaryDirectory(prefix="gentomo-") as tmp:
+            try:
+                _compile_kernel(cc, source, Path(tmp) / name)
+                # the mapping outlives the file
+                lib = ctypes.CDLL(str(Path(tmp) / name))
+            except (OSError, RuntimeError) as exc:
+                return None, str(exc)
+    except RuntimeError as exc:
+        return None, str(exc)
+    fn = lib.gentomo_deposit
+    ptr, long_ = ctypes.c_void_p, ctypes.c_long
+    fn.argtypes = [ptr, ptr, ptr, long_, long_, ptr, ptr, long_,
+                   ctypes.c_double, ctypes.c_double, long_, ptr]
+    fn.restype = ctypes.c_int
+    return fn, ""
+
+
+def _load_kernel():
+    """The compiled deposit function, or None for the numpy path; built on
+    the first call, never at import."""
+    global _kernel, _kernel_missing
+    if _kernel is _UNSET:
+        _kernel, _kernel_missing = _build_kernel()
+    return _kernel
+
+
+_NON_FINITE_LEVEL = ("non-finite level value (nan or inf): a source point or "
+                     "parameter is not finite, or the deformation overflowed")
+
+
 def _deposit(family: LevelFamily, points, masses, param_points, x_grid: GridSpec):
     """Accumulate mass into X bins for every parameter point.
 
@@ -161,17 +254,23 @@ def _deposit(family: LevelFamily, points, masses, param_points, x_grid: GridSpec
     column is therefore summed in the same order, and the output bytes are
     identical for every ``GENTOMO_THREADS``.
 
-    The partition is not free.  It sets the BLAS block shapes of level
-    evaluation, and a one-column block takes the matrix-vector path: with
-    2 M-pair blocks instead of the default, tomograms move by at most 1e-15
-    of their peak on the tested problems (7.7e-16 at worst there).  With
-    more than one slab, slab partial sums replace one long ``bincount``:
-    against one slab per block, tomograms move by at most 1e-13 of their
-    peak (1.2e-14 on 4.19 M nodes and 16 hyperplane directions).
+    Each block runs the compiled loop of ``_deposit.c`` once per slab, or,
+    where nothing can be compiled, the same steps in numpy: the levels of
+    ``combine_levels``, then bucket keys and two ``bincount`` calls.  Both
+    evaluate every level and weight in one fixed order and add each
+    column's masses in point order, so the two paths give equal bytes, and
+    so does every block size.  Only the slab partition moves results: slab
+    partial sums replace one long sum per bucket, and against one slab per
+    block tomograms move by at most 1e-13 of their peak (1.2e-14 on 4.19 M
+    nodes and 16 hyperplane directions).  A non-finite level raises
+    ValueError on both paths.
     """
     n_bins = x_grid.shape[0]
     x0 = x_grid.axes[0][0]
     dx = x_grid.spacing[0]
+    inv_dx, shift = 1.0 / dx, x0 / dx
+    if not (math.isfinite(inv_dx) and math.isfinite(shift)):
+        raise ValueError(f"X grid spacing {dx:g} is too fine to bin")
     n_par = len(param_points)
     values = np.zeros((n_par, n_bins))
     overflow = np.zeros(n_par)
@@ -185,25 +284,67 @@ def _deposit(family: LevelFamily, points, masses, param_points, x_grid: GridSpec
     # [n_bins+2] overflow (the clamp below parks far-out mass at the edges,
     # where the split weight degenerates to all-left)
     slots = n_bins + 3
-    slabs = [(family.level_evaluator(points[lo:lo + slab]),
-              masses[lo:lo + slab, None])
-             for lo in range(0, len(points), slab)]
+    d = family.ndim
+    slabs = []
+    for lo in range(0, len(points), slab):
+        L, a = family.level_terms(points[lo:lo + slab])
+        m = np.ascontiguousarray(masses[lo:lo + slab], dtype=float)
+        # the compiled loop reads these as (len(m), d) and (len(m),) doubles
+        if L.shape != (len(m), d) or (a is not None and a.shape != m.shape):
+            raise DimensionMismatchError(
+                f"level terms of shape {L.shape} for {len(m)} points, "
+                f"family wants ({len(m)}, {d})")
+        slabs.append((L, a, m))
+    kernel = _load_kernel()
+
+    def finish(start, acc):
+        """Write the (slots, c) buckets of one block into its rows."""
+        c = acc.shape[1]
+        np.divide(acc[1:n_bins + 1].T, dx, out=values[start:start + c])
+        overflow[start:start + c] = acc[0] + acc[n_bins + 1] + acc[n_bins + 2]
 
     def new_worker():
+        if kernel is not None:
+            # (column, bucket) rows, the layout the loop fills
+            acc_buf = np.empty((chunk, slots))
+
+            def deposit_block(start):
+                M, b = family.param_terms(param_points[start:start + chunk])
+                if M.shape[1] != d:
+                    raise DimensionMismatchError(
+                        f"parameters are {M.shape[1]}-d, family wants {d}-d")
+                acc = acc_buf[:len(M)]
+                acc.fill(0.0)
+                for L, a, m in slabs:
+                    rc = kernel(L.ctypes.data, None if a is None else a.ctypes.data,
+                                m.ctypes.data, len(L), d, M.ctypes.data,
+                                None if b is None else b.ctypes.data, len(M),
+                                inv_dx, shift, n_bins, acc.ctypes.data)
+                    if rc == -1:
+                        raise ValueError(_NON_FINITE_LEVEL)
+                    if rc:
+                        raise MemoryError("deposit scratch allocation failed")
+                finish(start, acc.T)
+
+            return deposit_block
+
         # scratch reused by every slab of one worker: a fresh multi-MB
         # array per slab would be page-faulted in anew each time
         key_buf = np.empty(chunk * slab)
         idx_buf = np.empty(chunk * slab, dtype=np.int64)
 
         def deposit_block(start):
+            M, b = family.param_terms(param_points[start:start + chunk])
             total = None
-            for evaluate, m in slabs:
-                g = evaluate(param_points[start:start + chunk])   # (slab, C)
+            for L, a, m in slabs:
+                g = combine_levels(L, a, M, b)                # (slab, C)
+                if not np.isfinite(g).all():
+                    raise ValueError(_NON_FINITE_LEVEL)
                 c = g.shape[1]
                 key = key_buf[:g.size].reshape(g.shape)
                 idx = idx_buf[:g.size]
-                np.multiply(g, 1.0 / dx, out=g)
-                g -= x0 / dx
+                np.multiply(g, inv_dx, out=g)
+                g -= shift
                 np.clip(g, -1.0, float(n_bins), out=g)
                 np.floor(g, out=key)
                 g -= key                                  # g now holds frac
@@ -212,8 +353,8 @@ def _deposit(family: LevelFamily, points, masses, param_points, x_grid: GridSpec
                 key *= c
                 key += np.arange(c, 2 * c, dtype=float)
                 np.copyto(idx, key.ravel(), casting="unsafe")
-                g *= m                                    # right weight
-                np.subtract(m, g, out=key)                # left weight
+                g *= m[:, None]                           # right weight
+                np.subtract(m[:, None], g, out=key)       # left weight
                 acc = np.bincount(idx, weights=key.ravel(), minlength=slots * c)
                 right = np.bincount(idx, weights=g.ravel(), minlength=slots * c)
                 acc[c:] += right[:-c]        # right neighbour: one bin row up
@@ -221,10 +362,7 @@ def _deposit(family: LevelFamily, points, masses, param_points, x_grid: GridSpec
                     total = acc
                 else:
                     total += acc
-            acc = total.reshape(slots, c)
-            np.divide(acc[1:n_bins + 1].T, dx, out=values[start:start + c])
-            overflow[start:start + c] = (acc[0] + acc[n_bins + 1]
-                                         + acc[n_bins + 2])
+            finish(start, total.reshape(slots, -1))
 
         return deposit_block
 
@@ -272,6 +410,17 @@ def _binned(source, family, param_points, x_grid, q_grid, supersample,
                           warnings=warnings)
 
 
+def _check_table_fits(n_par: int, n_bins: int) -> None:
+    """Refuse a (P, Nx) tomogram table larger than physical memory before
+    anything is allocated."""
+    need = n_par * n_bins * 8
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ValueError(
+            f"the tomogram table of {n_par} parameters x {n_bins} bins needs "
+            f"{need} bytes, more than the {have} bytes of physical memory")
+
+
 def forward_binned(source, family: LevelFamily, param_grid: GridSpec,
                    x_grid: GridSpec, q_grid: GridSpec | None = None,
                    supersample: int = 1) -> TomogramFamily:
@@ -283,6 +432,7 @@ def forward_binned(source, family: LevelFamily, param_grid: GridSpec,
     """
     if param_grid.ndim != family.param_dim:
         raise DimensionMismatchError("param_grid rank must match the family")
+    _check_table_fits(math.prod(param_grid.shape), x_grid.shape[0])
     return _binned(source, family, param_grid.points(), x_grid, q_grid,
                    supersample, param_grid)
 
@@ -292,6 +442,7 @@ def forward_binned_at(source, family: LevelFamily, param_points,
                       supersample: int = 1) -> TomogramFamily:
     """Tomograms at an explicit (P, param_dim) array of parameter points;
     the result has no parameter box (``param_grid`` is None)."""
+    _check_table_fits(len(param_points), x_grid.shape[0])
     return _binned(source, family, param_points, x_grid, q_grid, supersample)
 
 

@@ -289,41 +289,41 @@ class LevelFamily:
 
     def level_evaluator(self, points: np.ndarray):
         """Closure mapping a (C, param_dim) parameter block to the (N, C)
-        level matrix at the N points.
+        level matrix at the N points: ``combine_levels`` of the point terms,
+        computed once here, and the block's parameter terms."""
+        L, a = self.level_terms(points)
+        return lambda pblock: combine_levels(L, a, *self.param_terms(pblock))
 
-        The level is hoisted as g = L(p) . mu + a(p) + b(mu) with
-        L = [-2 B2 p', p_lin], a = p'B2p' and b = mu'B2mu', so the
-        point-dependent work runs once, outside the per-block loop.
-        """
+    def level_terms(self, points: np.ndarray):
+        """Point terms (L, a) of the hoisted level
+
+            g = L(p) . M(mu) + a(p) + b(mu),  L = [-2 B2 p', p_lin],
+            a = p'B2p',  M = [mu', mu_lin],  b = mu'B2mu',
+
+        with L a C-contiguous (N, ndim) array and a an (N,) array, or None
+        for an all-linear form (then b is None too)."""
         p = np.asarray(points, dtype=float)
         if self.diffeo is not None:
             p = self.diffeo.map_fn(p)
         if self.linear_in_params:
-            return lambda pblock: p @ pblock.T
-        qa = np.array(self.form.quadric_axes)
-        la = np.array(self.form.linear_axes, dtype=int)
-        B2 = self.form.B_core
-        # no copy of p without linear axes, and L and a filled in place:
-        # fewer live (N, ndim) temporaries here lower the deposit's peak
-        # memory (about 2 MB on 65 k points)
-        pc = p[:, qa] if la.size else p
-        pB = pc @ B2
-        # one matmul gives both the cross term and the linear part
+            return np.ascontiguousarray(p, dtype=float), None
+        qa, la = list(self.form.quadric_axes), list(self.form.linear_axes)
+        Bp, a = _quadratic_terms(self.form.B_core, p[:, qa])
         L = np.empty((len(p), self.ndim))
-        np.multiply(pB, -2.0, out=L[:, :len(qa)])
+        np.multiply(Bp, -2.0, out=L[:, :len(qa)])
         L[:, len(qa):] = p[:, la]
-        pB *= pc
-        a = np.sum(pB, axis=1)[:, None]
+        return L, a
 
-        def evaluate(pblock):
-            mc = pblock[:, qa]
-            b = np.sum((mc @ B2) * mc, axis=1)
-            g = L @ np.concatenate([mc, pblock[:, la]], axis=1).T
-            g += a
-            g += b[None, :]
-            return g
-
-        return evaluate
+    def param_terms(self, params: np.ndarray):
+        """Parameter terms (M, b) of the hoisted level (see ``level_terms``)
+        for a (C, param_dim) block: M is C-contiguous (C, ndim), b is (C,)
+        or None for an all-linear form."""
+        mu = np.asarray(params, dtype=float)
+        if self.linear_in_params:
+            return np.ascontiguousarray(mu), None
+        qa, la = list(self.form.quadric_axes), list(self.form.linear_axes)
+        M = np.ascontiguousarray(mu[:, qa + la])
+        return M, _quadratic_terms(self.form.B_core, M[:, :len(qa)])[1]
 
     def jacobian_weights(self, points: np.ndarray) -> np.ndarray:
         if self.diffeo is None:
@@ -347,6 +347,35 @@ class LevelFamily:
         if params.shape[1] != self.param_dim:
             raise DimensionMismatchError(
                 f"params are {params.shape[1]}-d, family wants {self.param_dim}-d")
+
+
+def _quadratic_terms(B2: np.ndarray, x: np.ndarray):
+    """(B2 x, x'B2x) for each row of x, every sum in index order with one
+    rounding per product and per sum (no BLAS, so no blocking dependence)."""
+    n = B2.shape[0]
+    Bx = np.empty((len(x), n))
+    for r in range(n):
+        Bx[:, r] = B2[r, 0] * x[:, 0]
+        for s in range(1, n):
+            Bx[:, r] += B2[r, s] * x[:, s]
+    q = x[:, 0] * Bx[:, 0]
+    for r in range(1, n):
+        q += x[:, r] * Bx[:, r]
+    return Bx, q
+
+
+def combine_levels(L: np.ndarray, a, M: np.ndarray, b) -> np.ndarray:
+    """(N, C) levels g[i, j] = sum_k L[i, k] M[j, k] + a[i] + b[j], added in
+    exactly this order with one rounding per product and per sum, so the
+    bytes depend neither on BLAS nor on how the columns are blocked.  The
+    compiled deposit (``_deposit.c``) evaluates the same sequence."""
+    g = L[:, :1] * M[:, 0]
+    for k in range(1, L.shape[1]):
+        g += L[:, k:k + 1] * M[:, k]
+    if a is not None:
+        g += a[:, None]
+        g += b
+    return g
 
 
 @lru_cache(maxsize=None)

@@ -371,6 +371,12 @@ class TestExitCodes:
             "--family", "hyperplane", "--mu-box=-1,1;-1,1", "--mu-count", "4",
             "--x-range=-8,8", "--x-count", "61", "--out", str(tmp / "t.gtmt")],
             id="forward-truncated-field"),
+        # a 200000^2 x 61 table is refused before any of it is allocated
+        pytest.param(2, lambda tmp, field: [
+            "forward", str(field), "--family", "hyperplane",
+            "--mu-box=-1,1;-1,1", "--mu-count", "200000;200000",
+            "--x-range=-8,8", "--x-count", "61", "--out", str(tmp / "t.gtmt")],
+            id="forward-table-exceeds-memory"),
         pytest.param(2, lambda tmp, field: [
             "invert", _written(tmp, "cut.gtmt", b"GTMT\x01"),
             "--family", "hyperplane", "--q-box=-1,1;-1,1", "--q-count", "5;5",

@@ -1,6 +1,10 @@
 import math
 import os
+import shutil
+import subprocess
 import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -419,11 +423,11 @@ class TestDepositKernel:
 
     @pytest.mark.parametrize("name", sorted(DEPOSIT_CASES))
     def test_block_size_tolerance(self, gauss2d, name, monkeypatch):
-        """2 M-pair blocks move tomograms by at most 1e-15 of the peak.
+        """2 M-pair blocks give the same bytes as the default blocks.
 
         127^2 cell centers give 31 columns per default block, so 94
-        parameters leave a last block of one column, which takes the
-        matrix-vector path of BLAS, against one 94-column block at 2 M.
+        parameters leave a last block of one column, against one 94-column
+        block at 2 M.
         """
         family = DEPOSIT_CASES[name][0]
         q = make_grid(2, [(-6, 6, 128), (-6, 6, 128)])
@@ -432,9 +436,8 @@ class TestDepositKernel:
         small = forward_binned_at(gauss2d, family, params, x_grid, q)
         monkeypatch.setattr(forward, "_CHUNK_ELEMS", 2_000_000)
         large = forward_binned_at(gauss2d, family, params, x_grid, q)
-        peak = np.abs(small.values).max()
-        assert np.abs(small.values - large.values).max() <= 1e-15 * peak
-        assert np.abs(small.overflow - large.overflow).max() <= 1e-15 * peak
+        assert np.array_equal(small.values, large.values)
+        assert np.array_equal(small.overflow, large.overflow)
 
 
 def _deposit_spy(used):
@@ -520,6 +523,175 @@ class TestDepositThreads:
             _run_blocks(lambda: run, range(20), 3)
 
 
+class TestDepositKernelNumpy(TestDepositKernel):
+    """The deposit kernel tests on the numpy path."""
+
+    @pytest.fixture(autouse=True)
+    def _numpy_path(self, monkeypatch):
+        monkeypatch.setattr(forward, "_kernel", None)
+
+
+class TestDepositThreadsNumpy(TestDepositThreads):
+    """The thread tests on the numpy path."""
+
+    @pytest.fixture(autouse=True)
+    def _numpy_path(self, monkeypatch):
+        monkeypatch.setattr(forward, "_kernel", None)
+
+
+def _has_compiler():
+    return bool(shutil.which("cc") or shutil.which("gcc"))
+
+
+def _both_paths(monkeypatch, run):
+    """``run()`` on the compiled path, then on the numpy path."""
+    monkeypatch.setattr(forward, "_kernel", forward._UNSET)
+    compiled = run()
+    monkeypatch.setattr(forward, "_kernel", None)
+    return compiled, run()
+
+
+class TestCompiledDeposit:
+    def test_compiler_on_path_takes_compiled_path(self, monkeypatch):
+        if not _has_compiler():
+            pytest.skip("no C compiler on PATH")
+        monkeypatch.setattr(forward, "_kernel", forward._UNSET)
+        family, x_axis = DEPOSIT_CASES["quadric"]
+        points, masses, params = _deposit_inputs(family)
+        _deposit(family, points, masses, params, make_grid(1, [x_axis]))
+        assert forward._kernel is not None, forward._kernel_missing
+        assert forward._kernel_missing == ""
+
+    @pytest.mark.parametrize("threads", ["1", "2", "3"])
+    @pytest.mark.parametrize("slabs", [1, 4])
+    @pytest.mark.parametrize("cols", [1, 5, 1000])
+    @pytest.mark.parametrize("name", sorted(DEPOSIT_CASES))
+    def test_paths_give_equal_bytes(self, name, cols, slabs, threads,
+                                    monkeypatch):
+        family, x_axis = DEPOSIT_CASES[name]
+        x_grid = make_grid(1, [x_axis])
+        points, masses, params = _deposit_inputs(family)
+        slab = -(-len(points) // slabs)
+        monkeypatch.setattr(forward, "_CHUNK_ELEMS", cols * slab)
+        monkeypatch.setenv("GENTOMO_THREADS", threads)
+        compiled, numpy_path = _both_paths(monkeypatch, lambda: _deposit(
+            family, points, masses, params, x_grid))
+        assert np.array_equal(compiled[0], numpy_path[0])
+        assert np.array_equal(compiled[1], numpy_path[1])
+
+    def _quadric_bytes(self, gauss2d):
+        family = Quadric(QuadricForm(np.array([[1.0, 0.3], [0.3, 2.0]])))
+        t = forward_binned_at(gauss2d, family, [[0.5, -1.0], [2.0, 0.0]],
+                              make_grid(1, [(-5, 60, 401)]),
+                              make_grid(2, [(-6, 6, 64), (-6, 6, 64)]))
+        return t.values.tobytes() + t.overflow.tobytes()
+
+    def test_no_compiler_gives_equal_bytes(self, gauss2d, tmp_path,
+                                           monkeypatch):
+        monkeypatch.setattr(forward, "_kernel", None)
+        expect = self._quadric_bytes(gauss2d)
+        monkeypatch.setenv("PATH", str(tmp_path))
+        monkeypatch.setattr(forward, "_kernel", forward._UNSET)
+        assert self._quadric_bytes(gauss2d) == expect
+        assert forward._kernel is None
+        assert "no C compiler" in forward._kernel_missing
+
+    def test_unwritable_cache_gives_equal_bytes(self, gauss2d, tmp_path,
+                                                monkeypatch):
+        """The cache directory cannot be made (its parent is a file, which
+        holds for root as well): the library is built per process."""
+        if not _has_compiler():
+            pytest.skip("no C compiler on PATH")
+        monkeypatch.setattr(forward, "_kernel", None)
+        expect = self._quadric_bytes(gauss2d)
+        blocker = tmp_path / "cache"
+        blocker.write_text("")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+        monkeypatch.setattr(forward, "_kernel", forward._UNSET)
+        assert self._quadric_bytes(gauss2d) == expect
+        assert forward._kernel is not None, forward._kernel_missing
+        assert blocker.read_text() == ""
+
+    def test_cache_is_reused(self, gauss2d, tmp_path, monkeypatch):
+        if not _has_compiler():
+            pytest.skip("no C compiler on PATH")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        monkeypatch.setattr(forward, "_kernel", forward._UNSET)
+        first = self._quadric_bytes(gauss2d)
+        (lib,) = (tmp_path / "gentomo").iterdir()
+        assert lib.name.startswith("deposit-") and lib.suffix == ".so"
+        stamp = lib.stat().st_mtime_ns
+        monkeypatch.setenv("PATH", str(tmp_path / "no-compiler-here"))
+        monkeypatch.setattr(forward, "_kernel", forward._UNSET)
+        assert self._quadric_bytes(gauss2d) == first
+        assert [p.name for p in (tmp_path / "gentomo").iterdir()] == [lib.name]
+        assert lib.stat().st_mtime_ns == stamp
+
+    def test_import_builds_and_loads_nothing(self, tmp_path):
+        if not os.path.exists("/proc/self/maps"):
+            pytest.skip("needs /proc/self/maps")
+        import gentomo
+        src = str(Path(gentomo.__file__).resolve().parents[1])
+        code = ("import gentomo, gentomo.forward as f\n"
+                "maps = open('/proc/self/maps').read()\n"
+                "print(f._kernel is f._UNSET, 'deposit-' in maps)\n")
+        env = {**os.environ, "XDG_CACHE_HOME": str(tmp_path),
+               "PYTHONPATH": os.pathsep.join(
+                   [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.split() == ["True", "False"]
+        assert not list(tmp_path.iterdir())
+
+    def test_source_compiles_without_warnings(self, tmp_path):
+        cc = shutil.which("cc") or shutil.which("gcc")
+        if cc is None:
+            pytest.skip("no C compiler on PATH")
+        proc = subprocess.run(
+            [cc, *forward._KERNEL_FLAGS, "-Wall", "-Wextra", "-Werror",
+             "-o", str(tmp_path / "deposit.so"), str(forward._KERNEL_SOURCE)],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("path", ["compiled", "numpy"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_level_raises(self, path, bad, monkeypatch):
+        if path == "compiled" and not _has_compiler():
+            pytest.skip("no C compiler on PATH")
+        monkeypatch.setattr(forward, "_kernel", None if path == "numpy"
+                            else forward._UNSET)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite level value"):
+                _deposit(Hyperplane(2), np.array([[0.0, 0.0], [bad, 1.0]]),
+                         np.ones(2), np.array([[1.0, 0.5]]),
+                         make_grid(1, [(-2.0, 2.0, 9)]))
+        assert (forward._kernel is None) == (path == "numpy")
+
+
+    def test_too_fine_x_grid_raises(self):
+        """1 / dx overflows: no scaled level may reach the bucket index."""
+        with pytest.raises(ValueError, match="too fine to bin"):
+            _deposit(Hyperplane(2), np.array([[0.0, 0.0], [1.0, 1.0]]),
+                     np.ones(2), np.array([[1.0, 0.5]]),
+                     make_grid(1, [(0.0, 1e-310, 3)]))
+
+
+class TestMemoryPreflight:
+    def test_param_grid_table_refused_before_allocating(self, gauss2d, q_grid):
+        huge = make_grid(2, [(-1, 1, 200_000), (-1, 1, 200_000)])
+        with pytest.raises(ValueError, match=r"40000000000 parameters x "
+                           r"61 bins needs 19520000000000 bytes"):
+            forward_binned(gauss2d, Hyperplane(2), huge,
+                           make_grid(1, [(-6, 6, 61)]), q_grid)
+
+    def test_explicit_points_table_refused(self, gauss2d, q_grid):
+        x_grid = make_grid(1, [(-6, 6, 10**13)])
+        with pytest.raises(ValueError, match="physical memory"):
+            forward_binned_at(gauss2d, Hyperplane(2), [[1.0, 0.0]], x_grid,
+                              q_grid)
+
+
 PROPERTY_FAMILIES = [
     Hyperplane(2), circle_family(), hyperbola_family(), hyperboloid_family(1),
     Quadric(QuadricForm(np.array([[1.0, 0.4], [0.4, -0.5]]))),
@@ -551,10 +723,14 @@ class TestDepositProperties:
             # below q.size the points are cut into slabs
             mp.setattr(forward, "_CHUNK_ELEMS",
                        max(1, int(chunk_frac * q.size)))
-            t = forward_binned_at(field, family, params, x_grid)
-        accounted = t.binned_mass() + t.overflow
-        assert np.all(np.abs(accounted - mass) <= 1e-12 * mass)
-        assert t.values.min() >= 0.0 and t.overflow.min() >= 0.0
+            runs = _both_paths(mp, lambda: forward_binned_at(
+                field, family, params, x_grid))
+        for t in runs:
+            accounted = t.binned_mass() + t.overflow
+            assert np.all(np.abs(accounted - mass) <= 1e-12 * mass)
+            assert t.values.min() >= 0.0 and t.overflow.min() >= 0.0
+        assert np.array_equal(runs[0].values, runs[1].values)
+        assert np.array_equal(runs[0].overflow, runs[1].overflow)
 
 
 class TestPhantomQuadrature:
