@@ -10,30 +10,93 @@
  * into a left and a right accumulator per column, filled in point order
  * (the order of numpy.bincount).  Each column's slot k of acc (row-major,
  * cols x (n_bins + 3)) gains left[k] + right[k - 1], so summing slabs in
- * slab order gives the buckets of the numpy path.  Build without FMA
- * contraction or reassociation, so every operation rounds as numpy does.
+ * slab order gives the buckets of the numpy path.
+ *
+ * The points run in tiles of TILE, and every column of the block keeps
+ * its own left/right histogram across the tiles, so one pass over a tile's
+ * L, a and mass serves every column while each bucket still sums in point
+ * order.  Per (tile, column) the work has two phases.  Phase 1
+ * (tile_levels) stores only to two small arrays, so the compiler can
+ * vectorize it: level, finiteness, scale, shift, clamp, floor and the
+ * right weight, giving an int bucket index and a weight per point.  Phase
+ * 2 scatters them in point order.  Baseline x86-64 (SSE2) has no vector
+ * double -> int conversion, so on x86-64 ELF glibc targets phase 1 is
+ * built as target clones (x86-64-v4, x86-64-v3 and the baseline), one of
+ * which the loader picks for the CPU.  Build without FMA contraction or
+ * reassociation (-ffp-contract=off, no -ffast-math): then every clone
+ * rounds every operation as numpy does, and all give equal bytes.
+ *
+ * Defining GENTOMO_DEPOSIT_ARCH (for example to "x86-64-v3") builds phase
+ * 1 for that one architecture level instead of the clones, so a test can
+ * load and compare each clone on its own.
  *
  * Returns 0, -1 for a non-finite level (nothing is indexed with it), or -2
- * when scratch memory cannot be allocated.
+ * when scratch memory cannot be allocated or n_bins exceeds the int bucket
+ * index range (INT_MAX - 3).
  */
 #include <float.h>
+#include <limits.h>
 #include <math.h>
 #include <stdlib.h>
 #include <string.h>
 
-int gentomo_deposit(const double *L, const double *a, const double *mass,
-                    long n, long d, const double *M, const double *b,
-                    long cols, double inv_dx, double shift, long n_bins,
-                    double *acc)
+#define TILE 512
+
+#if defined(GENTOMO_DEPOSIT_ARCH)
+#define LEVEL_TARGET __attribute__((target("arch=" GENTOMO_DEPOSIT_ARCH)))
+#elif defined(__x86_64__) && defined(__ELF__) && defined(__GLIBC__) \
+    && defined(__has_attribute)
+#if __has_attribute(target_clones)
+#define LEVEL_TARGET __attribute__((target_clones( \
+    "arch=x86-64-v4", "arch=x86-64-v3", "default")))
+#endif
+#endif
+#ifndef LEVEL_TARGET
+#define LEVEL_TARGET
+#endif
+
+/* Bucket (left neighbour + 1, in [0, n_bins + 1]) and right weight of a
+ * level g; a NaN t maps to -1 at the lower clamp, so no NaN reaches the
+ * int conversion. */
+static inline void bin_level(double g, double mass, double inv_dx,
+                             double shift, double top, int *bucket,
+                             double *right_w)
 {
-    long slots = n_bins + 3;
-    double *left = malloc(2 * (size_t)(n_bins + 2) * sizeof *left);
-    if (left == NULL)
-        return -2;
-    double *right = left + n_bins + 2;
-    for (long j = 0; j < cols; j++) {
-        const double *mj = M + j * d;
-        memset(left, 0, 2 * (size_t)(n_bins + 2) * sizeof *left);
+    double t = g * inv_dx;
+    t -= shift;
+    t = t >= -1.0 ? t : -1.0;
+    t = t <= top ? t : top;
+    int k = (int)t;
+    k -= (double)k > t;
+    *right_w = (t - (double)k) * mass;
+    *bucket = k + 1;
+}
+
+/* Phase 1 for n <= TILE points and one column (mj, bj); returns 0 when a
+ * level is not finite. */
+static LEVEL_TARGET int
+tile_levels(const double *restrict L, const double *restrict a,
+            const double *restrict mass, long n, long d,
+            const double *restrict mj, double bj, double inv_dx,
+            double shift, double top, int *restrict bucket,
+            double *restrict right_w)
+{
+    int finite = 1;
+    if (d == 2) {
+        /* gcc vectorizes only this form: no inner loop over k */
+        double m0 = mj[0], m1 = mj[1];
+        for (long i = 0; i < n; i++) {
+            double g = L[2 * i] * m0;
+            g += L[2 * i + 1] * m1;
+            if (a != NULL) {
+                g += a[i];
+                g += bj;
+            }
+            finite &= fabs(g) <= DBL_MAX;
+            bin_level(g, mass[i], inv_dx, shift, top, bucket + i,
+                      right_w + i);
+        }
+    } else {
         for (long i = 0; i < n; i++) {
             const double *li = L + i * d;
             double g = li[0] * mj[0];
@@ -41,31 +104,57 @@ int gentomo_deposit(const double *L, const double *a, const double *mass,
                 g += li[k] * mj[k];
             if (a != NULL) {
                 g += a[i];
-                g += b[j];
+                g += bj;
             }
-            if (!(fabs(g) <= DBL_MAX)) {
-                free(left);
+            finite &= fabs(g) <= DBL_MAX;
+            bin_level(g, mass[i], inv_dx, shift, top, bucket + i,
+                      right_w + i);
+        }
+    }
+    return finite;
+}
+
+int gentomo_deposit(const double *L, const double *a, const double *mass,
+                    long n, long d, const double *M, const double *b,
+                    long cols, double inv_dx, double shift, long n_bins,
+                    double *acc)
+{
+    if (n_bins > INT_MAX - 3)
+        return -2;
+    long slots = n_bins + 3;
+    /* per column, left and right interleaved: hist[2 k], hist[2 k + 1] */
+    size_t per_col = 2 * (size_t)(n_bins + 2);
+    double *hist = calloc((size_t)cols * per_col, sizeof *hist);
+    if (hist == NULL)
+        return -2;
+    int bucket[TILE];
+    double right_w[TILE];
+    double top = (double)n_bins;
+    for (long i0 = 0; i0 < n; i0 += TILE) {
+        long nt = n - i0 < TILE ? n - i0 : TILE;
+        const double *m = mass + i0;
+        for (long j = 0; j < cols; j++) {
+            if (!tile_levels(L + i0 * d, a == NULL ? NULL : a + i0, m, nt, d,
+                             M + j * d, a == NULL ? 0.0 : b[j], inv_dx,
+                             shift, top, bucket, right_w)) {
+                free(hist);
                 return -1;
             }
-            double t = g * inv_dx;
-            t -= shift;
-            if (t < -1.0)
-                t = -1.0;
-            if (t > (double)n_bins)
-                t = (double)n_bins;
-            long k = (long)t;
-            if ((double)k > t)
-                k -= 1;
-            double right_w = (t - (double)k) * mass[i];
-            left[k + 1] += mass[i] - right_w;
-            right[k + 1] += right_w;
+            double *h = hist + j * per_col;
+            for (long i = 0; i < nt; i++) {
+                h[2 * bucket[i]] += m[i] - right_w[i];
+                h[2 * bucket[i] + 1] += right_w[i];
+            }
         }
-        double *out = acc + j * slots;
-        out[0] += left[0];
-        for (long k = 1; k <= n_bins + 1; k++)
-            out[k] += left[k] + right[k - 1];
-        out[n_bins + 2] += right[n_bins + 1];
     }
-    free(left);
+    for (long j = 0; j < cols; j++) {
+        const double *h = hist + j * per_col;
+        double *out = acc + j * slots;
+        out[0] += h[0];
+        for (long k = 1; k <= n_bins + 1; k++)
+            out[k] += h[2 * k] + h[2 * k - 1];
+        out[n_bins + 2] += h[2 * n_bins + 3];
+    }
+    free(hist);
     return 0;
 }

@@ -8,16 +8,21 @@ rounding and the result is nonnegative for nonnegative sources
 in per-parameter overflow counters so normalization checks can tell
 truncation from bugs.
 
-The deposit runs a compiled loop (``_deposit.c``, built on first use) or,
-where nothing can be compiled, the same steps in numpy; the two give equal
-bytes (tests/test_forward.py, ``TestCompiledDeposit``).  The output bytes
-are identical for every ``GENTOMO_THREADS``
+The deposit runs a compiled loop (``_deposit.c``, built on first use, with
+one clone per x86-64 level picked when it loads) or, where nothing can be
+compiled, the same steps in numpy; every clone and the numpy path give
+equal bytes (tests/test_forward.py, ``TestCompiledDeposit``).  The output
+bytes are identical for every ``GENTOMO_THREADS``
 (``TestDepositThreads::test_bytes_identical_for_every_thread_count`` and
 ``::test_slab_bytes_identical_for_every_thread_count``; AC-10 through the
 CLI) and for every block of parameter columns
-(``TestDepositKernel::test_block_size_tolerance``).  Only the slab
-partition of the source points moves results, by at most 1e-13 of the
-peak (``TestDepositKernel::test_slabs_match_reference_loop``).
+(``TestDepositKernel::test_block_size_tolerance`` and the ``cols``
+parameters of ``test_matches_reference_loop``).  The compiled path sizes
+its column blocks from the parameter count, the bin count and the worker
+count, since they move no byte; the numpy path sizes them from the slab.
+Only the slab partition of the source points, which depends on the point
+count alone, moves results, by at most 1e-13 of the peak
+(``TestDepositKernel::test_slabs_match_reference_loop``).
 """
 
 from __future__ import annotations
@@ -40,6 +45,9 @@ from .geometry import Diffeomorphism, LevelFamily, combine_levels
 # (source point x parameter) pairs per deposit slab; sized so the slab
 # arrays stay cache-resident, which dominates deposit throughput
 _CHUNK_ELEMS = 500_000
+# bytes of histograms and accumulator rows per block of the compiled
+# deposit: kept in L2 while one tile of points serves every column
+_BLOCK_BYTES = 1 << 18
 # deposit workers at most: 4 slabs in flight bound peak memory
 _MAX_WORKERS = 4
 # phantom quadrature nodes per pdf call
@@ -219,12 +227,17 @@ def _build_kernel():
                 return None, str(exc)
     except RuntimeError as exc:
         return None, str(exc)
+    return _bind(lib), ""
+
+
+def _bind(lib: ctypes.CDLL):
+    """The ``gentomo_deposit`` function of a loaded library, typed."""
     fn = lib.gentomo_deposit
     ptr, long_ = ctypes.c_void_p, ctypes.c_long
     fn.argtypes = [ptr, ptr, ptr, long_, long_, ptr, ptr, long_,
                    ctypes.c_double, ctypes.c_double, long_, ptr]
     fn.restype = ctypes.c_int
-    return fn, ""
+    return fn
 
 
 def _load_kernel():
@@ -236,6 +249,14 @@ def _load_kernel():
     return _kernel
 
 
+def _kernel_columns(n_par: int, n_bins: int, workers: int) -> int:
+    """Parameter columns per block of the compiled deposit: at least two
+    blocks per worker, and the block's histograms (2 (n_bins + 2) doubles
+    per column) and accumulator rows (n_bins + 3) within _BLOCK_BYTES."""
+    per_column = 8 * (3 * n_bins + 7)
+    return max(1, min(_BLOCK_BYTES // per_column, -(-n_par // (2 * workers))))
+
+
 _NON_FINITE_LEVEL = ("non-finite level value (nan or inf): a source point or "
                      "parameter is not finite, or the deformation overflowed")
 
@@ -244,26 +265,29 @@ def _deposit(family: LevelFamily, points, masses, param_points, x_grid: GridSpec
     """Accumulate mass into X bins for every parameter point.
 
     Returns (values (P, Nx), overflow (P,)).  The N source points are cut
-    into fixed slabs of ``slab = min(N, _CHUNK_ELEMS)`` points, and the
-    parameter points into blocks of ``_CHUNK_ELEMS // slab`` columns, so no
-    slab of a block holds more than ``_CHUNK_ELEMS`` (source point x
-    parameter) pairs.  The partition depends only on N and P, never on the
-    thread count.  Up to ``thread_count()`` workers (at most
-    ``_MAX_WORKERS``) take whole blocks; a block adds its slab accumulators
-    in slab order and writes its own rows of values and overflow.  Every
-    column is therefore summed in the same order, and the output bytes are
-    identical for every ``GENTOMO_THREADS``.
+    into fixed slabs of ``slab = min(N, _CHUNK_ELEMS)`` points; this cut
+    depends on N alone.  The parameter points are cut into blocks of
+    columns.  Up to ``thread_count()`` workers (at most ``_MAX_WORKERS``)
+    take whole blocks; a block adds its slab accumulators in slab order and
+    writes its own rows of values and overflow.  Every column is therefore
+    summed in the same order, and the output bytes are identical for every
+    ``GENTOMO_THREADS``.
 
     Each block runs the compiled loop of ``_deposit.c`` once per slab, or,
     where nothing can be compiled, the same steps in numpy: the levels of
     ``combine_levels``, then bucket keys and two ``bincount`` calls.  Both
     evaluate every level and weight in one fixed order and add each
     column's masses in point order, so the two paths give equal bytes, and
-    so does every block size.  Only the slab partition moves results: slab
-    partial sums replace one long sum per bucket, and against one slab per
-    block tomograms move by at most 1e-13 of their peak (1.2e-14 on 4.19 M
-    nodes and 16 hyperplane directions).  A non-finite level raises
-    ValueError on both paths.
+    so does every block size.  The compiled loop takes
+    ``_kernel_columns(P, Nx, workers)`` columns per block: at least two
+    blocks per worker, each block's histograms within ``_BLOCK_BYTES``, so
+    one pass over a tile of points serves every column of the block.  The
+    numpy path takes ``_CHUNK_ELEMS // slab`` columns, which bounds its
+    (slab x columns) scratch arrays.  Only the slab partition moves
+    results: slab partial sums replace one long sum per bucket, and
+    against one slab per block tomograms move by at most 1e-13 of their
+    peak (1.2e-14 on 4.19 M nodes and 16 hyperplane directions).  A
+    non-finite level raises ValueError on both paths.
     """
     n_bins = x_grid.shape[0]
     x0 = x_grid.axes[0][0]
@@ -278,8 +302,7 @@ def _deposit(family: LevelFamily, points, masses, param_points, x_grid: GridSpec
         return values, overflow
 
     slab = min(len(points), _CHUNK_ELEMS)
-    chunk = _CHUNK_ELEMS // slab
-    workers = min(thread_count(), -(-n_par // chunk), _MAX_WORKERS)
+    workers = min(thread_count(), _MAX_WORKERS)
     # buckets per column: [0] underflow, [1 .. n_bins] bins, [n_bins+1] and
     # [n_bins+2] overflow (the clamp below parks far-out mass at the edges,
     # where the split weight degenerates to all-left)
@@ -296,6 +319,11 @@ def _deposit(family: LevelFamily, points, masses, param_points, x_grid: GridSpec
                 f"family wants ({len(m)}, {d})")
         slabs.append((L, a, m))
     kernel = _load_kernel()
+    if kernel is not None:
+        chunk = _kernel_columns(n_par, n_bins, workers)
+    else:
+        chunk = _CHUNK_ELEMS // slab
+    workers = min(workers, -(-n_par // chunk))
 
     def finish(start, acc):
         """Write the (slots, c) buckets of one block into its rows."""
@@ -323,26 +351,35 @@ def _deposit(family: LevelFamily, points, masses, param_points, x_grid: GridSpec
                     if rc == -1:
                         raise ValueError(_NON_FINITE_LEVEL)
                     if rc:
-                        raise MemoryError("deposit scratch allocation failed")
+                        raise MemoryError(
+                            f"the compiled deposit cannot allocate or index "
+                            f"{len(M)} columns of {n_bins} bins")
                 finish(start, acc.T)
 
             return deposit_block
 
         # scratch reused by every slab of one worker: a fresh multi-MB
         # array per slab would be page-faulted in anew each time
+        g_buf = np.empty(chunk * slab)
         key_buf = np.empty(chunk * slab)
         idx_buf = np.empty(chunk * slab, dtype=np.int64)
 
         def deposit_block(start):
             M, b = family.param_terms(param_points[start:start + chunk])
+            c = len(M)
             total = None
             for L, a, m in slabs:
-                g = combine_levels(L, a, M, b)                # (slab, C)
-                if not np.isfinite(g).all():
-                    raise ValueError(_NON_FINITE_LEVEL)
-                c = g.shape[1]
+                # (column, point) rows, so every pass runs along the points;
+                # each bucket holds one column, whose masses still add in
+                # point order
+                g = g_buf[:c * len(L)].reshape(c, len(L))
                 key = key_buf[:g.size].reshape(g.shape)
                 idx = idx_buf[:g.size]
+                combine_levels(L, a, M, b, out=g.T, scratch=key.T)
+                # the sum is finite when every level is; only an overflowing
+                # sum of finite levels needs the exact test
+                if not (math.isfinite(g.sum()) or np.isfinite(g).all()):
+                    raise ValueError(_NON_FINITE_LEVEL)
                 np.multiply(g, inv_dx, out=g)
                 g -= shift
                 np.clip(g, -1.0, float(n_bins), out=g)
@@ -351,10 +388,10 @@ def _deposit(family: LevelFamily, points, masses, param_points, x_grid: GridSpec
                 # bucket of the left neighbour, (left + 1) * c + column:
                 # exact in float for these integers, so one cast gives it
                 key *= c
-                key += np.arange(c, 2 * c, dtype=float)
+                key += np.arange(c, 2 * c, dtype=float)[:, None]
                 np.copyto(idx, key.ravel(), casting="unsafe")
-                g *= m[:, None]                           # right weight
-                np.subtract(m[:, None], g, out=key)       # left weight
+                g *= m                                    # right weight
+                np.subtract(m, g, out=key)                # left weight
                 acc = np.bincount(idx, weights=key.ravel(), minlength=slots * c)
                 right = np.bincount(idx, weights=g.ravel(), minlength=slots * c)
                 acc[c:] += right[:-c]        # right neighbour: one bin row up

@@ -364,14 +364,18 @@ def _quadratic_terms(B2: np.ndarray, x: np.ndarray):
     return Bx, q
 
 
-def combine_levels(L: np.ndarray, a, M: np.ndarray, b) -> np.ndarray:
+def combine_levels(L: np.ndarray, a, M: np.ndarray, b, out=None,
+                   scratch=None) -> np.ndarray:
     """(N, C) levels g[i, j] = sum_k L[i, k] M[j, k] + a[i] + b[j], added in
     exactly this order with one rounding per product and per sum, so the
     bytes depend neither on BLAS nor on how the columns are blocked.  The
-    compiled deposit (``_deposit.c``) evaluates the same sequence."""
-    g = L[:, :1] * M[:, 0]
+    compiled deposit (``_deposit.c``) evaluates the same sequence.
+
+    ``out`` receives the levels and ``scratch`` the products after the
+    first, both (N, C) float arrays; either is allocated when None."""
+    g = np.multiply(L[:, :1], M[:, 0], out=out)
     for k in range(1, L.shape[1]):
-        g += L[:, k:k + 1] * M[:, k]
+        g += np.multiply(L[:, k:k + 1], M[:, k], out=scratch)
     if a is not None:
         g += a[:, None]
         g += b

@@ -1,5 +1,8 @@
+import ctypes
 import math
 import os
+import platform
+import re
 import shutil
 import subprocess
 import sys
@@ -352,9 +355,11 @@ def _reference_deposit(family, points, masses, param_points, x_grid,
     return values, overflow
 
 
-# every family in 2-D, each with an X window whose spacing is a power of two:
-# on the dyadic lattice below, the hyperplane and quadric level values land
-# exactly on bin edges, the clamp edges g = -1 and g = n_bins included
+# every family in 2-D, and the hyperplane and a hybrid in 3-D (the compiled
+# loop's generic-d branch), each with an X window whose spacing is a power
+# of two: on the dyadic lattice below, the hyperplane and quadric level
+# values land exactly on bin edges, the clamp edges g = -1 and g = n_bins
+# included
 DEPOSIT_CASES = {
     "hyperplane": (Hyperplane(2), (-2.0, 2.0, 17)),
     "circle": (circle_family(), (-2.0, 2.0, 17)),
@@ -363,19 +368,38 @@ DEPOSIT_CASES = {
     "quadric": (Quadric(QuadricForm(np.eye(2))), (1.0, 4.5, 8)),
     "hybrid": (Hybrid(QuadricForm(np.diag([1.0, 0.0]), linear_axes=(1,))),
                (-1.0, 3.0, 17)),
+    "hyperplane_3d": (Hyperplane(3), (-2.0, 2.0, 17)),
+    "hybrid_3d": (Hybrid(QuadricForm(np.diag([1.0, -0.5, 0.0]),
+                                     linear_axes=(2,))),
+                  (-1.0, 3.0, 17)),
 }
+
+# points per tile of the compiled loop
+_TILE = int(re.search(r"#define TILE (\d+)",
+                      forward._KERNEL_SOURCE.read_text()).group(1))
 
 
 def _deposit_inputs(family):
+    """A dyadic lattice plus uniform points: more than two tiles of the
+    compiled loop, the last one short."""
     rng = np.random.default_rng(5)
-    lattice = np.arange(-12, 13) / 4.0
-    mesh = np.stack(np.meshgrid(lattice, lattice, indexing="ij"), -1)
-    points = np.concatenate([mesh.reshape(-1, 2),
-                             rng.uniform(-3, 3, size=(200, 2))])
+    n = family.ndim
+    lattice = np.arange(-12, 13) / 4.0 if n == 2 else np.arange(-5, 6) / 2.0
+    mesh = np.stack(np.meshgrid(*[lattice] * n, indexing="ij"), -1)
+    points = np.concatenate([mesh.reshape(-1, n),
+                             rng.uniform(-3, 3, size=(700, n))])
     points = points[~family.singular_mask(points)]
+    assert len(points) > 2 * _TILE and len(points) % _TILE
     masses = rng.normal(size=len(points))      # fields can be signed
-    params = rng.integers(-8, 9, size=(23, 2)) / 4.0
+    params = rng.integers(-8, 9, size=(23, family.param_dim)) / 4.0
     return points, masses, params
+
+
+def _set_columns(monkeypatch, cols, slab):
+    """Blocks of ``cols`` parameter columns on both paths, and slabs of
+    ``slab`` points."""
+    monkeypatch.setattr(forward, "_CHUNK_ELEMS", cols * slab)
+    monkeypatch.setattr(forward, "_kernel_columns", lambda *_: cols)
 
 
 class TestDepositKernel:
@@ -391,7 +415,7 @@ class TestDepositKernel:
             and (g > n_bins).any()
         if name in ("hyperplane", "quadric"):
             assert (g == -1).any() and (g == n_bins).any()
-        monkeypatch.setattr(forward, "_CHUNK_ELEMS", cols * len(points))
+        _set_columns(monkeypatch, cols, len(points))
         monkeypatch.setenv("GENTOMO_THREADS", "2")
         values, overflow = _deposit(family, points, masses, params, x_grid)
         ref_values, ref_overflow = _reference_deposit(
@@ -421,13 +445,15 @@ class TestDepositKernel:
         assert np.abs(values - ref_values).max() <= 1e-13 * peak
         assert np.abs(overflow - ref_overflow).max() <= 1e-13 * peak
 
-    @pytest.mark.parametrize("name", sorted(DEPOSIT_CASES))
+    @pytest.mark.parametrize("name", [name for name in sorted(DEPOSIT_CASES)
+                                      if DEPOSIT_CASES[name][0].ndim == 2])
     def test_block_size_tolerance(self, gauss2d, name, monkeypatch):
         """2 M-pair blocks give the same bytes as the default blocks.
 
-        127^2 cell centers give 31 columns per default block, so 94
+        127^2 cell centers give 31 columns per default numpy block, so 94
         parameters leave a last block of one column, against one 94-column
-        block at 2 M.
+        block at 2 M; the compiled path runs its default blocks against one
+        block of 94 columns.
         """
         family = DEPOSIT_CASES[name][0]
         q = make_grid(2, [(-6, 6, 128), (-6, 6, 128)])
@@ -435,6 +461,7 @@ class TestDepositKernel:
         x_grid = make_grid(1, [(-12, 40, 301)])
         small = forward_binned_at(gauss2d, family, params, x_grid, q)
         monkeypatch.setattr(forward, "_CHUNK_ELEMS", 2_000_000)
+        monkeypatch.setattr(forward, "_kernel_columns", lambda *_: 94)
         large = forward_binned_at(gauss2d, family, params, x_grid, q)
         assert np.array_equal(small.values, large.values)
         assert np.array_equal(small.overflow, large.overflow)
@@ -551,6 +578,41 @@ def _both_paths(monkeypatch, run):
     return compiled, run()
 
 
+def _host_archs(cc, tmp):
+    """GENTOMO_DEPOSIT_ARCH values for the compiled loop's clones that this
+    CPU runs: the x86-64 levels per the compiler's CPU detection, or only
+    None (the plain build, no clones) on other hosts."""
+    if platform.machine() not in ("x86_64", "AMD64"):
+        return [None]
+    probe = tmp / "levels.c"
+    probe.write_text(
+        "int levels(void) { __builtin_cpu_init();\n"
+        "  return __builtin_cpu_supports(\"x86-64-v4\") ? 3\n"
+        "       : __builtin_cpu_supports(\"x86-64-v3\") ? 2 : 1; }\n")
+    subprocess.run([cc, "-fPIC", "-shared", "-o", str(tmp / "levels.so"),
+                    str(probe)], check=True, capture_output=True)
+    runs = ctypes.CDLL(str(tmp / "levels.so")).levels()
+    return ["x86-64", "x86-64-v3", "x86-64-v4"][:runs]
+
+
+@pytest.fixture(scope="module")
+def clone_kernels(tmp_path_factory):
+    """The compiled loop built once per clone this CPU runs, by level."""
+    cc = shutil.which("cc") or shutil.which("gcc")
+    if cc is None:
+        pytest.skip("no C compiler on PATH")
+    tmp = tmp_path_factory.mktemp("clones")
+    kernels = {}
+    for arch in _host_archs(cc, tmp):
+        lib = tmp / f"deposit-{arch or 'plain'}.so"
+        define = [] if arch is None else [f'-DGENTOMO_DEPOSIT_ARCH="{arch}"']
+        subprocess.run([cc, *forward._KERNEL_FLAGS, *define, "-o", str(lib),
+                        str(forward._KERNEL_SOURCE)],
+                       check=True, capture_output=True)
+        kernels[arch] = forward._bind(ctypes.CDLL(str(lib)))
+    return kernels
+
+
 class TestCompiledDeposit:
     def test_compiler_on_path_takes_compiled_path(self, monkeypatch):
         if not _has_compiler():
@@ -571,8 +633,7 @@ class TestCompiledDeposit:
         family, x_axis = DEPOSIT_CASES[name]
         x_grid = make_grid(1, [x_axis])
         points, masses, params = _deposit_inputs(family)
-        slab = -(-len(points) // slabs)
-        monkeypatch.setattr(forward, "_CHUNK_ELEMS", cols * slab)
+        _set_columns(monkeypatch, cols, -(-len(points) // slabs))
         monkeypatch.setenv("GENTOMO_THREADS", threads)
         compiled, numpy_path = _both_paths(monkeypatch, lambda: _deposit(
             family, points, masses, params, x_grid))
@@ -652,6 +713,87 @@ class TestCompiledDeposit:
              "-o", str(tmp_path / "deposit.so"), str(forward._KERNEL_SOURCE)],
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("slabs", [1, 4])
+    @pytest.mark.parametrize("cols", [1, 5, 1000])
+    @pytest.mark.parametrize("name", sorted(DEPOSIT_CASES))
+    def test_every_clone_gives_numpy_bytes(self, clone_kernels, name, cols,
+                                           slabs, monkeypatch):
+        family, x_axis = DEPOSIT_CASES[name]
+        x_grid = make_grid(1, [x_axis])
+        points, masses, params = _deposit_inputs(family)
+        _set_columns(monkeypatch, cols, -(-len(points) // slabs))
+        monkeypatch.setattr(forward, "_kernel", None)
+        expect = _deposit(family, points, masses, params, x_grid)
+        for arch, kernel in clone_kernels.items():
+            monkeypatch.setattr(forward, "_kernel", kernel)
+            values, overflow = _deposit(family, points, masses, params, x_grid)
+            assert np.array_equal(values, expect[0]), arch
+            assert np.array_equal(overflow, expect[1]), arch
+
+    def test_kernel_has_no_undefined_behaviour(self, tmp_path):
+        """A UBSan build runs every case plus NaN, infinite and 1e308
+        levels; any float-to-int overflow or other undefined operation
+        aborts the child process."""
+        cc = shutil.which("cc") or shutil.which("gcc")
+        if cc is None:
+            pytest.skip("no C compiler on PATH")
+        lib = tmp_path / "deposit-ubsan.so"
+        build = subprocess.run(
+            [cc, *forward._KERNEL_FLAGS, "-fsanitize=undefined,float-cast-overflow",
+             "-fno-sanitize-recover=all", "-o", str(lib),
+             str(forward._KERNEL_SOURCE)], capture_output=True, text=True)
+        if build.returncode:
+            pytest.skip(f"no sanitizer runtime: {build.stderr.strip()[-200:]}")
+        code = f"""
+import ctypes, math
+import numpy as np
+from gentomo import forward
+from gentomo.core import make_grid
+from gentomo.geometry import Hyperplane
+import test_forward as t
+
+forward._kernel = forward._bind(ctypes.CDLL({str(lib)!r}))
+for family, x_axis in t.DEPOSIT_CASES.values():
+    points, masses, params = t._deposit_inputs(family)
+    forward._deposit(family, points, masses, params, make_grid(1, [x_axis]))
+x_grid = make_grid(1, [(-2.0, 2.0, 9)])
+for bad in (math.nan, math.inf, -math.inf):
+    try:
+        forward._deposit(Hyperplane(2), np.array([[0.0, 0.0], [bad, 1.0]]),
+                         np.ones(2), np.array([[1.0, 0.5]]), x_grid)
+    except ValueError:
+        continue
+    raise SystemExit(f"a level of {{bad}} was deposited")
+# finite levels whose scaled value overflows to +-inf
+forward._deposit(Hyperplane(2), np.array([[1e308, 0.0], [-1e308, 1.0]]),
+                 np.ones(2), np.array([[1.0, 0.5]]), x_grid)
+"""
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(Path(forward.__file__).parents[1]), str(Path(__file__).parent),
+             *filter(None, [os.environ.get("PYTHONPATH")])])}
+        run = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr[-2000:]
+
+    def test_bins_beyond_the_int_index_are_refused(self, monkeypatch):
+        if not _has_compiler():
+            pytest.skip("no C compiler on PATH")
+        monkeypatch.setattr(forward, "_kernel", forward._UNSET)
+        acc = np.zeros(1)                 # never touched
+        rc = forward._load_kernel()(None, None, None, 0, 2, None, None, 1,
+                                    1.0, 0.0, 2**31 - 3, acc.ctypes.data)
+        assert rc == -2
+
+    @pytest.mark.parametrize("n_par,n_bins,workers", [
+        (1, 9, 1), (16, 481, 1), (16, 481, 2), (4096, 841, 2),
+        (6400, 481, 4), (50, 100_000, 3)])
+    def test_column_blocks_fit_in_cache_and_feed_every_worker(
+            self, n_par, n_bins, workers):
+        cols = forward._kernel_columns(n_par, n_bins, workers)
+        assert cols >= 1
+        assert cols == 1 or cols * 8 * (3 * n_bins + 7) <= forward._BLOCK_BYTES
+        assert cols == 1 or -(-n_par // cols) >= 2 * workers
 
     @pytest.mark.parametrize("path", ["compiled", "numpy"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
