@@ -7,28 +7,28 @@
  *
  * summed in exactly that order.  It is then scaled, shifted, clamped to
  * [-1, n_bins] and floored as the numpy path does, and its mass is split
- * into a left and a right accumulator per column, filled in point order
+ * into a left and a right histogram per column, filled in point order
  * (the order of numpy.bincount).  Each column's slot k of acc (row-major,
  * cols x (n_bins + 3)) gains left[k] + right[k - 1], so summing slabs in
  * slab order gives the buckets of the numpy path.
  *
- * The points run in tiles of TILE, and every column of the block keeps
- * its own left/right histogram across the tiles, so one pass over a tile's
- * L, a and mass serves every column while each bucket still sums in point
- * order.  Per (tile, column) the work has two phases.  Phase 1
- * (tile_levels) stores only to two small arrays, so the compiler can
- * vectorize it: level, finiteness, scale, shift, clamp, floor and the
- * right weight, giving an int bucket index and a weight per point.  Phase
- * 2 scatters them in point order.  Baseline x86-64 (SSE2) has no vector
- * double -> int conversion, so on x86-64 ELF glibc targets phase 1 is
- * built as target clones (x86-64-v4, x86-64-v3 and the baseline), one of
- * which the loader picks for the CPU.  Build without FMA contraction or
- * reassociation (-ffp-contract=off, no -ffast-math): then every clone
- * rounds every operation as numpy does, and all give equal bytes.
+ * Two slab loops fill the histograms; which one runs is picked per call
+ * from the CPU.  slab_fused runs the columns outer and does everything
+ * for one point in one pass.  slab_tiled, built for x86-64-v4 and -v3 by
+ * gcc 12 or later, runs the points in tiles of TILE and the block's
+ * columns inner, so one pass over a tile's L, a and mass serves every
+ * column.  Per (tile, column) its phase 1 (tile_levels) stores only to two
+ * small arrays, so it vectorizes: level, finiteness, scale, shift, clamp,
+ * floor and the right weight, giving an int bucket index and a weight per
+ * point; phase 2 scatters them in point order.  Baseline x86-64 (SSE2)
+ * has no vector double -> int conversion, and there the tiled loop ran
+ * 1.2-2x slower than the fused one, so every other CPU, target and
+ * compiler runs slab_fused.  Build without FMA contraction or
+ * reassociation (-ffp-contract=off, no -ffast-math): then both loops round
+ * every operation as numpy does, and all give equal bytes.
  *
- * Defining GENTOMO_DEPOSIT_ARCH (for example to "x86-64-v3") builds phase
- * 1 for that one architecture level instead of the clones, so a test can
- * load and compare each clone on its own.
+ * Defining GENTOMO_DEPOSIT_LEVEL to 1 or 3 caps the x86-64 level the pick
+ * may use (1: slab_fused only), so a test can run every loop on one host.
  *
  * Returns 0, -1 for a non-finite level (nothing is indexed with it), or -2
  * when scratch memory cannot be allocated or n_bins exceeds the int bucket
@@ -38,23 +38,79 @@
 #include <limits.h>
 #include <math.h>
 #include <stdlib.h>
-#include <string.h>
 
 #define TILE 512
 
-#if defined(GENTOMO_DEPOSIT_ARCH)
-#define LEVEL_TARGET __attribute__((target("arch=" GENTOMO_DEPOSIT_ARCH)))
-#elif defined(__x86_64__) && defined(__ELF__) && defined(__GLIBC__) \
-    && defined(__has_attribute)
-#if __has_attribute(target_clones)
-#define LEVEL_TARGET __attribute__((target_clones( \
-    "arch=x86-64-v4", "arch=x86-64-v3", "default")))
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) \
+    && __GNUC__ >= 12
+/* gcc 12 is the first gcc whose target attributes take x86-64-vN */
+#define VECTOR_SLABS
 #endif
-#endif
-#ifndef LEVEL_TARGET
-#define LEVEL_TARGET
+/* The highest x86-64 level the loop may use; tests build it lower to run
+ * every variant on one host. */
+#ifndef GENTOMO_DEPOSIT_LEVEL
+#define GENTOMO_DEPOSIT_LEVEL 4
 #endif
 
+/* Deposit the n points of a slab for `cols` columns into the columns'
+ * histograms, left and right interleaved (column j's left[k] at
+ * hist[j per_col + 2 k], its right[k] just after, per_col = 2 (n_bins + 2));
+ * returns 0, leaving hist partly filled, when a level is not finite. */
+typedef int slab_fn(const double *L, const double *a, const double *mass,
+                    long n, long d, const double *M, const double *b,
+                    long cols, double inv_dx, double shift, long n_bins,
+                    double *hist);
+
+/* The level of point li under column mj, before the a + b terms. */
+static inline double level(const double *li, long d, const double *mj)
+{
+    double g = li[0] * mj[0];
+    for (long k = 1; k < d; k++)
+        g += li[k] * mj[k];
+    return g;
+}
+
+/* Columns outer, one pass per point, for builds that cannot vectorize the
+ * levels: each column's histogram stays in L1 while the points stream. */
+static int slab_fused(const double *L, const double *a, const double *mass,
+                      long n, long d, const double *M, const double *b,
+                      long cols, double inv_dx, double shift, long n_bins,
+                      double *hist)
+{
+    size_t per_col = 2 * (size_t)(n_bins + 2);
+    double top = (double)n_bins;
+    for (long j = 0; j < cols; j++) {
+        const double *mj = M + j * d;
+        double *h = hist + j * per_col;
+        for (long i = 0; i < n; i++) {
+            double g = level(L + i * d, d, mj);
+            if (a != NULL) {
+                g += a[i];
+                g += b[j];
+            }
+            if (!(fabs(g) <= DBL_MAX))
+                return 0;
+            /* the steps of bin_level (below), with branches for its selects:
+             * the clamps seldom bite, and this scalar loop runs 1.3-1.5x
+             * faster so */
+            double t = g * inv_dx;
+            t -= shift;
+            if (t < -1.0)
+                t = -1.0;
+            if (t > top)
+                t = top;
+            int k = (int)t;
+            if ((double)k > t)
+                k -= 1;
+            double rw = (t - (double)k) * mass[i];
+            h[2 * k + 2] += mass[i] - rw;
+            h[2 * k + 3] += rw;
+        }
+    }
+    return 1;
+}
+
+#ifdef VECTOR_SLABS
 /* Bucket (left neighbour + 1, in [0, n_bins + 1]) and right weight of a
  * level g; a NaN t maps to -1 at the lower clamp, so no NaN reaches the
  * int conversion. */
@@ -72,9 +128,10 @@ static inline void bin_level(double g, double mass, double inv_dx,
     *bucket = k + 1;
 }
 
-/* Phase 1 for n <= TILE points and one column (mj, bj); returns 0 when a
- * level is not finite. */
-static LEVEL_TARGET int
+/* Phase 1 for n <= TILE points and one column (mj, bj): stores only to
+ * bucket and right_w, so it vectorizes; returns 0 when a level is not
+ * finite. */
+static inline __attribute__((always_inline)) int
 tile_levels(const double *restrict L, const double *restrict a,
             const double *restrict mass, long n, long d,
             const double *restrict mj, double bj, double inv_dx,
@@ -98,10 +155,7 @@ tile_levels(const double *restrict L, const double *restrict a,
         }
     } else {
         for (long i = 0; i < n; i++) {
-            const double *li = L + i * d;
-            double g = li[0] * mj[0];
-            for (long k = 1; k < d; k++)
-                g += li[k] * mj[k];
+            double g = level(L + i * d, d, mj);
             if (a != NULL) {
                 g += a[i];
                 g += bj;
@@ -114,6 +168,62 @@ tile_levels(const double *restrict L, const double *restrict a,
     return finite;
 }
 
+/* Point tiles outer, columns inner: one pass over a tile's L, a and mass
+ * serves every column; per (tile, column) phase 1, then phase 2, the
+ * scatter in point order. */
+static inline __attribute__((always_inline)) int
+slab_tiled(const double *L, const double *a, const double *mass, long n,
+           long d, const double *M, const double *b, long cols,
+           double inv_dx, double shift, long n_bins, double *hist)
+{
+    size_t per_col = 2 * (size_t)(n_bins + 2);
+    double top = (double)n_bins;
+    int bucket[TILE];
+    double right_w[TILE];
+    for (long i0 = 0; i0 < n; i0 += TILE) {
+        long nt = n - i0 < TILE ? n - i0 : TILE;
+        const double *m = mass + i0;
+        for (long j = 0; j < cols; j++) {
+            if (!tile_levels(L + i0 * d, a == NULL ? NULL : a + i0, m, nt, d,
+                             M + j * d, a == NULL ? 0.0 : b[j], inv_dx,
+                             shift, top, bucket, right_w))
+                return 0;
+            double *h = hist + j * per_col;
+            for (long i = 0; i < nt; i++) {
+                h[2 * bucket[i]] += m[i] - right_w[i];
+                h[2 * bucket[i] + 1] += right_w[i];
+            }
+        }
+    }
+    return 1;
+}
+
+#define SLAB_FOR(arch, name)                                                \
+    static __attribute__((target("arch=" arch))) int                       \
+    name(const double *L, const double *a, const double *mass, long n,     \
+         long d, const double *M, const double *b, long cols,              \
+         double inv_dx, double shift, long n_bins, double *hist)            \
+    {                                                                       \
+        return slab_tiled(L, a, mass, n, d, M, b, cols, inv_dx, shift,     \
+                          n_bins, hist);                                    \
+    }
+SLAB_FOR("x86-64-v4", slab_v4)
+SLAB_FOR("x86-64-v3", slab_v3)
+#endif
+
+/* The slab loop for this CPU. */
+static slab_fn *pick_slab(void)
+{
+#ifdef VECTOR_SLABS
+    __builtin_cpu_init();
+    if (GENTOMO_DEPOSIT_LEVEL >= 4 && __builtin_cpu_supports("x86-64-v4"))
+        return slab_v4;
+    if (GENTOMO_DEPOSIT_LEVEL >= 3 && __builtin_cpu_supports("x86-64-v3"))
+        return slab_v3;
+#endif
+    return slab_fused;
+}
+
 int gentomo_deposit(const double *L, const double *a, const double *mass,
                     long n, long d, const double *M, const double *b,
                     long cols, double inv_dx, double shift, long n_bins,
@@ -122,30 +232,14 @@ int gentomo_deposit(const double *L, const double *a, const double *mass,
     if (n_bins > INT_MAX - 3)
         return -2;
     long slots = n_bins + 3;
-    /* per column, left and right interleaved: hist[2 k], hist[2 k + 1] */
     size_t per_col = 2 * (size_t)(n_bins + 2);
     double *hist = calloc((size_t)cols * per_col, sizeof *hist);
     if (hist == NULL)
         return -2;
-    int bucket[TILE];
-    double right_w[TILE];
-    double top = (double)n_bins;
-    for (long i0 = 0; i0 < n; i0 += TILE) {
-        long nt = n - i0 < TILE ? n - i0 : TILE;
-        const double *m = mass + i0;
-        for (long j = 0; j < cols; j++) {
-            if (!tile_levels(L + i0 * d, a == NULL ? NULL : a + i0, m, nt, d,
-                             M + j * d, a == NULL ? 0.0 : b[j], inv_dx,
-                             shift, top, bucket, right_w)) {
-                free(hist);
-                return -1;
-            }
-            double *h = hist + j * per_col;
-            for (long i = 0; i < nt; i++) {
-                h[2 * bucket[i]] += m[i] - right_w[i];
-                h[2 * bucket[i] + 1] += right_w[i];
-            }
-        }
+    if (!pick_slab()(L, a, mass, n, d, M, b, cols, inv_dx, shift, n_bins,
+                     hist)) {
+        free(hist);
+        return -1;
     }
     for (long j = 0; j < cols; j++) {
         const double *h = hist + j * per_col;

@@ -8,11 +8,12 @@ rounding and the result is nonnegative for nonnegative sources
 in per-parameter overflow counters so normalization checks can tell
 truncation from bugs.
 
-The deposit runs a compiled loop (``_deposit.c``, built on first use, with
-one clone per x86-64 level picked when it loads) or, where nothing can be
-compiled, the same steps in numpy; every clone and the numpy path give
-equal bytes (tests/test_forward.py, ``TestCompiledDeposit``).  The output
-bytes are identical for every ``GENTOMO_THREADS``
+The deposit runs a compiled loop (``_deposit.c``, built on first use: a
+vectorized loop on x86-64-v3 and -v4 CPUs, a one-pass loop elsewhere) or,
+where nothing can be compiled, the same steps in numpy; every loop and the
+numpy path give equal bytes (tests/test_forward.py,
+``TestCompiledDeposit``).  The output bytes are identical for every
+``GENTOMO_THREADS``
 (``TestDepositThreads::test_bytes_identical_for_every_thread_count`` and
 ``::test_slab_bytes_identical_for_every_thread_count``; AC-10 through the
 CLI) and for every block of parameter columns
@@ -170,6 +171,8 @@ _KERNEL_SOURCE = Path(__file__).with_name("_deposit.c")
 # no -ffast-math or -march=native: no FMA and no reassociation, so every
 # operation rounds as the numpy path's does
 _KERNEL_FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
+# bins the compiled loop indexes (a C int bucket); more take the numpy path
+_KERNEL_MAX_BINS = 2**31 - 4
 
 
 def _compile_kernel(cc: str, source: bytes, target: Path) -> None:
@@ -281,13 +284,14 @@ def _deposit(family: LevelFamily, points, masses, param_points, x_grid: GridSpec
     so does every block size.  The compiled loop takes
     ``_kernel_columns(P, Nx, workers)`` columns per block: at least two
     blocks per worker, each block's histograms within ``_BLOCK_BYTES``, so
-    one pass over a tile of points serves every column of the block.  The
-    numpy path takes ``_CHUNK_ELEMS // slab`` columns, which bounds its
-    (slab x columns) scratch arrays.  Only the slab partition moves
-    results: slab partial sums replace one long sum per bucket, and
-    against one slab per block tomograms move by at most 1e-13 of their
-    peak (1.2e-14 on 4.19 M nodes and 16 hyperplane directions).  A
-    non-finite level raises ValueError on both paths.
+    the vectorized loop's pass over a tile of points serves every column
+    of the block.  The numpy path takes ``_CHUNK_ELEMS // slab`` columns,
+    which bounds its (slab x columns) scratch arrays; it also takes every
+    deposit of more than ``_KERNEL_MAX_BINS`` bins.  Only the slab
+    partition moves results: slab partial sums replace one long sum per
+    bucket, and against one slab per block tomograms move by at most 1e-13
+    of their peak (1.2e-14 on 4.19 M nodes and 16 hyperplane directions).
+    A non-finite level raises ValueError on both paths.
     """
     n_bins = x_grid.shape[0]
     x0 = x_grid.axes[0][0]
@@ -318,7 +322,7 @@ def _deposit(family: LevelFamily, points, masses, param_points, x_grid: GridSpec
                 f"level terms of shape {L.shape} for {len(m)} points, "
                 f"family wants ({len(m)}, {d})")
         slabs.append((L, a, m))
-    kernel = _load_kernel()
+    kernel = _load_kernel() if n_bins <= _KERNEL_MAX_BINS else None
     if kernel is not None:
         chunk = _kernel_columns(n_par, n_bins, workers)
     else:
@@ -352,7 +356,7 @@ def _deposit(family: LevelFamily, points, masses, param_points, x_grid: GridSpec
                         raise ValueError(_NON_FINITE_LEVEL)
                     if rc:
                         raise MemoryError(
-                            f"the compiled deposit cannot allocate or index "
+                            f"the compiled deposit cannot allocate "
                             f"{len(M)} columns of {n_bins} bins")
                 finish(start, acc.T)
 

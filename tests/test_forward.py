@@ -578,10 +578,11 @@ def _both_paths(monkeypatch, run):
     return compiled, run()
 
 
-def _host_archs(cc, tmp):
-    """GENTOMO_DEPOSIT_ARCH values for the compiled loop's clones that this
-    CPU runs: the x86-64 levels per the compiler's CPU detection, or only
-    None (the plain build, no clones) on other hosts."""
+def _host_levels(cc, tmp):
+    """GENTOMO_DEPOSIT_LEVEL values for the compiled loop's variants that
+    this CPU runs: 1 (one pass per point) and the x86-64 levels 3 and 4 per
+    the compiler's CPU detection, or only None (the build as shipped) on
+    other hosts and where the compiler does not know those levels."""
     if platform.machine() not in ("x86_64", "AMD64"):
         return [None]
     probe = tmp / "levels.c"
@@ -589,27 +590,30 @@ def _host_archs(cc, tmp):
         "int levels(void) { __builtin_cpu_init();\n"
         "  return __builtin_cpu_supports(\"x86-64-v4\") ? 3\n"
         "       : __builtin_cpu_supports(\"x86-64-v3\") ? 2 : 1; }\n")
-    subprocess.run([cc, "-fPIC", "-shared", "-o", str(tmp / "levels.so"),
-                    str(probe)], check=True, capture_output=True)
+    build = subprocess.run([cc, "-fPIC", "-shared", "-o",
+                            str(tmp / "levels.so"), str(probe)],
+                           capture_output=True)
+    if build.returncode:
+        return [None]
     runs = ctypes.CDLL(str(tmp / "levels.so")).levels()
-    return ["x86-64", "x86-64-v3", "x86-64-v4"][:runs]
+    return [1, 3, 4][:runs]
 
 
 @pytest.fixture(scope="module")
-def clone_kernels(tmp_path_factory):
-    """The compiled loop built once per clone this CPU runs, by level."""
+def variant_kernels(tmp_path_factory):
+    """The compiled loop built once per variant this CPU runs, by level."""
     cc = shutil.which("cc") or shutil.which("gcc")
     if cc is None:
         pytest.skip("no C compiler on PATH")
-    tmp = tmp_path_factory.mktemp("clones")
+    tmp = tmp_path_factory.mktemp("variants")
     kernels = {}
-    for arch in _host_archs(cc, tmp):
-        lib = tmp / f"deposit-{arch or 'plain'}.so"
-        define = [] if arch is None else [f'-DGENTOMO_DEPOSIT_ARCH="{arch}"']
+    for level in _host_levels(cc, tmp):
+        lib = tmp / f"deposit-{level or 'shipped'}.so"
+        define = [] if level is None else [f"-DGENTOMO_DEPOSIT_LEVEL={level}"]
         subprocess.run([cc, *forward._KERNEL_FLAGS, *define, "-o", str(lib),
                         str(forward._KERNEL_SOURCE)],
                        check=True, capture_output=True)
-        kernels[arch] = forward._bind(ctypes.CDLL(str(lib)))
+        kernels[level] = forward._bind(ctypes.CDLL(str(lib)))
     return kernels
 
 
@@ -717,30 +721,33 @@ class TestCompiledDeposit:
     @pytest.mark.parametrize("slabs", [1, 4])
     @pytest.mark.parametrize("cols", [1, 5, 1000])
     @pytest.mark.parametrize("name", sorted(DEPOSIT_CASES))
-    def test_every_clone_gives_numpy_bytes(self, clone_kernels, name, cols,
-                                           slabs, monkeypatch):
+    def test_every_variant_gives_numpy_bytes(self, variant_kernels, name,
+                                             cols, slabs, monkeypatch):
         family, x_axis = DEPOSIT_CASES[name]
         x_grid = make_grid(1, [x_axis])
         points, masses, params = _deposit_inputs(family)
         _set_columns(monkeypatch, cols, -(-len(points) // slabs))
         monkeypatch.setattr(forward, "_kernel", None)
         expect = _deposit(family, points, masses, params, x_grid)
-        for arch, kernel in clone_kernels.items():
+        for level, kernel in variant_kernels.items():
             monkeypatch.setattr(forward, "_kernel", kernel)
             values, overflow = _deposit(family, points, masses, params, x_grid)
-            assert np.array_equal(values, expect[0]), arch
-            assert np.array_equal(overflow, expect[1]), arch
+            assert np.array_equal(values, expect[0]), level
+            assert np.array_equal(overflow, expect[1]), level
 
-    def test_kernel_has_no_undefined_behaviour(self, tmp_path):
-        """A UBSan build runs every case plus NaN, infinite and 1e308
-        levels; any float-to-int overflow or other undefined operation
-        aborts the child process."""
+    @pytest.mark.parametrize("level", [None, 1])
+    def test_kernel_has_no_undefined_behaviour(self, tmp_path, level):
+        """A UBSan build, as shipped and with one pass per point, runs
+        every case plus NaN, infinite and 1e308 levels; any float-to-int
+        overflow or other undefined operation aborts the child process."""
         cc = shutil.which("cc") or shutil.which("gcc")
         if cc is None:
             pytest.skip("no C compiler on PATH")
         lib = tmp_path / "deposit-ubsan.so"
+        define = [] if level is None else [f"-DGENTOMO_DEPOSIT_LEVEL={level}"]
         build = subprocess.run(
-            [cc, *forward._KERNEL_FLAGS, "-fsanitize=undefined,float-cast-overflow",
+            [cc, *forward._KERNEL_FLAGS, *define,
+             "-fsanitize=undefined,float-cast-overflow",
              "-fno-sanitize-recover=all", "-o", str(lib),
              str(forward._KERNEL_SOURCE)], capture_output=True, text=True)
         if build.returncode:
@@ -782,8 +789,25 @@ forward._deposit(Hyperplane(2), np.array([[1e308, 0.0], [-1e308, 1.0]]),
         monkeypatch.setattr(forward, "_kernel", forward._UNSET)
         acc = np.zeros(1)                 # never touched
         rc = forward._load_kernel()(None, None, None, 0, 2, None, None, 1,
-                                    1.0, 0.0, 2**31 - 3, acc.ctypes.data)
+                                    1.0, 0.0, forward._KERNEL_MAX_BINS + 1,
+                                    acc.ctypes.data)
         assert rc == -2
+
+    def test_bins_beyond_the_int_index_take_the_numpy_path(self,
+                                                            monkeypatch):
+        """The limit lowered to one bin short: the compiled loop is never
+        built, and the bytes are the numpy path's."""
+        family, x_axis = DEPOSIT_CASES["quadric"]
+        x_grid = make_grid(1, [x_axis])
+        points, masses, params = _deposit_inputs(family)
+        monkeypatch.setattr(forward, "_kernel", None)
+        expect = _deposit(family, points, masses, params, x_grid)
+        monkeypatch.setattr(forward, "_kernel", forward._UNSET)
+        monkeypatch.setattr(forward, "_KERNEL_MAX_BINS", x_grid.shape[0] - 1)
+        values, overflow = _deposit(family, points, masses, params, x_grid)
+        assert forward._kernel is forward._UNSET
+        assert np.array_equal(values, expect[0])
+        assert np.array_equal(overflow, expect[1])
 
     @pytest.mark.parametrize("n_par,n_bins,workers", [
         (1, 9, 1), (16, 481, 1), (16, 481, 2), (4096, 841, 2),
