@@ -80,9 +80,7 @@ class GridSpec:
 
     def points(self) -> np.ndarray:
         """All grid points, shape (size, ndim), row-major in the axis order."""
-        mesh = np.meshgrid(*(self.axis_points(i) for i in range(self.ndim)),
-                           indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=1)
+        return _mesh_points([self.axis_points(i) for i in range(self.ndim)])
 
     def point(self, index: tuple[int, ...]) -> np.ndarray:
         """Coordinates of one grid point, derived purely from the axis triples."""
@@ -91,12 +89,13 @@ class GridSpec:
         return np.array([lo + (hi - lo) / (n - 1) * k
                          for (lo, hi, n), k in zip(self.axes, index)])
 
-    def cell_centers(self) -> np.ndarray:
-        """Centers of the (count-1)^n cells, shape (prod(count_i - 1), ndim)."""
-        axes_c = [self.axis_points(i)[:-1] + 0.5 * self.spacing[i]
-                  for i in range(self.ndim)]
-        mesh = np.meshgrid(*axes_c, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=1)
+    def cell_centers(self, s: int = 1) -> np.ndarray:
+        """Centers of the cells subdivided s-fold per axis, row-major."""
+        if s < 1:
+            raise GridError(f"cell subdivision (supersample) must be >= 1, got {s}")
+        return _mesh_points([(self.axis_points(i)[:-1, None]
+                              + d * (np.arange(s) + 0.5) / s).ravel()
+                             for i, d in enumerate(self.spacing)])
 
     def trapezoid_weights(self) -> np.ndarray:
         """Quadrature weights (outer product of per-axis trapezoid weights),
@@ -108,6 +107,14 @@ class GridSpec:
             wi[-1] *= 0.5
             w = np.multiply.outer(w, wi)
         return w.reshape(self.shape)
+
+
+def _mesh_points(axes) -> np.ndarray:
+    """Row-major (prod(len(a)), len(axes)) mesh, filled in place column-wise."""
+    out = np.empty(tuple(len(a) for a in axes) + (len(axes),))
+    for i, a in enumerate(axes):
+        out[..., i] = np.reshape(a, (-1,) + (1,) * (len(axes) - 1 - i))
+    return out.reshape(-1, len(axes))
 
 
 def make_grid(ndim: int, axes) -> GridSpec:
@@ -208,6 +215,7 @@ class GaussianMixture(Phantom):
     means: tuple[tuple[float, ...], ...]
     covariances: tuple[tuple[tuple[float, ...], ...], ...]
     _chols: tuple = field(init=False, repr=False, compare=False, default=())
+    _norms: tuple = field(init=False, repr=False, compare=False, default=())
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
@@ -226,30 +234,45 @@ class GaussianMixture(Phantom):
                 raise DimensionMismatchError("inconsistent component dimensions")
             if not np.allclose(c, c.T, atol=1e-12 * max(1.0, np.abs(c).max())):
                 raise ValueError("covariance must be symmetric")
-            try:
-                chols.append(np.linalg.cholesky(c))
-            except np.linalg.LinAlgError:
-                raise ValueError("covariance must be positive-definite") from None
+            L = np.zeros((nd, nd))   # Cholesky, row by row, without LAPACK
+            for i, j in zip(*np.tril_indices(nd)):
+                t = c[i, j]
+                for k in range(j):
+                    t -= L[i, k] * L[j, k]
+                if i == j and not t > 0:
+                    raise ValueError("covariance must be positive-definite")
+                L[i, j] = math.sqrt(t) if i == j else t * (1.0 / L[j, j])
+            chols.append(L)
         object.__setattr__(self, "weights", tuple(float(x) for x in w))
         object.__setattr__(self, "means", tuple(tuple(m) for m in means))
         object.__setattr__(self, "covariances",
                            tuple(tuple(tuple(r) for r in c) for c in covs))
         object.__setattr__(self, "_chols", tuple(chols))
+        object.__setattr__(self, "_norms", tuple(
+            (2 * np.pi) ** (nd / 2) * np.prod(np.diag(L)) for L in chols))
 
     @property
     def ndim(self) -> int:
         return len(self.means[0])
 
     def pdf(self, points: np.ndarray) -> np.ndarray:
+        """Density w exp(-|y|^2 / 2) / norm summed over the components, with
+        L y = q - m solved by forward substitution; every step runs in index
+        order without LAPACK or FMA, the same on any build and point split."""
         pts = self._check_points(points)
-        out = np.zeros(pts.shape[0])
-        for w, m, chol in zip(self.weights, self.means, self._chols):
-            # solve L y = (q - m); then |q - m|_Sigma^2 = |y|^2
-            d = pts - np.asarray(m)
-            y = np.linalg.solve(chol, d.T).T
-            quad = np.sum(y * y, axis=1)
-            norm = (2 * np.pi) ** (self.ndim / 2) * np.prod(np.diag(chol))
-            out += w * np.exp(-0.5 * quad) / norm
+        out = np.zeros(len(pts))
+        # every step in place: a fresh array per step costs more than it does
+        *y, quad, tmp = np.empty((self.ndim + 2, len(pts)))
+        for w, m, L, norm in zip(self.weights, self.means, self._chols, self._norms):
+            quad.fill(0.0)
+            for i, row in enumerate(L):
+                np.subtract(pts[:, i], m[i], out=y[i])
+                for k in range(i):
+                    y[i] -= np.multiply(row[k], y[k], out=tmp)
+                y[i] /= row[i]
+                quad += np.multiply(y[i], y[i], out=tmp)
+            np.exp(np.multiply(quad, -0.5, out=quad), out=quad)
+            out += np.divide(np.multiply(quad, w, out=quad), norm, out=quad)
         return out
 
     def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -264,9 +287,8 @@ class GaussianMixture(Phantom):
 
 def gaussian(mean, covariance) -> GaussianMixture:
     """Single-component Gaussian phantom."""
-    mean = tuple(np.asarray(mean, dtype=float))
-    cov = tuple(tuple(r) for r in np.asarray(covariance, dtype=float))
-    return GaussianMixture(weights=(1.0,), means=(mean,), covariances=(cov,))
+    return GaussianMixture(weights=(1.0,), means=(mean,),
+                           covariances=(covariance,))
 
 
 def standard_gaussian(ndim: int) -> GaussianMixture:

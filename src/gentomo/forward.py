@@ -40,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import (DimensionMismatchError, GridError, GridSpec, Phantom,
-                   ScalarField, TomogramFamily)
+                   ScalarField, TomogramFamily, gaussian)
 from .geometry import Diffeomorphism, LevelFamily, combine_levels
 
 # (source point x parameter) pairs per deposit slab; sized so the slab
@@ -57,17 +57,6 @@ _PDF_SLAB = 1 << 16
 DEFAULT_OVERFLOW_THRESHOLD = 0.01
 
 
-def _refined_cell_centers(grid: GridSpec, s: int) -> np.ndarray:
-    """Midpoint nodes of every cell subdivided s-fold per axis."""
-    axes = []
-    for lo, hi, n in grid.axes:
-        d = (hi - lo) / (n - 1)
-        base = lo + d * np.arange(n - 1)
-        axes.append((base[:, None] + d * (np.arange(s) + 0.5)[None, :] / s).ravel())
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
-
-
 def _source_points_masses(source, q_grid: GridSpec | None, supersample: int = 1):
     """Quadrature nodes and masses for a field or phantom source.
 
@@ -80,23 +69,21 @@ def _source_points_masses(source, q_grid: GridSpec | None, supersample: int = 1)
     The phantom's pdf runs on fixed slabs of ``_PDF_SLAB`` nodes, shared by
     ``thread_count()`` workers.  Every shipped phantom is pointwise, so the
     masses are byte-identical to one full-array ``pdf`` call, for every
-    thread count.
+    thread count; a Gaussian mixture's pdf runs in one fixed order without
+    LAPACK, so its masses are the same on every BLAS/LAPACK build.
     """
     if isinstance(source, ScalarField):
         if q_grid is not None and q_grid != source.grid:
             raise GridError("q_grid must be omitted or equal the field's grid")
-        pts = source.grid.points()
-        masses = source.flat * source.grid.trapezoid_weights().ravel()
-        return pts, masses
+        grid = source.grid
+        return grid.points(), source.flat * grid.trapezoid_weights().ravel()
     if isinstance(source, Phantom):
         if q_grid is None:
             raise GridError("phantom sources require a q_grid")
         if q_grid.ndim != source.ndim:
             raise DimensionMismatchError("phantom and q_grid dimensions differ")
         s = int(supersample)
-        if s < 1:
-            raise ValueError("supersample must be >= 1")
-        pts = _refined_cell_centers(q_grid, s)
+        pts = q_grid.cell_centers(s)
         volume = q_grid.cell_volume / s**q_grid.ndim
         masses = np.empty(len(pts))
 
@@ -114,8 +101,8 @@ def _source_points_masses(source, q_grid: GridSpec | None, supersample: int = 1)
 def thread_count() -> int:
     """Deposit and quadrature worker threads from ``GENTOMO_THREADS``.
 
-    0 or unset means the cores this process may run on.  Raises ValueError
-    for a value that is not an integer >= 0.
+    0 or unset means the cores this process may run on, or all cores where
+    the OS cannot tell.  Raises ValueError unless an integer >= 0.
     """
     raw = os.environ.get("GENTOMO_THREADS", "0")
     try:
@@ -125,7 +112,8 @@ def thread_count() -> int:
             f"GENTOMO_THREADS must be an integer, got {raw!r}") from None
     if n < 0:
         raise ValueError(f"GENTOMO_THREADS must be >= 0, got {raw!r}")
-    return n or len(os.sched_getaffinity(0))
+    affinity = getattr(os, "sched_getaffinity", None)   # none on macOS, Windows
+    return n or (len(affinity(0)) if affinity else os.cpu_count() or 1)
 
 
 def _run_blocks(new_worker, starts, workers: int) -> None:
@@ -428,8 +416,7 @@ def _binned(source, family, param_points, x_grid, q_grid, supersample,
     n_sing = int(sing.sum())
     singular_fraction = n_sing / len(points)
     if n_sing:
-        points = points[~sing]
-        masses = masses[~sing]
+        points, masses = points[~sing], masses[~sing]
 
     values, overflow = _deposit(family, points, masses, param_points, x_grid)
 
@@ -471,8 +458,6 @@ def forward_binned(source, family: LevelFamily, param_grid: GridSpec,
     (integrated over q_grid cells).  Source points on the family's singular
     set contribute nothing and are tallied.
     """
-    if param_grid.ndim != family.param_dim:
-        raise DimensionMismatchError("param_grid rank must match the family")
     _check_table_fits(math.prod(param_grid.shape), x_grid.shape[0])
     return _binned(source, family, param_grid.points(), x_grid, q_grid,
                    supersample, param_grid)
@@ -511,14 +496,8 @@ def gaussian_hyperplane_tomogram(mean, covariance, mu) -> Gaussian1D:
     mu = np.asarray(mu, dtype=float)
     if not np.any(mu != 0.0):
         raise ValueError("mu must be nonzero")
-    mean = np.asarray(mean, dtype=float)
-    cov = np.asarray(covariance, dtype=float)
-    if not np.allclose(cov, cov.T, atol=1e-12 * max(1.0, np.abs(cov).max())):
-        raise ValueError("covariance must be symmetric")
-    try:
-        np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        raise ValueError("covariance must be positive-definite") from None
+    g = gaussian(mean, covariance)      # checks symmetry and definiteness
+    mean, cov = np.asarray(g.means[0]), np.asarray(g.covariances[0])
     return Gaussian1D(mean=float(mu @ mean), variance=float(mu @ cov @ mu))
 
 
@@ -568,9 +547,8 @@ def pullback_density(target: Phantom, diffeo: Diffeomorphism,
     if q_grid.ndim != diffeo.ndim:
         raise DimensionMismatchError("grid and diffeomorphism dimensions differ")
     pts = q_grid.points()
-    sing = diffeo.singular_fn(pts)
+    ok = ~diffeo.singular_fn(pts)
     values = np.zeros(len(pts))
-    ok = ~sing
     if np.any(ok):
         values[ok] = target.pdf(diffeo.map_fn(pts[ok])) * diffeo.jacobian_fn(pts[ok])
     return ScalarField(q_grid, values)

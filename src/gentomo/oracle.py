@@ -1,9 +1,9 @@
 """Independent references for validating the transform pipeline.
 
-The Monte-Carlo tomogram estimates the marginal density of g(Q; params) by
-plain histogramming of exact phantom draws; the closed forms below are
-textbook densities.  Nothing in this module touches the binned engine, so
-agreement between the two is a genuine cross-check.
+The Monte-Carlo tomogram histograms g(Q; params) of exact phantom draws in
+box bins; the closed forms below are textbook densities.  Nothing here uses
+the binned engine, whose tent (cloud-in-cell) weights average differently:
+the two agree only for tomograms that are smooth on the bin scale.
 """
 
 from __future__ import annotations

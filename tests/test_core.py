@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gentomo.core import (DimensionMismatchError, GaussianMixture, GridError,
                           GridSpec, ScalarField, TomogramFamily, UniformBall,
@@ -49,6 +52,148 @@ class TestMakeGrid:
     def test_cell_centers(self):
         g = make_grid(1, [(0, 1, 3)])
         assert np.allclose(g.cell_centers().ravel(), [0.25, 0.75])
+
+
+def _reference_mesh(axes):
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=1)
+
+
+MESH_GRIDS = [
+    make_grid(1, [(-1.5, 2.0, 7)]),
+    make_grid(2, [(-6, 6, 33), (-5, 4.5, 20)]),
+    make_grid(3, [(-1, 1, 5), (0.1, 0.7, 4), (-3, 3, 6)]),
+]
+
+
+class TestMeshPoints:
+    """The one mesh builder behind points() and cell_centers(s)."""
+
+    @pytest.mark.parametrize("g", MESH_GRIDS, ids=["1d", "2d", "3d"])
+    def test_points_equal_meshgrid_reference(self, g):
+        pts = g.points()
+        ref = _reference_mesh([g.axis_points(i) for i in range(g.ndim)])
+        assert pts.flags.c_contiguous
+        assert pts.dtype == ref.dtype and np.array_equal(pts, ref)
+
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    @pytest.mark.parametrize("g", MESH_GRIDS, ids=["1d", "2d", "3d"])
+    def test_cell_centers_equal_meshgrid_reference(self, g, s):
+        axes = []
+        for lo, hi, n in g.axes:
+            d = (hi - lo) / (n - 1)
+            base = lo + d * np.arange(n - 1)
+            axes.append((base[:, None]
+                         + d * (np.arange(s) + 0.5)[None, :] / s).ravel())
+        got = g.cell_centers(s)
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, _reference_mesh(axes))
+        if s == 1:
+            centers = [g.axis_points(i)[:-1] + 0.5 * g.spacing[i]
+                       for i in range(g.ndim)]
+            assert np.array_equal(got, _reference_mesh(centers))
+
+    @pytest.mark.parametrize("s", [0, -1])
+    def test_subdivision_below_one_rejected(self, s):
+        with pytest.raises(GridError):
+            MESH_GRIDS[1].cell_centers(s)
+
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_no_mesh_copies(self, s):
+        g = make_grid(2, [(-6, 6, 400), (-5, 5, 301)])
+        tracemalloc.start()
+        try:
+            pts = g.cell_centers(s)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert pts.nbytes > 1 << 20
+        assert peak <= 1.25 * pts.nbytes
+
+
+def _reference_pdf(ph, pts):
+    """Mixture density from the precision matrix and determinant."""
+    out = np.zeros(len(pts))
+    for w, m, c in zip(ph.weights, ph.means, ph.covariances):
+        c = np.asarray(c)
+        d = pts - np.asarray(m)
+        quad = np.einsum("ni,ij,nj->n", d, np.linalg.inv(c), d)
+        out += w * np.exp(-0.5 * quad) / math.sqrt(
+            (2 * math.pi) ** len(m) * np.linalg.det(c))
+    return out
+
+
+def _peak(ph):
+    """The largest density at any component mean: the scale of the bound."""
+    return float(_reference_pdf(ph, np.array(ph.means)).max())
+
+
+PDF_CASES = [
+    gaussian([0.4], [[2.5]]),
+    gaussian([0.3, -0.2], [[1.2, 0.4], [0.4, 0.8]]),
+    # strongly correlated: |L10| > |L00|, where LU with pivoting swaps rows
+    gaussian([0.0, 1.0], [[0.04, 0.19], [0.19, 1.0]]),
+    gaussian([0.1, -0.3, 0.2], [[1.0, 0.3, -0.2], [0.3, 0.6, 0.1],
+                                [-0.2, 0.1, 0.9]]),
+    GaussianMixture(weights=(0.3, 0.7), means=((1.0, 0.5), (-1.0, 0.0)),
+                    covariances=(((1.0, 0.2), (0.2, 0.5)),
+                                 ((0.7, -0.3), (-0.3, 1.5)))),
+]
+
+
+class TestGaussianPdf:
+    """The pdf's forward substitution against an independent evaluation,
+    within 1e-14 of the peak density."""
+
+    @pytest.mark.parametrize("ph", PDF_CASES,
+                             ids=["1d", "2d", "2d-correlated", "3d", "mixture"])
+    def test_matches_precision_matrix_reference(self, ph):
+        rng = np.random.default_rng(11)
+        spread = np.sqrt(np.max(np.diag(np.asarray(ph.covariances[0]))))
+        pts = np.asarray(ph.means[0]) + rng.normal(
+            scale=2.0 * spread, size=(4000, ph.ndim))
+        got = ph.pdf(pts)
+        assert np.abs(got - _reference_pdf(ph, pts)).max() <= 1e-14 * _peak(ph)
+
+    @settings(max_examples=150, deadline=None)
+    @given(nd=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+           scale=st.floats(1e-2, 1e2), correlated=st.booleans())
+    def test_random_spd_covariances(self, nd, seed, scale, correlated):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(nd, nd))
+        cov = scale * (a @ a.T + 0.05 * np.eye(nd))
+        if correlated and nd > 1:
+            # a small first variance and a large second one, correlated at
+            # 0.95: the Cholesky factor then has |L10| > |L00|
+            cov[:2, :2] = scale * np.array([[0.01, 0.95 * 0.1 * 3.0],
+                                            [0.95 * 0.1 * 3.0, 9.0]])
+            cov[2:, :2] = 0.0
+            cov[:2, 2:] = 0.0
+        cov = (cov + cov.T) / 2
+        ph = gaussian(rng.normal(size=nd), cov)
+        if correlated and nd > 1:
+            L = ph._chols[0]
+            assert abs(L[1, 0]) > abs(L[0, 0])
+        L = ph._chols[0]
+        assert np.allclose(L, np.linalg.cholesky(cov), rtol=1e-14,
+                           atol=1e-14 * math.sqrt(np.abs(cov).max()))
+        pts = np.asarray(ph.means[0]) + rng.normal(
+            scale=3.0 * math.sqrt(scale), size=(500, nd))
+        got = ph.pdf(pts)
+        assert np.all(np.isfinite(got)) and np.all(got >= 0.0)
+        assert np.abs(got - _reference_pdf(ph, pts)).max() <= 1e-14 * _peak(ph)
+
+    def test_no_linalg_call(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg called")
+
+        for name in ("solve", "inv", "cholesky"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        for ph in (gaussian([0.3, -0.2], [[1.2, 0.4], [0.4, 0.8]]),
+                   gaussian([0.1, -0.3, 0.2], [[1.0, 0.3, -0.2], [0.3, 0.6, 0.1],
+                                               [-0.2, 0.1, 0.9]])):
+            pts = np.random.default_rng(2).normal(size=(100, ph.ndim))
+            assert np.all(ph.pdf(pts) > 0.0)
 
 
 class TestPhantoms:

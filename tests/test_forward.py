@@ -531,6 +531,19 @@ class TestDepositThreads:
         monkeypatch.delenv("GENTOMO_THREADS")
         assert thread_count() == len(os.sched_getaffinity(0))
 
+    def test_no_affinity_call_falls_back_to_cpu_count(self, gauss2d,
+                                                      monkeypatch):
+        # macOS and Windows have no os.sched_getaffinity
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setenv("GENTOMO_THREADS", "0")
+        assert thread_count() == os.cpu_count()
+        monkeypatch.setenv("GENTOMO_THREADS", "3")
+        assert thread_count() == 3
+        t = forward_binned_at(gauss2d, Hyperplane(2), [[1.0, 0.0]],
+                              make_grid(1, [(-6, 6, 61)]),
+                              make_grid(2, [(-6, 6, 16), (-6, 6, 16)]))
+        assert t.values.max() > 0.0
+
     def test_every_block_runs_once_under_contention(self):
         done = []
         old = sys.getswitchinterval()
