@@ -160,21 +160,22 @@ class TestGaussianPdf:
            scale=st.floats(1e-2, 1e2), correlated=st.booleans())
     def test_random_spd_covariances(self, nd, seed, scale, correlated):
         rng = np.random.default_rng(seed)
-        a = rng.normal(size=(nd, nd))
-        cov = scale * (a @ a.T + 0.05 * np.eye(nd))
+        # eigenvalues within a factor 25: rounding in L^-1 (q - m) grows
+        # with the condition number, for LAPACK's solve as for this one
+        # (both reach about 1e-14 of the peak near condition 200)
+        rot, _ = np.linalg.qr(rng.normal(size=(nd, nd)))
+        cov = scale * (rot * rng.uniform(0.2, 5.0, size=nd)) @ rot.T
         if correlated and nd > 1:
-            # a small first variance and a large second one, correlated at
-            # 0.95: the Cholesky factor then has |L10| > |L00|
-            cov[:2, :2] = scale * np.array([[0.01, 0.95 * 0.1 * 3.0],
-                                            [0.95 * 0.1 * 3.0, 9.0]])
+            # correlation 0.75 and a 4x larger second variance: the factor
+            # has |L10| > |L00|, where LU with partial pivoting swaps rows
+            cov[:2, :2] = scale * np.array([[1.0, 1.5], [1.5, 4.0]])
             cov[2:, :2] = 0.0
             cov[:2, 2:] = 0.0
         cov = (cov + cov.T) / 2
         ph = gaussian(rng.normal(size=nd), cov)
-        if correlated and nd > 1:
-            L = ph._chols[0]
-            assert abs(L[1, 0]) > abs(L[0, 0])
         L = ph._chols[0]
+        if correlated and nd > 1:
+            assert abs(L[1, 0]) > abs(L[0, 0])
         assert np.allclose(L, np.linalg.cholesky(cov), rtol=1e-14,
                            atol=1e-14 * math.sqrt(np.abs(cov).max()))
         pts = np.asarray(ph.means[0]) + rng.normal(
