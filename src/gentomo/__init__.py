@@ -10,8 +10,7 @@ from .core import (DimensionMismatchError, GaussianMixture, GridError,
                    GridSpec, Phantom, ScalarField, TomogramFamily,
                    UniformBall, UniformBox, gaussian, l2_rel_error, make_grid,
                    sample_phantom, standard_gaussian, total_mass)
-from .forward import (Gaussian1D, forward_binned, forward_binned_at,
-                      gaussian_hyperplane_tomogram, homogeneity_residual,
+from .forward import (forward_binned, forward_binned_at, homogeneity_residual,
                       normalization_profile, pullback_density)
 from .geometry import (CircleDescriptor, Deformed, Diffeomorphism, Hybrid,
                        Hyperplane, HyperbolaDescriptor, LevelFamily,
@@ -25,7 +24,8 @@ from .geometry import (CircleDescriptor, Deformed, Diffeomorphism, Hybrid,
 from .inverse import (CharacteristicSlice, InversionDiagnostics,
                       RoundtripReport, characteristic_slice, invert_for_family,
                       roundtrip)
-from .oracle import (MCTomogram, chi_square_density, disk_chord_tomogram,
+from .oracle import (Gaussian1D, MCTomogram, chi_square_density,
+                     disk_chord_tomogram, gaussian_hyperplane_tomogram,
                      mc_tomogram)
 
 __version__ = "0.1.0"

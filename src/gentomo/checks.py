@@ -43,7 +43,7 @@ def normalization_suite(seed: int = 0, **_) -> list[CheckResult]:
                      (geometry.Quadric(geometry.QuadricForm(np.eye(2))), "quadric")]:
         params = directions if tag == "hyperplane" else [(0.5, -0.3), (0.0, 0.0)]
         xg = x_grid if tag == "hyperplane" else core.make_grid(1, [(-2, 60, 249)])
-        t = forward.forward_binned_at(phantom, fam, params, xg, q_grid)
+        t = forward.forward_binned(phantom, fam, params, xg, q_grid)
         norm = forward.normalization_profile(t)
         results.append(_result(f"normalization/{tag}/deviation",
                                np.abs(norm - 1.0).max(), 1e-2))
@@ -86,9 +86,9 @@ def diffeo_equivalence_suite(seed: int = 0, **_) -> list[CheckResult]:
     results = []
     for tag, fam, q_def in cases:
         pulled = forward.pullback_density(phantom, fam.diffeo, q_def)
-        t_def = forward.forward_binned_at(pulled, fam, directions, x_grid)
-        t_ref = forward.forward_binned_at(phantom, plane, directions, x_grid,
-                                          q_plane)
+        t_def = forward.forward_binned(pulled, fam, directions, x_grid)
+        t_ref = forward.forward_binned(phantom, plane, directions, x_grid,
+                                       q_plane)
         gap = np.abs(t_def.values - t_ref.values).sum(axis=1) * dx
         results.append(_result(f"diffeo-equivalence/{tag}/L1", gap.max(), 3e-2))
     return results
@@ -99,8 +99,8 @@ def quadric_support_suite(seed: int = 0, **_) -> list[CheckResult]:
     phantom, q_grid, _ = _setup_gaussian()
     fam = geometry.Quadric(geometry.QuadricForm([[2.0, 0.3], [0.3, 1.0]]))
     xg = core.make_grid(1, [(-20, 120, 281)])
-    t = forward.forward_binned_at(phantom, fam, [(0.0, 0.0), (1.5, -2.0)], xg,
-                                  q_grid)
+    t = forward.forward_binned(phantom, fam, [(0.0, 0.0), (1.5, -2.0)], xg,
+                               q_grid)
     xs = xg.axis_points(0)
     below = np.abs(t.values[:, xs < 0]).max()
     return [_result("quadric-support/omega(X<0)", below, 0.0)]
@@ -120,7 +120,7 @@ def oracle_agreement_suite(seed: int = 0, samples: int | None = None, **_,
          (0.0, 0.0), core.make_grid(1, [(-2, 30, 129)])),
     ]
     for tag, fam, params, xg in cases:
-        t = forward.forward_binned_at(phantom, fam, [params], xg, q_grid)
+        t = forward.forward_binned(phantom, fam, [params], xg, q_grid)
         mc = oracle.mc_tomogram(phantom, fam, params, xg, n_samples=n_samples,
                                 seed=seed)
         gap = np.abs(t.values[0] - mc.density) - 3.0 * mc.stderr

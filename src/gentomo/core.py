@@ -219,12 +219,14 @@ class GaussianMixture(Phantom):
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
+        means = [np.asarray(m, dtype=float) for m in self.means]
+        covs = [np.asarray(c, dtype=float) for c in self.covariances]
+        if not all(np.isfinite(x).all() for x in (w, *means, *covs)):
+            raise ValueError("weights, means and covariances must be finite")
         if w.size == 0 or np.any(w <= 0):
             raise ValueError("component weights must be positive")
         if abs(w.sum() - 1.0) > 1e-9:
             raise ValueError(f"weights sum to {w.sum()}, expected 1")
-        means = [np.asarray(m, dtype=float) for m in self.means]
-        covs = [np.asarray(c, dtype=float) for c in self.covariances]
         if not (len(means) == len(covs) == w.size):
             raise ValueError("weights, means and covariances must align")
         nd = means[0].size
@@ -304,8 +306,10 @@ class UniformBall(Phantom):
     radius: float
 
     def __post_init__(self):
-        if not self.radius > 0:
-            raise ValueError("radius must be positive")
+        if not 0 < self.radius < math.inf:
+            raise ValueError("radius must be positive and finite")
+        if not np.isfinite(np.asarray(self.center, dtype=float)).all():
+            raise ValueError("ball center must be finite")
         object.__setattr__(self, "center",
                            tuple(float(x) for x in np.asarray(self.center)))
         object.__setattr__(self, "radius", float(self.radius))
@@ -344,6 +348,8 @@ class UniformBox(Phantom):
         hi = np.asarray(self.hi, dtype=float)
         if lo.size != hi.size:
             raise DimensionMismatchError("box corners differ in dimension")
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+            raise ValueError("box corners must be finite")
         if not np.all(hi > lo):
             raise ValueError("box max corner must exceed min corner")
         object.__setattr__(self, "lo", tuple(lo))

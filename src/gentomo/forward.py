@@ -1,28 +1,25 @@
-"""Binned co-area marginal engine plus closed-form tomograms for oracle use.
+"""Binned co-area marginal engine: one entry point, one block loop.
 
-One engine serves every level family: source mass is deposited into X bins
-centered on the x_grid points with linear (triangle) weights, so the total
-deposited mass (bins + overflow) equals the source quadrature mass up to
-rounding and the result is nonnegative for nonnegative sources
-(``TestDepositProperties``).  Mass that lands outside the X window is kept
-in per-parameter overflow counters so normalization checks can tell
-truncation from bugs.
+``forward_binned`` serves every level family and takes a parameter box or
+a list of points.  Source mass is deposited into X bins centered on the
+x_grid points with linear (triangle) weights, so bins plus overflow equal
+the source quadrature mass up to rounding, and the result is nonnegative
+for nonnegative sources (``TestDepositProperties``).  Mass outside the X
+window is kept in per-parameter overflow counters, so normalization checks
+can tell truncation from bugs.  The closed forms that check the engine
+live in ``oracle``.
 
-The deposit runs a compiled loop (``_deposit.c``, built on first use: a
-vectorized loop on x86-64-v3 and -v4 CPUs, a one-pass loop elsewhere) or,
-where nothing can be compiled, the same steps in numpy; every loop and the
-numpy path give equal bytes (tests/test_forward.py,
-``TestCompiledDeposit``).  The output bytes are identical for every
-``GENTOMO_THREADS``
-(``TestDepositThreads::test_bytes_identical_for_every_thread_count`` and
-``::test_slab_bytes_identical_for_every_thread_count``; AC-10 through the
-CLI) and for every block of parameter columns
-(``TestDepositKernel::test_block_size_tolerance`` and the ``cols``
-parameters of ``test_matches_reference_loop``).  The compiled path sizes
-its column blocks from the parameter count, the bin count and the worker
-count, since they move no byte; the numpy path sizes them from the slab.
-Only the slab partition of the source points, which depends on the point
-count alone, moves results, by at most 1e-13 of the peak
+``_deposit`` runs one block loop over one of two slab functions: the
+compiled loop of ``_deposit.c`` (built on first use: vectorized on
+x86-64-v3 and -v4 CPUs, one pass per point elsewhere) or, where nothing
+can be compiled, the same steps in numpy.  The output bytes are equal on
+both paths and for every loop (tests/test_forward.py,
+``TestCompiledDeposit``), for every ``GENTOMO_THREADS``
+(``TestDepositThreads``; AC-10 through the CLI) and for every block of
+parameter columns (``TestDepositKernel::test_block_size_tolerance`` and
+the ``cols`` parameters of ``test_matches_reference_loop``).  Only the
+slab partition of the source points, which depends on the point count
+alone, moves results, by at most 1e-13 of the peak
 (``TestDepositKernel::test_slabs_match_reference_loop``).
 """
 
@@ -34,13 +31,12 @@ import os
 import shutil
 import tempfile
 import threading
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .core import (DimensionMismatchError, GridError, GridSpec, Phantom,
-                   ScalarField, TomogramFamily, gaussian)
+                   ScalarField, TomogramFamily)
 from .geometry import Diffeomorphism, LevelFamily, combine_levels
 
 # (source point x parameter) pairs per deposit slab; sized so the slab
@@ -49,7 +45,9 @@ _CHUNK_ELEMS = 500_000
 # bytes of histograms and accumulator rows per block of the compiled
 # deposit: kept in L2 while one tile of points serves every column
 _BLOCK_BYTES = 1 << 18
-# deposit workers at most: 4 slabs in flight bound peak memory
+# deposit workers at most: every slab's level terms are built before the
+# workers start, so this bounds only per-worker scratch, chiefly the numpy
+# path's (columns x slab) arrays
 _MAX_WORKERS = 4
 # phantom quadrature nodes per pdf call
 _PDF_SLAB = 1 << 16
@@ -60,11 +58,12 @@ DEFAULT_OVERFLOW_THRESHOLD = 0.01
 def _source_points_masses(source, q_grid: GridSpec | None, supersample: int = 1):
     """Quadrature nodes and masses for a field or phantom source.
 
-    Fields are integrated on their own grid points with trapezoid weights.
-    Phantoms are evaluated at cell centers (midpoint rule), which halves the
-    bias for smooth densities; ``supersample`` subdivides each cell s-fold
-    per axis, damping the beat between the source lattice and the X bins
-    when a slicing direction aligns with a grid axis.
+    Fields are integrated on their own grid points with trapezoid weights,
+    and refuse any ``supersample`` but 1.  Phantoms are evaluated at cell
+    centers (midpoint rule), which halves the bias for smooth densities;
+    ``supersample`` subdivides each cell s-fold per axis, damping the beat
+    between the source lattice and the X bins when a slicing direction
+    aligns with a grid axis.
 
     The phantom's pdf runs on fixed slabs of ``_PDF_SLAB`` nodes, shared by
     ``thread_count()`` workers.  Every shipped phantom is pointwise, so the
@@ -75,6 +74,9 @@ def _source_points_masses(source, q_grid: GridSpec | None, supersample: int = 1)
     if isinstance(source, ScalarField):
         if q_grid is not None and q_grid != source.grid:
             raise GridError("q_grid must be omitted or equal the field's grid")
+        if supersample != 1:
+            raise GridError(f"supersample applies to phantom cells; a field "
+                            f"is integrated on its own grid, got {supersample}")
         grid = source.grid
         return grid.points(), source.flat * grid.trapezoid_weights().ravel()
     if isinstance(source, Phantom):
@@ -252,34 +254,91 @@ _NON_FINITE_LEVEL = ("non-finite level value (nan or inf): a source point or "
                      "parameter is not finite, or the deformation overflowed")
 
 
+def _compiled_slab(kernel):
+    """``kernel`` behind the slab call of ``_numpy_slab``: return code -1
+    raises ValueError, any other nonzero code MemoryError."""
+    def run(L, a, m, M, b, inv_dx, shift, acc):
+        rc = kernel(L.ctypes.data, None if a is None else a.ctypes.data,
+                    m.ctypes.data, len(L), L.shape[1], M.ctypes.data,
+                    None if b is None else b.ctypes.data, len(M),
+                    inv_dx, shift, acc.shape[1] - 3, acc.ctypes.data)
+        if rc == -1:
+            raise ValueError(_NON_FINITE_LEVEL)
+        if rc:
+            raise MemoryError(f"the compiled deposit cannot allocate {len(M)} "
+                              f"columns of {acc.shape[1] - 3} bins")
+
+    return run
+
+
+def _numpy_slab(chunk: int, slab: int):
+    """The compiled loop's steps in numpy, for blocks of up to ``chunk``
+    columns and slabs of up to ``slab`` points.
+
+    ``run(L, a, m, M, b, inv_dx, shift, acc)`` adds one slab's buckets into
+    the block's (columns, n_bins + 3) rows of ``acc``, as the compiled loop
+    does, and raises ValueError on a non-finite level.  The scratch arrays
+    are reused by every slab: a fresh multi-MB array per slab would be
+    page-faulted in anew each time.
+    """
+    g_buf = np.empty(chunk * slab)
+    key_buf = np.empty(chunk * slab)
+    idx_buf = np.empty(chunk * slab, dtype=np.int64)
+
+    def run(L, a, m, M, b, inv_dx, shift, acc):
+        c, slots = acc.shape
+        # (column, point) rows, so every pass runs along the points; each
+        # bucket holds one column, whose masses still add in point order
+        g = g_buf[:c * len(L)].reshape(c, len(L))
+        key = key_buf[:g.size].reshape(g.shape)
+        idx = idx_buf[:g.size]
+        combine_levels(L, a, M, b, out=g.T, scratch=key.T)
+        # the sum is finite when every level is; only an overflowing sum of
+        # finite levels needs the exact test
+        if not (math.isfinite(g.sum()) or np.isfinite(g).all()):
+            raise ValueError(_NON_FINITE_LEVEL)
+        np.multiply(g, inv_dx, out=g)
+        g -= shift
+        np.clip(g, -1.0, float(slots - 3), out=g)
+        np.floor(g, out=key)
+        g -= key                                  # g now holds frac
+        # bucket of the left neighbour, column * slots + left + 1: exact in
+        # float for these integers, so one cast gives it
+        key += np.arange(1, c * slots, slots, dtype=float)[:, None]
+        np.copyto(idx, key.ravel(), casting="unsafe")
+        g *= m                                    # right weight
+        np.subtract(m, g, out=key)                # left weight
+        part = np.bincount(idx, key.ravel(), acc.size).reshape(c, slots)
+        right = np.bincount(idx, g.ravel(), acc.size).reshape(c, slots)
+        part[:, 1:] += right[:, :-1]              # right neighbour: one slot up
+        acc += part
+
+    return run
+
+
 def _deposit(family: LevelFamily, points, masses, param_points, x_grid: GridSpec):
     """Accumulate mass into X bins for every parameter point.
 
     Returns (values (P, Nx), overflow (P,)).  The N source points are cut
-    into fixed slabs of ``slab = min(N, _CHUNK_ELEMS)`` points; this cut
-    depends on N alone.  The parameter points are cut into blocks of
-    columns.  Up to ``thread_count()`` workers (at most ``_MAX_WORKERS``)
-    take whole blocks; a block adds its slab accumulators in slab order and
-    writes its own rows of values and overflow.  Every column is therefore
-    summed in the same order, and the output bytes are identical for every
-    ``GENTOMO_THREADS``.
-
-    Each block runs the compiled loop of ``_deposit.c`` once per slab, or,
-    where nothing can be compiled, the same steps in numpy: the levels of
-    ``combine_levels``, then bucket keys and two ``bincount`` calls.  Both
-    evaluate every level and weight in one fixed order and add each
-    column's masses in point order, so the two paths give equal bytes, and
-    so does every block size.  The compiled loop takes
-    ``_kernel_columns(P, Nx, workers)`` columns per block: at least two
-    blocks per worker, each block's histograms within ``_BLOCK_BYTES``, so
-    the vectorized loop's pass over a tile of points serves every column
-    of the block.  The numpy path takes ``_CHUNK_ELEMS // slab`` columns,
-    which bounds its (slab x columns) scratch arrays; it also takes every
-    deposit of more than ``_KERNEL_MAX_BINS`` bins.  Only the slab
-    partition moves results: slab partial sums replace one long sum per
-    bucket, and against one slab per block tomograms move by at most 1e-13
-    of their peak (1.2e-14 on 4.19 M nodes and 16 hyperplane directions).
-    A non-finite level raises ValueError on both paths.
+    into fixed slabs of ``slab = min(N, _CHUNK_ELEMS)`` points, a cut that
+    depends on N alone, and the parameter points into blocks of columns.
+    Up to ``thread_count()`` workers (at most ``_MAX_WORKERS``) take whole
+    blocks.  One block loop serves both paths: a block calls its slab
+    function (``_compiled_slab`` or ``_numpy_slab``) once per slab, in slab
+    order, into its (columns, Nx + 3) accumulator, then writes its own rows
+    of values and overflow, so each column sums in one order for every
+    ``GENTOMO_THREADS``.  Both slab functions evaluate every level and
+    weight in one fixed order and add each column's masses in point order,
+    so they give equal bytes, for every block size.  The compiled loop
+    takes ``_kernel_columns(P, Nx, workers)`` columns per block: at least
+    two blocks per worker, each block's histograms within ``_BLOCK_BYTES``,
+    so one pass over a tile of points serves every column of the block.
+    The numpy path takes ``min(_CHUNK_ELEMS // slab, P)`` columns, which
+    bounds its (columns x slab) scratch; it also takes every deposit of
+    more than ``_KERNEL_MAX_BINS`` bins.  Against one slab per block, slab
+    partial sums move tomograms by at most 1e-13 of their peak (1.2e-14 on
+    4.19 M nodes and 16 hyperplane directions).  A non-finite level raises
+    ValueError on both paths.
     """
     n_bins = x_grid.shape[0]
     x0 = x_grid.axes[0][0]
@@ -290,14 +349,14 @@ def _deposit(family: LevelFamily, points, masses, param_points, x_grid: GridSpec
     n_par = len(param_points)
     values = np.zeros((n_par, n_bins))
     overflow = np.zeros(n_par)
-    if len(points) == 0:
+    if len(points) == 0 or n_par == 0:
         return values, overflow
 
     slab = min(len(points), _CHUNK_ELEMS)
     workers = min(thread_count(), _MAX_WORKERS)
     # buckets per column: [0] underflow, [1 .. n_bins] bins, [n_bins+1] and
-    # [n_bins+2] overflow (the clamp below parks far-out mass at the edges,
-    # where the split weight degenerates to all-left)
+    # [n_bins+2] overflow (the clamp parks far-out mass at the edges, where
+    # the split weight degenerates to all-left)
     slots = n_bins + 3
     d = family.ndim
     slabs = []
@@ -314,84 +373,26 @@ def _deposit(family: LevelFamily, points, masses, param_points, x_grid: GridSpec
     if kernel is not None:
         chunk = _kernel_columns(n_par, n_bins, workers)
     else:
-        chunk = _CHUNK_ELEMS // slab
+        chunk = min(_CHUNK_ELEMS // slab, n_par)
     workers = min(workers, -(-n_par // chunk))
 
-    def finish(start, acc):
-        """Write the (slots, c) buckets of one block into its rows."""
-        c = acc.shape[1]
-        np.divide(acc[1:n_bins + 1].T, dx, out=values[start:start + c])
-        overflow[start:start + c] = acc[0] + acc[n_bins + 1] + acc[n_bins + 2]
-
     def new_worker():
-        if kernel is not None:
-            # (column, bucket) rows, the layout the loop fills
-            acc_buf = np.empty((chunk, slots))
-
-            def deposit_block(start):
-                M, b = family.param_terms(param_points[start:start + chunk])
-                if M.shape[1] != d:
-                    raise DimensionMismatchError(
-                        f"parameters are {M.shape[1]}-d, family wants {d}-d")
-                acc = acc_buf[:len(M)]
-                acc.fill(0.0)
-                for L, a, m in slabs:
-                    rc = kernel(L.ctypes.data, None if a is None else a.ctypes.data,
-                                m.ctypes.data, len(L), d, M.ctypes.data,
-                                None if b is None else b.ctypes.data, len(M),
-                                inv_dx, shift, n_bins, acc.ctypes.data)
-                    if rc == -1:
-                        raise ValueError(_NON_FINITE_LEVEL)
-                    if rc:
-                        raise MemoryError(
-                            f"the compiled deposit cannot allocate "
-                            f"{len(M)} columns of {n_bins} bins")
-                finish(start, acc.T)
-
-            return deposit_block
-
-        # scratch reused by every slab of one worker: a fresh multi-MB
-        # array per slab would be page-faulted in anew each time
-        g_buf = np.empty(chunk * slab)
-        key_buf = np.empty(chunk * slab)
-        idx_buf = np.empty(chunk * slab, dtype=np.int64)
+        run = (_compiled_slab(kernel) if kernel is not None
+               else _numpy_slab(chunk, slab))
+        acc_buf = np.empty((chunk, slots))
 
         def deposit_block(start):
             M, b = family.param_terms(param_points[start:start + chunk])
-            c = len(M)
-            total = None
+            if M.shape[1] != d:
+                raise DimensionMismatchError(
+                    f"parameters are {M.shape[1]}-d, family wants {d}-d")
+            acc = acc_buf[:len(M)]
+            acc.fill(0.0)
             for L, a, m in slabs:
-                # (column, point) rows, so every pass runs along the points;
-                # each bucket holds one column, whose masses still add in
-                # point order
-                g = g_buf[:c * len(L)].reshape(c, len(L))
-                key = key_buf[:g.size].reshape(g.shape)
-                idx = idx_buf[:g.size]
-                combine_levels(L, a, M, b, out=g.T, scratch=key.T)
-                # the sum is finite when every level is; only an overflowing
-                # sum of finite levels needs the exact test
-                if not (math.isfinite(g.sum()) or np.isfinite(g).all()):
-                    raise ValueError(_NON_FINITE_LEVEL)
-                np.multiply(g, inv_dx, out=g)
-                g -= shift
-                np.clip(g, -1.0, float(n_bins), out=g)
-                np.floor(g, out=key)
-                g -= key                                  # g now holds frac
-                # bucket of the left neighbour, (left + 1) * c + column:
-                # exact in float for these integers, so one cast gives it
-                key *= c
-                key += np.arange(c, 2 * c, dtype=float)[:, None]
-                np.copyto(idx, key.ravel(), casting="unsafe")
-                g *= m                                    # right weight
-                np.subtract(m, g, out=key)                # left weight
-                acc = np.bincount(idx, weights=key.ravel(), minlength=slots * c)
-                right = np.bincount(idx, weights=g.ravel(), minlength=slots * c)
-                acc[c:] += right[:-c]        # right neighbour: one bin row up
-                if total is None:
-                    total = acc
-                else:
-                    total += acc
-            finish(start, total.reshape(slots, -1))
+                run(L, a, m, M, b, inv_dx, shift, acc)
+            rows = slice(start, start + len(M))
+            np.divide(acc[:, 1:n_bins + 1], dx, out=values[rows])
+            overflow[rows] = acc[:, 0] + acc[:, n_bins + 1] + acc[:, n_bins + 2]
 
         return deposit_block
 
@@ -399,11 +400,32 @@ def _deposit(family: LevelFamily, points, masses, param_points, x_grid: GridSpec
     return values, overflow
 
 
-def _binned(source, family, param_points, x_grid, q_grid, supersample,
-            param_grid=None) -> TomogramFamily:
+def forward_binned(source, family: LevelFamily, params, x_grid: GridSpec,
+                   q_grid: GridSpec | None = None,
+                   supersample: int = 1) -> TomogramFamily:
+    """Tomogram family of a source at a set of parameter points.
+
+    ``params`` is a GridSpec parameter box, which the result keeps as
+    ``param_grid`` (inversion and the GTM-T format need one), or a
+    (P, param_dim) array of points, in which case ``param_grid`` is None.
+    ``source`` is a ScalarField (integrated on its own grid) or a Phantom
+    (integrated over q_grid cells).  Source points on the family's singular
+    set contribute nothing and are tallied.  A (P, Nx) table larger than
+    physical memory is refused before anything is allocated.
+    """
+    box = isinstance(params, GridSpec)
+    if not box:
+        params = np.atleast_2d(np.asarray(params, dtype=float))
+    n_par, n_bins = params.size if box else len(params), x_grid.shape[0]
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if n_par * n_bins * 8 > have:
+        raise ValueError(
+            f"the tomogram table of {n_par} parameters x {n_bins} bins needs "
+            f"{n_par * n_bins * 8} bytes, more than the {have} bytes of "
+            f"physical memory")
     if x_grid.ndim != 1:
         raise GridError("x_grid must be one-dimensional")
-    param_points = np.atleast_2d(np.asarray(param_points, dtype=float))
+    param_points = params.points() if box else params
     if param_points.shape[1] != family.param_dim:
         raise DimensionMismatchError(
             f"parameter points are {param_points.shape[1]}-d, "
@@ -432,73 +454,19 @@ def _binned(source, family, param_points, x_grid, q_grid, supersample,
         warnings.append(
             f"singular set covers {singular_fraction:.3g} of source points")
     return TomogramFamily(x_grid=x_grid, values=values, family_tag=family.tag,
-                          param_grid=param_grid, param_points=param_points,
-                          overflow=overflow,
+                          param_grid=params if box else None,
+                          param_points=param_points, overflow=overflow,
                           singular_fraction=singular_fraction,
                           warnings=warnings)
 
 
-def _check_table_fits(n_par: int, n_bins: int) -> None:
-    """Refuse a (P, Nx) tomogram table larger than physical memory before
-    anything is allocated."""
-    need = n_par * n_bins * 8
-    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need > have:
-        raise ValueError(
-            f"the tomogram table of {n_par} parameters x {n_bins} bins needs "
-            f"{need} bytes, more than the {have} bytes of physical memory")
-
-
-def forward_binned(source, family: LevelFamily, param_grid: GridSpec,
-                   x_grid: GridSpec, q_grid: GridSpec | None = None,
-                   supersample: int = 1) -> TomogramFamily:
-    """Tomogram family of a source over a rectangular parameter grid.
-
-    ``source`` is a ScalarField (integrated on its own grid) or a Phantom
-    (integrated over q_grid cells).  Source points on the family's singular
-    set contribute nothing and are tallied.
-    """
-    _check_table_fits(math.prod(param_grid.shape), x_grid.shape[0])
-    return _binned(source, family, param_grid.points(), x_grid, q_grid,
-                   supersample, param_grid)
-
-
-def forward_binned_at(source, family: LevelFamily, param_points,
-                      x_grid: GridSpec, q_grid: GridSpec | None = None,
-                      supersample: int = 1) -> TomogramFamily:
-    """Tomograms at an explicit (P, param_dim) array of parameter points;
-    the result has no parameter box (``param_grid`` is None)."""
-    _check_table_fits(len(param_points), x_grid.shape[0])
-    return _binned(source, family, param_points, x_grid, q_grid, supersample)
+# a second name for the one entry point, which callers of point lists use
+forward_binned_at = forward_binned
 
 
 # ---------------------------------------------------------------------------
-# closed forms and property measurements
+# property measurements
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Gaussian1D:
-    """One-dimensional Gaussian density descriptor."""
-
-    mean: float
-    variance: float
-
-    def pdf(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return np.exp(-((x - self.mean) ** 2) / (2 * self.variance)) / math.sqrt(
-            2 * math.pi * self.variance)
-
-
-def gaussian_hyperplane_tomogram(mean, covariance, mu) -> Gaussian1D:
-    """Exact hyperplane tomogram of a Gaussian: the linear functional mu . q
-    is Gaussian with mean mu . m and variance mu^T Sigma mu."""
-    mu = np.asarray(mu, dtype=float)
-    if not np.any(mu != 0.0):
-        raise ValueError("mu must be nonzero")
-    g = gaussian(mean, covariance)      # checks symmetry and definiteness
-    mean, cov = np.asarray(g.means[0]), np.asarray(g.covariances[0])
-    return Gaussian1D(mean=float(mu @ mean), variance=float(mu @ cov @ mu))
 
 
 def normalization_profile(t) -> np.ndarray:
@@ -524,15 +492,15 @@ def homogeneity_residual(source, family: LevelFamily, params, lam: float,
             f"homogeneity needs a parameter-linear family, not {family.tag}")
     params = np.asarray(params, dtype=float)
     lo, hi, n = x_grid.axes[0]
-    base = forward_binned_at(source, family, params[None, :], x_grid, q_grid)
+    base = forward_binned(source, family, params[None, :], x_grid, q_grid)
     if lam > 0:
         scaled_grid = GridSpec(((lam * lo, lam * hi, n),))
         reorder = slice(None)
     else:
         scaled_grid = GridSpec(((lam * hi, lam * lo, n),))
         reorder = slice(None, None, -1)
-    scaled = forward_binned_at(source, family, (lam * params)[None, :],
-                               scaled_grid, q_grid)
+    scaled = forward_binned(source, family, (lam * params)[None, :],
+                            scaled_grid, q_grid)
     diff = np.abs(abs(lam) * scaled.values[0][reorder] - base.values[0])
     return float(diff.max())
 

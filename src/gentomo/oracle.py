@@ -1,9 +1,11 @@
 """Independent references for validating the transform pipeline.
 
-The Monte-Carlo tomogram histograms g(Q; params) of exact phantom draws in
-box bins; the closed forms below are textbook densities.  Nothing here uses
-the binned engine, whose tent (cloud-in-cell) weights average differently:
-the two agree only for tomograms that are smooth on the bin scale.
+This is the one home of the references: the Monte-Carlo tomogram
+histograms g(Q; params) of exact phantom draws in box bins, and the closed
+forms below are textbook densities (the Gaussian's hyperplane tomogram,
+the chi-square density, the disk's chord profile).  Nothing here uses the
+binned engine, whose tent (cloud-in-cell) weights average differently: the
+two agree only for tomograms that are smooth on the bin scale.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GridError, GridSpec, Phantom
+from .core import GridError, GridSpec, Phantom, gaussian
 from .geometry import LevelFamily
 
 GENERATOR_ID = "pcg64"  # recorded so oracle runs are reproducible elsewhere
@@ -64,6 +66,30 @@ def mc_tomogram(phantom: Phantom, family: LevelFamily, params, x_grid: GridSpec,
     stderr = np.sqrt(p * (1.0 - p) / n) / dx
     return MCTomogram(x_grid=x_grid, density=density, stderr=stderr,
                       n_samples=n, n_singular=n_singular, seed=int(seed))
+
+
+@dataclass(frozen=True)
+class Gaussian1D:
+    """One-dimensional Gaussian density descriptor."""
+
+    mean: float
+    variance: float
+
+    def pdf(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        return np.exp(-((x - self.mean) ** 2) / (2 * self.variance)) / math.sqrt(
+            2 * math.pi * self.variance)
+
+
+def gaussian_hyperplane_tomogram(mean, covariance, mu) -> Gaussian1D:
+    """Exact hyperplane tomogram of a Gaussian: the linear functional mu . q
+    is Gaussian with mean mu . m and variance mu^T Sigma mu."""
+    mu = np.asarray(mu, dtype=float)
+    if not np.any(mu != 0.0):
+        raise ValueError("mu must be nonzero")
+    g = gaussian(mean, covariance)      # checks symmetry and definiteness
+    mean, cov = np.asarray(g.means[0]), np.asarray(g.covariances[0])
+    return Gaussian1D(mean=float(mu @ mean), variance=float(mu @ cov @ mu))
 
 
 def chi_square_density(dof: int, x) -> np.ndarray | float:

@@ -14,13 +14,13 @@ from gentomo.cli import main as cli_main
 from gentomo.core import (GaussianMixture, l2_rel_error, make_grid,
                           sample_phantom, standard_gaussian)
 from gentomo.forward import (forward_binned, forward_binned_at,
-                             gaussian_hyperplane_tomogram,
                              homogeneity_residual, normalization_profile,
                              pullback_density)
 from gentomo.geometry import (Hybrid, Hyperplane, Quadric, QuadricForm,
                               circle_family, hyperbola_family)
 from gentomo.inverse import roundtrip
-from gentomo.oracle import chi_square_density, mc_tomogram
+from gentomo.oracle import (chi_square_density, gaussian_hyperplane_tomogram,
+                            mc_tomogram)
 
 GAUSS2 = standard_gaussian(2)
 EIGHT_DIRECTIONS = [(math.cos(k * math.pi / 4), math.sin(k * math.pi / 4))

@@ -390,6 +390,14 @@ class TestExitCodes:
                                 b"mean=0,0,0\ncov=1,0,0,0,1,0,0,0,1\n"
                                 b"grid=-6,6,16;-6,6,16\n"),
             "--out", str(tmp / "t.gtm")], id="phantom-config-rank-clash"),
+        # a non-finite phantom parameter is refused, not sampled to NaN
+        pytest.param(2, lambda tmp, field: [
+            "forward", _written(tmp, "nan.cfg", b"type=gaussian\n"
+                                b"mean=0,nan\ncov=1,0,0,1\n"),
+            "--family", "hyperplane", "--mu-box=-1,1;-1,1", "--mu-count", "4",
+            "--x-range=-8,8", "--x-count", "61", "--q-box=-6,6;-6,6",
+            "--q-count", "32", "--out", str(tmp / "t.gtmt")],
+            id="forward-non-finite-phantom"),
     ])
     def test_one_error_line(self, tmp_path, gauss_field, code, make_argv,
                             capsys):

@@ -234,6 +234,23 @@ class TestPhantoms:
                    UniformBox(lo=(-1.0, -2.0), hi=(2.0, 1.0))):
             assert np.all(ph.pdf(pts) >= 0.0)
 
+    @pytest.mark.parametrize("make", [
+        lambda: gaussian([0.0, 0.0], [[math.inf, 0.0], [0.0, 1.0]]),
+        lambda: gaussian([0.0, math.nan], np.eye(2)),
+        lambda: GaussianMixture(weights=(math.nan, 1.0),
+                                means=((0.0,), (1.0,)),
+                                covariances=(((1.0,),), ((1.0,),))),
+        lambda: UniformBall(center=(0.0, 0.0), radius=math.inf),
+        lambda: UniformBall(center=(0.0, math.nan), radius=1.0),
+        lambda: UniformBox(lo=(-math.inf, 0.0), hi=(1.0, 1.0)),
+        lambda: UniformBox(lo=(0.0, 0.0), hi=(1.0, math.nan)),
+    ], ids=["gaussian-inf-cov", "gaussian-nan-mean", "mixture-nan-weight",
+            "ball-inf-radius", "ball-nan-center", "box-inf-corner",
+            "box-nan-corner"])
+    def test_non_finite_parameters_rejected(self, make):
+        with pytest.raises(ValueError, match="finite"):
+            make()
+
     def test_box_corner_ordering(self):
         with pytest.raises(ValueError):
             UniformBox(lo=(0.0, 0.0), hi=(1.0, -1.0))

@@ -20,15 +20,16 @@ from gentomo.core import (GaussianMixture, GridError, ScalarField,
                           make_grid, sample_phantom, standard_gaussian,
                           total_mass)
 from gentomo.forward import (_deposit, _run_blocks, forward_binned,
-                             forward_binned_at, gaussian_hyperplane_tomogram,
-                             homogeneity_residual, normalization_profile,
-                             pullback_density, thread_count)
+                             forward_binned_at, homogeneity_residual,
+                             normalization_profile, pullback_density,
+                             thread_count)
 from gentomo.geometry import (Hybrid, Hyperplane, LevelFamily, Quadric,
                               QuadricForm, axis_inversion, circle_family,
                               conformal_inversion, hyperbola_family,
                               hyperboloid_family, identity_map)
 from gentomo.inverse import characteristic_slice
-from gentomo.oracle import chi_square_density, mc_tomogram
+from gentomo.oracle import (chi_square_density, gaussian_hyperplane_tomogram,
+                            mc_tomogram)
 
 
 def _circle_quadric():
@@ -148,11 +149,18 @@ class TestForwardBinned:
         t1 = forward_binned(gauss2d, Hyperplane(2), pg, x_grid, q_grid)
         t2 = forward_binned_at(gauss2d, Hyperplane(2), pg.points(), x_grid,
                                q_grid)
-        assert type(t1) is type(t2) is TomogramFamily
+        t3 = forward_binned(gauss2d, Hyperplane(2), pg.points(), x_grid,
+                            q_grid)
+        assert forward_binned_at is forward_binned
+        assert type(t1) is type(t2) is type(t3) is TomogramFamily
         assert t1.param_grid == pg and t2.param_grid is None
+        assert t3.param_grid is None
         assert np.array_equal(t1.param_points, pg.points())
         assert np.array_equal(t2.param_points, pg.points())
-        assert t1.n_params == t2.n_params == 6
+        assert np.array_equal(t3.param_points, pg.points())
+        assert t1.values.tobytes() == t3.values.tobytes()
+        assert t1.overflow.tobytes() == t3.overflow.tobytes()
+        assert t1.n_params == t2.n_params == t3.n_params == 6
         characteristic_slice(t1)
         with pytest.raises(GridError, match="parameter box"):
             characteristic_slice(t2)
@@ -167,6 +175,14 @@ class TestForwardBinned:
         off_axis = make_grid(2, [(-2, 2, 5), (-2, 2, 5)])
         t2 = forward_binned_at(gauss2d, fam, [[1.0, 0.0]], x_grid, off_axis)
         assert t2.singular_fraction == 0.0
+
+    @pytest.mark.parametrize("s", [2, 0, -3])
+    def test_field_source_refuses_supersample(self, q_grid, s):
+        """A field is integrated on its own grid: no cell to subdivide."""
+        field = ScalarField(q_grid, np.ones(q_grid.size))
+        with pytest.raises(GridError, match="supersample"):
+            forward_binned(field, Hyperplane(2), [[1.0, 0.0]],
+                           make_grid(1, [(-6, 6, 61)]), supersample=s)
 
     def test_zero_source(self, q_grid):
         field = ScalarField(q_grid, np.zeros(q_grid.size))
