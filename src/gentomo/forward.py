@@ -45,9 +45,10 @@ _CHUNK_ELEMS = 500_000
 # bytes of histograms and accumulator rows per block of the compiled
 # deposit: kept in L2 while one tile of points serves every column
 _BLOCK_BYTES = 1 << 18
-# deposit workers at most: every slab's level terms are built before the
-# workers start, so this bounds only per-worker scratch, chiefly the numpy
-# path's (columns x slab) arrays
+# deposit and kernel-sum workers at most: the deposit builds every slab's
+# level terms before its workers start, so this bounds only per-worker
+# scratch, chiefly the numpy deposit's (columns x slab) arrays and the
+# kernel sum's b x P_k tables
 _MAX_WORKERS = 4
 # phantom quadrature nodes per pdf call
 _PDF_SLAB = 1 << 16
@@ -101,7 +102,8 @@ def _source_points_masses(source, q_grid: GridSpec | None, supersample: int = 1)
 
 
 def thread_count() -> int:
-    """Deposit and quadrature worker threads from ``GENTOMO_THREADS``.
+    """Deposit, quadrature and kernel-sum worker threads from
+    ``GENTOMO_THREADS``.
 
     0 or unset means the cores this process may run on, or all cores where
     the OS cannot tell.  Raises ValueError unless an integer >= 0.
@@ -444,7 +446,7 @@ def forward_binned(source, family: LevelFamily, params, x_grid: GridSpec,
 
     warnings = []
     total = float(masses.sum())
-    if total > 0.0:
+    if total > 0.0 and n_par:
         worst = float(overflow.max()) / total
         if worst > DEFAULT_OVERFLOW_THRESHOLD:
             warnings.append(

@@ -17,14 +17,16 @@ import numpy as np
 
 from .core import (DimensionMismatchError, GridError, GridSpec, Phantom,
                    ScalarField, TomogramFamily, l2_rel_error, sample_phantom)
-from .forward import forward_binned, normalization_profile, pullback_density
+from .forward import (_MAX_WORKERS, _run_blocks, forward_binned,
+                      normalization_profile, pullback_density, thread_count)
 from .geometry import LevelFamily, QuadricForm
 
 DEFAULT_DECAY_FLOOR = 1e-4
 
 # out-points per kernel block in the direct (non-separable) summation; a
-# block holds one b x P_k exponential per parameter axis and a b x P / P_n
-# partial sum, never the full b x P phase matrix
+# block holds one b x P_k cos/sin table per parameter axis, reused by every
+# block of its worker, and a b x P / P_n partial sum, never the full b x P
+# phase matrix
 _OUT_CHUNK = 512
 
 
@@ -93,7 +95,10 @@ def characteristic_slice(t: TomogramFamily,
     endpoint values and slopes.  The tail terms restore the contribution of
     smoothly decaying mass beyond the window and vanish when the window
     already covers the support (endpoint density zero).  The tomogram must
-    lie on a parameter box.
+    lie on a parameter box.  The real (P, Nx) table meets the quadrature
+    kernel in two real matrix-vector products, one per part, never as a
+    complex copy; against one complex product the values differ by at most
+    1e-14 of their peak (``TestCharacteristicSlice``).
     """
     if t.param_grid is None:
         raise GridError("inversion needs a tomogram on a parameter box")
@@ -102,7 +107,10 @@ def characteristic_slice(t: TomogramFamily,
     n = t.x_grid.shape[0]
     w = t.x_grid.trapezoid_weights().ravel()
     phase = np.exp(1j * x)
-    values = t.values @ (phase * w)
+    kern = phase * w
+    values = np.empty(len(t.values), dtype=complex)
+    values.real = t.values @ kern.real
+    values.imag = t.values @ kern.imag
     if tail_correction and n >= 3:
         k = min(max(n // 12, 3), 25)
         om_hi, d_hi = _endpoint_fit(t.values, dx, k, "hi")
@@ -168,21 +176,47 @@ def _direct_sum(coef: np.ndarray, phase_lhs: np.ndarray,
     coef is ordered like ``param_grid.points()``.  On a box the plane wave
     factors exactly, e^{i l . mu} = prod_k e^{i l_k mu_k}, so each block of
     out points contracts the last axis against coef with one complex matrix
-    product and every other axis elementwise, one b x P_k exponential per
-    axis: N_out * sum_k P_k exponentials instead of N_out * P.
+    product and every other axis elementwise, one b x P_k table per axis:
+    N_out * sum_k P_k cos/sin pairs instead of N_out * P exponentials.
+    Blocks of ``_OUT_CHUNK`` out points run on up to ``thread_count()``
+    workers (at most ``_MAX_WORKERS``); each block writes only its own
+    slice of the result and makes the same calls whatever the thread count,
+    so the bytes are equal for every ``GENTOMO_THREADS``
+    (``TestDirectSumThreads``).  Against the point-wise sum the result
+    agrees within 1e-12 of its peak, and against a 30-digit reference
+    within 1e-13 (``TestDirectSum``).
     """
     mu = [param_grid.axis_points(k) for k in range(param_grid.ndim)]
     lead = param_grid.shape[:-1]
     coef_t = coef.reshape(-1, param_grid.shape[-1]).T
     out = np.empty(len(phase_lhs), dtype=complex)
-    for s in range(0, len(phase_lhs), _OUT_CHUNK):
-        lhs = phase_lhs[s:s + _OUT_CHUNK]
-        acc = (np.exp(1j * (lhs[:, -1:] * mu[-1])) @ coef_t).reshape(
-            len(lhs), *lead)
-        for k in range(len(lead) - 1, -1, -1):
-            acc = np.einsum("b...k,bk->b...", acc,
-                            np.exp(1j * (lhs[:, k:k + 1] * mu[k])))
-        out[s:s + _OUT_CHUNK] = acc
+    starts = range(0, len(phase_lhs), _OUT_CHUNK)
+
+    rows = min(len(phase_lhs), _OUT_CHUNK)
+
+    def new_worker():
+        args = [np.empty((rows, len(m))) for m in mu]
+        tables = [np.empty((rows, len(m)), dtype=complex) for m in mu]
+
+        def plane_waves(lhs, k):
+            """e^{i lhs[:, k] mu_k} as a (b, P_k) table."""
+            x, t = args[k][:len(lhs)], tables[k][:len(lhs)]
+            np.multiply(lhs[:, k:k + 1], mu[k], out=x)
+            np.cos(x, out=t.real)
+            np.sin(x, out=t.imag)
+            return t
+
+        def sum_block(s):
+            lhs = phase_lhs[s:s + _OUT_CHUNK]
+            acc = (plane_waves(lhs, len(lead)) @ coef_t).reshape(len(lhs), *lead)
+            for k in range(len(lead) - 1, -1, -1):
+                acc = np.einsum("b...k,bk->b...", acc, plane_waves(lhs, k))
+            out[s:s + len(lhs)] = acc
+
+        return sum_block
+
+    _run_blocks(new_worker, starts,
+                max(1, min(thread_count(), _MAX_WORKERS, len(starts))))
     return out
 
 

@@ -533,6 +533,20 @@ class TestDepositThreads:
         assert used == [1, 2, 3]
         assert outs[0] == outs[1] == outs[2]
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_empty_parameter_list(self, gauss2d, q_grid, threads,
+                                  monkeypatch):
+        """No parameter point: an empty (0, n_bins) table, no overflow
+        warning."""
+        monkeypatch.setenv("GENTOMO_THREADS", threads)
+        x_grid = make_grid(1, [(-6, 6, 61)])
+        t = forward_binned(gauss2d, Hyperplane(2), np.zeros((0, 2)), x_grid,
+                           q_grid)
+        assert t.values.shape == (0, 61)
+        assert t.overflow.shape == (0,)
+        assert t.param_points.shape == (0, 2)
+        assert t.warnings == ()
+
     @pytest.mark.parametrize("raw", ["many", "-1", "1.5"])
     def test_bad_thread_env_raises(self, gauss2d, raw, monkeypatch):
         monkeypatch.setenv("GENTOMO_THREADS", raw)

@@ -1,5 +1,7 @@
 import math
+import threading
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from gentomo.geometry import (Deformed, Hybrid, Hyperplane, LevelFamily,
                               Quadric, QuadricForm, circle_family,
                               conformal_inversion, hyperbola_family,
                               hyperboloid_family, identity_map)
-from gentomo import inverse
+from gentomo import forward, inverse
 from gentomo.inverse import (CharacteristicSlice, _direct_sum,
                              characteristic_slice, invert_for_family,
                              roundtrip)
@@ -94,6 +96,107 @@ class TestDirectSum:
         assert diag.singular_fraction == 1 / 41**2
         assert ref_diag.singular_fraction == diag.singular_fraction
         _assert_close_to_peak(field.values, ref.values)
+
+    def test_matches_thirty_digit_reference(self):
+        """Within 1e-13 of the peak of the sum evaluated at 30 digits."""
+        pg = make_grid(2, [(-5, 4, 12), (-3, 5, 9)])
+        rng = np.random.default_rng(5)
+        lhs = rng.uniform(-20.0, 20.0, size=(50, 2))
+        coef = _random_coef(pg, seed=6)
+        with mpmath.workdps(30):
+            mu = [[mpmath.mpf(v) for v in m] for m in pg.points()]
+            ref = np.array([complex(mpmath.fsum(
+                mpmath.mpc(c.real, c.imag)
+                * mpmath.expj(mpmath.mpf(l[0]) * m[0] + mpmath.mpf(l[1]) * m[1])
+                for c, m in zip(coef, mu))) for l in lhs])
+        _assert_close_to_peak(_direct_sum(coef, lhs, pg), ref, rtol=1e-13)
+
+    def test_no_out_points_give_an_empty_sum(self):
+        # every out point on the singular set leaves none to sum
+        pg = make_grid(2, [(-2, 2, 5), (-1, 1, 4)])
+        got = _direct_sum(_random_coef(pg), np.zeros((0, 2)), pg)
+        assert got.shape == (0,) and got.dtype == complex
+
+
+def _hybrid_case():
+    B = np.zeros((3, 3))
+    B[:2, :2] = [[1.0, 0.3], [0.3, 2.0]]
+    pg = make_grid(3, [(-2, 2, 6), (-1.5, 2.5, 5), (-3, 1, 4)])
+    out = make_grid(3, [(-1, 1, 9), (-1, 1, 8), (-1, 1, 10)])
+    return Hybrid(QuadricForm(B, linear_axes=(2,))), pg, out
+
+
+# family, parameter box, out grid: the circle's out grid holds the origin
+# and ends in a ragged block (1681 = 3 x 512 + 145 points)
+_THREAD_CASES = {
+    "circle": (circle_family(), make_grid(2, [(-5, 5, 32), (-4, 4, 27)]),
+               make_grid(2, [(-2, 2, 41), (-2, 2, 41)])),
+    "hyperplane": (Hyperplane(2), make_grid(2, [(-5, 5, 32), (-4, 4, 27)]),
+                   make_grid(2, [(-3, 3, 40), (-3, 3, 38)])),
+    "hybrid_general": _hybrid_case(),
+}
+
+
+def _kernel_spy(used):
+    """A ``_run_blocks`` that records the worker count of kernel sums."""
+    def spy(new_worker, starts, workers):
+        used.append(workers)
+        return forward._run_blocks(new_worker, starts, workers)
+    return spy
+
+
+class TestDirectSumThreads:
+    """The kernel sum's blocks on every worker: equal bytes for every
+    ``GENTOMO_THREADS``, at most ``_MAX_WORKERS`` threads."""
+
+    @pytest.mark.parametrize("case", list(_THREAD_CASES))
+    def test_bytes_identical_for_every_thread_count(self, case, monkeypatch):
+        family, pg, out = _THREAD_CASES[case]
+        slc = _slice_from_values(pg, _random_coef(pg, seed=7),
+                                 tag=family.tag)
+        blocks = -(-out.size // inverse._OUT_CHUNK)
+        used = []
+        monkeypatch.setattr(inverse, "_run_blocks", _kernel_spy(used))
+        outs = []
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("GENTOMO_THREADS", threads)
+            field, diag = invert_for_family(slc, family, out)
+            outs.append((field.values.tobytes(), diag))
+        assert used == [min(n, blocks) for n in (1, 2, 3)]
+        assert outs[0] == outs[1] == outs[2]
+
+    def test_block_error_reaches_caller(self, monkeypatch):
+        # one column of out coordinates against a 2-d box: every block fails
+        # to broadcast, in whichever thread runs it
+        pg = make_grid(2, [(-2, 2, 5), (-1, 1, 4)])
+        used = []
+        monkeypatch.setattr(inverse, "_run_blocks", _kernel_spy(used))
+        monkeypatch.setenv("GENTOMO_THREADS", "2")
+        with pytest.raises(ValueError, match="broadcast"):
+            _direct_sum(_random_coef(pg), np.zeros((1300, 1)), pg)
+        assert used == [2]
+
+    @pytest.mark.parametrize("n_out, blocks", [(39, 3), (100, 20)])
+    def test_worker_cap(self, n_out, blocks, monkeypatch):
+        """64 requested threads start min(blocks, _MAX_WORKERS) - 1 extra
+        threads; a start past the cap is refused rather than run."""
+        assert -(-n_out**2 // inverse._OUT_CHUNK) == blocks
+        starts = []
+
+        class Counting(threading.Thread):
+            def start(self):
+                starts.append(self)
+                if len(starts) >= inverse._MAX_WORKERS:
+                    raise AssertionError("more threads than _MAX_WORKERS")
+                super().start()
+
+        monkeypatch.setattr(threading, "Thread", Counting)
+        monkeypatch.setenv("GENTOMO_THREADS", "64")
+        pg = make_grid(2, [(-5, 5, 16), (-5, 5, 16)])
+        out = make_grid(2, [(-3, 3, n_out), (-3, 3, n_out)])
+        slc = _slice_from_values(pg, _random_coef(pg))
+        invert_for_family(slc, Hyperplane(2), out)
+        assert len(starts) == min(blocks, inverse._MAX_WORKERS) - 1
 
 
 def _random_slice(pg):
@@ -308,6 +411,20 @@ class TestCharacteristicSlice:
         slc = characteristic_slice(t)
         vals = slc.values.reshape(5, 5)
         assert np.allclose(vals[::-1, ::-1], np.conj(vals), atol=1e-6)
+
+    def test_real_products_match_complex_product(self):
+        """Two real matrix-vector products against the complex one they
+        replace: within 1e-14 of the peak."""
+        xg = make_grid(1, [(-30, 30, 481)])
+        pg = make_grid(2, [(-5, 5, 20), (-5, 5, 15)])
+        rng = np.random.default_rng(8)
+        t = TomogramFamily(x_grid=xg, param_grid=pg,
+                           values=rng.random((pg.size, 481)),
+                           family_tag="hyperplane")
+        w = xg.trapezoid_weights().ravel()
+        ref = t.values @ (np.exp(1j * xg.axis_points(0)) * w)
+        got = characteristic_slice(t, tail_correction=False).values
+        _assert_close_to_peak(got, ref, rtol=1e-14)
 
     def test_tail_correction_recovers_clipped_gaussian(self):
         # window [-10, 10] clips N(0, 25); tail terms recover most of the
