@@ -54,6 +54,16 @@ def _random_coef(pg, seed=0):
     return rng.normal(size=pg.size) + 1j * rng.normal(size=pg.size)
 
 
+def _hybrid_case():
+    """A 3-d hybrid with a general (non-diagonal) core: family, parameter
+    box, out grid."""
+    B = np.zeros((3, 3))
+    B[:2, :2] = [[1.0, 0.3], [0.3, 2.0]]
+    pg = make_grid(3, [(-2, 2, 6), (-1.5, 2.5, 5), (-3, 1, 4)])
+    out = make_grid(3, [(-1, 1, 9), (-1, 1, 8), (-1, 1, 10)])
+    return Hybrid(QuadricForm(B, linear_axes=(2,))), pg, out
+
+
 class TestDirectSum:
     """The per-axis factored kernel sum against the point-wise reference."""
 
@@ -73,15 +83,11 @@ class TestDirectSum:
                               _pointwise_sum(coef, lhs, pg))
 
     def test_hybrid_general_split_three_dimensional(self, monkeypatch):
-        B = np.zeros((3, 3))
-        B[:2, :2] = [[1.0, 0.3], [0.3, 2.0]]
-        form = QuadricForm(B, linear_axes=(2,))
-        pg = make_grid(3, [(-2, 2, 6), (-1.5, 2.5, 5), (-3, 1, 4)])
-        out = make_grid(3, [(-1, 1, 9), (-1, 1, 8), (-1, 1, 10)])
+        family, pg, out = _hybrid_case()
         slc = _slice_from_values(pg, _random_coef(pg, seed=3), tag="hybrid")
-        field, diag = invert_for_family(slc, Hybrid(form), out)
+        field, diag = invert_for_family(slc, family, out)
         monkeypatch.setattr(inverse, "_direct_sum", _pointwise_sum)
-        ref, ref_diag = invert_for_family(slc, Hybrid(form), out)
+        ref, ref_diag = invert_for_family(slc, family, out)
         _assert_close_to_peak(field.values, ref.values)
         assert diag.imag_ratio == pytest.approx(ref_diag.imag_ratio, rel=1e-9)
 
@@ -116,14 +122,6 @@ class TestDirectSum:
         pg = make_grid(2, [(-2, 2, 5), (-1, 1, 4)])
         got = _direct_sum(_random_coef(pg), np.zeros((0, 2)), pg)
         assert got.shape == (0,) and got.dtype == complex
-
-
-def _hybrid_case():
-    B = np.zeros((3, 3))
-    B[:2, :2] = [[1.0, 0.3], [0.3, 2.0]]
-    pg = make_grid(3, [(-2, 2, 6), (-1.5, 2.5, 5), (-3, 1, 4)])
-    out = make_grid(3, [(-1, 1, 9), (-1, 1, 8), (-1, 1, 10)])
-    return Hybrid(QuadricForm(B, linear_axes=(2,))), pg, out
 
 
 # family, parameter box, out grid: the circle's out grid holds the origin
