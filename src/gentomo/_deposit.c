@@ -20,7 +20,10 @@
  * column.  Per (tile, column) its phase 1 (tile_levels) stores only to two
  * small arrays, so it vectorizes: level, finiteness, scale, shift, clamp,
  * floor and the right weight, giving an int bucket index and a weight per
- * point; phase 2 scatters them in point order.  Baseline x86-64 (SSE2)
+ * point; phase 2 scatters them in point order.  Phase 1 has one body, built
+ * once for each d from 1 to 4 with d a literal (gcc vectorizes it over the
+ * points only when it can unroll the loop over k) and once for the runtime
+ * d of higher dimensions.  Baseline x86-64 (SSE2)
  * has no vector double -> int conversion, and there the tiled loop ran
  * 1.2-2x slower than the fused one, so every other CPU, target and
  * compiler runs slab_fused.  Build without FMA contraction or
@@ -129,7 +132,8 @@ static inline void bin_level(double g, double mass, double inv_dx,
 }
 
 /* Phase 1 for n <= TILE points and one column (mj, bj): stores only to
- * bucket and right_w, so it vectorizes; returns 0 when a level is not
+ * bucket and right_w, so it vectorizes where d is a literal, which lets gcc
+ * unroll level()'s loop over k first; returns 0 when a level is not
  * finite. */
 static inline __attribute__((always_inline)) int
 tile_levels(const double *restrict L, const double *restrict a,
@@ -139,34 +143,23 @@ tile_levels(const double *restrict L, const double *restrict a,
             double *restrict right_w)
 {
     int finite = 1;
-    if (d == 2) {
-        /* gcc vectorizes only this form: no inner loop over k */
-        double m0 = mj[0], m1 = mj[1];
-        for (long i = 0; i < n; i++) {
-            double g = L[2 * i] * m0;
-            g += L[2 * i + 1] * m1;
-            if (a != NULL) {
-                g += a[i];
-                g += bj;
-            }
-            finite &= fabs(g) <= DBL_MAX;
-            bin_level(g, mass[i], inv_dx, shift, top, bucket + i,
-                      right_w + i);
+    for (long i = 0; i < n; i++) {
+        double g = level(L + i * d, d, mj);
+        if (a != NULL) {
+            g += a[i];
+            g += bj;
         }
-    } else {
-        for (long i = 0; i < n; i++) {
-            double g = level(L + i * d, d, mj);
-            if (a != NULL) {
-                g += a[i];
-                g += bj;
-            }
-            finite &= fabs(g) <= DBL_MAX;
-            bin_level(g, mass[i], inv_dx, shift, top, bucket + i,
-                      right_w + i);
-        }
+        finite &= fabs(g) <= DBL_MAX;
+        bin_level(g, mass[i], inv_dx, shift, top, bucket + i, right_w + i);
     }
     return finite;
 }
+
+/* Phase 1 of slab_tiled for tile i0 and column j, with d spelled dd: each
+ * literal dd gets a vectorized copy of its own. */
+#define TILE_LEVELS(dd)                                                     \
+    tile_levels(L + i0 * d, a == NULL ? NULL : a + i0, m, nt, dd, M + j * d, \
+                a == NULL ? 0.0 : b[j], inv_dx, shift, top, bucket, right_w)
 
 /* Point tiles outer, columns inner: one pass over a tile's L, a and mass
  * serves every column; per (tile, column) phase 1, then phase 2, the
@@ -184,9 +177,11 @@ slab_tiled(const double *L, const double *a, const double *mass, long n,
         long nt = n - i0 < TILE ? n - i0 : TILE;
         const double *m = mass + i0;
         for (long j = 0; j < cols; j++) {
-            if (!tile_levels(L + i0 * d, a == NULL ? NULL : a + i0, m, nt, d,
-                             M + j * d, a == NULL ? 0.0 : b[j], inv_dx,
-                             shift, top, bucket, right_w))
+            if (!(d == 1   ? TILE_LEVELS(1)
+                  : d == 2 ? TILE_LEVELS(2)
+                  : d == 3 ? TILE_LEVELS(3)
+                  : d == 4 ? TILE_LEVELS(4)
+                           : TILE_LEVELS(d)))
                 return 0;
             double *h = hist + j * per_col;
             for (long i = 0; i < nt; i++) {

@@ -12,8 +12,9 @@ code; only precondition violations do.
 Commands raise; ``main`` alone maps an exception to its exit code and
 prints one ``error:`` line: ``OSError`` -> 4, ``DimensionMismatchError``
 -> 3, any other ``ValueError`` (format and grid errors, and every value
-the library rejects, ``check`` values included) -> 2, and a ``CliError``
-carries its own code.  Commands catch only to add context the exception
+the library rejects, ``check`` values included) -> 2, ``MemoryError`` (a
+size flag such as ``--q-count`` or ``--samples`` too large to allocate)
+-> 2, and a ``CliError`` carries its own code.  Commands catch only to add context the exception
 lacks: the ``--B`` and ``--split`` token parsers, the grid flag parsers,
 and the ``bad config:`` / ``bad source`` wrappers, which also keep a
 phantom config's internal dimension errors at exit 2.  The ``--taper``,
@@ -316,6 +317,9 @@ def main(argv=None) -> int:
         code, message = EXIT_INCONSISTENT, f"inconsistent dimensions: {exc}"
     except ValueError as exc:
         code, message = EXIT_BAD_INPUT, str(exc)
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        code, message = EXIT_BAD_INPUT, f"out of memory{detail}"
     print(f"error: {message}", file=sys.stderr)
     return code
 

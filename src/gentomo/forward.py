@@ -45,10 +45,11 @@ _CHUNK_ELEMS = 500_000
 # bytes of histograms and accumulator rows per block of the compiled
 # deposit: kept in L2 while one tile of points serves every column
 _BLOCK_BYTES = 1 << 18
-# deposit and kernel-sum workers at most: the deposit builds every slab's
-# level terms before its workers start, so this bounds only per-worker
-# scratch, chiefly the numpy deposit's (columns x slab) arrays and the
-# kernel sum's b x P_k tables
+# deposit, quadrature and kernel-sum workers at most: the deposit builds
+# every slab's level terms before its workers start, so this bounds only
+# per-worker scratch, chiefly the numpy deposit's (columns x slab) arrays
+# and the kernel sum's b x P_k tables, and the threads a large
+# GENTOMO_THREADS starts
 _MAX_WORKERS = 4
 # phantom quadrature nodes per pdf call
 _PDF_SLAB = 1 << 16
@@ -67,7 +68,7 @@ def _source_points_masses(source, q_grid: GridSpec | None, supersample: int = 1)
     aligns with a grid axis.
 
     The phantom's pdf runs on fixed slabs of ``_PDF_SLAB`` nodes, shared by
-    ``thread_count()`` workers.  Every shipped phantom is pointwise, so the
+    ``thread_count()`` workers (at most ``_MAX_WORKERS``).  Every shipped phantom is pointwise, so the
     masses are byte-identical to one full-array ``pdf`` call, for every
     thread count; a Gaussian mixture's pdf runs in one fixed order without
     LAPACK, so its masses are the same on every BLAS/LAPACK build.
@@ -96,14 +97,15 @@ def _source_points_masses(source, q_grid: GridSpec | None, supersample: int = 1)
                         out=masses[start:stop])
 
         starts = range(0, len(pts), _PDF_SLAB)
-        _run_blocks(lambda: weigh, starts, min(thread_count(), len(starts)))
+        _run_blocks(lambda: weigh, starts,
+                    min(thread_count(), _MAX_WORKERS, len(starts)))
         return pts, masses
     raise TypeError(f"source must be a ScalarField or Phantom, got {type(source)}")
 
 
 def thread_count() -> int:
     """Deposit, quadrature and kernel-sum worker threads from
-    ``GENTOMO_THREADS``.
+    ``GENTOMO_THREADS``; each of the three runs at most ``_MAX_WORKERS``.
 
     0 or unset means the cores this process may run on, or all cores where
     the OS cannot tell.  Raises ValueError unless an integer >= 0.

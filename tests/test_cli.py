@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 
+from gentomo import checks, cli
 from gentomo.cli import main
 from gentomo.formats import read_field, read_tomogram
 
@@ -404,4 +405,33 @@ class TestExitCodes:
         capsys.readouterr()
         assert main(make_argv(tmp_path, gauss_field)) == code
         _one_error_line(capsys)
+        assert not list(tmp_path.glob("[tr].gtm*"))
+
+    @pytest.mark.parametrize("owner, name, make_argv", [
+        (cli, "forward_binned", lambda tmp, tomo, field: _forward_args(
+            field, tmp / "t.gtmt")),
+        (cli, "invert_for_family", lambda tmp, tomo, field: [
+            "invert", str(tomo), "--family", "hyperplane",
+            "--q-box=-3,3;-3,3", "--q-count", "9;9",
+            "--out", str(tmp / "r.gtm")]),
+        (checks, "run_suite", lambda tmp, tomo, field: [
+            "check", "oracle-agreement", "--samples", "1000"]),
+    ], ids=["forward", "invert", "check"])
+    @pytest.mark.parametrize("text", ["", "Unable to allocate 7.28 TiB"])
+    def test_memory_error_exits_2(self, tmp_path, gauss_field, owner, name,
+                                  make_argv, text, capsys, monkeypatch):
+        """A size too large to allocate, such as ``--q-count
+        1000000;1000000``, exits 2; a stand-in raises the MemoryError, since
+        a real one could instead be OOM-killed on an overcommitting host."""
+        tomo = tmp_path / "in.gtmt"
+        assert main(_forward_args(gauss_field, tomo)) == 0
+
+        def refuse(*args, **kwargs):
+            raise MemoryError(text)
+
+        monkeypatch.setattr(owner, name, refuse)
+        capsys.readouterr()
+        assert main(make_argv(tmp_path, tomo, gauss_field)) == 2
+        line = _one_error_line(capsys)
+        assert line == "error: out of memory" + (f": {text}" if text else "")
         assert not list(tmp_path.glob("[tr].gtm*"))

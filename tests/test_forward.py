@@ -6,6 +6,7 @@ import re
 import shutil
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -371,12 +372,14 @@ def _reference_deposit(family, points, masses, param_points, x_grid,
     return values, overflow
 
 
-# every family in 2-D, and the hyperplane and a hybrid in 3-D (the compiled
-# loop's generic-d branch), each with an X window whose spacing is a power
-# of two: on the dyadic lattice below, the hyperplane and quadric level
-# values land exactly on bin edges, the clamp edges g = -1 and g = n_bins
-# included
+# every family in 2-D, plus a case for each other instance of the compiled
+# loop's phase 1: a hyperplane in 1-D, the hyperplane and a hybrid in 3-D,
+# the hyperboloid in 4-D, and a hybrid in 5-D (the runtime-d instance); each
+# with an X window whose spacing is a power of two: on the dyadic lattice
+# below, the hyperplane and quadric level values land exactly on bin edges,
+# the clamp edges g = -1 and g = n_bins included
 DEPOSIT_CASES = {
+    "hyperplane_1d": (Hyperplane(1), (-2.0, 2.0, 17)),
     "hyperplane": (Hyperplane(2), (-2.0, 2.0, 17)),
     "circle": (circle_family(), (-2.0, 2.0, 17)),
     "hyperbola": (hyperbola_family(), (-2.0, 2.0, 17)),
@@ -388,6 +391,10 @@ DEPOSIT_CASES = {
     "hybrid_3d": (Hybrid(QuadricForm(np.diag([1.0, -0.5, 0.0]),
                                      linear_axes=(2,))),
                   (-1.0, 3.0, 17)),
+    "hyperboloid_4d": (hyperboloid_family(2), (-2.0, 2.0, 17)),
+    "hybrid_5d": (Hybrid(QuadricForm(np.diag([1.0, -0.5, 2.0, 0.0, 0.0]),
+                                     linear_axes=(3, 4))),
+                  (-2.0, 14.0, 17)),
 }
 
 # points per tile of the compiled loop
@@ -397,13 +404,17 @@ _TILE = int(re.search(r"#define TILE (\d+)",
 
 def _deposit_inputs(family):
     """A dyadic lattice plus uniform points: more than two tiles of the
-    compiled loop, the last one short."""
+    compiled loop, the last one short.  Above 4-d the points are uniform
+    only, since an 11^5 lattice would be large."""
     rng = np.random.default_rng(5)
     n = family.ndim
-    lattice = np.arange(-12, 13) / 4.0 if n == 2 else np.arange(-5, 6) / 2.0
-    mesh = np.stack(np.meshgrid(*[lattice] * n, indexing="ij"), -1)
+    lattice = np.arange(-12, 13) / 4.0 if n <= 2 else np.arange(-5, 6) / 2.0
+    mesh = (np.stack(np.meshgrid(*[lattice] * n, indexing="ij"), -1)
+            if n <= 4 else np.empty((0, n)))
+    # 699 in 4-d, where 700 would leave the last tile full
+    uniform = {2: 700, 3: 700, 4: 699}.get(n, 1100)
     points = np.concatenate([mesh.reshape(-1, n),
-                             rng.uniform(-3, 3, size=(700, n))])
+                             rng.uniform(-3, 3, size=(uniform, n))])
     points = points[~family.singular_mask(points)]
     assert len(points) > 2 * _TILE and len(points) % _TILE
     masses = rng.normal(size=len(points))      # fields can be signed
@@ -960,3 +971,26 @@ class TestPhantomQuadrature:
         expect = source.pdf(q.cell_centers()) * q.cell_volume
         assert np.array_equal(pts, q.cell_centers())
         assert masses.tobytes() == expect.tobytes()
+
+    def test_worker_cap(self, monkeypatch):
+        """64 requested threads start _MAX_WORKERS - 1 extra threads for
+        more slabs than that; a start past the cap is refused rather than
+        run."""
+        q = make_grid(2, [(-6, 6, 600), (-6, 6, 600)])
+        nodes = len(q.cell_centers())
+        assert -(-nodes // forward._PDF_SLAB) > forward._MAX_WORKERS
+        starts = []
+
+        class Counting(threading.Thread):
+            def start(self):
+                starts.append(self)
+                if len(starts) >= forward._MAX_WORKERS:
+                    raise AssertionError("more threads than _MAX_WORKERS")
+                super().start()
+
+        monkeypatch.setattr(threading, "Thread", Counting)
+        monkeypatch.setenv("GENTOMO_THREADS", "64")
+        gauss = standard_gaussian(2)
+        pts, masses = forward._source_points_masses(gauss, q)
+        assert len(starts) == forward._MAX_WORKERS - 1
+        assert masses.tobytes() == (gauss.pdf(pts) * q.cell_volume).tobytes()
