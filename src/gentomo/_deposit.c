@@ -23,10 +23,9 @@
  * point; phase 2 scatters them in point order.  Phase 1 has one body, built
  * once for each d from 1 to 4 with d a literal (gcc vectorizes it over the
  * points only when it can unroll the loop over k) and once for the runtime
- * d of higher dimensions.  Baseline x86-64 (SSE2)
- * has no vector double -> int conversion, and there the tiled loop ran
- * 1.2-2x slower than the fused one, so every other CPU, target and
- * compiler runs slab_fused.  Build without FMA contraction or
+ * d of higher dimensions.  Baseline x86-64 (SSE2) has no vector double ->
+ * int conversion, and there the tiled loop ran 1.2-2x slower than the
+ * fused one, so every other CPU, target and compiler runs slab_fused.  Build without FMA contraction or
  * reassociation (-ffp-contract=off, no -ffast-math): then both loops round
  * every operation as numpy does, and all give equal bytes.
  *
@@ -132,9 +131,8 @@ static inline void bin_level(double g, double mass, double inv_dx,
 }
 
 /* Phase 1 for n <= TILE points and one column (mj, bj): stores only to
- * bucket and right_w, so it vectorizes where d is a literal, which lets gcc
- * unroll level()'s loop over k first; returns 0 when a level is not
- * finite. */
+ * bucket and right_w, so it vectorizes when d is a literal; returns 0 when
+ * a level is not finite. */
 static inline __attribute__((always_inline)) int
 tile_levels(const double *restrict L, const double *restrict a,
             const double *restrict mass, long n, long d,
@@ -177,8 +175,9 @@ slab_tiled(const double *L, const double *a, const double *mass, long n,
         long nt = n - i0 < TILE ? n - i0 : TILE;
         const double *m = mass + i0;
         for (long j = 0; j < cols; j++) {
-            if (!(d == 1   ? TILE_LEVELS(1)
-                  : d == 2 ? TILE_LEVELS(2)
+            /* 2-d, the common case, first */
+            if (!(d == 2   ? TILE_LEVELS(2)
+                  : d == 1 ? TILE_LEVELS(1)
                   : d == 3 ? TILE_LEVELS(3)
                   : d == 4 ? TILE_LEVELS(4)
                            : TILE_LEVELS(d)))
