@@ -20,12 +20,12 @@
  * column.  Per (tile, column) its phase 1 (tile_levels) stores only to two
  * small arrays, so it vectorizes: level, finiteness, scale, shift, clamp,
  * floor and the right weight, giving an int bucket index and a weight per
- * point; phase 2 scatters them in point order.  Phase 1 has one body, built
- * once for each d from 1 to 4 with d a literal (gcc vectorizes it over the
- * points only when it can unroll the loop over k) and once for the runtime
- * d of higher dimensions.  Baseline x86-64 (SSE2) has no vector double ->
- * int conversion, and there the tiled loop ran 1.2-2x slower than the
- * fused one, so every other CPU, target and compiler runs slab_fused.  Build without FMA contraction or
+ * point; phase 2 scatters them in point order.  Phase 1 has one body,
+ * built once per literal d from 1 to 4 (gcc vectorizes over the points only
+ * once it can unroll the loop over k) and once for the runtime d above 4.
+ * Baseline x86-64 (SSE2) has no vector double -> int conversion, and there
+ * the tiled loop ran 1.2-2x slower than the fused one, so every other CPU,
+ * target and compiler runs slab_fused.  Build without FMA contraction or
  * reassociation (-ffp-contract=off, no -ffast-math): then both loops round
  * every operation as numpy does, and all give equal bytes.
  *

@@ -68,10 +68,11 @@ def _source_points_masses(source, q_grid: GridSpec | None, supersample: int = 1)
     aligns with a grid axis.
 
     The phantom's pdf runs on fixed slabs of ``_PDF_SLAB`` nodes, shared by
-    ``thread_count()`` workers (at most ``_MAX_WORKERS``).  Every shipped phantom is pointwise, so the
-    masses are byte-identical to one full-array ``pdf`` call, for every
-    thread count; a Gaussian mixture's pdf runs in one fixed order without
-    LAPACK, so its masses are the same on every BLAS/LAPACK build.
+    ``thread_count()`` workers (at most ``_MAX_WORKERS``).  Every shipped
+    phantom is pointwise, so the masses are byte-identical to one
+    full-array ``pdf`` call, for every thread count; a Gaussian mixture's
+    pdf runs in one fixed order without LAPACK, so its masses are the same
+    on every BLAS/LAPACK build.
     """
     if isinstance(source, ScalarField):
         if q_grid is not None and q_grid != source.grid:
