@@ -13,7 +13,7 @@
  * slab order gives the buckets of the numpy path.
  *
  * Two slab loops fill the histograms; which one runs is picked per call
- * from the CPU.  slab_fused runs the columns outer and does everything
+ * from d and the CPU.  slab_fused runs the columns outer and does everything
  * for one point in one pass.  slab_tiled, built for x86-64-v4 and -v3 by
  * gcc 12 or later, runs the points in tiles of TILE and the block's
  * columns inner, so one pass over a tile's L, a and mass serves every
@@ -21,11 +21,12 @@
  * small arrays, so it vectorizes: level, finiteness, scale, shift, clamp,
  * floor and the right weight, giving an int bucket index and a weight per
  * point; phase 2 scatters them in point order.  Phase 1 has one body,
- * built once per literal d from 1 to 4 (gcc vectorizes over the points only
- * once it can unroll the loop over k) and once for the runtime d above 4.
+ * built once per literal d from 1 to 4: gcc vectorizes over the points only
+ * once it can unroll the loop over k.  With d read at run time the tiled
+ * loop ran 1.4-1.7x slower than the fused one, so d > 4 runs slab_fused.
  * Baseline x86-64 (SSE2) has no vector double -> int conversion, and there
  * the tiled loop ran 1.2-2x slower than the fused one, so every other CPU,
- * target and compiler runs slab_fused.  Build without FMA contraction or
+ * target and compiler runs slab_fused too.  Build without FMA contraction or
  * reassociation (-ffp-contract=off, no -ffast-math): then both loops round
  * every operation as numpy does, and all give equal bytes.
  *
@@ -159,9 +160,9 @@ tile_levels(const double *restrict L, const double *restrict a,
     tile_levels(L + i0 * d, a == NULL ? NULL : a + i0, m, nt, dd, M + j * d, \
                 a == NULL ? 0.0 : b[j], inv_dx, shift, top, bucket, right_w)
 
-/* Point tiles outer, columns inner: one pass over a tile's L, a and mass
- * serves every column; per (tile, column) phase 1, then phase 2, the
- * scatter in point order. */
+/* Point tiles outer, columns inner, for d <= 4: one pass over a tile's L,
+ * a and mass serves every column; per (tile, column) phase 1, then phase 2,
+ * the scatter in point order. */
 static inline __attribute__((always_inline)) int
 slab_tiled(const double *L, const double *a, const double *mass, long n,
            long d, const double *M, const double *b, long cols,
@@ -175,12 +176,11 @@ slab_tiled(const double *L, const double *a, const double *mass, long n,
         long nt = n - i0 < TILE ? n - i0 : TILE;
         const double *m = mass + i0;
         for (long j = 0; j < cols; j++) {
-            /* 2-d, the common case, first */
+            /* 2-d, the common case, first; d <= 4 here */
             if (!(d == 2   ? TILE_LEVELS(2)
                   : d == 1 ? TILE_LEVELS(1)
                   : d == 3 ? TILE_LEVELS(3)
-                  : d == 4 ? TILE_LEVELS(4)
-                           : TILE_LEVELS(d)))
+                           : TILE_LEVELS(4)))
                 return 0;
             double *h = hist + j * per_col;
             for (long i = 0; i < nt; i++) {
@@ -230,8 +230,8 @@ int gentomo_deposit(const double *L, const double *a, const double *mass,
     double *hist = calloc((size_t)cols * per_col, sizeof *hist);
     if (hist == NULL)
         return -2;
-    if (!pick_slab()(L, a, mass, n, d, M, b, cols, inv_dx, shift, n_bins,
-                     hist)) {
+    slab_fn *slab = d > 4 ? slab_fused : pick_slab();
+    if (!slab(L, a, mass, n, d, M, b, cols, inv_dx, shift, n_bins, hist)) {
         free(hist);
         return -1;
     }

@@ -1,17 +1,18 @@
 """Property suites behind the ``check`` command.
 
-Each suite measures a structural property of the pipeline on canned
-mid-size configurations and reports one line per check: name, measured
-value, bound, PASS/FAIL.  Suites are deterministic given the seed.
+Each suite measures a structural property of the pipeline on the
+acceptance tests' configurations and reports one line per check: name,
+measured value, bound, PASS/FAIL.  Suites are deterministic given the seed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import core, forward, geometry, inverse, oracle
+from . import core, forward, geometry, oracle
 
 
 @dataclass(frozen=True)
@@ -27,23 +28,26 @@ def _result(name: str, measured: float, bound: float) -> CheckResult:
                        bool(measured <= bound))
 
 
-def _setup_gaussian():
-    phantom = core.standard_gaussian(2)
-    q_grid = core.make_grid(2, [(-6, 6, 192), (-6, 6, 192)])
-    x_grid = core.make_grid(1, [(-8, 8, 241)])
-    return phantom, q_grid, x_grid
+# shared with the acceptance tests: the 2-d phantom, its source grid, eight
+# directions on the unit circle and the hyperplane X grid (AC-1)
+GAUSS2 = core.standard_gaussian(2)
+Q_GRID = core.make_grid(2, [(-6, 6, 256)] * 2)
+DIRECTIONS = [(math.cos(k * math.pi / 4), math.sin(k * math.pi / 4))
+              for k in range(8)]
+X_PLANE = core.make_grid(1, [(-6, 6, 241)])
 
 
 def normalization_suite(seed: int = 0, **_) -> list[CheckResult]:
     """Every tomogram of a unit-mass phantom integrates to 1 over X."""
-    phantom, q_grid, x_grid = _setup_gaussian()
     results = []
-    directions = [(np.cos(a), np.sin(a)) for a in np.linspace(0.2, np.pi, 6)]
-    for fam, tag in [(geometry.Hyperplane(2), "hyperplane"),
-                     (geometry.Quadric(geometry.QuadricForm(np.eye(2))), "quadric")]:
-        params = directions if tag == "hyperplane" else [(0.5, -0.3), (0.0, 0.0)]
-        xg = x_grid if tag == "hyperplane" else core.make_grid(1, [(-2, 60, 249)])
-        t = forward.forward_binned(phantom, fam, params, xg, q_grid)
+    cases = [
+        ("hyperplane", geometry.Hyperplane(2), DIRECTIONS, X_PLANE, 2),
+        ("quadric", geometry.Quadric(geometry.QuadricForm(np.eye(2))),
+         [(0.5, -0.3), (0.0, 0.0)], core.make_grid(1, [(-2, 60, 249)]), 1),
+    ]
+    for tag, fam, params, xg, supersample in cases:
+        t = forward.forward_binned(GAUSS2, fam, params, xg, Q_GRID,
+                                   supersample=supersample)
         norm = forward.normalization_profile(t)
         results.append(_result(f"normalization/{tag}/deviation",
                                np.abs(norm - 1.0).max(), 1e-2))
@@ -55,52 +59,52 @@ def normalization_suite(seed: int = 0, **_) -> list[CheckResult]:
 def homogeneity_suite(seed: int = 0, lam: float | None = None, **_,
                       ) -> list[CheckResult]:
     """|lam| w(lam X; lam mu) = w(X; mu) for parameter-linear families."""
-    phantom, q_grid, x_grid = _setup_gaussian()
+    x_grid = core.make_grid(1, [(-8, 8, 241)])
     results = []
     factors = (2.0, -1.0, 0.5) if lam is None else (2.0, -1.0, 0.5, lam)
+    params = np.array([0.8, -0.6])
     for fam, tag in [(geometry.Hyperplane(2), "hyperplane"),
                      (geometry.circle_family(), "circle")]:
-        params = np.array([0.8, -0.6])
         for lam in factors:
-            res = forward.homogeneity_residual(phantom, fam, params, lam,
-                                               q_grid, x_grid)
+            res = forward.homogeneity_residual(GAUSS2, fam, params, lam,
+                                               Q_GRID, x_grid)
             results.append(_result(f"homogeneity/{tag}/lambda={lam:g}", res, 2e-2))
     return results
 
 
 def diffeo_equivalence_suite(seed: int = 0, **_) -> list[CheckResult]:
     """Deformed transform of the pullback density equals the straight-line
-    transform of the original density."""
-    phantom = core.standard_gaussian(2)
-    x_grid = core.make_grid(1, [(-8, 8, 241)])
-    dx = x_grid.spacing[0]
-    plane = geometry.Hyperplane(2)
-    q_plane = core.make_grid(2, [(-6, 6, 192), (-6, 6, 192)])
+    transform of the original density, per direction (L1 over X).
+
+    The X bins are 0.2 wide: axis-aligned directions project the pullback
+    sample lattice onto X with spacing about 0.1, and the triangle deposit
+    nulls that comb exactly when the bin width is an integer multiple of the
+    projected spacing.
+    """
+    x_grid = core.make_grid(1, [(-8, 8, 81)])
+    t_ref = forward.forward_binned(GAUSS2, geometry.Hyperplane(2), DIRECTIONS,
+                                   x_grid, Q_GRID)
     cases = [
         ("circle", geometry.circle_family(),
-         core.make_grid(2, [(-12, 12, 1536), (-12, 12, 1536)])),
+         core.make_grid(2, [(-12, 12, 1536)] * 2)),
         ("hyperbola", geometry.hyperbola_family(),
-         core.make_grid(2, [(-120, 120, 4801), (-6, 6, 97)])),
+         core.make_grid(2, [(-120, 120, 4801), (-6, 6, 241)])),
     ]
-    directions = [(np.cos(a), np.sin(a)) for a in (0.35, 1.1, 2.0)]
     results = []
     for tag, fam, q_def in cases:
-        pulled = forward.pullback_density(phantom, fam.diffeo, q_def)
-        t_def = forward.forward_binned(pulled, fam, directions, x_grid)
-        t_ref = forward.forward_binned(phantom, plane, directions, x_grid,
-                                       q_plane)
-        gap = np.abs(t_def.values - t_ref.values).sum(axis=1) * dx
+        pulled = forward.pullback_density(GAUSS2, fam.diffeo, q_def)
+        t_def = forward.forward_binned(pulled, fam, DIRECTIONS, x_grid)
+        gap = np.abs(t_def.values - t_ref.values).sum(axis=1) * x_grid.spacing[0]
         results.append(_result(f"diffeo-equivalence/{tag}/L1", gap.max(), 3e-2))
     return results
 
 
 def quadric_support_suite(seed: int = 0, **_) -> list[CheckResult]:
     """Elliptic tomograms vanish identically below X = 0."""
-    phantom, q_grid, _ = _setup_gaussian()
     fam = geometry.Quadric(geometry.QuadricForm([[2.0, 0.3], [0.3, 1.0]]))
     xg = core.make_grid(1, [(-20, 120, 281)])
-    t = forward.forward_binned(phantom, fam, [(0.0, 0.0), (1.5, -2.0)], xg,
-                               q_grid)
+    t = forward.forward_binned(GAUSS2, fam, [(0.0, 0.0), (1.5, -2.0)], xg,
+                               Q_GRID)
     xs = xg.axis_points(0)
     below = np.abs(t.values[:, xs < 0]).max()
     return [_result("quadric-support/omega(X<0)", below, 0.0)]
@@ -110,7 +114,6 @@ def oracle_agreement_suite(seed: int = 0, samples: int | None = None, **_,
                            ) -> list[CheckResult]:
     """Binned transforms match Monte-Carlo histograms within 3 standard
     errors plus a small binning allowance."""
-    phantom, q_grid, _ = _setup_gaussian()
     n_samples = 400_000 if samples is None else int(samples)
     results = []
     cases = [
@@ -120,8 +123,8 @@ def oracle_agreement_suite(seed: int = 0, samples: int | None = None, **_,
          (0.0, 0.0), core.make_grid(1, [(-2, 30, 129)])),
     ]
     for tag, fam, params, xg in cases:
-        t = forward.forward_binned(phantom, fam, [params], xg, q_grid)
-        mc = oracle.mc_tomogram(phantom, fam, params, xg, n_samples=n_samples,
+        t = forward.forward_binned(GAUSS2, fam, [params], xg, Q_GRID)
+        mc = oracle.mc_tomogram(GAUSS2, fam, params, xg, n_samples=n_samples,
                                 seed=seed)
         gap = np.abs(t.values[0] - mc.density) - 3.0 * mc.stderr
         results.append(_result(f"oracle-agreement/{tag}/excess", gap.max(), 5e-3))
@@ -141,10 +144,7 @@ def run_suite(name: str, seed: int = 0, samples: int | None = None,
               lam: float | None = None) -> list[CheckResult]:
     kwargs = {"seed": seed, "samples": samples, "lam": lam}
     if name == "all":
-        out = []
-        for key in SUITES:
-            out.extend(SUITES[key](**kwargs))
-        return out
+        return [r for suite in SUITES.values() for r in suite(**kwargs)]
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from "
                        f"{', '.join([*SUITES, 'all'])}")

@@ -5,9 +5,9 @@ Subcommands: ``phantom`` (sample a configured phantom to a GTM field),
 (reconstruct a field from a GTM-T file), ``check`` (property suites) and
 ``export`` (CSV / PGM conversion).
 
-Exit codes: 0 success (warnings included), 2 bad input, 3 inconsistent
-inputs, 4 I/O failure.  Warnings go to stderr and never change the exit
-code; only precondition violations do.
+Exit codes: 0 success (warnings included), 1 a failing ``check`` row, 2
+bad input, 3 inconsistent inputs, 4 I/O failure.  Warnings go to stderr and
+never change the exit code; only precondition violations do.
 
 Commands raise; ``main`` alone maps an exception to its exit code and
 prints one ``error:`` line: ``OSError`` -> 4, ``DimensionMismatchError``

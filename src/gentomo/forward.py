@@ -10,8 +10,8 @@ can tell truncation from bugs.  The closed forms that check the engine
 live in ``oracle``.
 
 ``_deposit`` runs one block loop over one of two slab functions: the
-compiled loop of ``_deposit.c`` (built on first use: vectorized on
-x86-64-v3 and -v4 CPUs, one pass per point elsewhere) or, where nothing
+compiled loop of ``_deposit.c`` (built on first use: vectorized up to 4-d
+on x86-64-v3 and -v4 CPUs, one pass per point elsewhere) or, where nothing
 can be compiled, the same steps in numpy.  The output bytes are equal on
 both paths and for every loop (tests/test_forward.py,
 ``TestCompiledDeposit``), for every ``GENTOMO_THREADS``

@@ -10,22 +10,17 @@ import time
 import numpy as np
 import pytest
 
+from gentomo.checks import (DIRECTIONS, GAUSS2, Q_GRID, X_PLANE,
+                            diffeo_equivalence_suite, homogeneity_suite,
+                            normalization_suite)
 from gentomo.cli import main as cli_main
-from gentomo.core import (GaussianMixture, l2_rel_error, make_grid,
-                          sample_phantom, standard_gaussian)
-from gentomo.forward import (forward_binned, forward_binned_at,
-                             homogeneity_residual, normalization_profile,
-                             pullback_density)
+from gentomo.core import GaussianMixture, make_grid, standard_gaussian
+from gentomo.forward import forward_binned_at
 from gentomo.geometry import (Hybrid, Hyperplane, Quadric, QuadricForm,
                               circle_family, hyperbola_family)
 from gentomo.inverse import roundtrip
 from gentomo.oracle import (chi_square_density, gaussian_hyperplane_tomogram,
                             mc_tomogram)
-
-GAUSS2 = standard_gaussian(2)
-EIGHT_DIRECTIONS = [(math.cos(k * math.pi / 4), math.sin(k * math.pi / 4))
-                    for k in range(8)]
-
 
 REPORT_LINES = []
 
@@ -37,25 +32,29 @@ def _report(name, measured, bound, extra=""):
     print(line)  # visible live under pytest -s
 
 
+def _measured(rows, names):
+    """The measured values of a ``gentomo check`` suite's rows, which must
+    be exactly ``names``, in order."""
+    assert [r.name for r in rows] == names
+    return [r.measured for r in rows]
+
+
 @pytest.fixture(scope="module")
 def ac1_run():
-    q_grid = make_grid(2, [(-6, 6, 256), (-6, 6, 256)])
-    x_grid = make_grid(1, [(-6, 6, 241)])
     t0 = time.perf_counter()
-    table = forward_binned_at(GAUSS2, Hyperplane(2), EIGHT_DIRECTIONS, x_grid,
-                              q_grid, supersample=2)
-    runtime = time.perf_counter() - t0
-    return table, x_grid, runtime
+    table = forward_binned_at(GAUSS2, Hyperplane(2), DIRECTIONS, X_PLANE,
+                              Q_GRID, supersample=2)
+    return table, time.perf_counter() - t0
 
 
 class TestAcceptance:
     def test_ac1_forward_matches_closed_form(self, ac1_run):
         """Hyperplane tomograms of the standard Gaussian vs the exact
         one-dimensional marginals, eight directions on the unit circle."""
-        table, x_grid, runtime = ac1_run
-        xs = x_grid.axis_points(0)
+        table, runtime = ac1_run
+        xs = X_PLANE.axis_points(0)
         worst = 0.0
-        for k, d in enumerate(EIGHT_DIRECTIONS):
+        for k, d in enumerate(DIRECTIONS):
             oracle = gaussian_hyperplane_tomogram([0, 0], np.eye(2), d)
             worst = max(worst, np.abs(table.values[k] - oracle.pdf(xs)).max())
         assert worst <= 2e-2
@@ -63,58 +62,37 @@ class TestAcceptance:
         _report("AC-1 forward vs closed form (max abs)", worst, 2e-2,
                 extra=f"runtime {runtime:.1f}s<=30s")
 
-    def test_ac2_normalization(self, ac1_run):
-        """Every direction's tomogram integrates to one over X."""
-        table, _, _ = ac1_run
-        norm = normalization_profile(table)
-        assert np.all((norm >= 0.99) & (norm <= 1.01))
-        assert table.overflow.max() < 1e-3
-        _report("AC-2 normalization (worst deviation)",
-                np.abs(norm - 1.0).max(), 1e-2,
-                extra=f"overflow {table.overflow.max():.2g}<1e-3")
+    def test_ac2_normalization(self):
+        """Every tomogram integrates to one over X, with overflow under
+        1e-3: AC-1's hyperplane run and two unit-B quadric tomograms
+        (``gentomo check normalization``)."""
+        dev_h, over_h, dev_q, over_q = _measured(normalization_suite(), [
+            f"normalization/{tag}/{what}" for tag in ("hyperplane", "quadric")
+            for what in ("deviation", "overflow")])
+        assert dev_h <= 1e-2 and dev_q <= 1e-2
+        assert over_h < 1e-3 and over_q < 1e-3
+        _report("AC-2 normalization (worst deviation)", max(dev_h, dev_q),
+                1e-2, extra=f"overflow {max(over_h, over_q):.2g}<1e-3")
 
     def test_ac3_homogeneity(self):
         """Scaling (X, params) -> (lam X, lam params) divides the tomogram
-        by |lam|, for the hyperplane and circle families."""
-        q_plane = make_grid(2, [(-6, 6, 256), (-6, 6, 256)])
-        x_grid = make_grid(1, [(-8, 8, 241)])
-        worst = 0.0
-        for family, q_grid in ((Hyperplane(2), q_plane),
-                               (circle_family(), q_plane)):
-            for lam in (2.0, -1.0, 0.5):
-                res = homogeneity_residual(GAUSS2, family,
-                                           np.array([0.8, -0.6]), lam,
-                                           q_grid, x_grid)
-                worst = max(worst, res)
-        assert worst <= 2e-2
-        _report("AC-3 homogeneity residual (max)", worst, 2e-2)
+        by |lam|, for the hyperplane and circle families
+        (``gentomo check homogeneity``)."""
+        residuals = _measured(homogeneity_suite(), [
+            f"homogeneity/{tag}/lambda={lam:g}"
+            for tag in ("hyperplane", "circle") for lam in (2.0, -1.0, 0.5)])
+        assert all(res <= 2e-2 for res in residuals)
+        _report("AC-3 homogeneity residual (max)", max(residuals), 2e-2)
 
     def test_ac4_diffeo_equivalence(self):
         """Deformed tomograms of the pullback density equal the straight
-        Radon tomograms of the original density, per direction (L1 over X).
-
-        The X bins are 0.2 wide: axis-aligned directions project the
-        pullback sample lattice onto X with spacing about 0.1, and the
-        triangle deposit nulls that comb exactly when the bin width is an
-        integer multiple of the projected spacing.
-        """
-        x_grid = make_grid(1, [(-8, 8, 81)])
-        dx = x_grid.spacing[0]
-        q_plane = make_grid(2, [(-6, 6, 256), (-6, 6, 256)])
-        t_ref = forward_binned_at(GAUSS2, Hyperplane(2), EIGHT_DIRECTIONS,
-                                  x_grid, q_plane)
-        cases = [
-            (circle_family(), make_grid(2, [(-12, 12, 1536)] * 2)),
-            (hyperbola_family(), make_grid(2, [(-120, 120, 4801), (-6, 6, 241)])),
-        ]
-        worst = 0.0
-        for family, q_def in cases:
-            pulled = pullback_density(GAUSS2, family.diffeo, q_def)
-            t_def = forward_binned_at(pulled, family, EIGHT_DIRECTIONS, x_grid)
-            gap = np.abs(t_def.values - t_ref.values).sum(axis=1) * dx
-            worst = max(worst, gap.max())
-        assert worst <= 3e-2
-        _report("AC-4 diffeomorphism equivalence (max L1)", worst, 3e-2)
+        Radon tomograms of the original density, per direction (L1 over X),
+        for the circle and hyperbola families
+        (``gentomo check diffeo-equivalence``)."""
+        gaps = _measured(diffeo_equivalence_suite(), [
+            "diffeo-equivalence/circle/L1", "diffeo-equivalence/hyperbola/L1"])
+        assert all(gap <= 3e-2 for gap in gaps)
+        _report("AC-4 diffeomorphism equivalence (max L1)", max(gaps), 3e-2)
 
     def test_ac5_hyperplane_round_trip(self):
         """Gaussian mixture, forward + inversion at the pinned grids."""
@@ -123,8 +101,7 @@ class TestAcceptance:
                               covariances=(((1, 0), (0, 1)), ((1, 0), (0, 1))))
         rep = roundtrip(
             mix, Hyperplane(2),
-            q_grid=make_grid(2, [(-6, 6, 256), (-6, 6, 256)]),
-            x_grid=make_grid(1, [(-10, 10, 301)]),
+            q_grid=Q_GRID, x_grid=make_grid(1, [(-10, 10, 301)]),
             param_grid=make_grid(2, [(-5, 5, 64), (-5, 5, 64)]),
             out_grid=make_grid(2, [(-5, 5, 64), (-5, 5, 64)]))
         assert rep.l2_rel_error <= 0.05
@@ -139,11 +116,10 @@ class TestAcceptance:
         profile, Monte-Carlo cross-check, exact one-sided support, and the
         full round trip."""
         fam = Quadric(QuadricForm(np.eye(2)))
-        q_grid = make_grid(2, [(-6, 6, 256), (-6, 6, 256)])
         x_grid = make_grid(1, [(-10, 200, 841)])
         xs = x_grid.axis_points(0)
 
-        table = forward_binned_at(GAUSS2, fam, [(0.0, 0.0)], x_grid, q_grid)
+        table = forward_binned_at(GAUSS2, fam, [(0.0, 0.0)], x_grid, Q_GRID)
         sel = (xs > 0) & (xs <= 12)
         chi_err = np.abs(table.values[0][sel]
                          - chi_square_density(2, xs[sel])).max()
@@ -154,7 +130,7 @@ class TestAcceptance:
         excess = (np.abs(table.values[0] - mc.density) - 3 * mc.stderr).max()
         assert excess <= 5e-3
 
-        rep = roundtrip(GAUSS2, fam, q_grid=q_grid, x_grid=x_grid,
+        rep = roundtrip(GAUSS2, fam, q_grid=Q_GRID, x_grid=x_grid,
                         param_grid=make_grid(2, [(-6, 6, 128), (-6, 6, 128)]),
                         out_grid=make_grid(2, [(-3, 3, 48), (-3, 3, 48)]))
         assert rep.l2_rel_error <= 0.10
@@ -223,27 +199,26 @@ class TestAcceptance:
     def test_ac9_refinement_reduces_errors(self, ac1_run):
         """Doubling the source and X resolutions strictly reduces the
         measured forward errors of AC-1 and AC-6."""
-        table, x_grid, _ = ac1_run
-        xs = x_grid.axis_points(0)
+        table, _ = ac1_run
+        xs = X_PLANE.axis_points(0)
         base1 = max(np.abs(table.values[k]
                            - gaussian_hyperplane_tomogram([0, 0], np.eye(2),
                                                           d).pdf(xs)).max()
-                    for k, d in enumerate(EIGHT_DIRECTIONS))
+                    for k, d in enumerate(DIRECTIONS))
         q_fine = make_grid(2, [(-6, 6, 512), (-6, 6, 512)])
         x_fine = make_grid(1, [(-6, 6, 481)])
         xf = x_fine.axis_points(0)
-        tf = forward_binned_at(GAUSS2, Hyperplane(2), EIGHT_DIRECTIONS,
+        tf = forward_binned_at(GAUSS2, Hyperplane(2), DIRECTIONS,
                                x_fine, q_fine, supersample=2)
         fine1 = max(np.abs(tf.values[k]
                            - gaussian_hyperplane_tomogram([0, 0], np.eye(2),
                                                           d).pdf(xf)).max()
-                    for k, d in enumerate(EIGHT_DIRECTIONS))
+                    for k, d in enumerate(DIRECTIONS))
         assert fine1 < base1
 
         fam = Quadric(QuadricForm(np.eye(2)))
-        q6 = make_grid(2, [(-6, 6, 256), (-6, 6, 256)])
         x6 = make_grid(1, [(-10, 200, 841)])
-        t6 = forward_binned_at(GAUSS2, fam, [(0.0, 0.0)], x6, q6)
+        t6 = forward_binned_at(GAUSS2, fam, [(0.0, 0.0)], x6, Q_GRID)
         s6 = (x6.axis_points(0) > 0) & (x6.axis_points(0) <= 12)
         base6 = np.abs(t6.values[0][s6]
                        - chi_square_density(2, x6.axis_points(0)[s6])).max()

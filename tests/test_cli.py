@@ -327,6 +327,33 @@ class TestCheckCommand:
                      "--samples", "50000"]) == 0
         assert capsys.readouterr().out == first
 
+    def test_all_prints_one_pass_line_per_row(self, capsys, monkeypatch):
+        """``check all`` runs every suite of ``checks.SUITES``: one PASS
+        line per row that ``run_suite("all")`` returns, each name once."""
+        rows = []
+        run_suite = checks.run_suite
+
+        def recording_run_suite(*args, **kwargs):
+            rows.extend(run_suite(*args, **kwargs))
+            return rows
+
+        monkeypatch.setattr(checks, "run_suite", recording_run_suite)
+        assert main(["check", "all", "--samples", "50000"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        names = [r.name for r in rows]
+        assert [line.split()[0] for line in lines] == names
+        assert all(line.endswith(" PASS") for line in lines)
+        assert len(set(names)) == len(names)
+        assert {name.split("/")[0] for name in names} == set(checks.SUITES)
+
+    def test_failing_row_exits_1(self, capsys, monkeypatch):
+        row = checks.CheckResult("quadric-support/omega(X<0)", 0.5, 0.0, False)
+        monkeypatch.setitem(checks.SUITES, "quadric-support", lambda **_: [row])
+        assert main(["check", "quadric-support"]) == 1
+        out = capsys.readouterr()
+        assert out.out == "quadric-support/omega(X<0) measured=0.5 bound=0 FAIL\n"
+        assert out.err == ""
+
     @pytest.mark.parametrize("argv", [
         ["homogeneity", "--lambda", "0"],
         ["homogeneity", "--lambda", "nan"],

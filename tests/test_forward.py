@@ -373,11 +373,12 @@ def _reference_deposit(family, points, masses, param_points, x_grid,
 
 
 # every family in 2-D, plus a case for each other instance of the compiled
-# loop's phase 1: a hyperplane in 1-D, the hyperplane and a hybrid in 3-D,
-# the hyperboloid in 4-D, and a hybrid in 5-D (the runtime-d instance); each
-# with an X window whose spacing is a power of two: on the dyadic lattice
-# below, the hyperplane and quadric level values land exactly on bin edges,
-# the clamp edges g = -1 and g = n_bins included
+# loop's phase 1: a hyperplane in 1-D, the hyperplane and a hybrid in 3-D and
+# the hyperboloid in 4-D; and above 4-D, where every CPU runs the one-pass
+# loop, a hybrid in 5-D and the hyperboloid in 6-D; each with an X window
+# whose spacing is a power of two: on the dyadic lattice below, the
+# hyperplane and quadric level values land exactly on bin edges, the clamp
+# edges g = -1 and g = n_bins included
 DEPOSIT_CASES = {
     "hyperplane_1d": (Hyperplane(1), (-2.0, 2.0, 17)),
     "hyperplane": (Hyperplane(2), (-2.0, 2.0, 17)),
@@ -395,6 +396,7 @@ DEPOSIT_CASES = {
     "hybrid_5d": (Hybrid(QuadricForm(np.diag([1.0, -0.5, 2.0, 0.0, 0.0]),
                                      linear_axes=(3, 4))),
                   (-2.0, 14.0, 17)),
+    "hyperboloid_6d": (hyperboloid_family(3), (-2.0, 2.0, 17)),
 }
 
 # points per tile of the compiled loop
@@ -762,12 +764,17 @@ class TestCompiledDeposit:
         assert out.stdout.split() == ["True", "False"]
         assert not list(tmp_path.iterdir())
 
-    def test_source_compiles_without_warnings(self, tmp_path):
+    @pytest.mark.parametrize("level", [None, 1, 3],
+                             ids=["shipped", "level1", "level3"])
+    def test_source_compiles_without_warnings(self, tmp_path, level):
+        """The build as shipped, and with the pick capped at one pass per
+        point and at x86-64-v3."""
         cc = shutil.which("cc") or shutil.which("gcc")
         if cc is None:
             pytest.skip("no C compiler on PATH")
+        define = [] if level is None else [f"-DGENTOMO_DEPOSIT_LEVEL={level}"]
         proc = subprocess.run(
-            [cc, *forward._KERNEL_FLAGS, "-Wall", "-Wextra", "-Werror",
+            [cc, *forward._KERNEL_FLAGS, *define, "-Wall", "-Wextra", "-Werror",
              "-o", str(tmp_path / "deposit.so"), str(forward._KERNEL_SOURCE)],
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
