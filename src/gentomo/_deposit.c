@@ -8,9 +8,12 @@
  * summed in exactly that order.  It is then scaled, shifted, clamped to
  * [-1, n_bins] and floored as the numpy path does, and its mass is split
  * into a left and a right histogram per column, filled in point order
- * (the order of numpy.bincount).  Each column's slot k of acc (row-major,
- * cols x (n_bins + 3)) gains left[k] + right[k - 1], so summing slabs in
- * slab order gives the buckets of the numpy path.
+ * (the order of numpy.bincount).  Bucket k of a column (0 underflow,
+ * 1 .. n_bins the bins, n_bins + 1 and n_bins + 2 overflow) is
+ * left[k] + right[k - 1]; it is added to the column's row of bins
+ * (row-major, cols x n_bins) or, for the three edge buckets, of edges
+ * (cols x 3), so summing slabs in slab order gives the buckets of the
+ * numpy path.
  *
  * Two slab loops fill the histograms; which one runs is picked per call
  * from d and the CPU.  slab_fused runs the columns outer and does everything
@@ -221,11 +224,10 @@ static slab_fn *pick_slab(void)
 int gentomo_deposit(const double *L, const double *a, const double *mass,
                     long n, long d, const double *M, const double *b,
                     long cols, double inv_dx, double shift, long n_bins,
-                    double *acc)
+                    double *bins, double *edges)
 {
     if (n_bins > INT_MAX - 3)
         return -2;
-    long slots = n_bins + 3;
     size_t per_col = 2 * (size_t)(n_bins + 2);
     double *hist = calloc((size_t)cols * per_col, sizeof *hist);
     if (hist == NULL)
@@ -237,11 +239,12 @@ int gentomo_deposit(const double *L, const double *a, const double *mass,
     }
     for (long j = 0; j < cols; j++) {
         const double *h = hist + j * per_col;
-        double *out = acc + j * slots;
-        out[0] += h[0];
-        for (long k = 1; k <= n_bins + 1; k++)
-            out[k] += h[2 * k] + h[2 * k - 1];
-        out[n_bins + 2] += h[2 * n_bins + 3];
+        double *row = bins + j * n_bins, *edge = edges + 3 * j;
+        edge[0] += h[0];
+        for (long k = 1; k <= n_bins; k++)
+            row[k - 1] += h[2 * k] + h[2 * k - 1];
+        edge[1] += h[2 * n_bins + 2] + h[2 * n_bins + 1];
+        edge[2] += h[2 * n_bins + 3];
     }
     free(hist);
     return 0;

@@ -64,7 +64,8 @@ class GridSpec:
 
     @property
     def size(self) -> int:
-        return int(np.prod(self.shape))
+        # Python ints: an int64 product would wrap past 2**63 points
+        return math.prod(self.shape)
 
     @property
     def spacing(self) -> tuple[float, ...]:
@@ -80,7 +81,7 @@ class GridSpec:
 
     def points(self) -> np.ndarray:
         """All grid points, shape (size, ndim), row-major in the axis order."""
-        return _mesh_points([self.axis_points(i) for i in range(self.ndim)])
+        return _mesh_points(_node_axes(self))
 
     def point(self, index: tuple[int, ...]) -> np.ndarray:
         """Coordinates of one grid point, derived purely from the axis triples."""
@@ -91,30 +92,77 @@ class GridSpec:
 
     def cell_centers(self, s: int = 1) -> np.ndarray:
         """Centers of the cells subdivided s-fold per axis, row-major."""
-        if s < 1:
-            raise GridError(f"cell subdivision (supersample) must be >= 1, got {s}")
-        return _mesh_points([(self.axis_points(i)[:-1, None]
-                              + d * (np.arange(s) + 0.5) / s).ravel()
-                             for i, d in enumerate(self.spacing)])
+        return _mesh_points(_node_axes(self, s))
 
     def trapezoid_weights(self) -> np.ndarray:
         """Quadrature weights (outer product of per-axis trapezoid weights),
         shaped like the grid."""
-        w = np.array([1.0])
-        for i in range(self.ndim):
-            wi = np.full(self.shape[i], self.spacing[i])
-            wi[0] *= 0.5
-            wi[-1] *= 0.5
-            w = np.multiply.outer(w, wi)
-        return w.reshape(self.shape)
+        return _trapezoid_rows(self, 0, self.size).reshape(self.shape)
 
 
-def _mesh_points(axes) -> np.ndarray:
-    """Row-major (prod(len(a)), len(axes)) mesh, filled in place column-wise."""
-    out = np.empty(tuple(len(a) for a in axes) + (len(axes),))
-    for i, a in enumerate(axes):
-        out[..., i] = np.reshape(a, (-1,) + (1,) * (len(axes) - 1 - i))
-    return out.reshape(-1, len(axes))
+def _node_axes(grid: GridSpec, s: int | None = None) -> list[np.ndarray]:
+    """Per-axis coordinates of ``grid.points()`` (s None) or of
+    ``grid.cell_centers(s)``."""
+    if s is None:
+        return [grid.axis_points(i) for i in range(grid.ndim)]
+    if s < 1:
+        raise GridError(f"cell subdivision (supersample) must be >= 1, got {s}")
+    return [(grid.axis_points(i)[:-1, None] + d * (np.arange(s) + 0.5) / s).ravel()
+            for i, d in enumerate(grid.spacing)]
+
+
+def _trapezoid_rows(grid: GridSpec, lo: int, hi: int) -> np.ndarray:
+    """Flat entries lo .. hi - 1 of ``grid.trapezoid_weights()``: the
+    per-axis weights multiplied in axis order."""
+    axes = []
+    for i in range(grid.ndim):
+        wi = np.full(grid.shape[i], grid.spacing[i])
+        wi[0] *= 0.5
+        wi[-1] *= 0.5
+        axes.append(wi)
+    cols = _mesh_points(axes, lo, hi)
+    w = cols[:, 0].copy()
+    for i in range(1, grid.ndim):
+        w *= cols[:, i]
+    return w
+
+
+def _mesh_points(axes, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """Rows lo .. hi - 1 (by default all) of the row-major
+    (prod(len(a)), len(axes)) mesh of ``axes``.  A range costs its own rows
+    only, so a source can be built one slab at a time."""
+    hi = math.prod(len(a) for a in axes) if hi is None else hi
+    out = np.empty((hi - lo, len(axes)))
+    _fill_mesh(out, axes, lo)
+    return out
+
+
+def _fill_mesh(out: np.ndarray, axes, lo: int) -> None:
+    """Write mesh rows lo .. lo + len(out) - 1 into ``out``, in at most
+    three parts: the end of one row of axis 0, whole rows of it (filled by
+    broadcasting), and the start of one more; a part row recurses on the
+    other axes."""
+    first, rest = axes[0], axes[1:]
+    inner = math.prod(len(a) for a in rest)
+    row, skip = divmod(lo, inner)
+    i = 0
+    while i < len(out):
+        n = min(inner - skip, len(out) - i)    # rows left in this row of axis 0
+        if n == inner:
+            rows = (len(out) - i) // inner
+            n = rows * inner
+            block = np.reshape(out[i:i + n], (rows, inner, len(axes)),
+                               copy=False)
+            block[:, :, 0] = first[row:row + rows, None]
+            if rest:
+                block[:, :, 1:] = _mesh_points(rest)
+            row += rows
+        else:
+            out[i:i + n, 0] = first[row]
+            _fill_mesh(out[i:i + n, 1:], rest, skip)
+            row += 1
+        i += n
+        skip = 0
 
 
 def make_grid(ndim: int, axes) -> GridSpec:

@@ -9,17 +9,21 @@ window is kept in per-parameter overflow counters, so normalization checks
 can tell truncation from bugs.  The closed forms that check the engine
 live in ``oracle``.
 
-``_deposit`` runs one block loop over one of two slab functions: the
-compiled loop of ``_deposit.c`` (built on first use: vectorized up to 4-d
-on x86-64-v3 and -v4 CPUs, one pass per point elsewhere) or, where nothing
-can be compiled, the same steps in numpy.  The output bytes are equal on
-both paths and for every loop (tests/test_forward.py,
-``TestCompiledDeposit``), for every ``GENTOMO_THREADS``
-(``TestDepositThreads``; AC-10 through the CLI) and for every block of
-parameter columns (``TestDepositKernel::test_block_size_tolerance`` and
-the ``cols`` parameters of ``test_matches_reference_loop``).  Only the
-slab partition of the source points, which depends on the point count
-alone, moves results, by at most 1e-13 of the peak
+``_deposit`` streams the source: it builds the quadrature nodes one slab
+at a time and deposits each slab into every parameter column before it
+builds the next, so forward memory is one slab plus the (P, Nx) table, not
+the whole source.  Each slab runs one block loop over one of two slab
+functions: the compiled loop of ``_deposit.c`` (built on first use:
+vectorized up to 4-d on x86-64-v3 and -v4 CPUs, one pass per point
+elsewhere) or, where nothing can be compiled, the same steps in numpy.  The
+output bytes are equal on both paths and for every loop
+(tests/test_forward.py, ``TestCompiledDeposit``), for every
+``GENTOMO_THREADS`` (``TestDepositThreads``; AC-10 through the CLI) and for
+every block of parameter columns
+(``TestDepositKernel::test_block_size_tolerance`` and the ``cols``
+parameters of ``test_matches_reference_loop``).  Only the slab partition of
+the kept source points, which depends on their count alone, moves results,
+by at most 1e-13 of the peak
 (``TestDepositKernel::test_slabs_match_reference_loop``).
 """
 
@@ -36,19 +40,19 @@ from pathlib import Path
 import numpy as np
 
 from .core import (DimensionMismatchError, GridError, GridSpec, Phantom,
-                   ScalarField, TomogramFamily)
+                   ScalarField, TomogramFamily, _mesh_points, _node_axes,
+                   _trapezoid_rows)
 from .geometry import Diffeomorphism, LevelFamily, combine_levels
 
 # (source point x parameter) pairs per deposit slab; sized so the slab
 # arrays stay cache-resident, which dominates deposit throughput
 _CHUNK_ELEMS = 500_000
-# bytes of histograms and accumulator rows per block of the compiled
+# bytes of histograms and output rows per block of the compiled
 # deposit: kept in L2 while one tile of points serves every column
 _BLOCK_BYTES = 1 << 18
-# deposit, quadrature and kernel-sum workers at most: the deposit builds
-# every slab's level terms before its workers start, so this bounds only
-# per-worker scratch, chiefly the numpy deposit's (columns x slab) arrays
-# and the kernel sum's b x P_k tables, and the threads a large
+# deposit, quadrature and kernel-sum workers at most: this bounds per-worker
+# scratch, chiefly the numpy deposit's (columns x slab) arrays, the pdf's
+# temporaries and the kernel sum's b x P_k tables, and the threads a large
 # GENTOMO_THREADS starts
 _MAX_WORKERS = 4
 # phantom quadrature nodes per pdf call
@@ -57,8 +61,10 @@ _PDF_SLAB = 1 << 16
 DEFAULT_OVERFLOW_THRESHOLD = 0.01
 
 
-def _source_points_masses(source, q_grid: GridSpec | None, supersample: int = 1):
-    """Quadrature nodes and masses for a field or phantom source.
+def _source_nodes(source, q_grid: GridSpec | None, supersample: int = 1):
+    """(N, nodes) for a field or phantom source: its N quadrature nodes, and
+    ``nodes(lo, hi)``, the (points, masses) of nodes lo .. hi - 1 in
+    row-major order, built for that range alone.
 
     Fields are integrated on their own grid points with trapezoid weights,
     and refuse any ``supersample`` but 1.  Phantoms are evaluated at cell
@@ -67,12 +73,14 @@ def _source_points_masses(source, q_grid: GridSpec | None, supersample: int = 1)
     between the source lattice and the X bins when a slicing direction
     aligns with a grid axis.
 
-    The phantom's pdf runs on fixed slabs of ``_PDF_SLAB`` nodes, shared by
-    ``thread_count()`` workers (at most ``_MAX_WORKERS``).  Every shipped
-    phantom is pointwise, so the masses are byte-identical to one
-    full-array ``pdf`` call, for every thread count; a Gaussian mixture's
-    pdf runs in one fixed order without LAPACK, so its masses are the same
-    on every BLAS/LAPACK build.
+    A range's points are the rows of ``grid.points()`` or
+    ``q_grid.cell_centers(s)`` and its field masses the entries of the
+    full product, byte for byte.  The phantom's pdf runs on pieces of
+    ``_PDF_SLAB`` nodes, shared by ``thread_count()`` workers (at most
+    ``_MAX_WORKERS``).  Every shipped phantom is pointwise, so the masses
+    are byte-identical to one full-array ``pdf`` call, for every range and
+    thread count; a Gaussian mixture's pdf runs in one fixed order without
+    LAPACK, so its masses are the same on every BLAS/LAPACK build.
     """
     if isinstance(source, ScalarField):
         if q_grid is not None and q_grid != source.grid:
@@ -80,27 +88,38 @@ def _source_points_masses(source, q_grid: GridSpec | None, supersample: int = 1)
         if supersample != 1:
             raise GridError(f"supersample applies to phantom cells; a field "
                             f"is integrated on its own grid, got {supersample}")
-        grid = source.grid
-        return grid.points(), source.flat * grid.trapezoid_weights().ravel()
+        grid, flat = source.grid, source.flat
+        axes = _node_axes(grid)
+
+        def field_nodes(lo, hi):
+            return (_mesh_points(axes, lo, hi),
+                    flat[lo:hi] * _trapezoid_rows(grid, lo, hi))
+
+        return grid.size, field_nodes
     if isinstance(source, Phantom):
         if q_grid is None:
             raise GridError("phantom sources require a q_grid")
         if q_grid.ndim != source.ndim:
             raise DimensionMismatchError("phantom and q_grid dimensions differ")
         s = int(supersample)
-        pts = q_grid.cell_centers(s)
+        axes = _node_axes(q_grid, s)
         volume = q_grid.cell_volume / s**q_grid.ndim
-        masses = np.empty(len(pts))
 
-        def weigh(start):
-            stop = start + _PDF_SLAB
-            np.multiply(source.pdf(pts[start:stop]), volume,
-                        out=masses[start:stop])
+        def phantom_nodes(lo, hi):
+            pts = _mesh_points(axes, lo, hi)
+            masses = np.empty(len(pts))
 
-        starts = range(0, len(pts), _PDF_SLAB)
-        _run_blocks(lambda: weigh, starts,
-                    min(thread_count(), _MAX_WORKERS, len(starts)))
-        return pts, masses
+            def weigh(start):
+                stop = start + _PDF_SLAB
+                np.multiply(source.pdf(pts[start:stop]), volume,
+                            out=masses[start:stop])
+
+            starts = range(0, len(pts), _PDF_SLAB)
+            _run_blocks(lambda: weigh, starts,
+                        min(thread_count(), _MAX_WORKERS, len(starts)))
+            return pts, masses
+
+        return math.prod(len(ax) for ax in axes), phantom_nodes
     raise TypeError(f"source must be a ScalarField or Phantom, got {type(source)}")
 
 
@@ -233,7 +252,7 @@ def _bind(lib: ctypes.CDLL):
     fn = lib.gentomo_deposit
     ptr, long_ = ctypes.c_void_p, ctypes.c_long
     fn.argtypes = [ptr, ptr, ptr, long_, long_, ptr, ptr, long_,
-                   ctypes.c_double, ctypes.c_double, long_, ptr]
+                   ctypes.c_double, ctypes.c_double, long_, ptr, ptr]
     fn.restype = ctypes.c_int
     return fn
 
@@ -250,7 +269,8 @@ def _load_kernel():
 def _kernel_columns(n_par: int, n_bins: int, workers: int) -> int:
     """Parameter columns per block of the compiled deposit: at least two
     blocks per worker, and the block's histograms (2 (n_bins + 2) doubles
-    per column) and accumulator rows (n_bins + 3) within _BLOCK_BYTES."""
+    per column) and output rows (n_bins bins and 3 edge slots) within
+    _BLOCK_BYTES."""
     per_column = 8 * (3 * n_bins + 7)
     return max(1, min(_BLOCK_BYTES // per_column, -(-n_par // (2 * workers))))
 
@@ -262,16 +282,17 @@ _NON_FINITE_LEVEL = ("non-finite level value (nan or inf): a source point or "
 def _compiled_slab(kernel):
     """``kernel`` behind the slab call of ``_numpy_slab``: return code -1
     raises ValueError, any other nonzero code MemoryError."""
-    def run(L, a, m, M, b, inv_dx, shift, acc):
+    def run(L, a, m, M, b, inv_dx, shift, bins, edges):
         rc = kernel(L.ctypes.data, None if a is None else a.ctypes.data,
                     m.ctypes.data, len(L), L.shape[1], M.ctypes.data,
                     None if b is None else b.ctypes.data, len(M),
-                    inv_dx, shift, acc.shape[1] - 3, acc.ctypes.data)
+                    inv_dx, shift, bins.shape[1], bins.ctypes.data,
+                    edges.ctypes.data)
         if rc == -1:
             raise ValueError(_NON_FINITE_LEVEL)
         if rc:
             raise MemoryError(f"the compiled deposit cannot allocate {len(M)} "
-                              f"columns of {acc.shape[1] - 3} bins")
+                              f"columns of {bins.shape[1]} bins")
 
     return run
 
@@ -280,18 +301,20 @@ def _numpy_slab(chunk: int, slab: int):
     """The compiled loop's steps in numpy, for blocks of up to ``chunk``
     columns and slabs of up to ``slab`` points.
 
-    ``run(L, a, m, M, b, inv_dx, shift, acc)`` adds one slab's buckets into
-    the block's (columns, n_bins + 3) rows of ``acc``, as the compiled loop
-    does, and raises ValueError on a non-finite level.  The scratch arrays
-    are reused by every slab: a fresh multi-MB array per slab would be
-    page-faulted in anew each time.
+    ``run(L, a, m, M, b, inv_dx, shift, bins, edges)`` adds one slab's
+    buckets into the block's (columns, n_bins) rows of ``bins`` and
+    (columns, 3) rows of ``edges``, as the compiled loop does, and raises
+    ValueError on a non-finite level.  The scratch arrays are reused by
+    every slab: a fresh multi-MB array per slab would be page-faulted in
+    anew each time.
     """
     g_buf = np.empty(chunk * slab)
     key_buf = np.empty(chunk * slab)
     idx_buf = np.empty(chunk * slab, dtype=np.int64)
 
-    def run(L, a, m, M, b, inv_dx, shift, acc):
-        c, slots = acc.shape
+    def run(L, a, m, M, b, inv_dx, shift, bins, edges):
+        c, n_bins = bins.shape
+        slots = n_bins + 3
         # (column, point) rows, so every pass runs along the points; each
         # bucket holds one column, whose masses still add in point order
         g = g_buf[:c * len(L)].reshape(c, len(L))
@@ -304,7 +327,7 @@ def _numpy_slab(chunk: int, slab: int):
             raise ValueError(_NON_FINITE_LEVEL)
         np.multiply(g, inv_dx, out=g)
         g -= shift
-        np.clip(g, -1.0, float(slots - 3), out=g)
+        np.clip(g, -1.0, float(n_bins), out=g)
         np.floor(g, out=key)
         g -= key                                  # g now holds frac
         # bucket of the left neighbour, column * slots + left + 1: exact in
@@ -313,36 +336,51 @@ def _numpy_slab(chunk: int, slab: int):
         np.copyto(idx, key.ravel(), casting="unsafe")
         g *= m                                    # right weight
         np.subtract(m, g, out=key)                # left weight
-        part = np.bincount(idx, key.ravel(), acc.size).reshape(c, slots)
-        right = np.bincount(idx, g.ravel(), acc.size).reshape(c, slots)
+        part = np.bincount(idx, key.ravel(), c * slots).reshape(c, slots)
+        right = np.bincount(idx, g.ravel(), c * slots).reshape(c, slots)
         part[:, 1:] += right[:, :-1]              # right neighbour: one slot up
-        acc += part
+        bins += part[:, 1:n_bins + 1]
+        edges[:, 0] += part[:, 0]
+        edges[:, 1:] += part[:, n_bins + 1:]
 
     return run
 
 
-def _deposit(family: LevelFamily, points, masses, param_points, x_grid: GridSpec):
-    """Accumulate mass into X bins for every parameter point.
+def _deposit(family: LevelFamily, n_nodes: int, nodes, param_points,
+             x_grid: GridSpec):
+    """Accumulate the mass of a streamed source into X bins for every
+    parameter point.
 
-    Returns (values (P, Nx), overflow (P,)).  The N source points are cut
-    into fixed slabs of ``slab = min(N, _CHUNK_ELEMS)`` points, a cut that
-    depends on N alone, and the parameter points into blocks of columns.
-    Up to ``thread_count()`` workers (at most ``_MAX_WORKERS``) take whole
-    blocks.  One block loop serves both paths: a block calls its slab
-    function (``_compiled_slab`` or ``_numpy_slab``) once per slab, in slab
-    order, into its (columns, Nx + 3) accumulator, then writes its own rows
-    of values and overflow, so each column sums in one order for every
-    ``GENTOMO_THREADS``.  Both slab functions evaluate every level and
-    weight in one fixed order and add each column's masses in point order,
-    so they give equal bytes, for every block size.  The compiled loop
-    takes ``_kernel_columns(P, Nx, workers)`` columns per block: at least
-    two blocks per worker, each block's histograms within ``_BLOCK_BYTES``,
-    so one pass over a tile of points serves every column of the block.
-    The numpy path takes ``min(_CHUNK_ELEMS // slab, P)`` columns, which
-    bounds its (columns x slab) scratch; it also takes every deposit of
-    more than ``_KERNEL_MAX_BINS`` bins.  Against one slab per block, slab
-    partial sums move tomograms by at most 1e-13 of their peak (1.2e-14 on
-    4.19 M nodes and 16 hyperplane directions).  A non-finite level raises
+    ``nodes(lo, hi)`` gives the (points, masses) of source nodes lo .. hi - 1
+    of ``n_nodes`` (see ``_source_nodes``).  Returns (values (P, Nx),
+    overflow (P,), the count of nodes on the family's singular set, the
+    mass of the other nodes).
+
+    The source is the outer loop.  Nodes are built ``_CHUNK_ELEMS`` at a
+    time; those on the singular set are dropped, and a carry holds the kept
+    points until they fill a slab of ``_CHUNK_ELEMS``, so the slabs are the
+    ones a cut of all kept points would give, ``slab = min(N_kept,
+    _CHUNK_ELEMS)``, whatever the singular set.  Each slab's level terms are
+    built, then every block of parameter columns takes the slab on up to
+    ``thread_count()`` workers (at most ``_MAX_WORKERS``), and the slab is
+    freed before the next is built: forward memory is O(slab d + P Nx).
+
+    One block loop serves both paths: a block calls its slab function
+    (``_compiled_slab`` or ``_numpy_slab``), which adds the slab straight
+    into the block's own rows of values (the bins) and of a (P, 3) array of
+    the three edge buckets.  Slabs come in slab order, so each column sums
+    in one order for every ``GENTOMO_THREADS``, and values is divided by dx
+    once at the end.  Both slab functions evaluate every level and weight
+    in one fixed order and add each column's masses in point order, so they
+    give equal bytes, for every block size.  The compiled loop takes
+    ``_kernel_columns(P, Nx, workers)`` columns per block: at least two
+    blocks per worker, each block's histograms within ``_BLOCK_BYTES``, so
+    one pass over a tile of points serves every column of the block.  The
+    numpy path takes ``min(_CHUNK_ELEMS // slab, P)`` columns, which bounds
+    its (columns x slab) scratch; it also takes every deposit of more than
+    ``_KERNEL_MAX_BINS`` bins.  Against one slab per block, slab partial
+    sums move tomograms by at most 1e-13 of their peak (1.2e-14 on 4.19 M
+    nodes and 16 hyperplane directions).  A non-finite level raises
     ValueError on both paths.
     """
     n_bins = x_grid.shape[0]
@@ -352,57 +390,85 @@ def _deposit(family: LevelFamily, points, masses, param_points, x_grid: GridSpec
     if not (math.isfinite(inv_dx) and math.isfinite(shift)):
         raise ValueError(f"X grid spacing {dx:g} is too fine to bin")
     n_par = len(param_points)
-    values = np.zeros((n_par, n_bins))
-    overflow = np.zeros(n_par)
-    if len(points) == 0 or n_par == 0:
-        return values, overflow
-
-    slab = min(len(points), _CHUNK_ELEMS)
-    workers = min(thread_count(), _MAX_WORKERS)
-    # buckets per column: [0] underflow, [1 .. n_bins] bins, [n_bins+1] and
-    # [n_bins+2] overflow (the clamp parks far-out mass at the edges, where
-    # the split weight degenerates to all-left)
-    slots = n_bins + 3
     d = family.ndim
-    slabs = []
-    for lo in range(0, len(points), slab):
-        L, a = family.level_terms(points[lo:lo + slab])
-        m = np.ascontiguousarray(masses[lo:lo + slab], dtype=float)
+    values = np.zeros((n_par, n_bins))
+    # per column: [0] underflow, [1] and [2] overflow (the clamp parks
+    # far-out mass at the edges, where the split weight degenerates to
+    # all-left)
+    edges = np.zeros((n_par, 3))
+    workers = min(thread_count(), _MAX_WORKERS)
+    kernel = (_load_kernel() if n_par and n_bins <= _KERNEL_MAX_BINS
+              else None)
+    n_singular = 0
+    kept_mass = 0.0
+
+    def slabs():
+        nonlocal n_singular
+        carry = None
+        for lo in range(0, n_nodes, _CHUNK_ELEMS):
+            p, m = nodes(lo, min(lo + _CHUNK_ELEMS, n_nodes))
+            if p.shape[1] != d:
+                raise DimensionMismatchError(
+                    "source dimension does not match family")
+            sing = family.singular_mask(p)
+            if sing.any():
+                n_singular += int(sing.sum())
+                p, m = p[~sing], m[~sing]
+            if carry is not None:
+                p, m = np.concatenate([carry[0], p]), np.concatenate([carry[1], m])
+            whole = len(p) - len(p) % _CHUNK_ELEMS
+            for start in range(0, whole, _CHUNK_ELEMS):
+                yield p[start:start + _CHUNK_ELEMS], m[start:start + _CHUNK_ELEMS]
+            carry = (p[whole:], m[whole:]) if whole < len(p) else None
+            del p, m        # this chunk's, before the next one is built
+        if carry is not None:
+            yield carry
+
+    starts = runs = None
+    terms = {}
+    for p, m in slabs():
+        kept_mass += float(m.sum())
+        if not n_par:
+            continue
+        L, a = family.level_terms(p)
+        m = np.ascontiguousarray(m, dtype=float)
         # the compiled loop reads these as (len(m), d) and (len(m),) doubles
         if L.shape != (len(m), d) or (a is not None and a.shape != m.shape):
             raise DimensionMismatchError(
                 f"level terms of shape {L.shape} for {len(m)} points, "
                 f"family wants ({len(m)}, {d})")
-        slabs.append((L, a, m))
-    kernel = _load_kernel() if n_bins <= _KERNEL_MAX_BINS else None
-    if kernel is not None:
-        chunk = _kernel_columns(n_par, n_bins, workers)
-    else:
-        chunk = min(_CHUNK_ELEMS // slab, n_par)
-    workers = min(workers, -(-n_par // chunk))
+        if starts is None:
+            # the first slab is the longest, so it sizes the numpy scratch
+            chunk = (_kernel_columns(n_par, n_bins, workers)
+                     if kernel is not None else min(_CHUNK_ELEMS // len(m), n_par))
+            starts = range(0, n_par, chunk)
+            workers = min(workers, len(starts))
+            runs = [_compiled_slab(kernel) if kernel is not None
+                    else _numpy_slab(chunk, len(m)) for _ in range(workers)]
+        free = list(runs)
 
-    def new_worker():
-        run = (_compiled_slab(kernel) if kernel is not None
-               else _numpy_slab(chunk, slab))
-        acc_buf = np.empty((chunk, slots))
+        def new_worker():
+            run = free.pop()
 
-        def deposit_block(start):
-            M, b = family.param_terms(param_points[start:start + chunk])
-            if M.shape[1] != d:
-                raise DimensionMismatchError(
-                    f"parameters are {M.shape[1]}-d, family wants {d}-d")
-            acc = acc_buf[:len(M)]
-            acc.fill(0.0)
-            for L, a, m in slabs:
-                run(L, a, m, M, b, inv_dx, shift, acc)
-            rows = slice(start, start + len(M))
-            np.divide(acc[:, 1:n_bins + 1], dx, out=values[rows])
-            overflow[rows] = acc[:, 0] + acc[:, n_bins + 1] + acc[:, n_bins + 2]
+            def deposit_block(start):
+                if start not in terms:       # each block's, on the first slab
+                    M, b = family.param_terms(param_points[start:start + chunk])
+                    if M.shape[1] != d:
+                        raise DimensionMismatchError(
+                            f"parameters are {M.shape[1]}-d, family wants {d}-d")
+                    terms[start] = M, b
+                M, b = terms[start]
+                rows = slice(start, start + len(M))
+                run(L, a, m, M, b, inv_dx, shift, values[rows], edges[rows])
 
-        return deposit_block
+            return deposit_block
 
-    _run_blocks(new_worker, range(0, n_par, chunk), workers)
-    return values, overflow
+        _run_blocks(new_worker, starts, workers)
+        del p, m, L, a      # this slab's, before the next one is built
+
+    np.divide(values, dx, out=values)
+    overflow = edges[:, 0] + edges[:, 1] + edges[:, 2]
+    return values, overflow, n_singular, kept_mass
 
 
 def forward_binned(source, family: LevelFamily, params, x_grid: GridSpec,
@@ -415,8 +481,11 @@ def forward_binned(source, family: LevelFamily, params, x_grid: GridSpec,
     (P, param_dim) array of points, in which case ``param_grid`` is None.
     ``source`` is a ScalarField (integrated on its own grid) or a Phantom
     (integrated over q_grid cells).  Source points on the family's singular
-    set contribute nothing and are tallied.  A (P, Nx) table larger than
-    physical memory is refused before anything is allocated.
+    set contribute nothing and are tallied.  The source is streamed in
+    slabs (see ``_deposit``), so its size costs time, not memory; a (P, Nx)
+    table larger than physical memory is refused before anything is
+    allocated.  The overflow warning compares against the kept source mass
+    summed slab by slab.
     """
     box = isinstance(params, GridSpec)
     if not box:
@@ -435,20 +504,12 @@ def forward_binned(source, family: LevelFamily, params, x_grid: GridSpec,
         raise DimensionMismatchError(
             f"parameter points are {param_points.shape[1]}-d, "
             f"family wants {family.param_dim}-d")
-    points, masses = _source_points_masses(source, q_grid, supersample)
-    if points.shape[1] != family.ndim:
-        raise DimensionMismatchError("source dimension does not match family")
-
-    sing = family.singular_mask(points)
-    n_sing = int(sing.sum())
-    singular_fraction = n_sing / len(points)
-    if n_sing:
-        points, masses = points[~sing], masses[~sing]
-
-    values, overflow = _deposit(family, points, masses, param_points, x_grid)
+    n_nodes, nodes = _source_nodes(source, q_grid, supersample)
+    values, overflow, n_sing, total = _deposit(family, n_nodes, nodes,
+                                               param_points, x_grid)
+    singular_fraction = n_sing / n_nodes
 
     warnings = []
-    total = float(masses.sum())
     if total > 0.0 and n_par:
         worst = float(overflow.max()) / total
         if worst > DEFAULT_OVERFLOW_THRESHOLD:

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from gentomo.core import (DimensionMismatchError, GaussianMixture, GridError,
                           GridSpec, ScalarField, TomogramFamily, UniformBall,
-                          UniformBox, gaussian, l2_rel_error, make_grid,
+                          UniformBox, _mesh_points, _node_axes,
+                          _trapezoid_rows, gaussian, l2_rel_error, make_grid,
                           sample_phantom, standard_gaussian, total_mass)
 
 
@@ -53,6 +54,12 @@ class TestMakeGrid:
         g = make_grid(1, [(0, 1, 3)])
         assert np.allclose(g.cell_centers().ravel(), [0.25, 0.75])
 
+    def test_size_is_exact_past_int64(self):
+        """An int64 product wraps: 2.7e19 read 8553255926290448384, and
+        2**64 read 0."""
+        assert make_grid(3, [(-1, 1, 3_000_000)] * 3).size == 27 * 10**18
+        assert make_grid(2, [(-1, 1, 2**32)] * 2).size == 2**64
+
 
 def _reference_mesh(axes):
     mesh = np.meshgrid(*axes, indexing="ij")
@@ -92,6 +99,34 @@ class TestMeshPoints:
             centers = [g.axis_points(i)[:-1] + 0.5 * g.spacing[i]
                        for i in range(g.ndim)]
             assert np.array_equal(got, _reference_mesh(centers))
+
+    @pytest.mark.parametrize("s", [None, 1, 3])
+    @pytest.mark.parametrize("g", MESH_GRIDS, ids=["1d", "2d", "3d"])
+    def test_row_ranges_equal_slices_of_the_whole(self, g, s):
+        """Rows lo .. hi - 1, built alone: within one row of axis 0, across
+        rows, whole rows, empty and the whole mesh; and the trapezoid
+        weights of a field's grid points likewise."""
+        axes = _node_axes(g, s)
+        whole = _mesh_points(axes)
+        weights = np.array([1.0])        # the outer product, axis by axis
+        for n, dx in zip(g.shape, g.spacing):
+            wi = np.full(n, dx)
+            wi[[0, -1]] *= 0.5
+            weights = np.multiply.outer(weights, wi)
+        weights = weights.ravel()
+        assert g.trapezoid_weights().ravel().tobytes() == weights.tobytes()
+        n, inner = len(whole), len(whole) // len(axes[0])
+        rng = np.random.default_rng(1)
+        cuts = [(0, n), (0, 0), (n, n), (1, 2), (inner - 1, inner + 1),
+                (inner, 3 * inner), (inner + 1, n - 1), (n - 1, n),
+                *(sorted(rng.integers(0, n + 1, 2)) for _ in range(40))]
+        for lo, hi in cuts:
+            rows = _mesh_points(axes, lo, hi)
+            assert rows.shape == (hi - lo, g.ndim) and rows.flags.c_contiguous
+            assert rows.tobytes() == whole[lo:hi].tobytes()
+            if s is None:
+                assert (_trapezoid_rows(g, lo, hi).tobytes()
+                        == weights[lo:hi].tobytes())
 
     @pytest.mark.parametrize("s", [0, -1])
     def test_subdivision_below_one_rejected(self, s):

@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -20,10 +21,9 @@ from gentomo.core import (GaussianMixture, GridError, ScalarField,
                           TomogramFamily, UniformBall, UniformBox, gaussian,
                           make_grid, sample_phantom, standard_gaussian,
                           total_mass)
-from gentomo.forward import (_deposit, _run_blocks, forward_binned,
-                             forward_binned_at, homogeneity_residual,
-                             normalization_profile, pullback_density,
-                             thread_count)
+from gentomo.forward import (_run_blocks, forward_binned, forward_binned_at,
+                             homogeneity_residual, normalization_profile,
+                             pullback_density, thread_count)
 from gentomo.geometry import (Hybrid, Hyperplane, LevelFamily, Quadric,
                               QuadricForm, axis_inversion, circle_family,
                               conformal_inversion, hyperbola_family,
@@ -292,23 +292,70 @@ class TestPullbackDensity:
         assert total_mass(f) == pytest.approx(1.0, abs=2e-2)
 
 
-class TestDiffeoEquivalence:
-    @pytest.mark.parametrize("family,q_def", [
-        (circle_family(), [(-12, 12, 1536), (-12, 12, 1536)]),
-        (hyperbola_family(), [(-120, 120, 4801), (-6, 6, 97)]),
-    ])
-    def test_deformed_of_pullback_equals_radon(self, gauss2d, family, q_def):
-        x_grid = make_grid(1, [(-8, 8, 241)])
-        dx = x_grid.spacing[0]
-        q_plane = make_grid(2, [(-6, 6, 192), (-6, 6, 192)])
-        directions = [(math.cos(a), math.sin(a)) for a in (0.35, 1.1, 2.0)]
-        pulled = pullback_density(gauss2d, family.diffeo,
-                                  make_grid(2, q_def))
-        t_def = forward_binned_at(pulled, family, directions, x_grid)
-        t_ref = forward_binned_at(gauss2d, Hyperplane(2), directions, x_grid,
-                                  q_plane)
-        gap = np.abs(t_def.values - t_ref.values).sum(axis=1) * dx
-        assert gap.max() <= 3e-2
+class TestStreamedSource:
+    @pytest.mark.parametrize("path", ["compiled", "numpy"])
+    def test_singular_axis_carried_across_slabs(self, gauss2d, path,
+                                                monkeypatch):
+        """A hyperbola pullback on a grid that holds its singular axis
+        q = 0: 41 of 3977 nodes, dropped inside the second and third raw
+        chunks, so the kept points are carried into 4 slabs of 1000.  The
+        bytes equal a deposit of the kept nodes and masses compacted
+        beforehand, which cuts the same slabs."""
+        if path == "compiled" and not _has_compiler():
+            pytest.skip("no C compiler on PATH")
+        monkeypatch.setattr(forward, "_kernel", None if path == "numpy"
+                            else forward._UNSET)
+        monkeypatch.setattr(forward, "_CHUNK_ELEMS", 1000)
+        monkeypatch.setenv("GENTOMO_THREADS", "2")
+        family = hyperbola_family()
+        grid = make_grid(2, [(-12, 12, 97), (-6, 6, 41)])
+        field = pullback_density(gauss2d, family.diffeo, grid)
+        params = [(math.cos(a), math.sin(a)) for a in (0.35, 1.1, 2.0)]
+        x_grid = make_grid(1, [(-8, 8, 81)])
+        t = forward_binned(field, family, params, x_grid)
+
+        keep = ~family.singular_mask(grid.points())
+        assert (keep.size, keep.size - keep.sum()) == (3977, 41)
+        assert not keep[1000:2000].all() and not keep[2000:3000].all()
+        assert t.singular_fraction == 41 / 3977
+        points = grid.points()[keep]
+        masses = (field.flat * grid.trapezoid_weights().ravel())[keep]
+        values, overflow = _deposit(family, points, masses,
+                                    np.array(params), x_grid)
+        assert t.values.tobytes() == values.tobytes()
+        assert t.overflow.tobytes() == overflow.tobytes()
+
+    @pytest.mark.parametrize("path", ["compiled", "numpy"])
+    def test_peak_memory_is_slabs_not_the_source(self, path, monkeypatch):
+        """A phantom of 64 slabs: the tracemalloc peak of a forward call
+        stays within 12 slabs' nodes and masses plus the table, a fifth of
+        the whole source's nodes and masses."""
+        if path == "compiled" and not _has_compiler():
+            pytest.skip("no C compiler on PATH")
+        monkeypatch.setattr(forward, "_kernel", None if path == "numpy"
+                            else forward._UNSET)
+        slab = 4096
+        monkeypatch.setattr(forward, "_CHUNK_ELEMS", slab)
+        monkeypatch.setenv("GENTOMO_THREADS", "2")
+        q = make_grid(2, [(-6, 6, 513)] * 2)
+        family = Quadric(QuadricForm(np.array([[1.0, 0.3], [0.3, 2.0]])))
+        params = [(0.5, -1.0), (2.0, 0.0), (0.0, 0.0), (-1.0, 1.0)]
+        x_grid = make_grid(1, [(-5, 60, 101)])
+        gauss = standard_gaussian(2)
+        run = lambda: forward_binned(gauss, family, params, x_grid, q)
+        run()                   # builds or loads the compiled loop
+        tracemalloc.start()
+        try:
+            t = run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        one_slab = slab * (q.ndim + 1) * 8
+        source = (512 * 512) * (q.ndim + 1) * 8
+        table = t.values.nbytes + 4 * t.overflow.nbytes     # + (P, 3) edges
+        assert source == 64 * one_slab
+        assert 12 * one_slab + table < source / 5
+        assert peak <= 12 * one_slab + table
 
 
 class TestDeformedQuadric:
@@ -330,6 +377,14 @@ class TestDeformedQuadric:
         assert t.overflow[0] <= 1e-3 and t.values[0].max() > 0.5
         excess = (np.abs(t.values[0] - mc.density) - 3 * mc.stderr).max()
         assert excess <= 5e-3
+
+
+def _deposit(family, points, masses, params, x_grid):
+    """``forward._deposit`` of points and masses held in memory: (values,
+    overflow)."""
+    return forward._deposit(family, len(points),
+                            lambda lo, hi: (points[lo:hi], masses[lo:hi]),
+                            params, x_grid)[:2]
 
 
 def _reference_deposit(family, points, masses, param_points, x_grid,
@@ -543,7 +598,8 @@ class TestDepositThreads:
             monkeypatch.setenv("GENTOMO_THREADS", threads)
             t = forward_binned_at(gauss2d, family, params, x_grid, q)
             outs.append((t.values.tobytes(), t.overflow.tobytes()))
-        assert used == [1, 2, 3]
+        # one block loop per slab
+        assert used == [1] * 5 + [2] * 5 + [3] * 5
         assert outs[0] == outs[1] == outs[2]
 
     @pytest.mark.parametrize("threads", ["1", "2"])
@@ -824,18 +880,18 @@ import test_forward as t
 forward._kernel = forward._bind(ctypes.CDLL({str(lib)!r}))
 for family, x_axis in t.DEPOSIT_CASES.values():
     points, masses, params = t._deposit_inputs(family)
-    forward._deposit(family, points, masses, params, make_grid(1, [x_axis]))
+    t._deposit(family, points, masses, params, make_grid(1, [x_axis]))
 x_grid = make_grid(1, [(-2.0, 2.0, 9)])
 for bad in (math.nan, math.inf, -math.inf):
     try:
-        forward._deposit(Hyperplane(2), np.array([[0.0, 0.0], [bad, 1.0]]),
-                         np.ones(2), np.array([[1.0, 0.5]]), x_grid)
+        t._deposit(Hyperplane(2), np.array([[0.0, 0.0], [bad, 1.0]]),
+                   np.ones(2), np.array([[1.0, 0.5]]), x_grid)
     except ValueError:
         continue
     raise SystemExit(f"a level of {{bad}} was deposited")
 # finite levels whose scaled value overflows to +-inf
-forward._deposit(Hyperplane(2), np.array([[1e308, 0.0], [-1e308, 1.0]]),
-                 np.ones(2), np.array([[1.0, 0.5]]), x_grid)
+t._deposit(Hyperplane(2), np.array([[1e308, 0.0], [-1e308, 1.0]]),
+           np.ones(2), np.array([[1.0, 0.5]]), x_grid)
 """
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             [str(Path(forward.__file__).parents[1]), str(Path(__file__).parent),
@@ -848,10 +904,10 @@ forward._deposit(Hyperplane(2), np.array([[1e308, 0.0], [-1e308, 1.0]]),
         if not _has_compiler():
             pytest.skip("no C compiler on PATH")
         monkeypatch.setattr(forward, "_kernel", forward._UNSET)
-        acc = np.zeros(1)                 # never touched
+        out = np.zeros(1)                 # never touched
         rc = forward._load_kernel()(None, None, None, 0, 2, None, None, 1,
                                     1.0, 0.0, forward._KERNEL_MAX_BINS + 1,
-                                    acc.ctypes.data)
+                                    out.ctypes.data, out.ctypes.data)
         assert rc == -2
 
     def test_bins_beyond_the_int_index_take_the_numpy_path(self,
@@ -909,6 +965,14 @@ class TestMemoryPreflight:
         huge = make_grid(2, [(-1, 1, 200_000), (-1, 1, 200_000)])
         with pytest.raises(ValueError, match=r"40000000000 parameters x "
                            r"61 bins needs 19520000000000 bytes"):
+            forward_binned(gauss2d, Hyperplane(2), huge,
+                           make_grid(1, [(-6, 6, 61)]), q_grid)
+
+    def test_table_past_int64_refused(self, gauss2d, q_grid):
+        """2**64 parameters: an int64 grid size wrapped to 0 and passed."""
+        huge = make_grid(2, [(-1, 1, 2**32)] * 2)
+        with pytest.raises(ValueError, match=r"18446744073709551616 "
+                           r"parameters x 61 bins needs"):
             forward_binned(gauss2d, Hyperplane(2), huge,
                            make_grid(1, [(-6, 6, 61)]), q_grid)
 
@@ -974,7 +1038,8 @@ class TestPhantomQuadrature:
         nodes = q.cell_centers().shape[0]
         assert nodes > 2 * forward._PDF_SLAB and nodes % forward._PDF_SLAB
         monkeypatch.setenv("GENTOMO_THREADS", "2")
-        pts, masses = forward._source_points_masses(source, q)
+        n, nodes = forward._source_nodes(source, q)
+        pts, masses = nodes(0, n)
         expect = source.pdf(q.cell_centers()) * q.cell_volume
         assert np.array_equal(pts, q.cell_centers())
         assert masses.tobytes() == expect.tobytes()
@@ -998,6 +1063,7 @@ class TestPhantomQuadrature:
         monkeypatch.setattr(threading, "Thread", Counting)
         monkeypatch.setenv("GENTOMO_THREADS", "64")
         gauss = standard_gaussian(2)
-        pts, masses = forward._source_points_masses(gauss, q)
+        n, nodes = forward._source_nodes(gauss, q)
+        pts, masses = nodes(0, n)
         assert len(starts) == forward._MAX_WORKERS - 1
         assert masses.tobytes() == (gauss.pdf(pts) * q.cell_volume).tobytes()
