@@ -602,6 +602,28 @@ class TestDepositThreads:
         assert used == [1] * 5 + [2] * 5 + [3] * 5
         assert outs[0] == outs[1] == outs[2]
 
+    def test_slabs_under_contention(self, gauss2d, monkeypatch):
+        """Four workers on five slabs, switching threads every microsecond:
+        the per-slab worker hand-out and the blocks' parameter terms, built
+        on the first slab, still give one thread's bytes."""
+        q = make_grid(2, [(-6, 6, 128), (-6, 6, 128)])
+        params = np.random.default_rng(4).uniform(-3, 3, size=(13, 2))
+        x_grid = make_grid(1, [(-5, 60, 401)])
+        family = Quadric(QuadricForm(np.array([[1.0, 0.3], [0.3, 2.0]])))
+        monkeypatch.setattr(forward, "_CHUNK_ELEMS", 4000)
+        monkeypatch.setattr(forward, "_kernel_columns", lambda *_: 1)
+        outs = []
+        for threads in ("1", "4"):
+            monkeypatch.setenv("GENTOMO_THREADS", threads)
+            old = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                t = forward_binned_at(gauss2d, family, params, x_grid, q)
+            finally:
+                sys.setswitchinterval(old)
+            outs.append((t.values.tobytes(), t.overflow.tobytes()))
+        assert outs[0] == outs[1]
+
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_empty_parameter_list(self, gauss2d, q_grid, threads,
                                   monkeypatch):
