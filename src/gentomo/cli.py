@@ -13,9 +13,10 @@ Commands raise; ``main`` alone maps an exception to its exit code and
 prints one ``error:`` line: ``OSError`` -> 4, ``DimensionMismatchError``
 -> 3, any other ``ValueError`` (format and grid errors, and every value
 the library rejects, ``check`` values included) -> 2, ``MemoryError`` (a
-size flag such as ``--q-count`` or ``--samples`` too large to allocate)
--> 2, and a ``CliError`` carries its own code.  Commands catch only to
-add context the exception lacks: the ``--B`` and ``--split`` token
+size flag such as ``invert --q-count`` or ``--samples`` too large to
+allocate; ``forward`` streams its source) -> 2, and a ``CliError``
+carries its own code.  Commands catch only to add context the exception
+lacks: the ``--B`` and ``--split`` token
 parsers, the grid flag parsers, and the ``bad config:`` / ``bad source``
 wrappers, which also keep a phantom config's internal dimension errors at
 exit 2.  The ``--taper``, ``--decay-floor``, family tag and hyperboloid
