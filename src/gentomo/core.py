@@ -97,7 +97,10 @@ class GridSpec:
     def trapezoid_weights(self) -> np.ndarray:
         """Quadrature weights (outer product of per-axis trapezoid weights),
         shaped like the grid."""
-        return _trapezoid_rows(self, 0, self.size).reshape(self.shape)
+        w = np.array([1.0])
+        for wi in _trapezoid_axes(self):
+            w = np.multiply.outer(w, wi)
+        return w.reshape(self.shape)
 
 
 def _node_axes(grid: GridSpec, s: int | None = None) -> list[np.ndarray]:
@@ -111,58 +114,42 @@ def _node_axes(grid: GridSpec, s: int | None = None) -> list[np.ndarray]:
             for i, d in enumerate(grid.spacing)]
 
 
-def _trapezoid_rows(grid: GridSpec, lo: int, hi: int) -> np.ndarray:
-    """Flat entries lo .. hi - 1 of ``grid.trapezoid_weights()``: the
-    per-axis weights multiplied in axis order."""
+def _trapezoid_axes(grid: GridSpec) -> list[np.ndarray]:
+    """Per-axis trapezoid weights: the spacing, halved at both ends."""
     axes = []
-    for i in range(grid.ndim):
-        wi = np.full(grid.shape[i], grid.spacing[i])
+    for n, dx in zip(grid.shape, grid.spacing):
+        wi = np.full(n, dx)
         wi[0] *= 0.5
         wi[-1] *= 0.5
         axes.append(wi)
-    cols = _mesh_points(axes, lo, hi)
+    return axes
+
+
+def _trapezoid_rows(grid: GridSpec, lo: int, hi: int) -> np.ndarray:
+    """Flat entries lo .. hi - 1 of ``grid.trapezoid_weights()``: the
+    per-axis weights multiplied in axis order."""
+    cols = _mesh_rows(_trapezoid_axes(grid), lo, hi)
     w = cols[:, 0].copy()
     for i in range(1, grid.ndim):
         w *= cols[:, i]
     return w
 
 
-def _mesh_points(axes, lo: int = 0, hi: int | None = None) -> np.ndarray:
-    """Rows lo .. hi - 1 (by default all) of the row-major
-    (prod(len(a)), len(axes)) mesh of ``axes``.  A range costs its own rows
-    only, so a source can be built one slab at a time."""
-    hi = math.prod(len(a) for a in axes) if hi is None else hi
-    out = np.empty((hi - lo, len(axes)))
-    _fill_mesh(out, axes, lo)
-    return out
+def _mesh_points(axes) -> np.ndarray:
+    """Row-major (prod(len(a)), len(axes)) mesh, filled in place column-wise."""
+    out = np.empty(tuple(len(a) for a in axes) + (len(axes),))
+    for i, a in enumerate(axes):
+        out[..., i] = np.reshape(a, (-1,) + (1,) * (len(axes) - 1 - i))
+    return out.reshape(-1, len(axes))
 
 
-def _fill_mesh(out: np.ndarray, axes, lo: int) -> None:
-    """Write mesh rows lo .. lo + len(out) - 1 into ``out``, in at most
-    three parts: the end of one row of axis 0, whole rows of it (filled by
-    broadcasting), and the start of one more; a part row recurses on the
-    other axes."""
-    first, rest = axes[0], axes[1:]
-    inner = math.prod(len(a) for a in rest)
-    row, skip = divmod(lo, inner)
-    i = 0
-    while i < len(out):
-        n = min(inner - skip, len(out) - i)    # rows left in this row of axis 0
-        if n == inner:
-            rows = (len(out) - i) // inner
-            n = rows * inner
-            block = np.reshape(out[i:i + n], (rows, inner, len(axes)),
-                               copy=False)
-            block[:, :, 0] = first[row:row + rows, None]
-            if rest:
-                block[:, :, 1:] = _mesh_points(rest)
-            row += rows
-        else:
-            out[i:i + n, 0] = first[row]
-            _fill_mesh(out[i:i + n, 1:], rest, skip)
-            row += 1
-        i += n
-        skip = 0
+def _mesh_rows(axes, lo: int, hi: int) -> np.ndarray:
+    """Rows lo .. hi - 1 of ``_mesh_points(axes)``, cut from the mesh of the
+    rows of axis 0 that hold them, so a source can be built one slab at a
+    time for at most two rows of axis 0 more than the slab."""
+    inner = math.prod(len(a) for a in axes[1:])
+    r0, r1 = lo // inner, -(-hi // inner)
+    return _mesh_points([axes[0][r0:r1], *axes[1:]])[lo - r0 * inner:hi - r0 * inner]
 
 
 def make_grid(ndim: int, axes) -> GridSpec:

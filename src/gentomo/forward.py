@@ -40,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import (DimensionMismatchError, GridError, GridSpec, Phantom,
-                   ScalarField, TomogramFamily, _mesh_points, _node_axes,
+                   ScalarField, TomogramFamily, _mesh_rows, _node_axes,
                    _trapezoid_rows)
 from .geometry import Diffeomorphism, LevelFamily, combine_levels
 
@@ -92,7 +92,7 @@ def _source_nodes(source, q_grid: GridSpec | None, supersample: int = 1):
         axes = _node_axes(grid)
 
         def field_nodes(lo, hi):
-            return (_mesh_points(axes, lo, hi),
+            return (_mesh_rows(axes, lo, hi),
                     flat[lo:hi] * _trapezoid_rows(grid, lo, hi))
 
         return grid.size, field_nodes
@@ -106,7 +106,7 @@ def _source_nodes(source, q_grid: GridSpec | None, supersample: int = 1):
         volume = q_grid.cell_volume / s**q_grid.ndim
 
         def phantom_nodes(lo, hi):
-            pts = _mesh_points(axes, lo, hi)
+            pts = _mesh_rows(axes, lo, hi)
             masses = np.empty(len(pts))
 
             def weigh(start):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from gentomo.core import (DimensionMismatchError, GaussianMixture, GridError,
                           GridSpec, ScalarField, TomogramFamily, UniformBall,
-                          UniformBox, _mesh_points, _node_axes,
+                          UniformBox, _mesh_points, _mesh_rows, _node_axes,
                           _trapezoid_rows, gaussian, l2_rel_error, make_grid,
                           sample_phantom, standard_gaussian, total_mass)
 
@@ -121,7 +121,7 @@ class TestMeshPoints:
                 (inner, 3 * inner), (inner + 1, n - 1), (n - 1, n),
                 *(sorted(rng.integers(0, n + 1, 2)) for _ in range(40))]
         for lo, hi in cuts:
-            rows = _mesh_points(axes, lo, hi)
+            rows = _mesh_rows(axes, lo, hi)
             assert rows.shape == (hi - lo, g.ndim) and rows.flags.c_contiguous
             assert rows.tobytes() == whole[lo:hi].tobytes()
             if s is None:
