@@ -108,6 +108,9 @@ def read_tomogram(path) -> TomogramFamily:
         raise FormatError(f"unknown family tag value {tag}")
     param_grid, off = _unpack_grid(buf, 6)
     x_grid, off = _unpack_grid(buf, off)
+    if x_grid.ndim != 1:
+        raise FormatError(f"X grid of {x_grid.ndim} dimensions in {path}; "
+                          f"GTM-T wants one")
     count = param_grid.size * x_grid.size
     if len(buf) != off + 8 * count:
         raise FormatError(f"tomogram payload size mismatch in {path}")

@@ -478,7 +478,7 @@ def forward_binned(source, family: LevelFamily, params, x_grid: GridSpec,
 
     ``params`` is a GridSpec parameter box, which the result keeps as
     ``param_grid`` (inversion and the GTM-T format need one), or a
-    (P, param_dim) array of points, in which case ``param_grid`` is None.
+    (P, ndim) array of points, in which case ``param_grid`` is None.
     ``source`` is a ScalarField (integrated on its own grid) or a Phantom
     (integrated over q_grid cells).  Source points on the family's singular
     set contribute nothing and are tallied.  The source is streamed in
@@ -500,10 +500,10 @@ def forward_binned(source, family: LevelFamily, params, x_grid: GridSpec,
     if x_grid.ndim != 1:
         raise GridError("x_grid must be one-dimensional")
     param_points = params.points() if box else params
-    if param_points.shape[1] != family.param_dim:
+    if param_points.shape[1] != family.ndim:
         raise DimensionMismatchError(
             f"parameter points are {param_points.shape[1]}-d, "
-            f"family wants {family.param_dim}-d")
+            f"family wants {family.ndim}-d")
     n_nodes, nodes = _source_nodes(source, q_grid, supersample)
     values, overflow, n_sing, total = _deposit(family, n_nodes, nodes,
                                                param_points, x_grid)

@@ -272,10 +272,6 @@ class LevelFamily:
         return self.form.ndim
 
     @property
-    def param_dim(self) -> int:
-        return self.form.ndim
-
-    @property
     def linear_in_params(self) -> bool:
         """True when the form has no quadric core, so g is linear in mu."""
         return not self.form.quadric_axes
@@ -288,42 +284,44 @@ class LevelFamily:
         return self.level_evaluator(points)(params)[:, 0]
 
     def level_evaluator(self, points: np.ndarray):
-        """Closure mapping a (C, param_dim) parameter block to the (N, C)
-        level matrix at the N points: ``combine_levels`` of the point terms,
+        """Closure mapping a (C, ndim) parameter block to the (N, C) level
+        matrix at the N points: ``combine_levels`` of the point terms,
         computed once here, and the block's parameter terms."""
         L, a = self.level_terms(points)
         return lambda pblock: combine_levels(L, a, *self.param_terms(pblock))
 
     def level_terms(self, points: np.ndarray):
-        """Point terms (L, a) of the hoisted level
+        """Point terms (L, a) of the hoisted level, the one place the level
+        formula is written:
 
-            g = L(p) . M(mu) + a(p) + b(mu),  L = [-2 B2 p', p_lin],
-            a = p'B2p',  M = [mu', mu_lin],  b = mu'B2mu',
+            g = L(p) . mu + a(p) + b(mu),  L = -2 B2 p' on the core axes and
+            p_lin on the linear axes,  a = p'B2p',  b = mu'B2mu',
 
-        with L a C-contiguous (N, ndim) array and a an (N,) array, or None
-        for an all-linear form (then b is None too)."""
+        with L a C-contiguous (N, ndim) array in axis order and a an (N,)
+        array, or None for an all-linear form (then b is None too).  The
+        deposit bins g, and the inversion kernel is e^{-i g} built from the
+        same terms."""
         p = np.asarray(points, dtype=float)
         if self.diffeo is not None:
             p = self.diffeo.map_fn(p)
         if self.linear_in_params:
             return np.ascontiguousarray(p, dtype=float), None
-        qa, la = list(self.form.quadric_axes), list(self.form.linear_axes)
+        qa = self.form.quadric_axes
         Bp, a = _quadratic_terms(self.form.B_core, p[:, qa])
-        L = np.empty((len(p), self.ndim))
-        np.multiply(Bp, -2.0, out=L[:, :len(qa)])
-        L[:, len(qa):] = p[:, la]
+        L = np.array(p, dtype=float, order="C")
+        for j, k in enumerate(qa):
+            np.multiply(Bp[:, j], -2.0, out=L[:, k])
         return L, a
 
     def param_terms(self, params: np.ndarray):
         """Parameter terms (M, b) of the hoisted level (see ``level_terms``)
-        for a (C, param_dim) block: M is C-contiguous (C, ndim), b is (C,)
-        or None for an all-linear form."""
-        mu = np.asarray(params, dtype=float)
+        for a (C, ndim) block: M is the block itself, C-contiguous, and b is
+        (C,), or None for an all-linear form."""
+        M = np.ascontiguousarray(params, dtype=float)
         if self.linear_in_params:
-            return np.ascontiguousarray(mu), None
-        qa, la = list(self.form.quadric_axes), list(self.form.linear_axes)
-        M = np.ascontiguousarray(mu[:, qa + la])
-        return M, _quadratic_terms(self.form.B_core, M[:, :len(qa)])[1]
+            return M, None
+        return M, _quadratic_terms(self.form.B_core,
+                                   M[:, self.form.quadric_axes])[1]
 
     def jacobian_weights(self, points: np.ndarray) -> np.ndarray:
         if self.diffeo is None:
@@ -344,9 +342,9 @@ class LevelFamily:
         if points.shape[1] != self.ndim:
             raise DimensionMismatchError(
                 f"points are {points.shape[1]}-d, family wants {self.ndim}-d")
-        if params.shape[1] != self.param_dim:
+        if params.shape[1] != self.ndim:
             raise DimensionMismatchError(
-                f"params are {params.shape[1]}-d, family wants {self.param_dim}-d")
+                f"params are {params.shape[1]}-d, family wants {self.ndim}-d")
 
 
 def _quadratic_terms(B2: np.ndarray, x: np.ndarray):

@@ -19,7 +19,7 @@ from .core import (DimensionMismatchError, GridError, GridSpec, Phantom,
                    ScalarField, TomogramFamily, l2_rel_error, sample_phantom)
 from .forward import (_MAX_WORKERS, _run_blocks, forward_binned,
                       normalization_profile, pullback_density, thread_count)
-from .geometry import LevelFamily, QuadricForm
+from .geometry import LevelFamily
 
 DEFAULT_DECAY_FLOOR = 1e-4
 
@@ -225,23 +225,31 @@ def _direct_sum(coef: np.ndarray, phase_lhs: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def _separable_sum(coef: np.ndarray, form: QuadricForm,
+def _separable_sum(coef: np.ndarray, family: LevelFamily,
                    param_grid: GridSpec, out_grid: GridSpec) -> np.ndarray:
-    """Kernel sum for a diagonal core: the kernel is a product of one-axis
-    kernels, so the box is contracted one axis at a time against a small
-    out x parameter kernel matrix per axis."""
+    """Kernel sum for an undeformed family with a diagonal core: the kernel
+    e^{-i g} is a product of one-axis kernels e^{-i g(q_k e_k; mu_k e_k)},
+    each taken from the family's own level, so the box is contracted one
+    axis at a time against a small out x parameter kernel matrix per axis."""
     T = coef.reshape(param_grid.shape).astype(complex)
-    diag = dict(zip(form.quadric_axes, np.diag(form.B_core)))
-    for ax in range(form.ndim):
-        q_pts = out_grid.axis_points(ax)
-        m_pts = param_grid.axis_points(ax)
-        if ax in diag:
-            kern = np.exp(-1j * diag[ax] * (q_pts[:, None] - m_pts[None, :]) ** 2)
-        else:
-            kern = np.exp(-1j * q_pts[:, None] * m_pts[None, :])
+    n = family.ndim
+    for ax in range(n):
+        q = np.zeros((out_grid.shape[ax], n))
+        mu = np.zeros((param_grid.shape[ax], n))
+        q[:, ax] = out_grid.axis_points(ax)
+        mu[:, ax] = param_grid.axis_points(ax)
+        # exact: with no deformation and a diagonal core, g(q; mu) is the
+        # sum over k of g(q_k e_k; mu_k e_k), (q_k - mu_k)^2 B_kk on a core
+        # axis and q_k mu_k on a linear one
+        kern = np.exp(-1j * family.level_evaluator(q)(mu))
         # contract the leading parameter axis, append the out axis last
         T = np.tensordot(T, kern, axes=([0], [1]))
     return T.ravel()
+
+
+def _phase(t):
+    """e^{-i t}, or 1 for a level term an all-linear family does not have."""
+    return 1.0 if t is None else np.exp(-1j * t)
 
 
 def invert_for_family(slc: CharacteristicSlice, family: LevelFamily,
@@ -249,55 +257,45 @@ def invert_for_family(slc: CharacteristicSlice, family: LevelFamily,
                       decay_floor: float = DEFAULT_DECAY_FLOOR, taper=None):
     """Invert a characteristic slice of ``family`` onto ``out_grid``.
 
-    With p = phi(q) and the family's form split into a core block B2 on k
-    axes and m linear axes,
+    With the family's form split into a core block B2 on k axes and m
+    linear axes, and g its level (``LevelFamily.level_terms``),
 
-        f(q) = J(q) |det B2| / pi^k (2 pi)^{-m}
-               sum_mu w(mu) e^{-i (p' - mu', B2 (p' - mu'))} e^{-i mu_lin . p_lin}
+        f(q) = J(q) |det B2| / pi^k (2 pi)^{-m} sum_mu w(mu) e^{-i g(q; mu)}
 
-    with p = q when the family has no diffeomorphism: the plane-wave kernel
-    for all-linear forms (hyperplanes, deformed hyperplanes) and the
-    shifted-quadric kernel for forms with a core.  A non-empty diagonal
-    core without deformation separates per axis (``_separable_sum``);
-    every other kernel, hyperplanes included, is summed directly through
-    the exact factorization e^{-i p'B2p'} e^{2i p'B2 . mu'} e^{-i mu'B2mu'},
-    which leaves a plane wave in mu (see ``_direct_sum``).  Output points on
-    the diffeomorphism's singular set get value zero and are tallied in the
-    diagnostics.
+    with J the deformation's Jacobian (1 without one): the plane-wave
+    kernel for all-linear forms (hyperplanes, deformed hyperplanes) and the
+    shifted-quadric kernel for forms with a core.  The kernel is built from
+    the family's own hoisted terms g = L(p) . mu + a(p) + b(mu).  A
+    non-empty diagonal core without deformation separates per axis
+    (``_separable_sum``); every other kernel, hyperplanes included, is
+    summed directly as e^{-i a} sum_mu w e^{-i b} e^{-i L . mu}, a plane
+    wave in mu (see ``_direct_sum``).  Output points on the deformation's
+    singular set get value zero and are tallied in the diagnostics.
     """
-    form, diffeo = family.form, family.diffeo
+    form = family.form
     n = form.ndim
     if slc.param_grid.ndim != n or out_grid.ndim != n:
         raise DimensionMismatchError("parameter box, out_grid and family "
                                      "must agree in dimension")
     coef, warnings, decay = _prepare(slc, decay_floor, taper)
-    qa, la = list(form.quadric_axes), list(form.linear_axes)
-    B2 = form.B_core
-    prefactor = abs(form.core_determinant) / np.pi ** len(qa) \
-        / (2 * np.pi) ** len(la)
-    off_diag = np.abs(B2 - np.diag(np.diag(B2))).max() if len(qa) > 1 else 0.0
+    k, B2 = len(form.quadric_axes), form.B_core
+    prefactor = abs(form.core_determinant) / np.pi ** k \
+        / (2 * np.pi) ** (n - k)
+    off_diag = np.abs(B2 - np.diag(np.diag(B2))).max() if k > 1 else 0.0
     singular_fraction = 0.0
-    if diffeo is None and qa and \
+    if family.diffeo is None and k and \
             off_diag <= 1e-12 * max(np.abs(B2).max(), 1e-300):
-        fc = prefactor * _separable_sum(coef, form, slc.param_grid, out_grid)
+        fc = prefactor * _separable_sum(coef, family, slc.param_grid, out_grid)
     else:
         pts = out_grid.points()
-        ok = np.ones(len(pts), dtype=bool)
-        weight = prefactor
-        if diffeo is not None:
-            ok = ~diffeo.singular_fn(pts)
-            singular_fraction = float((~ok).sum()) / len(pts)
-            weight = prefactor * diffeo.jacobian_fn(pts[ok])
-            pts = diffeo.map_fn(pts[ok])
-        mu = slc.param_grid.points()[:, qa]
-        coef = coef * np.exp(-1j * np.sum((mu @ B2) * mu, axis=1))
-        qB = pts[:, qa] @ B2
-        lhs = np.empty_like(pts)
-        lhs[:, qa] = 2.0 * qB
-        lhs[:, la] = -pts[:, la]
+        ok = ~family.singular_mask(pts)
+        singular_fraction = float((~ok).sum()) / len(pts)
+        pts = pts[ok]
+        L, a = family.level_terms(pts)
+        b = family.param_terms(slc.param_grid.points())[1]
         fc = np.zeros(len(ok), dtype=complex)
-        fc[ok] = weight * np.exp(-1j * np.sum(qB * pts[:, qa], axis=1)) \
-            * _direct_sum(coef, lhs, slc.param_grid)
+        fc[ok] = prefactor * family.jacobian_weights(pts) * _phase(a) \
+            * _direct_sum(coef * _phase(b), -L, slc.param_grid)
     out_field, imag_ratio = _field_from_complex(out_grid, fc)
     return out_field, InversionDiagnostics(
         imag_ratio=imag_ratio, boundary_decay=decay,

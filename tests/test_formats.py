@@ -1,8 +1,10 @@
+import re
 import struct
 
 import numpy as np
 import pytest
 
+from gentomo.cli import main
 from gentomo.core import (GaussianMixture, ScalarField, TomogramFamily,
                           UniformBall, UniformBox, make_grid, sample_phantom,
                           standard_gaussian)
@@ -111,6 +113,19 @@ class TestGTMT:
             p.write_bytes(raw[:n])
             with pytest.raises(FormatError):
                 read_tomogram(p)
+
+    def test_x_grid_of_two_dimensions_is_a_format_error(self, tmp_path):
+        # a 1-d hyperplane box of 3 parameters, a 2-d X grid and a payload
+        # of the size those headers give
+        p = tmp_path / "a.gtmt"
+        p.write_bytes(b"GTMT" + struct.pack("<H", 1)
+                      + struct.pack("<IddI", 1, -1.0, 1.0, 3)
+                      + struct.pack("<IddIddI", 2, -1.0, 1.0, 4, -1.0, 1.0, 5)
+                      + bytes(8 * 3 * 20))
+        with pytest.raises(FormatError, match=f"X grid .* in {re.escape(str(p))}"):
+            read_tomogram(p)
+        assert main(["export", str(p), "--format", "csv",
+                     "--out", str(tmp_path / "a.csv")]) == 2
 
     def test_tomogram_without_a_box_rejected(self, tomogram, tmp_path):
         points_only = TomogramFamily(

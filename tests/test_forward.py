@@ -475,7 +475,7 @@ def _deposit_inputs(family):
     points = points[~family.singular_mask(points)]
     assert len(points) > 2 * _TILE and len(points) % _TILE
     masses = rng.normal(size=len(points))      # fields can be signed
-    params = rng.integers(-8, 9, size=(23, family.param_dim)) / 4.0
+    params = rng.integers(-8, 9, size=(23, family.ndim)) / 4.0
     return points, masses, params
 
 
@@ -1044,6 +1044,37 @@ class TestDepositProperties:
             assert t.values.min() >= 0.0 and t.overflow.min() >= 0.0
         assert np.array_equal(runs[0].values, runs[1].values)
         assert np.array_equal(runs[0].overflow, runs[1].overflow)
+
+    @settings(max_examples=40, deadline=None)
+    @given(family=st.sampled_from(PROPERTY_FAMILIES),
+           seed=st.integers(0, 2**32 - 1),
+           q_half=st.floats(0.5, 4.0), q_counts=st.tuples(
+               st.integers(2, 14), st.integers(2, 14)),
+           x_count=st.integers(2, 40), n_params=st.integers(1, 12))
+    def test_first_moment_is_level_mean(self, family, seed, q_half, q_counts,
+                                        x_count, n_params):
+        """Tent weights reproduce linear functions: with every level inside
+        the X window, sum_j X_j values[j] dX = sum_i m_i g(q_i; mu)."""
+        rng = np.random.default_rng(seed)
+        q = make_grid(2, [(-q_half, q_half, n) for n in q_counts])
+        field = ScalarField(q, rng.random(q.size) * (rng.random(q.size) < 0.8))
+        params = rng.uniform(-2, 2, size=(n_params, 2))
+        points = q.points()
+        keep = ~family.singular_mask(points)
+        masses = (field.flat * q.trapezoid_weights().ravel())[keep]
+        g = np.stack([family.level_values(points[keep], mu) for mu in params])
+        pad = 0.01 * (g.max() - g.min()) + 1e-3
+        x_grid = make_grid(1, [(g.min() - pad, g.max() + pad, x_count)])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("GENTOMO_THREADS", "2")
+            runs = _both_paths(mp, lambda: forward_binned_at(
+                field, family, params, x_grid))
+        moment_x = x_grid.axis_points(0) * x_grid.spacing[0]
+        expect = g @ masses
+        bound = 1e-12 * (np.abs(g) @ np.abs(masses))
+        for t in runs:
+            assert not t.overflow.any()
+            assert np.all(np.abs(t.values @ moment_x - expect) <= bound)
 
 
 class TestPhantomQuadrature:

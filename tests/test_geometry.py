@@ -40,6 +40,17 @@ class TestLevelValue:
             level_value(Hyperplane(2), (1, 2, 3), (1, 0, 0))
 
 
+class TestHoistedTerms:
+    def test_terms_keep_axis_order(self):
+        # a linear axis before the core: M is the parameter block itself and
+        # L's linear column is the point's own coordinate
+        fam = Hybrid(QuadricForm(np.diag([0.0, 1.5]), linear_axes=(0,)))
+        rng = np.random.default_rng(0)
+        p, mu = rng.normal(size=(5, 2)), rng.normal(size=(4, 2))
+        assert np.array_equal(fam.param_terms(mu)[0], mu)
+        assert np.array_equal(fam.level_terms(p)[0][:, 0], p[:, 0])
+
+
 class TestJacobianWeight:
     def test_conformal_inversion_value(self):
         assert jacobian_weight(circle_family(), (1, 1)) == pytest.approx(0.25)
@@ -250,7 +261,7 @@ class TestNamedFamilies:
     def test_derived_properties(self, make, cls, ndim, linear, tag, diffeo):
         fam = make()
         assert isinstance(fam, LevelFamily) and type(fam) is cls
-        assert (fam.ndim, fam.param_dim) == (ndim, ndim)
+        assert fam.ndim == ndim
         assert fam.form.ndim == ndim
         assert fam.linear_in_params is linear
         assert fam.tag == tag

@@ -132,6 +132,12 @@ _THREAD_CASES = {
     "hyperplane": (Hyperplane(2), make_grid(2, [(-5, 5, 32), (-4, 4, 27)]),
                    make_grid(2, [(-3, 3, 40), (-3, 3, 38)])),
     "hybrid_general": _hybrid_case(),
+    # the deformed quadric: a(p), b(mu), J and the singular set together
+    "circle_quadric": (
+        LevelFamily(QuadricForm(np.diag([1.0, 2.5])), conformal_inversion(),
+                    tag="circle_quadric"),
+        make_grid(2, [(-5, 5, 32), (-4, 4, 27)]),
+        make_grid(2, [(-2, 2, 41), (-2, 2, 41)])),
 }
 
 
