@@ -23,22 +23,33 @@
  * column.  Per (tile, column) its phase 1 (tile_levels) stores only to two
  * small arrays, so it vectorizes: level, finiteness, scale, shift, clamp,
  * floor and the right weight, giving an int bucket index and a weight per
- * point; phase 2 scatters them in point order.  Phase 1 has one body,
- * built once per literal d from 1 to 4: gcc vectorizes over the points only
- * once it can unroll the loop over k.  With d read at run time the tiled
- * loop ran 1.4-1.7x slower than the fused one, so d > 4 runs slab_fused.
- * Baseline x86-64 (SSE2) has no vector double -> int conversion, and there
- * the tiled loop ran 1.2-2x slower than the fused one, so every other CPU,
- * target and compiler runs slab_fused too.  Build without FMA contraction or
- * reassociation (-ffp-contract=off, no -ffast-math): then both loops round
- * every operation as numpy does, and all give equal bytes.
+ * point.  Phase 2 scatters them in point order, for two columns at once:
+ * in the smooth sources the benchmarks run, most consecutive points of a
+ * column share a bucket, so each column's scatter is one chain of
+ * read-modify-writes on one address, and interleaving two columns runs
+ * two chains side by side.  Each column still adds its masses in point
+ * order.  A block's odd last column is scattered alone.  Phase 1 has one
+ * body, called from one site per literal d from 1 to 4: gcc vectorizes
+ * over the points only once it can unroll the loop over k.  With d read at
+ * run time the tiled loop ran 1.4-1.7x slower than the fused one, so d > 4
+ * runs slab_fused.  Baseline x86-64 (SSE2) has no vector double -> int
+ * conversion or vector floor, and there the tiled loop ran 1.2-2x slower
+ * than the fused one, so every other CPU, target and compiler runs
+ * slab_fused too.  Build without FMA contraction or reassociation
+ * (-ffp-contract=off, no -ffast-math): then both loops round every
+ * operation as numpy does, and all give equal bytes.  Phase 1 vectorizes
+ * its floor only under -fno-trapping-math, which lets gcc assume that no
+ * program reads the floating-point exception flags; it changes no
+ * rounding.
  *
  * Defining GENTOMO_DEPOSIT_LEVEL to 1 or 3 caps the x86-64 level the pick
  * may use (1: slab_fused only), so a test can run every loop on one host.
  *
- * Returns 0, -1 for a non-finite level (nothing is indexed with it), or -2
- * when scratch memory cannot be allocated or n_bins exceeds the int bucket
- * index range (INT_MAX - 3).
+ * gentomo_deposit returns 0, -1 for a non-finite level (nothing is indexed
+ * with it), or -2 when scratch memory cannot be allocated or n_bins exceeds
+ * the int bucket index range (INT_MAX - 3).  gentomo_deposit_loop(d) names
+ * the slab loop it runs for d: 1 for slab_fused, 3 or 4 for slab_tiled
+ * built for x86-64-v3 or -v4.
  */
 #include <float.h>
 #include <limits.h>
@@ -98,7 +109,8 @@ static int slab_fused(const double *L, const double *a, const double *mass,
                 return 0;
             /* the steps of bin_level (below), with branches for its selects:
              * the clamps seldom bite, and this scalar loop runs 1.3-1.5x
-             * faster so */
+             * faster so; and with the int round trip for its floor, which
+             * baseline x86-64 has no instruction for */
             double t = g * inv_dx;
             t -= shift;
             if (t < -1.0)
@@ -119,7 +131,8 @@ static int slab_fused(const double *L, const double *a, const double *mass,
 #ifdef VECTOR_SLABS
 /* Bucket (left neighbour + 1, in [0, n_bins + 1]) and right weight of a
  * level g; a NaN t maps to -1 at the lower clamp, so no NaN reaches the
- * int conversion. */
+ * int conversion.  On [-1, n_bins] f equals slab_fused's k, so the weights
+ * are its weights. */
 static inline void bin_level(double g, double mass, double inv_dx,
                              double shift, double top, int *bucket,
                              double *right_w)
@@ -128,10 +141,9 @@ static inline void bin_level(double g, double mass, double inv_dx,
     t -= shift;
     t = t >= -1.0 ? t : -1.0;
     t = t <= top ? t : top;
-    int k = (int)t;
-    k -= (double)k > t;
-    *right_w = (t - (double)k) * mass;
-    *bucket = k + 1;
+    double f = floor(t);
+    *right_w = (t - f) * mass;
+    *bucket = (int)f + 1;
 }
 
 /* Phase 1 for n <= TILE points and one column (mj, bj): stores only to
@@ -157,15 +169,17 @@ tile_levels(const double *restrict L, const double *restrict a,
     return finite;
 }
 
-/* Phase 1 of slab_tiled for tile i0 and column j, with d spelled dd: each
- * literal dd gets a vectorized copy of its own. */
+/* Phase 1 of slab_tiled for tile i0 and column j into bucket[c] and
+ * right_w[c], with d spelled dd: each literal dd gets a vectorized copy of
+ * its own. */
 #define TILE_LEVELS(dd)                                                     \
     tile_levels(L + i0 * d, a == NULL ? NULL : a + i0, m, nt, dd, M + j * d, \
-                a == NULL ? 0.0 : b[j], inv_dx, shift, top, bucket, right_w)
+                a == NULL ? 0.0 : b[j], inv_dx, shift, top, bucket[c],      \
+                right_w[c])
 
 /* Point tiles outer, columns inner, for d <= 4: one pass over a tile's L,
- * a and mass serves every column; per (tile, column) phase 1, then phase 2,
- * the scatter in point order. */
+ * a and mass serves every column; per (tile, pair of columns) phase 1 for
+ * each column, then phase 2, the scatter of both in point order. */
 static inline __attribute__((always_inline)) int
 slab_tiled(const double *L, const double *a, const double *mass, long n,
            long d, const double *M, const double *b, long cols,
@@ -173,22 +187,43 @@ slab_tiled(const double *L, const double *a, const double *mass, long n,
 {
     size_t per_col = 2 * (size_t)(n_bins + 2);
     double top = (double)n_bins;
-    int bucket[TILE];
-    double right_w[TILE];
+    int bucket[2][TILE];
+    double right_w[2][TILE];
     for (long i0 = 0; i0 < n; i0 += TILE) {
         long nt = n - i0 < TILE ? n - i0 : TILE;
         const double *m = mass + i0;
-        for (long j = 0; j < cols; j++) {
-            /* 2-d, the common case, first; d <= 4 here */
-            if (!(d == 2   ? TILE_LEVELS(2)
-                  : d == 1 ? TILE_LEVELS(1)
-                  : d == 3 ? TILE_LEVELS(3)
-                           : TILE_LEVELS(4)))
-                return 0;
-            double *h = hist + j * per_col;
-            for (long i = 0; i < nt; i++) {
-                h[2 * bucket[i]] += m[i] - right_w[i];
-                h[2 * bucket[i] + 1] += right_w[i];
+        for (long j0 = 0; j0 < cols; j0 += 2) {
+            long pair = j0 + 1 < cols;
+            /* one call site per d for both columns: a copy per column
+             * doubled the compile time */
+            for (long c = 0; c <= pair; c++) {
+                long j = j0 + c;
+                /* 2-d, the common case, first; d <= 4 here */
+                if (!(d == 2   ? TILE_LEVELS(2)
+                      : d == 1 ? TILE_LEVELS(1)
+                      : d == 3 ? TILE_LEVELS(3)
+                               : TILE_LEVELS(4)))
+                    return 0;
+            }
+            double *h0 = hist + j0 * per_col;
+            const int *k0 = bucket[0];
+            const double *w0 = right_w[0];
+            if (pair) {
+                double *h1 = h0 + per_col;
+                const int *k1 = bucket[1];
+                const double *w1 = right_w[1];
+                for (long i = 0; i < nt; i++) {
+                    double mi = m[i];
+                    h0[2 * k0[i]] += mi - w0[i];
+                    h0[2 * k0[i] + 1] += w0[i];
+                    h1[2 * k1[i]] += mi - w1[i];
+                    h1[2 * k1[i] + 1] += w1[i];
+                }
+            } else {
+                for (long i = 0; i < nt; i++) {
+                    h0[2 * k0[i]] += m[i] - w0[i];
+                    h0[2 * k0[i] + 1] += w0[i];
+                }
             }
         }
     }
@@ -208,17 +243,30 @@ SLAB_FOR("x86-64-v4", slab_v4)
 SLAB_FOR("x86-64-v3", slab_v3)
 #endif
 
-/* The slab loop for this CPU. */
-static slab_fn *pick_slab(void)
+/* The slab loop for d on this CPU, with its number for
+ * gentomo_deposit_loop in *loop. */
+static slab_fn *pick_slab(long d, int *loop)
 {
 #ifdef VECTOR_SLABS
-    __builtin_cpu_init();
-    if (GENTOMO_DEPOSIT_LEVEL >= 4 && __builtin_cpu_supports("x86-64-v4"))
-        return slab_v4;
-    if (GENTOMO_DEPOSIT_LEVEL >= 3 && __builtin_cpu_supports("x86-64-v3"))
-        return slab_v3;
+    if (d <= 4) {
+        __builtin_cpu_init();
+        *loop = 4;
+        if (GENTOMO_DEPOSIT_LEVEL >= 4 && __builtin_cpu_supports("x86-64-v4"))
+            return slab_v4;
+        *loop = 3;
+        if (GENTOMO_DEPOSIT_LEVEL >= 3 && __builtin_cpu_supports("x86-64-v3"))
+            return slab_v3;
+    }
 #endif
+    *loop = 1;
     return slab_fused;
+}
+
+int gentomo_deposit_loop(long d)
+{
+    int loop;
+    pick_slab(d, &loop);
+    return loop;
 }
 
 int gentomo_deposit(const double *L, const double *a, const double *mass,
@@ -232,7 +280,8 @@ int gentomo_deposit(const double *L, const double *a, const double *mass,
     double *hist = calloc((size_t)cols * per_col, sizeof *hist);
     if (hist == NULL)
         return -2;
-    slab_fn *slab = d > 4 ? slab_fused : pick_slab();
+    int loop;
+    slab_fn *slab = pick_slab(d, &loop);
     if (!slab(L, a, mass, n, d, M, b, cols, inv_dx, shift, n_bins, hist)) {
         free(hist);
         return -1;

@@ -181,10 +181,18 @@ def _run_blocks(new_worker, starts, workers: int) -> None:
 _UNSET = object()
 _kernel = _UNSET
 _kernel_missing = ""
+# with a built _kernel, its library's gentomo_deposit_loop(d): the slab loop
+# that deposits d-dimensional levels, 1 for one pass per point, 3 or 4 for
+# the tiled loop built for x86-64-v3 or -v4; None otherwise
+_kernel_loop = None
 _KERNEL_SOURCE = Path(__file__).with_name("_deposit.c")
 # no -ffast-math or -march=native: no FMA and no reassociation, so every
-# operation rounds as the numpy path's does
-_KERNEL_FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
+# operation rounds as the numpy path's does.  -fno-trapping-math lets gcc
+# vectorize the tiled loop's floor; it only drops the promise that the
+# floating-point exception flags are raised as written, which nothing reads,
+# and changes no rounding
+_KERNEL_FLAGS = ("-O3", "-ffp-contract=off", "-fno-trapping-math", "-fPIC",
+                 "-shared")
 # bins the compiled loop indexes (a C int bucket); more take the numpy path
 _KERNEL_MAX_BINS = 2**31 - 4
 
@@ -210,7 +218,7 @@ def _compile_kernel(cc: str, source: bytes, target: Path) -> None:
 
 
 def _build_kernel():
-    """(function, "") for the compiled deposit, or (None, reason).
+    """(library, "") for the compiled deposit, or (None, reason).
 
     The library is named by the sha256 of source and flags, under
     ``$XDG_CACHE_HOME/gentomo`` (default ``~/.cache/gentomo``); when that
@@ -244,25 +252,30 @@ def _build_kernel():
                 return None, str(exc)
     except RuntimeError as exc:
         return None, str(exc)
-    return _bind(lib), ""
+    return lib, ""
 
 
 def _bind(lib: ctypes.CDLL):
-    """The ``gentomo_deposit`` function of a loaded library, typed."""
+    """The ``gentomo_deposit`` and ``gentomo_deposit_loop`` functions of a
+    loaded library, typed."""
     fn = lib.gentomo_deposit
     ptr, long_ = ctypes.c_void_p, ctypes.c_long
     fn.argtypes = [ptr, ptr, ptr, long_, long_, ptr, ptr, long_,
                    ctypes.c_double, ctypes.c_double, long_, ptr, ptr]
     fn.restype = ctypes.c_int
-    return fn
+    loop = lib.gentomo_deposit_loop
+    loop.argtypes = [long_]
+    loop.restype = ctypes.c_int
+    return fn, loop
 
 
 def _load_kernel():
     """The compiled deposit function, or None for the numpy path; built on
     the first call, never at import."""
-    global _kernel, _kernel_missing
+    global _kernel, _kernel_loop, _kernel_missing
     if _kernel is _UNSET:
-        _kernel, _kernel_missing = _build_kernel()
+        lib, _kernel_missing = _build_kernel()
+        _kernel, _kernel_loop = (None, None) if lib is None else _bind(lib)
     return _kernel
 
 
@@ -270,9 +283,11 @@ def _kernel_columns(n_par: int, n_bins: int, workers: int) -> int:
     """Parameter columns per block of the compiled deposit: at least two
     blocks per worker, and the block's histograms (2 (n_bins + 2) doubles
     per column) and output rows (n_bins bins and 3 edge slots) within
-    _BLOCK_BYTES."""
+    _BLOCK_BYTES.  A count above 1 is even, since the tiled loop scatters
+    columns in pairs and a lone last column alone, more slowly."""
     per_column = 8 * (3 * n_bins + 7)
-    return max(1, min(_BLOCK_BYTES // per_column, -(-n_par // (2 * workers))))
+    cols = min(_BLOCK_BYTES // per_column, -(-n_par // (2 * workers)))
+    return max(1, cols - cols % 2)
 
 
 _NON_FINITE_LEVEL = ("non-finite level value (nan or inf): a source point or "
@@ -375,7 +390,8 @@ def _deposit(family: LevelFamily, n_nodes: int, nodes, param_points,
     give equal bytes, for every block size.  The compiled loop takes
     ``_kernel_columns(P, Nx, workers)`` columns per block: at least two
     blocks per worker, each block's histograms within ``_BLOCK_BYTES``, so
-    one pass over a tile of points serves every column of the block.  The
+    one pass over a tile of points serves every column of the block, and
+    an even count above one, for the tiled loop's column pairs.  The
     numpy path takes ``min(_CHUNK_ELEMS // slab, P)`` columns, which bounds
     its (columns x slab) scratch; it also takes every deposit of more than
     ``_KERNEL_MAX_BINS`` bins.  Against one slab per block, slab partial

@@ -735,7 +735,8 @@ def _host_levels(cc, tmp):
 
 @pytest.fixture(scope="module")
 def variant_kernels(tmp_path_factory):
-    """The compiled loop built once per variant this CPU runs, by level."""
+    """The compiled loop built once per variant this CPU runs, by level:
+    its (deposit, loop query) functions."""
     cc = shutil.which("cc") or shutil.which("gcc")
     if cc is None:
         pytest.skip("no C compiler on PATH")
@@ -868,11 +869,57 @@ class TestCompiledDeposit:
         _set_columns(monkeypatch, cols, -(-len(points) // slabs))
         monkeypatch.setattr(forward, "_kernel", None)
         expect = _deposit(family, points, masses, params, x_grid)
-        for level, kernel in variant_kernels.items():
+        for level, (kernel, _) in variant_kernels.items():
             monkeypatch.setattr(forward, "_kernel", kernel)
             values, overflow = _deposit(family, points, masses, params, x_grid)
             assert np.array_equal(values, expect[0]), level
             assert np.array_equal(overflow, expect[1]), level
+
+    def test_loop_query_names_the_highest_loop(self, variant_kernels,
+                                                monkeypatch):
+        """The build as shipped names the highest x86-64 level this CPU
+        runs for d <= 4 and one pass per point for d = 5; the build capped
+        at level 1 names one pass per point for every d."""
+        monkeypatch.setattr(forward, "_kernel", forward._UNSET)
+        monkeypatch.setattr(forward, "_kernel_loop", None)
+        assert forward._load_kernel() is not None, forward._kernel_missing
+        top = max(filter(None, variant_kernels), default=1)
+        assert [forward._kernel_loop(d) for d in range(1, 6)] == [top] * 4 + [1]
+        if 1 in variant_kernels:
+            loop = variant_kernels[1][1]
+            assert [loop(d) for d in range(1, 6)] == [1] * 5
+
+    def test_phase_one_vectorizes(self, tmp_path):
+        """gcc reports the tiled loop's phase 1 vectorized, for each literal
+        d, with 32-byte (AVX2) vectors in the build capped at x86-64-v3 and
+        with 64-byte (AVX-512) vectors in the build as shipped."""
+        cc = shutil.which("cc") or shutil.which("gcc")
+        if cc is None:
+            pytest.skip("no C compiler on PATH")
+        src = forward._KERNEL_SOURCE
+        macros = subprocess.run([cc, *forward._KERNEL_FLAGS, "-E", "-dM",
+                                 str(src)], capture_output=True, text=True)
+        if "#define VECTOR_SLABS" not in macros.stdout:
+            pytest.skip("the tiled loop needs gcc 12 or later on x86-64")
+        lines = src.read_text().splitlines()
+        head = next(i for i, line in enumerate(lines)
+                    if line.startswith("tile_levels("))
+        loop = next(i for i in range(head, len(lines))
+                    if "for (long i = 0;" in lines[i]) + 1
+        found = re.compile(rf":{loop}:\d+: optimized: loop vectorized "
+                           r"using (\d+) byte vectors")
+
+        def widths(define):
+            proc = subprocess.run(
+                [cc, *forward._KERNEL_FLAGS, *define, "-fopt-info-vec-optimized",
+                 "-o", str(tmp_path / "deposit.so"), str(src)],
+                capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            return [int(w) for w in found.findall(proc.stderr)]
+
+        v3 = widths(["-DGENTOMO_DEPOSIT_LEVEL=3"])
+        assert 64 not in v3 and v3.count(32) >= 4, v3
+        assert widths([]).count(64) >= 4
 
     @pytest.mark.parametrize("level", [None, 1])
     def test_kernel_has_no_undefined_behaviour(self, tmp_path, level):
@@ -899,7 +946,7 @@ from gentomo.core import make_grid
 from gentomo.geometry import Hyperplane
 import test_forward as t
 
-forward._kernel = forward._bind(ctypes.CDLL({str(lib)!r}))
+forward._kernel = forward._bind(ctypes.CDLL({str(lib)!r}))[0]
 for family, x_axis in t.DEPOSIT_CASES.values():
     points, masses, params = t._deposit_inputs(family)
     t._deposit(family, points, masses, params, make_grid(1, [x_axis]))
@@ -949,12 +996,13 @@ t._deposit(Hyperplane(2), np.array([[1e308, 0.0], [-1e308, 1.0]]),
         assert np.array_equal(overflow, expect[1])
 
     @pytest.mark.parametrize("n_par,n_bins,workers", [
-        (1, 9, 1), (16, 481, 1), (16, 481, 2), (4096, 841, 2),
-        (6400, 481, 4), (50, 100_000, 3)])
+        (1, 9, 1), (6, 481, 1), (16, 481, 1), (16, 481, 2), (1024, 401, 2),
+        (4096, 841, 2), (6400, 481, 4), (50, 100_000, 3)])
     def test_column_blocks_fit_in_cache_and_feed_every_worker(
             self, n_par, n_bins, workers):
         cols = forward._kernel_columns(n_par, n_bins, workers)
         assert cols >= 1
+        assert cols == 1 or cols % 2 == 0     # the tiled loop's column pairs
         assert cols == 1 or cols * 8 * (3 * n_bins + 7) <= forward._BLOCK_BYTES
         assert cols == 1 or -(-n_par // cols) >= 2 * workers
 
@@ -973,6 +1021,18 @@ t._deposit(Hyperplane(2), np.array([[1e308, 0.0], [-1e308, 1.0]]),
                          make_grid(1, [(-2.0, 2.0, 9)]))
         assert (forward._kernel is None) == (path == "numpy")
 
+    def test_non_finite_level_in_a_column_pair_raises(self, variant_kernels,
+                                                      monkeypatch):
+        """One block of two columns, of which only the second one's level
+        overflows: the tiled loop returns from the middle of a pair."""
+        _set_columns(monkeypatch, 2, 1)
+        for kernel in [None, *(fn for fn, _ in variant_kernels.values())]:
+            monkeypatch.setattr(forward, "_kernel", kernel)
+            with (pytest.raises(ValueError, match="non-finite level value"),
+                  np.errstate(over="ignore")):
+                _deposit(Hyperplane(2), np.array([[1e308, 0.0]]), np.ones(1),
+                         np.array([[1.0, 0.0], [10.0, 0.0]]),
+                         make_grid(1, [(-2.0, 2.0, 9)]))
 
     def test_too_fine_x_grid_raises(self):
         """1 / dx overflows: no scaled level may reach the bucket index."""
