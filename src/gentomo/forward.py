@@ -9,21 +9,22 @@ window is kept in per-parameter overflow counters, so normalization checks
 can tell truncation from bugs.  The closed forms that check the engine
 live in ``oracle``.
 
-``_deposit`` streams the source: it builds the quadrature nodes one slab
-at a time and deposits each slab into every parameter column before it
-builds the next, so forward memory is one slab plus the (P, Nx) table, not
-the whole source.  Each slab runs one block loop over one of two slab
-functions: the compiled loop of ``_deposit.c`` (built on first use:
-vectorized up to 4-d on x86-64-v3 and -v4 CPUs, one pass per point
-elsewhere) or, where nothing can be compiled, the same steps in numpy.  The
-output bytes are equal on both paths and for every loop
-(tests/test_forward.py, ``TestCompiledDeposit``), for every
-``GENTOMO_THREADS`` (``TestDepositThreads``; AC-10 through the CLI) and for
-every block of parameter columns
-(``TestDepositKernel::test_block_size_tolerance`` and the ``cols``
-parameters of ``test_matches_reference_loop``).  Only the slab partition of
-the kept source points, which depends on their count alone, moves results,
-by at most 1e-13 of the peak
+``_deposit`` fixes its plan (parameter terms, column blocks, a slab
+function per worker) before the first slab, then streams the source: it
+builds the quadrature nodes one slab at a time and deposits each slab into
+every parameter column before it builds the next, so forward memory is one
+slab plus the (P, Nx) table.  One rule, ``_workers``, sets every worker
+count.  Each slab runs one block loop over one of two slab functions: the
+compiled loop of ``_deposit.c`` (built on first use: vectorized up to 4-d
+on x86-64-v3 and -v4 CPUs, one pass per point elsewhere) or, where nothing
+can be compiled, the same steps in numpy.  The output bytes are equal on
+both paths and for every loop (tests/test_forward.py,
+``TestCompiledDeposit``), for every ``GENTOMO_THREADS``
+(``TestDepositThreads``; AC-10 through the CLI) and for every block of
+parameter columns (``TestDepositKernel::test_block_size_tolerance`` and
+the ``cols`` parameters of ``test_matches_reference_loop``).  Only the
+slab partition of the kept source points, which depends on their count
+alone, moves results, by at most 1e-13 of the peak
 (``TestDepositKernel::test_slabs_match_reference_loop``).
 """
 
@@ -76,11 +77,11 @@ def _source_nodes(source, q_grid: GridSpec | None, supersample: int = 1):
     A range's points are the rows of ``grid.points()`` or
     ``q_grid.cell_centers(s)`` and its field masses the entries of the
     full product, byte for byte.  The phantom's pdf runs on pieces of
-    ``_PDF_SLAB`` nodes, shared by ``thread_count()`` workers (at most
-    ``_MAX_WORKERS``).  Every shipped phantom is pointwise, so the masses
-    are byte-identical to one full-array ``pdf`` call, for every range and
-    thread count; a Gaussian mixture's pdf runs in one fixed order without
-    LAPACK, so its masses are the same on every BLAS/LAPACK build.
+    ``_PDF_SLAB`` nodes, shared by ``_workers`` threads.  Every shipped
+    phantom is pointwise, so the masses are byte-identical to one
+    full-array ``pdf`` call, for every range and thread count; a Gaussian
+    mixture's pdf runs in one fixed order without LAPACK, so its masses are
+    the same on every BLAS/LAPACK build.
     """
     if isinstance(source, ScalarField):
         if q_grid is not None and q_grid != source.grid:
@@ -115,8 +116,7 @@ def _source_nodes(source, q_grid: GridSpec | None, supersample: int = 1):
                             out=masses[start:stop])
 
             starts = range(0, len(pts), _PDF_SLAB)
-            _run_blocks(lambda: weigh, starts,
-                        min(thread_count(), _MAX_WORKERS, len(starts)))
+            _run_blocks(lambda: weigh, starts, _workers(len(starts)))
             return pts, masses
 
         return math.prod(len(ax) for ax in axes), phantom_nodes
@@ -124,8 +124,9 @@ def _source_nodes(source, q_grid: GridSpec | None, supersample: int = 1):
 
 
 def thread_count() -> int:
-    """Deposit, quadrature and kernel-sum worker threads from
-    ``GENTOMO_THREADS``; each of the three runs at most ``_MAX_WORKERS``.
+    """Worker threads asked for by ``GENTOMO_THREADS``; ``_workers`` turns
+    this into the worker count of the deposit, the phantom quadrature and
+    the kernel sum, one rule for all three.
 
     0 or unset means the cores this process may run on, or all cores where
     the OS cannot tell.  Raises ValueError unless an integer >= 0.
@@ -140,6 +141,12 @@ def thread_count() -> int:
         raise ValueError(f"GENTOMO_THREADS must be >= 0, got {raw!r}")
     affinity = getattr(os, "sched_getaffinity", None)   # none on macOS, Windows
     return n or (len(affinity(0)) if affinity else os.cpu_count() or 1)
+
+
+def _workers(n_blocks: int) -> int:
+    """Threads for a loop over ``n_blocks`` blocks: ``thread_count()``, at
+    most ``_MAX_WORKERS`` and one per block, and at least one."""
+    return max(1, min(thread_count(), _MAX_WORKERS, n_blocks))
 
 
 def _run_blocks(new_worker, starts, workers: int) -> None:
@@ -335,9 +342,11 @@ def _numpy_slab(chunk: int, slab: int):
         g = g_buf[:c * len(L)].reshape(c, len(L))
         key = key_buf[:g.size].reshape(g.shape)
         idx = idx_buf[:g.size]
-        combine_levels(L, a, M, b, out=g.T, scratch=key.T)
-        # the sum is finite when every level is; only an overflowing sum of
-        # finite levels needs the exact test
+        with np.errstate(over="ignore", invalid="ignore"):
+            combine_levels(L, a, M, b, out=g.T, scratch=key.T)
+        # no overflow warning: a non-finite level raises here.  The sum is
+        # finite when every level is; only an overflowing sum of finite
+        # levels needs the exact test
         if not (math.isfinite(g.sum()) or np.isfinite(g).all()):
             raise ValueError(_NON_FINITE_LEVEL)
         np.multiply(g, inv_dx, out=g)
@@ -371,14 +380,16 @@ def _deposit(family: LevelFamily, n_nodes: int, nodes, param_points,
     overflow (P,), the count of nodes on the family's singular set, the
     mass of the other nodes).
 
-    The source is the outer loop.  Nodes are built ``_CHUNK_ELEMS`` at a
+    The plan is fixed before the first slab: one ``param_terms`` call for
+    all P columns, of which each block takes its rows, the blocks, and a
+    slab function for each of ``_workers(blocks)`` workers.  Then the
+    source is the outer loop.  Nodes are built ``_CHUNK_ELEMS`` at a
     time; those on the singular set are dropped, and a carry holds the kept
     points until they fill a slab of ``_CHUNK_ELEMS``, so the slabs are the
-    ones a cut of all kept points would give, ``slab = min(N_kept,
-    _CHUNK_ELEMS)``, whatever the singular set.  Each slab's level terms are
-    built, then every block of parameter columns takes the slab on up to
-    ``thread_count()`` workers (at most ``_MAX_WORKERS``), and the slab is
-    freed before the next is built: forward memory is O(slab d + P Nx).
+    ones a cut of all kept points would give, whatever the singular set.
+    Each slab's level terms are built, then every block of parameter
+    columns takes the slab, and the slab is freed before the next is
+    built: forward memory is O(slab d + P Nx).
 
     One block loop serves both paths: a block calls its slab function
     (``_compiled_slab`` or ``_numpy_slab``), which adds the slab straight
@@ -388,12 +399,11 @@ def _deposit(family: LevelFamily, n_nodes: int, nodes, param_points,
     once at the end.  Both slab functions evaluate every level and weight
     in one fixed order and add each column's masses in point order, so they
     give equal bytes, for every block size.  The compiled loop takes
-    ``_kernel_columns(P, Nx, workers)`` columns per block: at least two
-    blocks per worker, each block's histograms within ``_BLOCK_BYTES``, so
-    one pass over a tile of points serves every column of the block, and
-    an even count above one, for the tiled loop's column pairs.  The
-    numpy path takes ``min(_CHUNK_ELEMS // slab, P)`` columns, which bounds
-    its (columns x slab) scratch; it also takes every deposit of more than
+    ``_kernel_columns`` columns per block, so one pass over a tile of
+    points serves every column of the block.  The numpy path takes
+    ``min(_CHUNK_ELEMS // slab, P)`` columns, ``slab = min(N,
+    _CHUNK_ELEMS)``, which bounds its (columns x slab) scratch by
+    ``_CHUNK_ELEMS`` pairs; it also takes every deposit of more than
     ``_KERNEL_MAX_BINS`` bins.  Against one slab per block, slab partial
     sums move tomograms by at most 1e-13 of their peak (1.2e-14 on 4.19 M
     nodes and 16 hyperplane directions).  A non-finite level raises
@@ -407,16 +417,27 @@ def _deposit(family: LevelFamily, n_nodes: int, nodes, param_points,
         raise ValueError(f"X grid spacing {dx:g} is too fine to bin")
     n_par = len(param_points)
     d = family.ndim
+    if param_points.shape[1] != d:
+        raise DimensionMismatchError(
+            f"parameter points are {param_points.shape[1]}-d, "
+            f"family wants {d}-d")
     values = np.zeros((n_par, n_bins))
     # per column: [0] underflow, [1] and [2] overflow (the clamp parks
     # far-out mass at the edges, where the split weight degenerates to
     # all-left)
     edges = np.zeros((n_par, 3))
-    workers = min(thread_count(), _MAX_WORKERS)
-    kernel = (_load_kernel() if n_par and n_bins <= _KERNEL_MAX_BINS
-              else None)
     n_singular = 0
     kept_mass = 0.0
+    if n_par:
+        M, b = family.param_terms(param_points)
+        kernel = _load_kernel() if n_bins <= _KERNEL_MAX_BINS else None
+        slab = min(n_nodes, _CHUNK_ELEMS)
+        chunk = (min(_CHUNK_ELEMS // slab, n_par) if kernel is None
+                 else _kernel_columns(n_par, n_bins, _workers(n_par)))
+        starts = range(0, n_par, chunk)
+        runs = [_numpy_slab(chunk, slab) if kernel is None
+                else _compiled_slab(kernel)
+                for _ in range(_workers(len(starts)))]
 
     def slabs():
         nonlocal n_singular
@@ -440,8 +461,6 @@ def _deposit(family: LevelFamily, n_nodes: int, nodes, param_points,
         if carry is not None:
             yield carry
 
-    starts = runs = None
-    terms = {}
     for p, m in slabs():
         kept_mass += float(m.sum())
         if not n_par:
@@ -453,33 +472,19 @@ def _deposit(family: LevelFamily, n_nodes: int, nodes, param_points,
             raise DimensionMismatchError(
                 f"level terms of shape {L.shape} for {len(m)} points, "
                 f"family wants ({len(m)}, {d})")
-        if starts is None:
-            # the first slab is the longest, so it sizes the numpy scratch
-            chunk = (_kernel_columns(n_par, n_bins, workers)
-                     if kernel is not None else min(_CHUNK_ELEMS // len(m), n_par))
-            starts = range(0, n_par, chunk)
-            workers = min(workers, len(starts))
-            runs = [_compiled_slab(kernel) if kernel is not None
-                    else _numpy_slab(chunk, len(m)) for _ in range(workers)]
         free = list(runs)
 
         def new_worker():
             run = free.pop()
 
             def deposit_block(start):
-                if start not in terms:       # each block's, on the first slab
-                    M, b = family.param_terms(param_points[start:start + chunk])
-                    if M.shape[1] != d:
-                        raise DimensionMismatchError(
-                            f"parameters are {M.shape[1]}-d, family wants {d}-d")
-                    terms[start] = M, b
-                M, b = terms[start]
-                rows = slice(start, start + len(M))
-                run(L, a, m, M, b, inv_dx, shift, values[rows], edges[rows])
+                rows = slice(start, start + chunk)
+                run(L, a, m, M[rows], None if b is None else b[rows],
+                    inv_dx, shift, values[rows], edges[rows])
 
             return deposit_block
 
-        _run_blocks(new_worker, starts, workers)
+        _run_blocks(new_worker, starts, len(runs))
         del p, m, L, a      # this slab's, before the next one is built
 
     np.divide(values, dx, out=values)
@@ -516,10 +521,6 @@ def forward_binned(source, family: LevelFamily, params, x_grid: GridSpec,
     if x_grid.ndim != 1:
         raise GridError("x_grid must be one-dimensional")
     param_points = params.points() if box else params
-    if param_points.shape[1] != family.ndim:
-        raise DimensionMismatchError(
-            f"parameter points are {param_points.shape[1]}-d, "
-            f"family wants {family.ndim}-d")
     n_nodes, nodes = _source_nodes(source, q_grid, supersample)
     values, overflow, n_sing, total = _deposit(family, n_nodes, nodes,
                                                param_points, x_grid)

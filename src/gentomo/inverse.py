@@ -17,8 +17,8 @@ import numpy as np
 
 from .core import (DimensionMismatchError, GridError, GridSpec, Phantom,
                    ScalarField, TomogramFamily, l2_rel_error, sample_phantom)
-from .forward import (_MAX_WORKERS, _run_blocks, forward_binned,
-                      normalization_profile, pullback_density, thread_count)
+from .forward import (_run_blocks, _workers, forward_binned,
+                      normalization_profile, pullback_density)
 from .geometry import LevelFamily
 
 DEFAULT_DECAY_FLOOR = 1e-4
@@ -178,13 +178,12 @@ def _direct_sum(coef: np.ndarray, phase_lhs: np.ndarray,
     out points contracts the last axis against coef with one complex matrix
     product and every other axis elementwise, one b x P_k table per axis:
     N_out * sum_k P_k cos/sin pairs instead of N_out * P exponentials.
-    Blocks of ``_OUT_CHUNK`` out points run on up to ``thread_count()``
-    workers (at most ``_MAX_WORKERS``); each block writes only its own
-    slice of the result and makes the same calls whatever the thread count,
-    so the bytes are equal for every ``GENTOMO_THREADS``
-    (``TestDirectSumThreads``).  Against the point-wise sum the result
-    agrees within 1e-12 of its peak, and against a 30-digit reference
-    within 1e-13 (``TestDirectSum``).
+    Blocks of ``_OUT_CHUNK`` out points run on ``_workers(blocks)``
+    threads; each block writes only its own slice of the result and makes
+    the same calls whatever the thread count, so the bytes are equal for
+    every ``GENTOMO_THREADS`` (``TestDirectSumThreads``).  Against the
+    point-wise sum the result agrees within 1e-12 of its peak, and against
+    a 30-digit reference within 1e-13 (``TestDirectSum``).
     """
     mu = [param_grid.axis_points(k) for k in range(param_grid.ndim)]
     lead = param_grid.shape[:-1]
@@ -215,8 +214,7 @@ def _direct_sum(coef: np.ndarray, phase_lhs: np.ndarray,
 
         return sum_block
 
-    _run_blocks(new_worker, starts,
-                max(1, min(thread_count(), _MAX_WORKERS, len(starts))))
+    _run_blocks(new_worker, starts, _workers(len(starts)))
     return out
 
 

@@ -5,9 +5,13 @@ import pytest
 
 from gentomo import checks, cli
 from gentomo.cli import main
-from gentomo.formats import read_field, read_tomogram
+from gentomo.core import TomogramFamily, make_grid
+from gentomo.formats import read_field, read_tomogram, write_tomogram
 
 GAUSS_CFG = "type=gaussian\nmean=0,0\ncov=1,0,0,1\ngrid=-6,6,128;-6,6,128\n"
+GAUSS3_CFG = "type=gaussian\nmean=0,0,0\ncov=1,0,0,0,1,0,0,0,1\n"
+GAUSS4_CFG = ("type=gaussian\nmean=0,0,0,0\n"
+              "cov=1,0,0,0,0,1,0,0,0,0,1,0,0,0,0,1\n")
 
 
 @pytest.fixture
@@ -209,9 +213,33 @@ class TestInvertCommand:
                      "--out", str(tmp_path / "r.gtm")]) == 0
         assert "warning: taper width" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("family, ndim", [("hyperbola", 2),
+                                              ("hyperboloid", 4)])
+    def test_deformed_pipeline(self, tmp_path, gauss_field, family, ndim,
+                               capsys):
+        """forward then invert of a deformed family, 2-d from a field and
+        4-d from a phantom config."""
+        box, count = ";".join(["-3,3"] * ndim), ";".join(["6"] * ndim)
+        if ndim == 2:
+            source, sampling = gauss_field, []
+        else:
+            source = _written(tmp_path, "g4.cfg", GAUSS4_CFG.encode())
+            sampling = ["--q-box=" + ";".join(["-4,4"] * ndim),
+                        "--q-count", "12"]
+        tomo, recon = tmp_path / "t.gtmt", tmp_path / "r.gtm"
+        assert main(["forward", str(source), "--family", family,
+                     f"--mu-box={box}", "--mu-count", count,
+                     "--x-range=-12,12", "--x-count", "81", *sampling,
+                     "--out", str(tomo)]) == 0
+        assert read_tomogram(tomo).family_tag == family
+        assert main(["invert", str(tomo), "--family", family,
+                     f"--q-box={box}", "--q-count", count,
+                     "--out", str(recon)]) == 0
+        assert "imaginary residual ratio" in capsys.readouterr().out
+        field = read_field(recon)
+        assert field.grid.ndim == ndim and np.isfinite(field.values).all()
+
     def test_zero_tomogram_gives_zero_field(self, tmp_path, gauss_field):
-        from gentomo.core import TomogramFamily, make_grid
-        from gentomo.formats import write_tomogram
         tomo = tmp_path / "z.gtmt"
         xg = make_grid(1, [(-3, 3, 11)])
         pg = make_grid(2, [(-2, 2, 5), (-2, 2, 5)])
@@ -372,6 +400,15 @@ def _written(tmp_path, name, data):
     return str(path)
 
 
+def _box_tomogram(tmp_path):
+    """A GTM-T file of a tomogram on a 2-d parameter box."""
+    path = tmp_path / "box.gtmt"
+    write_tomogram(path, TomogramFamily(
+        x_grid=make_grid(1, [(-1, 1, 5)]), values=np.ones((4, 5)),
+        family_tag="hyperplane", param_grid=make_grid(2, [(-1, 1, 2)] * 2)))
+    return str(path)
+
+
 class TestExitCodes:
     """Every branch of the exception-to-exit-code map in ``main`` has a
     row, and every row ends in one ``error:`` line and writes nothing."""
@@ -433,6 +470,49 @@ class TestExitCodes:
         assert main(make_argv(tmp_path, gauss_field)) == code
         _one_error_line(capsys)
         assert not list(tmp_path.glob("[tr].gtm*"))
+
+    @pytest.mark.parametrize("code, needle, make_argv", [
+        pytest.param(2, "square row-major", lambda tmp, field: _forward_args(
+            field, tmp / "t.gtmt", "quadric", ["--B", "1,0,1"]),
+            id="B-not-square"),
+        pytest.param(3, "--B is 3x3", lambda tmp, field: _forward_args(
+            field, tmp / "t.gtmt", "quadric", ["--B", "1,0,0,0,1,0,0,0,1"]),
+            id="B-3x3-on-2d-data"),
+        pytest.param(2, "disagree in axis count", lambda tmp, field: [
+            "forward", str(field), "--family", "hyperplane",
+            "--mu-box=-1,1;-1,1", "--mu-count", "4;4;4", "--x-range=-8,8",
+            "--x-count", "61", "--out", str(tmp / "t.gtmt")],
+            id="box-and-count-disagree"),
+        pytest.param(2, "bad grid flags", lambda tmp, field: [
+            "forward", str(field), "--family", "hyperplane",
+            "--mu-box=a,1;-1,1", "--mu-count", "4", "--x-range=-8,8",
+            "--x-count", "61", "--out", str(tmp / "t.gtmt")],
+            id="mu-box-not-numeric"),
+        pytest.param(2, "bad X grid flags", lambda tmp, field: [
+            "forward", str(field), "--family", "hyperplane",
+            "--mu-box=-1,1;-1,1", "--mu-count", "4", "--x-range=-5",
+            "--x-count", "61", "--out", str(tmp / "t.gtmt")],
+            id="x-range-one-number"),
+        pytest.param(2, "require --q-box", lambda tmp, field: _forward_args(
+            _written(tmp, "g.cfg", GAUSS_CFG.encode()), tmp / "t.gtmt"),
+            id="phantom-without-q-box"),
+        pytest.param(3, "even-dimensional", lambda tmp, field: _forward_args(
+            _written(tmp, "g3.cfg", GAUSS3_CFG.encode()), tmp / "t.gtmt",
+            "hyperboloid", ["--q-box=-4,4;-4,4;-4,4", "--q-count", "8"]),
+            id="hyperboloid-on-3d-data"),
+        pytest.param(2, "one-dimensional parameter", lambda tmp, field: [
+            "export", _box_tomogram(tmp), "--format", "pgm",
+            "--out", str(tmp / "t.pgm")], id="pgm-of-2d-parameter-box"),
+    ])
+    def test_bad_flags(self, tmp_path, gauss_field, code, needle, make_argv,
+                       capsys):
+        """Each flag the commands check maps to its documented exit code
+        and one ``error:`` line that names it, and writes nothing."""
+        argv = make_argv(tmp_path, gauss_field)
+        capsys.readouterr()
+        assert main(argv) == code
+        assert needle in _one_error_line(capsys)
+        assert not list(tmp_path.glob("t.*"))
 
     @pytest.mark.parametrize("owner, name, make_argv", [
         (cli, "forward_binned", lambda tmp, tomo, field: _forward_args(

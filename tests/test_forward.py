@@ -17,10 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gentomo import forward
-from gentomo.core import (GaussianMixture, GridError, ScalarField,
-                          TomogramFamily, UniformBall, UniformBox, gaussian,
-                          make_grid, sample_phantom, standard_gaussian,
-                          total_mass)
+from gentomo.core import (DimensionMismatchError, GaussianMixture, GridError,
+                          ScalarField, TomogramFamily, UniformBall,
+                          UniformBox, gaussian, make_grid, sample_phantom,
+                          standard_gaussian, total_mass)
 from gentomo.forward import (_run_blocks, forward_binned, forward_binned_at,
                              homogeneity_residual, normalization_profile,
                              pullback_density, thread_count)
@@ -191,6 +191,54 @@ class TestForwardBinned:
         t = forward_binned_at(field, Hyperplane(2), [[1.0, 0.0]], x_grid)
         assert np.all(t.values == 0.0)
         assert normalization_profile(t)[0] == 0.0
+
+
+class TestForwardInputErrors:
+    """Each input ``forward_binned`` refuses, with the error it raises."""
+
+    X = make_grid(1, [(-6, 6, 61)])
+
+    @pytest.mark.parametrize("source", ["phantom", "field"])
+    def test_source_dimension_differs_from_family(self, source):
+        q3 = make_grid(3, [(-3, 3, 8)] * 3)
+        gauss3 = standard_gaussian(3)
+        src = gauss3 if source == "phantom" else sample_phantom(gauss3, q3)
+        with pytest.raises(DimensionMismatchError, match="source dimension"):
+            forward_binned(src, Hyperplane(2), [[1.0, 0.0]], self.X,
+                           q3 if source == "phantom" else None)
+
+    @pytest.mark.parametrize("params", [
+        [[1.0]], [[1.0, 0.0, 2.0]], make_grid(1, [(-1, 1, 4)]),
+        make_grid(3, [(-1, 1, 2)] * 3)], ids=["1d", "3d", "1d-box", "3d-box"])
+    def test_parameter_dimension_differs_from_family(self, gauss2d, q_grid,
+                                                     params):
+        """A quadric's parameter terms index the core axes: the dimension
+        check comes first, so no IndexError escapes."""
+        family = Quadric(QuadricForm(np.eye(2)))
+        with pytest.raises(DimensionMismatchError,
+                           match=r"parameter points are \d-d, family wants "
+                                 r"2-d"):
+            forward_binned(gauss2d, family, params, self.X, q_grid)
+
+    def test_two_dimensional_x_grid(self, gauss2d, q_grid):
+        with pytest.raises(GridError, match="x_grid must be one-dimensional"):
+            forward_binned(gauss2d, Hyperplane(2), [[1.0, 0.0]],
+                           make_grid(2, [(-6, 6, 8)] * 2), q_grid)
+
+    def test_field_with_another_q_grid(self, gauss2d, q_grid):
+        field = sample_phantom(gauss2d, make_grid(2, [(-6, 6, 16)] * 2))
+        with pytest.raises(GridError, match="equal the field's grid"):
+            forward_binned(field, Hyperplane(2), [[1.0, 0.0]], self.X,
+                           q_grid)
+
+    def test_phantom_without_q_grid(self, gauss2d):
+        with pytest.raises(GridError, match="require a q_grid"):
+            forward_binned(gauss2d, Hyperplane(2), [[1.0, 0.0]], self.X)
+
+    def test_source_of_another_type(self, q_grid):
+        with pytest.raises(TypeError, match="ScalarField or Phantom"):
+            forward_binned(np.ones((8, 8)), Hyperplane(2), [[1.0, 0.0]],
+                           self.X, q_grid)
 
 
 class TestNormalization:
@@ -604,8 +652,8 @@ class TestDepositThreads:
 
     def test_slabs_under_contention(self, gauss2d, monkeypatch):
         """Four workers on five slabs, switching threads every microsecond:
-        the per-slab worker hand-out and the blocks' parameter terms, built
-        on the first slab, still give one thread's bytes."""
+        the per-slab worker hand-out, over blocks planned before the first
+        slab, still gives one thread's bytes."""
         q = make_grid(2, [(-6, 6, 128), (-6, 6, 128)])
         params = np.random.default_rng(4).uniform(-3, 3, size=(13, 2))
         x_grid = make_grid(1, [(-5, 60, 401)])
@@ -623,6 +671,32 @@ class TestDepositThreads:
                 sys.setswitchinterval(old)
             outs.append((t.values.tobytes(), t.overflow.tobytes()))
         assert outs[0] == outs[1]
+
+    def test_plan_is_built_once(self, gauss2d, monkeypatch):
+        """Five slabs of 13 one-column blocks on two workers: one
+        ``param_terms`` call for the whole forward, whose rows every block
+        takes."""
+        calls = []
+        param_terms = LevelFamily.param_terms
+
+        def counting(family, params):
+            calls.append(len(params))
+            return param_terms(family, params)
+
+        monkeypatch.setattr(LevelFamily, "param_terms", counting)
+        monkeypatch.setattr(forward, "_CHUNK_ELEMS", 4000)
+        monkeypatch.setattr(forward, "_kernel_columns", lambda *_: 1)
+        monkeypatch.setenv("GENTOMO_THREADS", "2")
+        used = []
+        monkeypatch.setattr(forward, "_run_blocks", _deposit_spy(used))
+        q = make_grid(2, [(-6, 6, 128), (-6, 6, 128)])
+        params = np.random.default_rng(4).uniform(-3, 3, size=(13, 2))
+        x_grid = make_grid(1, [(-5, 60, 401)])
+        family = Quadric(QuadricForm(np.array([[1.0, 0.3], [0.3, 2.0]])))
+        t = forward_binned_at(gauss2d, family, params, x_grid, q)
+        assert used == [2] * 5
+        assert calls == [13]
+        assert t.values.max() > 0.0
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_empty_parameter_list(self, gauss2d, q_grid, threads,
@@ -1028,8 +1102,9 @@ t._deposit(Hyperplane(2), np.array([[1e308, 0.0], [-1e308, 1.0]]),
         _set_columns(monkeypatch, 2, 1)
         for kernel in [None, *(fn for fn, _ in variant_kernels.values())]:
             monkeypatch.setattr(forward, "_kernel", kernel)
-            with (pytest.raises(ValueError, match="non-finite level value"),
-                  np.errstate(over="ignore")):
+            with (warnings.catch_warnings(),
+                  pytest.raises(ValueError, match="non-finite level value")):
+                warnings.simplefilter("error")
                 _deposit(Hyperplane(2), np.array([[1e308, 0.0]]), np.ones(1),
                          np.array([[1.0, 0.0], [10.0, 0.0]]),
                          make_grid(1, [(-2.0, 2.0, 9)]))

@@ -190,7 +190,7 @@ class TestDirectSumThreads:
         class Counting(threading.Thread):
             def start(self):
                 starts.append(self)
-                if len(starts) >= inverse._MAX_WORKERS:
+                if len(starts) >= forward._MAX_WORKERS:
                     raise AssertionError("more threads than _MAX_WORKERS")
                 super().start()
 
@@ -200,7 +200,7 @@ class TestDirectSumThreads:
         out = make_grid(2, [(-3, 3, n_out), (-3, 3, n_out)])
         slc = _slice_from_values(pg, _random_coef(pg))
         invert_for_family(slc, Hyperplane(2), out)
-        assert len(starts) == min(blocks, inverse._MAX_WORKERS) - 1
+        assert len(starts) == min(blocks, forward._MAX_WORKERS) - 1
 
 
 def _random_slice(pg):
