@@ -16,12 +16,12 @@ the library rejects, ``check`` values included) -> 2, ``MemoryError`` (a
 size flag such as ``invert --q-count`` or ``--samples`` too large to
 allocate; ``forward`` streams its source) -> 2, and a ``CliError``
 carries its own code.  Commands catch only to add context the exception
-lacks: the ``--B`` and ``--split`` token
-parsers, the grid flag parsers, and the ``bad config:`` / ``bad source``
-wrappers, which also keep a phantom config's internal dimension errors at
-exit 2.  The ``--taper``, ``--decay-floor``, family tag and hyperboloid
-dimension checks stay in the commands because the library cannot name
-those flags.  Any other exception is a bug and keeps its traceback.
+lacks: the ``--B`` and ``--split`` token parsers, the grid flag parsers,
+and the ``bad config:`` / ``bad source`` wrappers, which also keep a
+phantom config's own dimension errors at exit 2.  The ``--taper``,
+``--decay-floor``, family tag, hyperboloid dimension and ``--B``/``--split``
+family checks stay in the commands because the library cannot name those
+flags.  Any other exception is a bug and keeps its traceback.
 """
 
 from __future__ import annotations
@@ -76,6 +76,9 @@ def _parse_box(text: str, count_text: str) -> GridSpec:
 
 def _family_from_args(args, ndim: int) -> LevelFamily:
     name = args.family
+    if name not in ("quadric", "hybrid") and (args.B or args.split):
+        raise CliError(f"--family {name} takes neither --B nor --split",
+                       EXIT_BAD_INPUT)
     if name == "hyperplane":
         return Hyperplane(ndim)
     if name == "circle":

@@ -510,7 +510,9 @@ def forward_binned(source, family: LevelFamily, params, x_grid: GridSpec,
     """
     box = isinstance(params, GridSpec)
     if not box:
-        params = np.atleast_2d(np.asarray(params, dtype=float))
+        params = np.asarray(params, dtype=float)
+        params = params.reshape(0, family.ndim) if params.shape == (0,) \
+            else np.atleast_2d(params)
     n_par, n_bins = params.size if box else len(params), x_grid.shape[0]
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if n_par * n_bins * 8 > have:

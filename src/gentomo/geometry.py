@@ -53,7 +53,9 @@ class Diffeomorphism:
     singular_distance_fn: Callable[[np.ndarray], np.ndarray]
 
 
+@lru_cache(maxsize=None)
 def identity_map(ndim: int) -> Diffeomorphism:
+    """q -> q; one shared instance per n, so a family can test for it."""
     return Diffeomorphism(
         ndim=ndim,
         name="identity",

@@ -19,7 +19,7 @@ from .core import (DimensionMismatchError, GridError, GridSpec, Phantom,
                    ScalarField, TomogramFamily, l2_rel_error, sample_phantom)
 from .forward import (_run_blocks, _workers, forward_binned,
                       normalization_profile, pullback_density)
-from .geometry import LevelFamily
+from .geometry import LevelFamily, identity_map
 
 DEFAULT_DECAY_FLOOR = 1e-4
 
@@ -162,13 +162,6 @@ def _prepare(slc: CharacteristicSlice, decay_floor: float, taper):
     return coef, warnings, decay
 
 
-def _field_from_complex(out_grid: GridSpec, fc: np.ndarray):
-    re, im = fc.real, fc.imag
-    peak = np.abs(re).max()
-    imag_ratio = 0.0 if peak == 0.0 else float(np.abs(im).max() / peak)
-    return ScalarField(out_grid, re), imag_ratio
-
-
 def _direct_sum(coef: np.ndarray, phase_lhs: np.ndarray,
                 param_grid: GridSpec) -> np.ndarray:
     """sum_mu coef[mu] * exp(i phase_lhs[q] . mu) over the box param_grid.
@@ -190,7 +183,6 @@ def _direct_sum(coef: np.ndarray, phase_lhs: np.ndarray,
     coef_t = coef.reshape(-1, param_grid.shape[-1]).T
     out = np.empty(len(phase_lhs), dtype=complex)
     starts = range(0, len(phase_lhs), _OUT_CHUNK)
-
     rows = min(len(phase_lhs), _OUT_CHUNK)
 
     def new_worker():
@@ -225,9 +217,12 @@ def _direct_sum(coef: np.ndarray, phase_lhs: np.ndarray,
 
 def _separable_sum(coef: np.ndarray, family: LevelFamily,
                    param_grid: GridSpec, out_grid: GridSpec) -> np.ndarray:
-    """Kernel sum for an undeformed family with a diagonal core: the kernel
-    e^{-i g} is a product of one-axis kernels e^{-i g(q_k e_k; mu_k e_k)},
-    each taken from the family's own level, so the box is contracted one
+    """Kernel sum for an undeformed family with an empty or diagonal core.
+
+    g(q; mu) is then exactly the sum over k of g(q_k e_k; mu_k e_k), which
+    is (q_k - mu_k)^2 B_kk on a core axis and q_k mu_k on a linear one (every
+    axis of a hyperplane).  So e^{-i g} is a product of one-axis kernels,
+    each taken from the family's own level, and the box is contracted one
     axis at a time against a small out x parameter kernel matrix per axis."""
     T = coef.reshape(param_grid.shape).astype(complex)
     n = family.ndim
@@ -236,9 +231,6 @@ def _separable_sum(coef: np.ndarray, family: LevelFamily,
         mu = np.zeros((param_grid.shape[ax], n))
         q[:, ax] = out_grid.axis_points(ax)
         mu[:, ax] = param_grid.axis_points(ax)
-        # exact: with no deformation and a diagonal core, g(q; mu) is the
-        # sum over k of g(q_k e_k; mu_k e_k), (q_k - mu_k)^2 B_kk on a core
-        # axis and q_k mu_k on a linear one
         kern = np.exp(-1j * family.level_evaluator(q)(mu))
         # contract the leading parameter axis, append the out axis last
         T = np.tensordot(T, kern, axes=([0], [1]))
@@ -263,12 +255,13 @@ def invert_for_family(slc: CharacteristicSlice, family: LevelFamily,
     with J the deformation's Jacobian (1 without one): the plane-wave
     kernel for all-linear forms (hyperplanes, deformed hyperplanes) and the
     shifted-quadric kernel for forms with a core.  The kernel is built from
-    the family's own hoisted terms g = L(p) . mu + a(p) + b(mu).  A
-    non-empty diagonal core without deformation separates per axis
-    (``_separable_sum``); every other kernel, hyperplanes included, is
-    summed directly as e^{-i a} sum_mu w e^{-i b} e^{-i L . mu}, a plane
-    wave in mu (see ``_direct_sum``).  Output points on the deformation's
-    singular set get value zero and are tallied in the diagnostics.
+    the family's own hoisted terms g = L(p) . mu + a(p) + b(mu).  One rule
+    picks the sum: a family without deformation (or with the identity map)
+    whose core is empty or diagonal separates per axis (``_separable_sum``);
+    every other kernel is summed directly as e^{-i a} sum_mu w e^{-i b}
+    e^{-i L . mu}, a plane wave in mu (see ``_direct_sum``).  Output points
+    on the deformation's singular set get value zero and are tallied in the
+    diagnostics.
     """
     form = family.form
     n = form.ndim
@@ -279,10 +272,9 @@ def invert_for_family(slc: CharacteristicSlice, family: LevelFamily,
     k, B2 = len(form.quadric_axes), form.B_core
     prefactor = abs(form.core_determinant) / np.pi ** k \
         / (2 * np.pi) ** (n - k)
-    off_diag = np.abs(B2 - np.diag(np.diag(B2))).max() if k > 1 else 0.0
     singular_fraction = 0.0
-    if family.diffeo is None and k and \
-            off_diag <= 1e-12 * max(np.abs(B2).max(), 1e-300):
+    if family.diffeo in (None, identity_map(n)) and (k < 2 or np.abs(
+            B2 - np.diag(np.diag(B2))).max() <= 1e-12 * np.abs(B2).max()):
         fc = prefactor * _separable_sum(coef, family, slc.param_grid, out_grid)
     else:
         pts = out_grid.points()
@@ -294,8 +286,9 @@ def invert_for_family(slc: CharacteristicSlice, family: LevelFamily,
         fc = np.zeros(len(ok), dtype=complex)
         fc[ok] = prefactor * family.jacobian_weights(pts) * _phase(a) \
             * _direct_sum(coef * _phase(b), -L, slc.param_grid)
-    out_field, imag_ratio = _field_from_complex(out_grid, fc)
-    return out_field, InversionDiagnostics(
+    peak = np.abs(fc.real).max()
+    imag_ratio = 0.0 if peak == 0.0 else float(np.abs(fc.imag).max() / peak)
+    return ScalarField(out_grid, fc.real), InversionDiagnostics(
         imag_ratio=imag_ratio, boundary_decay=decay,
         singular_fraction=singular_fraction, warnings=tuple(warnings))
 

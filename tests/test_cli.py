@@ -503,6 +503,23 @@ class TestExitCodes:
         pytest.param(2, "one-dimensional parameter", lambda tmp, field: [
             "export", _box_tomogram(tmp), "--format", "pgm",
             "--out", str(tmp / "t.pgm")], id="pgm-of-2d-parameter-box"),
+        pytest.param(2, "takes neither --B nor --split",
+                     lambda tmp, field: _forward_args(
+                         field, tmp / "t.gtmt", "hyperplane",
+                         ["--B", "5,0,0,5", "--split", "7"]),
+                     id="B-and-split-on-hyperplane"),
+        pytest.param(2, "takes neither --B nor --split",
+                     lambda tmp, field: _forward_args(
+                         field, tmp / "t.gtmt", "circle", ["--B", "5,0,0,5"]),
+                     id="B-on-circle"),
+        pytest.param(2, "takes neither --B nor --split",
+                     lambda tmp, field: _forward_args(
+                         field, tmp / "t.gtmt", "circle", ["--split", "1"]),
+                     id="split-on-circle"),
+        pytest.param(2, "takes neither --B nor --split", lambda tmp, field: [
+            "invert", _box_tomogram(tmp), "--family", "hyperplane",
+            "--B", "5,0,0,5", "--q-box=-1,1;-1,1", "--q-count", "3",
+            "--out", str(tmp / "t.gtm")], id="invert-B-on-hyperplane"),
     ])
     def test_bad_flags(self, tmp_path, gauss_field, code, needle, make_argv,
                        capsys):

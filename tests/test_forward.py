@@ -698,15 +698,16 @@ class TestDepositThreads:
         assert calls == [13]
         assert t.values.max() > 0.0
 
-    @pytest.mark.parametrize("threads", ["1", "2"])
-    def test_empty_parameter_list(self, gauss2d, q_grid, threads,
+    @pytest.mark.parametrize("threads, params", [
+        ("1", np.zeros((0, 2))), ("2", np.zeros((0, 2))), ("1", []),
+        ("2", [])], ids=["1", "2", "list-1", "list-2"])
+    def test_empty_parameter_list(self, gauss2d, q_grid, threads, params,
                                   monkeypatch):
         """No parameter point: an empty (0, n_bins) table, no overflow
         warning."""
         monkeypatch.setenv("GENTOMO_THREADS", threads)
         x_grid = make_grid(1, [(-6, 6, 61)])
-        t = forward_binned(gauss2d, Hyperplane(2), np.zeros((0, 2)), x_grid,
-                           q_grid)
+        t = forward_binned(gauss2d, Hyperplane(2), params, x_grid, q_grid)
         assert t.values.shape == (0, 61)
         assert t.overflow.shape == (0,)
         assert t.param_points.shape == (0, 2)

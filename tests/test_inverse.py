@@ -129,8 +129,9 @@ class TestDirectSum:
 _THREAD_CASES = {
     "circle": (circle_family(), make_grid(2, [(-5, 5, 32), (-4, 4, 27)]),
                make_grid(2, [(-2, 2, 41), (-2, 2, 41)])),
-    "hyperplane": (Hyperplane(2), make_grid(2, [(-5, 5, 32), (-4, 4, 27)]),
-                   make_grid(2, [(-3, 3, 40), (-3, 3, 38)])),
+    "quadric_general": (Quadric(QuadricForm([[1.0, 0.4], [0.4, 2.0]])),
+                        make_grid(2, [(-5, 5, 32), (-4, 4, 27)]),
+                        make_grid(2, [(-3, 3, 40), (-3, 3, 38)])),
     "hybrid_general": _hybrid_case(),
     # the deformed quadric: a(p), b(mu), J and the singular set together
     "circle_quadric": (
@@ -199,7 +200,7 @@ class TestDirectSumThreads:
         pg = make_grid(2, [(-5, 5, 16), (-5, 5, 16)])
         out = make_grid(2, [(-3, 3, n_out), (-3, 3, n_out)])
         slc = _slice_from_values(pg, _random_coef(pg))
-        invert_for_family(slc, Hyperplane(2), out)
+        invert_for_family(slc, _THREAD_CASES["quadric_general"][0], out)
         assert len(starts) == min(blocks, forward._MAX_WORKERS) - 1
 
 
@@ -211,11 +212,11 @@ def _random_slice(pg):
 
 
 def _deformed_kernel(phi, jac, singular):
-    """J(q) (2 pi)^{-2} e^{-i mu . phi(q)}, zero on the singular set."""
+    """J(q) (2 pi)^{-n} e^{-i mu . phi(q)}, zero on the singular set."""
     def kernel(q, mu):
         if singular(q):
             return np.zeros(len(mu))
-        return jac(q) / (2 * np.pi) ** 2 * np.exp(-1j * (mu @ phi(q)))
+        return jac(q) / (2 * np.pi) ** len(q) * np.exp(-1j * (mu @ phi(q)))
     return kernel
 
 
@@ -250,9 +251,15 @@ _B_HYBRID[:2, :2] = [[1.0, 0.3], [0.3, 2.0]]
 # both coordinate axes, where the deformed families are singular
 _PG2 = make_grid(2, [(-3, 2.5, 9), (-2, 3, 8)])
 _OUT2 = make_grid(2, [(-1, 1, 11), (-1.2, 1.2, 9)])
+_PLANE_KERNEL = _deformed_kernel(lambda q: q, lambda q: 1.0, lambda q: False)
 _ORACLE_CASES = {
-    "hyperplane": (Hyperplane(2), _PG2, _OUT2, _deformed_kernel(
-        lambda q: q, lambda q: 1.0, lambda q: False)),
+    "hyperplane": (Hyperplane(2), _PG2, _OUT2, _PLANE_KERNEL),
+    "hyperplane_1d": (Hyperplane(1), make_grid(1, [(-3, 2.5, 9)]),
+                      make_grid(1, [(-1, 1, 11)]), _PLANE_KERNEL),
+    "hyperplane_3d": (
+        Hyperplane(3), make_grid(3, [(-2, 2, 6), (-1.5, 2.5, 5), (-3, 1, 4)]),
+        make_grid(3, [(-1, 1, 4), (-1, 1, 3), (-1.2, 1.2, 5)]), _PLANE_KERNEL),
+    "identity": (Deformed(identity_map(2)), _PG2, _OUT2, _PLANE_KERNEL),
     "circle": (circle_family(), _PG2, _OUT2, _deformed_kernel(
         lambda q: q / (q @ q), lambda q: 1.0 / (q @ q) ** 2,
         lambda q: not q.any())),
@@ -302,6 +309,28 @@ class TestKernelOracle:
         _assert_close_to_peak(field.values.ravel(), expect.real)
         assert diag.imag_ratio == pytest.approx(
             np.abs(expect.imag).max() / np.abs(expect.real).max(), rel=1e-9)
+
+
+class TestStrategyRule:
+    """One rule picks the kernel sum: undeformed (or the identity map) with
+    an empty or diagonal core takes the separable sum, all else the direct
+    sum."""
+
+    _SEPARABLE = {"hyperplane", "hyperplane_1d", "hyperplane_3d", "identity",
+                  "quadric_diagonal", "hybrid_diagonal"}
+
+    @pytest.mark.parametrize("case", list(_ORACLE_CASES))
+    def test_family_takes_its_sum(self, case, monkeypatch):
+        family, pg, out, _ = _ORACLE_CASES[case]
+        calls = []
+        for name in ("_separable_sum", "_direct_sum"):
+            def spy(*args, _name=name, _real=getattr(inverse, name)):
+                calls.append(_name)
+                return _real(*args)
+            monkeypatch.setattr(inverse, name, spy)
+        invert_for_family(_random_slice(pg), family, out)
+        assert calls == ["_separable_sum" if case in self._SEPARABLE
+                         else "_direct_sum"]
 
 
 class TestTaper:
