@@ -6,21 +6,18 @@ oscillatory-kernel inversions, and Monte-Carlo / closed-form oracles for
 validating both.
 """
 
+from types import ModuleType as _Module
+
 from .core import (DimensionMismatchError, GaussianMixture, GridError,
                    GridSpec, Phantom, ScalarField, TomogramFamily,
                    UniformBall, UniformBox, gaussian, l2_rel_error, make_grid,
                    sample_phantom, standard_gaussian, total_mass)
-from .forward import (forward_binned, forward_binned_at, homogeneity_residual,
-                      normalization_profile, pullback_density)
-from .geometry import (CircleDescriptor, Deformed, Diffeomorphism, Hybrid,
-                       Hyperplane, HyperbolaDescriptor, LevelFamily,
-                       LineDescriptor, Quadric, QuadricClass, QuadricForm,
-                       SingularPointError, axis_inversion, circle_descriptor,
-                       circle_family, classify_quadric, conformal_inversion,
-                       finite_difference_jacobian, hyperbola_descriptor,
-                       hyperbola_family, hyperboloid_family, hyperboloid_map,
-                       identity_map, is_singular, jacobian_weight,
-                       level_value)
+from .forward import (forward_binned, forward_binned_at, normalization_profile,
+                      pullback_density)
+from .geometry import (Deformed, Diffeomorphism, Hybrid, Hyperplane,
+                       LevelFamily, Quadric, QuadricForm, axis_inversion,
+                       circle_family, conformal_inversion, hyperbola_family,
+                       hyperboloid_family, hyperboloid_map, identity_map)
 from .inverse import (CharacteristicSlice, InversionDiagnostics,
                       RoundtripReport, characteristic_slice, invert_for_family,
                       roundtrip)
@@ -30,4 +27,6 @@ from .oracle import (Gaussian1D, MCTomogram, chi_square_density,
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the names imported above; the submodules they come from are not listed
+__all__ = sorted(name for name, value in globals().items()
+                 if not (name.startswith("_") or isinstance(value, _Module)))

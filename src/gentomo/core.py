@@ -83,13 +83,6 @@ class GridSpec:
         """All grid points, shape (size, ndim), row-major in the axis order."""
         return _mesh_points(_node_axes(self))
 
-    def point(self, index: tuple[int, ...]) -> np.ndarray:
-        """Coordinates of one grid point, derived purely from the axis triples."""
-        if len(index) != self.ndim:
-            raise DimensionMismatchError("index rank does not match grid")
-        return np.array([lo + (hi - lo) / (n - 1) * k
-                         for (lo, hi, n), k in zip(self.axes, index)])
-
     def cell_centers(self, s: int = 1) -> np.ndarray:
         """Centers of the cells subdivided s-fold per axis, row-major."""
         return _mesh_points(_node_axes(self, s))
@@ -476,11 +469,3 @@ class TomogramFamily:
         ov.setflags(write=False)
         object.__setattr__(self, "overflow", ov)
         object.__setattr__(self, "warnings", tuple(self.warnings))
-
-    @property
-    def n_params(self) -> int:
-        return len(self.param_points)
-
-    def binned_mass(self) -> np.ndarray:
-        """Exact mass captured by the bins, per parameter (sum of value*dX)."""
-        return self.values.sum(axis=1) * self.x_grid.spacing[0]

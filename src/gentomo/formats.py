@@ -61,6 +61,17 @@ def _unpack_grid(buf: bytes, off: int) -> tuple[GridSpec, int]:
         raise FormatError(f"bad grid header: {exc}") from None
 
 
+def _unpack_values(buf: bytes, off: int, count: int, path) -> np.ndarray:
+    """The ``count`` f64 values that end the file at ``off``; a payload of
+    another size or holding a NaN or an infinity raises FormatError."""
+    if len(buf) != off + 8 * count:
+        raise FormatError(f"payload size mismatch in {path}")
+    values = np.frombuffer(buf, dtype="<f8", count=count, offset=off)
+    if not np.isfinite(values).all():
+        raise FormatError(f"payload holds a non-finite value in {path}")
+    return values.astype(np.float64)
+
+
 def write_field(path, field: ScalarField) -> None:
     with open(path, "wb") as fh:
         fh.write(FIELD_MAGIC)
@@ -74,10 +85,7 @@ def read_field(path) -> ScalarField:
     if buf[:4] != FIELD_MAGIC:
         raise FormatError(f"not a GTM field file: {path}")
     grid, off = _unpack_grid(buf, 4)
-    if len(buf) != off + 8 * grid.size:
-        raise FormatError(f"field payload size mismatch in {path}")
-    values = np.frombuffer(buf, dtype="<f8", count=grid.size, offset=off)
-    return ScalarField(grid, values.astype(np.float64))
+    return ScalarField(grid, _unpack_values(buf, off, grid.size, path))
 
 
 def write_tomogram(path, t: TomogramFamily) -> None:
@@ -111,13 +119,9 @@ def read_tomogram(path) -> TomogramFamily:
     if x_grid.ndim != 1:
         raise FormatError(f"X grid of {x_grid.ndim} dimensions in {path}; "
                           f"GTM-T wants one")
-    count = param_grid.size * x_grid.size
-    if len(buf) != off + 8 * count:
-        raise FormatError(f"tomogram payload size mismatch in {path}")
-    values = np.frombuffer(buf, dtype="<f8", count=count, offset=off)
+    values = _unpack_values(buf, off, param_grid.size * x_grid.size, path)
     return TomogramFamily(x_grid=x_grid, param_grid=param_grid,
-                          values=values.astype(np.float64).reshape(
-                              param_grid.size, x_grid.size),
+                          values=values.reshape(param_grid.size, x_grid.size),
                           family_tag=TAG_NAMES[tag])
 
 

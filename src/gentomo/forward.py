@@ -560,36 +560,6 @@ def normalization_profile(t) -> np.ndarray:
     return t.values @ w
 
 
-def homogeneity_residual(source, family: LevelFamily, params, lam: float,
-                         q_grid: GridSpec | None, x_grid: GridSpec) -> float:
-    """Largest violation of |lam| w(lam X; lam params) = w(X; params).
-
-    Two binned runs with matched binning: the second uses the scaled
-    parameters and an X grid whose bins are the first grid's bins scaled by
-    lam, so corresponding bins describe the same level sets exactly.  Only
-    meaningful for families whose level function is linear in the parameters;
-    lam must be finite and nonzero.
-    """
-    if not (math.isfinite(lam) and lam != 0.0):
-        raise ValueError(f"lam must be finite and nonzero, got {lam:g}")
-    if not family.linear_in_params:
-        raise ValueError(
-            f"homogeneity needs a parameter-linear family, not {family.tag}")
-    params = np.asarray(params, dtype=float)
-    lo, hi, n = x_grid.axes[0]
-    base = forward_binned(source, family, params[None, :], x_grid, q_grid)
-    if lam > 0:
-        scaled_grid = GridSpec(((lam * lo, lam * hi, n),))
-        reorder = slice(None)
-    else:
-        scaled_grid = GridSpec(((lam * hi, lam * lo, n),))
-        reorder = slice(None, None, -1)
-    scaled = forward_binned(source, family, (lam * params)[None, :],
-                            scaled_grid, q_grid)
-    diff = np.abs(abs(lam) * scaled.values[0][reorder] - base.values[0])
-    return float(diff.max())
-
-
 def pullback_density(target: Phantom, diffeo: Diffeomorphism,
                      q_grid: GridSpec) -> ScalarField:
     """Density f(q) = target(phi(q)) * J(q), the source whose deformed

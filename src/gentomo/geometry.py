@@ -4,16 +4,13 @@
 Every family is one ``LevelFamily``: a quadric form, possibly all-linear,
 over an optional diffeomorphism.  It exposes a level function g(q; params),
 a Jacobian weight used by the deformed inversion kernel, and a singular-set
-predicate.  Singular points are handled by exclusion: scalar entry points
-raise, the vectorized methods let the marginal engine skip offending cells
-(a measure-zero set).
+predicate.  Singular points are handled by exclusion: the vectorized
+methods let the marginal engine skip offending cells (a measure-zero set).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from enum import Enum
 from functools import lru_cache
 from typing import Callable
 
@@ -23,10 +20,6 @@ from .core import DimensionMismatchError
 
 # relative spectral threshold below which an eigenvalue counts as zero
 ZERO_EIG_RTOL = 1e-10
-
-
-class SingularPointError(ValueError):
-    """The requested point lies on the family's singular set."""
 
 
 # ---------------------------------------------------------------------------
@@ -124,34 +117,9 @@ def hyperboloid_map(n: int) -> Diffeomorphism:
     )
 
 
-def finite_difference_jacobian(map_fn, q: np.ndarray, h: float = 1e-5) -> float:
-    """Absolute determinant of the central-difference derivative of a map.
-
-    Independent cross-check for the analytic Jacobian weights; the step is
-    relative to the coordinate magnitude.
-    """
-    q = np.asarray(q, dtype=float)
-    n = q.size
-    J = np.empty((n, n))
-    for j in range(n):
-        step = h * max(1.0, abs(q[j]))
-        e = np.zeros(n)
-        e[j] = step
-        hi = map_fn((q + e)[None, :])[0]
-        lo = map_fn((q - e)[None, :])[0]
-        J[:, j] = (hi - lo) / (2 * step)
-    return abs(float(np.linalg.det(J)))
-
-
 # ---------------------------------------------------------------------------
 # quadric forms
 # ---------------------------------------------------------------------------
-
-
-class QuadricClass(Enum):
-    ELLIPTIC = "elliptic"
-    HYPERBOLIC = "hyperbolic"
-    HYBRID = "hybrid"
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,18 +196,6 @@ class QuadricForm:
                 "B is degenerate; declare linear_axes and use the hybrid family")
 
 
-def classify_quadric(form: QuadricForm) -> QuadricClass:
-    """Signature-based class: definite-positive, indefinite, or degenerate."""
-    n_plus, n_minus, n_zero = form.signature
-    if n_zero > 0:
-        return QuadricClass.HYBRID
-    if n_minus == 0:
-        return QuadricClass.ELLIPTIC
-    if n_plus > 0:
-        return QuadricClass.HYPERBOLIC
-    raise ValueError("negative-definite B: negate B (and the X axis) instead")
-
-
 # ---------------------------------------------------------------------------
 # level families
 # ---------------------------------------------------------------------------
@@ -278,19 +234,18 @@ class LevelFamily:
         """True when the form has no quadric core, so g is linear in mu."""
         return not self.form.quadric_axes
 
-    def level_values(self, points: np.ndarray, params: np.ndarray) -> np.ndarray:
-        """g at each point for a single parameter vector; no singular checks."""
-        points = np.asarray(points, dtype=float)
-        params = np.atleast_2d(np.asarray(params, dtype=float))
-        self._check(points, params)
-        return self.level_evaluator(points)(params)[:, 0]
-
     def level_evaluator(self, points: np.ndarray):
         """Closure mapping a (C, ndim) parameter block to the (N, C) level
-        matrix at the N points: ``combine_levels`` of the point terms,
-        computed once here, and the block's parameter terms."""
-        L, a = self.level_terms(points)
-        return lambda pblock: combine_levels(L, a, *self.param_terms(pblock))
+        matrix at the (N, ndim) points: ``combine_levels`` of the point
+        terms, computed once here, and the block's parameter terms.  Points
+        or a block of any other shape raise DimensionMismatchError."""
+        L, a = self.level_terms(self._rows("points", points))
+
+        def evaluate(pblock):
+            pblock = self._rows("params", pblock)
+            return combine_levels(L, a, *self.param_terms(pblock))
+
+        return evaluate
 
     def level_terms(self, points: np.ndarray):
         """Point terms (L, a) of the hoisted level, the one place the level
@@ -340,13 +295,13 @@ class LevelFamily:
             return np.full(len(points), np.inf)
         return self.diffeo.singular_distance_fn(np.asarray(points, dtype=float))
 
-    def _check(self, points: np.ndarray, params: np.ndarray):
-        if points.shape[1] != self.ndim:
+    def _rows(self, what: str, x) -> np.ndarray:
+        """``x`` as a float array, which must be (n, ndim)."""
+        x = np.asarray(x, dtype=float)
+        if x.ndim != 2 or x.shape[1] != self.ndim:
             raise DimensionMismatchError(
-                f"points are {points.shape[1]}-d, family wants {self.ndim}-d")
-        if params.shape[1] != self.ndim:
-            raise DimensionMismatchError(
-                f"params are {params.shape[1]}-d, family wants {self.ndim}-d")
+                f"{what} of shape {x.shape}, family wants (n, {self.ndim})")
+        return x
 
 
 def _quadratic_terms(B2: np.ndarray, x: np.ndarray):
@@ -435,110 +390,3 @@ class Hybrid(LevelFamily):
                              "declared linear; use the hyperplane family")
         QuadricForm(form.B_core).require_nondegenerate()
         super().__init__(form, tag="hybrid")
-
-
-# ---------------------------------------------------------------------------
-# scalar entry points
-# ---------------------------------------------------------------------------
-
-
-def level_value(family: LevelFamily, q, params) -> float:
-    """g(q; params) for a single point; rejects singular points."""
-    q = np.atleast_2d(np.asarray(q, dtype=float))
-    if family.singular_mask(q)[0]:
-        raise SingularPointError(f"point {q[0]} is singular for {family.tag}")
-    return float(family.level_values(q, np.asarray(params, dtype=float))[0])
-
-
-def jacobian_weight(family: LevelFamily, q) -> float:
-    """Jacobian weight at one point: the deformation determinant for deformed
-    families, exactly 1 otherwise (quadric prefactors live in the inversion)."""
-    q = np.atleast_2d(np.asarray(q, dtype=float))
-    if family.singular_mask(q)[0]:
-        raise SingularPointError(f"point {q[0]} is singular for {family.tag}")
-    return float(family.jacobian_weights(q)[0])
-
-
-def is_singular(family: LevelFamily, q) -> bool:
-    q = np.atleast_2d(np.asarray(q, dtype=float))
-    return bool(family.singular_mask(q)[0])
-
-
-# ---------------------------------------------------------------------------
-# descriptive helpers for the plane families
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CircleDescriptor:
-    center: tuple[float, float]
-    radius: float
-
-
-@dataclass(frozen=True)
-class LineDescriptor:
-    """Line through the origin with the given normal vector."""
-
-    normal: tuple[float, float]
-
-
-def circle_descriptor(X: float, mu: float, nu: float):
-    """Geometry of the level set X (q^2+p^2) - mu q - nu p = 0.
-
-    For X != 0 this is the circle through the origin centered at
-    (mu, nu) / (2X); for X = 0 it degenerates into the line through the
-    origin with normal (mu, nu).
-    """
-    if mu == 0.0 and nu == 0.0:
-        raise ValueError("(mu, nu) must not both vanish")
-    if X == 0.0:
-        return LineDescriptor(normal=(float(mu), float(nu)))
-    cx, cy = mu / (2.0 * X), nu / (2.0 * X)
-    return CircleDescriptor(center=(cx, cy), radius=math.hypot(cx, cy))
-
-
-class QuadrantClass(Enum):
-    # quadrants of the frame centered on the asymptote crossing (q, p - X/nu)
-    SECOND_FOURTH = "second_fourth"
-    FIRST_THIRD = "first_third"
-
-
-@dataclass(frozen=True)
-class HyperbolaDescriptor:
-    """Level set X - mu/q - nu p = 0 with asymptotes q = 0 and p = X/nu.
-
-    In the asymptote-centered frame (q, p') with p' = p - X/nu the branches
-    satisfy q p' = -mu/nu, so they occupy the second and fourth quadrants
-    when mu and nu share a sign and the first and third otherwise.
-    """
-
-    asymptote_p: float
-    quadrant_class: QuadrantClass
-
-
-@dataclass(frozen=True)
-class HorizontalLine:
-    p: float
-
-
-@dataclass(frozen=True)
-class VerticalLine:
-    q: float
-
-
-def hyperbola_descriptor(X: float, mu: float, nu: float):
-    """Geometry of the level set X - mu/q - nu p = 0 (degenerate cases
-    collapse to horizontal or vertical lines)."""
-    if mu == 0.0 and nu == 0.0:
-        if X == 0.0:
-            raise ValueError("mu = nu = X = 0: every point solves the equation")
-        raise ValueError("mu = nu = 0 with X != 0: empty level set")
-    if mu == 0.0:
-        return HorizontalLine(p=X / nu)
-    if nu == 0.0:
-        if X == 0.0:
-            raise ValueError("nu = 0 and X = 0: empty level set (mu/q never 0)")
-        return VerticalLine(q=mu / X)
-    qc = (QuadrantClass.SECOND_FOURTH if mu * nu > 0
-          else QuadrantClass.FIRST_THIRD)
-    return HyperbolaDescriptor(asymptote_p=X / nu, quadrant_class=qc)

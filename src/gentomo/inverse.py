@@ -98,12 +98,16 @@ def characteristic_slice(t: TomogramFamily,
     lie on a parameter box.  The real (P, Nx) table meets the quadrature
     kernel in two real matrix-vector products, one per part, never as a
     complex copy; against one complex product the values differ by at most
-    1e-14 of their peak (``TestCharacteristicSlice``).
+    1e-14 of their peak (``TestCharacteristicSlice``).  An X spacing of pi
+    or more, the Nyquist limit of e^{iX} on the grid, raises ValueError.
     """
     if t.param_grid is None:
         raise GridError("inversion needs a tomogram on a parameter box")
     x = t.x_grid.axis_points(0)
     dx = t.x_grid.spacing[0]
+    if not dx < np.pi:
+        raise ValueError(f"X grid spacing {dx:g} is not below pi, so the grid "
+                         f"cannot resolve the unit-frequency integral")
     n = t.x_grid.shape[0]
     w = t.x_grid.trapezoid_weights().ravel()
     phase = np.exp(1j * x)

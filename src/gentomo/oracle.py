@@ -55,7 +55,7 @@ def mc_tomogram(phantom: Phantom, family: LevelFamily, params, x_grid: GridSpec,
     n_singular = int(sing.sum())
     if n_singular:
         draws = draws[~sing]
-    g = family.level_values(draws, params)
+    g = family.level_evaluator(draws)(params[None])[:, 0]
 
     dx = x_grid.spacing[0]
     lo, hi, n_bins = x_grid.axes[0]

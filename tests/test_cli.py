@@ -400,11 +400,11 @@ def _written(tmp_path, name, data):
     return str(path)
 
 
-def _box_tomogram(tmp_path):
+def _box_tomogram(tmp_path, x_axis=(-1, 1, 5), fill=1.0):
     """A GTM-T file of a tomogram on a 2-d parameter box."""
     path = tmp_path / "box.gtmt"
     write_tomogram(path, TomogramFamily(
-        x_grid=make_grid(1, [(-1, 1, 5)]), values=np.ones((4, 5)),
+        x_grid=make_grid(1, [x_axis]), values=np.full((4, x_axis[2]), fill),
         family_tag="hyperplane", param_grid=make_grid(2, [(-1, 1, 2)] * 2)))
     return str(path)
 
@@ -520,11 +520,21 @@ class TestExitCodes:
             "invert", _box_tomogram(tmp), "--family", "hyperplane",
             "--B", "5,0,0,5", "--q-box=-1,1;-1,1", "--q-count", "3",
             "--out", str(tmp / "t.gtm")], id="invert-B-on-hyperplane"),
+        pytest.param(2, "not below pi", lambda tmp, field: [
+            "invert", _box_tomogram(tmp, x_axis=(-10, 10, 5)),
+            "--family", "hyperplane", "--q-box=-1,1;-1,1", "--q-count", "3",
+            "--out", str(tmp / "t.gtm")], id="invert-x-grid-too-coarse"),
+        # refused when read, with the file named, not after the kernel sum
+        pytest.param(2, "box.gtmt", lambda tmp, field: [
+            "invert", _box_tomogram(tmp, fill=np.nan),
+            "--family", "hyperplane", "--q-box=-1,1;-1,1", "--q-count", "3",
+            "--out", str(tmp / "t.gtm")], id="invert-nan-tomogram"),
     ])
     def test_bad_flags(self, tmp_path, gauss_field, code, needle, make_argv,
                        capsys):
-        """Each flag the commands check maps to its documented exit code
-        and one ``error:`` line that names it, and writes nothing."""
+        """Each flag the commands check, and each input file the library
+        refuses, maps to its documented exit code and one ``error:`` line
+        that names it, and writes nothing."""
         argv = make_argv(tmp_path, gauss_field)
         capsys.readouterr()
         assert main(argv) == code

@@ -41,8 +41,8 @@ class TestMakeGrid:
 
     def test_point_is_pure_function_of_spec(self):
         g = make_grid(2, [(-1, 1, 5), (0, 2, 3)])
-        assert np.allclose(g.point((1, 2)), [-0.5, 2.0])
-        assert np.allclose(g.point((0, 0)), [-1.0, 0.0])
+        assert np.allclose(g.points()[1 * 3 + 2], [-0.5, 2.0])
+        assert np.allclose(g.points()[0], [-1.0, 0.0])
 
     def test_points_row_major(self):
         g = make_grid(2, [(0, 1, 2), (0, 2, 3)])
@@ -412,11 +412,3 @@ class TestTomogramFamily:
                            family_tag="hyperplane")
         assert np.array_equal(t.param_points, pg.points())
         assert not t.param_points.flags.writeable
-
-    def test_binned_mass(self):
-        xg = make_grid(1, [(0, 1, 5)])
-        pg = make_grid(1, [(0, 1, 2)])
-        vals = np.ones((2, 5))
-        t = TomogramFamily(x_grid=xg, param_grid=pg, values=vals,
-                           family_tag="hyperplane")
-        assert np.allclose(t.binned_mass(), 5 * 0.25)

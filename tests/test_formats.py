@@ -3,6 +3,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gentomo.cli import main
 from gentomo.core import (GaussianMixture, ScalarField, TomogramFamily,
@@ -135,6 +137,49 @@ class TestGTMT:
         with pytest.raises(FormatError, match="parameter box"):
             write_tomogram(p, points_only)
         assert not p.exists()
+
+
+_READERS = {"gtm": (write_field, read_field),
+            "gtmt": (write_tomogram, read_tomogram)}
+
+
+class TestPayloadValues:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("kind", ["gtm", "gtmt"])
+    def test_non_finite_value_is_a_format_error(self, field, tomogram, kind,
+                                                bad, tmp_path):
+        obj = field if kind == "gtm" else tomogram
+        write, read = _READERS[kind]
+        p = tmp_path / f"a.{kind}"
+        write(p, obj)
+        raw = bytearray(p.read_bytes())
+        raw[-16:-8] = struct.pack("<d", bad)
+        p.write_bytes(bytes(raw))
+        with pytest.raises(FormatError,
+                           match=f"non-finite value in {re.escape(str(p))}"):
+            read(p)
+
+    @settings(max_examples=300, deadline=None)
+    @given(kind=st.sampled_from(["gtm", "gtmt"]), data=st.data())
+    def test_any_byte_overwrite_reads_or_is_a_format_error(self, kind, data,
+                                                           tmp_path_factory):
+        """A small file with one byte replaced either reads or raises
+        FormatError, whatever the byte and its place."""
+        write, read = _READERS[kind]
+        p = tmp_path_factory.getbasetemp() / f"overwrite.{kind}"
+        grid = make_grid(1, [(-1, 1, 2)])
+        write(p, ScalarField(grid, np.ones(2)) if kind == "gtm" else
+              TomogramFamily(x_grid=grid, param_grid=grid,
+                             values=np.ones((2, 2)), family_tag="quadric"))
+        raw = bytearray(p.read_bytes())
+        # 0x7f or 0xff over the top byte of 1.0 makes an infinity
+        raw[data.draw(st.integers(0, len(raw) - 1))] = data.draw(st.one_of(
+            st.sampled_from([0x00, 0x7F, 0x80, 0xFF]), st.integers(0, 255)))
+        p.write_bytes(bytes(raw))
+        try:
+            read(p)
+        except FormatError:
+            pass
 
 
 def _rowwise_field_csv(path, field):

@@ -17,13 +17,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gentomo import forward
+from gentomo.checks import homogeneity_residual
 from gentomo.core import (DimensionMismatchError, GaussianMixture, GridError,
                           ScalarField, TomogramFamily, UniformBall,
                           UniformBox, gaussian, make_grid, sample_phantom,
                           standard_gaussian, total_mass)
 from gentomo.forward import (_run_blocks, forward_binned, forward_binned_at,
-                             homogeneity_residual, normalization_profile,
-                             pullback_density, thread_count)
+                             normalization_profile, pullback_density,
+                             thread_count)
 from gentomo.geometry import (Hybrid, Hyperplane, LevelFamily, Quadric,
                               QuadricForm, axis_inversion, circle_family,
                               conformal_inversion, hyperbola_family,
@@ -116,7 +117,7 @@ class TestForwardBinned:
         field = sample_phantom(gauss2d, q_grid)
         x_grid = make_grid(1, [(-2, 2, 41)])  # narrow window forces overflow
         t = forward_binned_at(field, Hyperplane(2), [[0.8, 0.6]], x_grid)
-        accounted = t.binned_mass()[0] + t.overflow[0]
+        accounted = t.values[0].sum() * x_grid.spacing[0] + t.overflow[0]
         assert accounted == pytest.approx(total_mass(field), abs=1e-10)
 
     def test_nonnegativity(self, gauss2d, q_grid):
@@ -130,7 +131,8 @@ class TestForwardBinned:
         x_grid = make_grid(1, [(0.05, 6.05, 61)])
         t = forward_binned_at(gauss2d, Hyperplane(2), [[1.0, 0.0]], x_grid,
                               q_grid)
-        assert t.binned_mass()[0] == pytest.approx(0.5, abs=2e-2)
+        assert t.values[0].sum() * x_grid.spacing[0] \
+            == pytest.approx(0.5, abs=2e-2)
         assert normalization_profile(t)[0] == pytest.approx(0.5, abs=3e-2)
         assert t.overflow[0] == pytest.approx(0.5, abs=2e-2)
         assert any("overflow" in w for w in t.warnings)
@@ -161,7 +163,8 @@ class TestForwardBinned:
         assert np.array_equal(t3.param_points, pg.points())
         assert t1.values.tobytes() == t3.values.tobytes()
         assert t1.overflow.tobytes() == t3.overflow.tobytes()
-        assert t1.n_params == t2.n_params == t3.n_params == 6
+        assert len(t1.param_points) == len(t2.param_points) \
+            == len(t3.param_points) == 6
         characteristic_slice(t1)
         with pytest.raises(GridError, match="parameter box"):
             characteristic_slice(t2)
@@ -1017,6 +1020,7 @@ class TestCompiledDeposit:
 import ctypes, math
 import numpy as np
 from gentomo import forward
+from gentomo.checks import homogeneity_residual
 from gentomo.core import make_grid
 from gentomo.geometry import Hyperplane
 import test_forward as t
@@ -1175,7 +1179,7 @@ class TestDepositProperties:
             runs = _both_paths(mp, lambda: forward_binned_at(
                 field, family, params, x_grid))
         for t in runs:
-            accounted = t.binned_mass() + t.overflow
+            accounted = t.values.sum(axis=1) * x_grid.spacing[0] + t.overflow
             assert np.all(np.abs(accounted - mass) <= 1e-12 * mass)
             assert t.values.min() >= 0.0 and t.overflow.min() >= 0.0
         assert np.array_equal(runs[0].values, runs[1].values)
@@ -1198,7 +1202,7 @@ class TestDepositProperties:
         points = q.points()
         keep = ~family.singular_mask(points)
         masses = (field.flat * q.trapezoid_weights().ravel())[keep]
-        g = np.stack([family.level_values(points[keep], mu) for mu in params])
+        g = family.level_evaluator(points[keep])(params).T
         pad = 0.01 * (g.max() - g.min()) + 1e-3
         x_grid = make_grid(1, [(g.min() - pad, g.max() + pad, x_count)])
         with pytest.MonkeyPatch.context() as mp:

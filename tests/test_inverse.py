@@ -474,6 +474,32 @@ class TestCharacteristicSlice:
         assert abs(plain - target) > 5 * abs(fixed - target)
 
 
+    @pytest.mark.parametrize("axis, refused", [
+        ((-10, 10, 5), True),                # dX = 5
+        ((0, 2 * math.pi, 3), True),         # dX = pi exactly
+        ((0, 2 * math.pi, 4), False),        # dX = 2 pi / 3
+    ])
+    def test_x_spacing_below_pi_required(self, axis, refused):
+        """Unit frequency needs dX < pi, the Nyquist limit of the X grid."""
+        xg = make_grid(1, [axis])
+        t = TomogramFamily(x_grid=xg, param_grid=make_grid(1, [(-1, 1, 2)]),
+                           values=np.ones((2, axis[2])),
+                           family_tag="hyperplane")
+        if refused:
+            with pytest.raises(ValueError, match="not below pi"):
+                characteristic_slice(t)
+        else:
+            characteristic_slice(t)
+
+    def test_roundtrip_refuses_too_coarse_x_grid(self):
+        with pytest.raises(ValueError, match="spacing 5 is not below pi"):
+            roundtrip(standard_gaussian(2), Hyperplane(2),
+                      q_grid=make_grid(2, [(-4, 4, 16)] * 2),
+                      x_grid=make_grid(1, [(-10, 10, 5)]),
+                      param_grid=make_grid(2, [(-2, 2, 5)] * 2),
+                      out_grid=make_grid(2, [(-2, 2, 5)] * 2))
+
+
 class TestInvertHyperplane:
     def _gaussian_slice(self, mean=(0.0, 0.0)):
         pg = make_grid(2, [(-5, 5, 64), (-5, 5, 64)])
