@@ -1,0 +1,83 @@
+"""Build, cache and load the package's compiled helpers.
+
+Each helper is one source file beside this module (``_deposit.c`` for the
+forward deposit, ``_csvformat.cpp`` for the CSV writer), compiled on first
+use into a shared library that ``ctypes`` loads.  A caller that gets no
+library takes its pure-Python path, which gives the same bytes; nothing
+here writes to stdout or stderr.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import os
+import shutil
+import tempfile
+from pathlib import Path
+
+# compiler language, by source suffix
+_LANGUAGES = {".c": "c", ".cpp": "c++"}
+
+
+def _compile(cc: str, flags, lang: str, source: bytes, target: Path) -> None:
+    """Compile into a temporary name next to ``target``, then rename it, so
+    a concurrent process sees the whole library or none.  The compiler's
+    output is captured.  Raises OSError when the directory cannot be
+    written, RuntimeError when the compiler fails."""
+    import subprocess       # on first use: imports add to startup time
+    fd, tmp = tempfile.mkstemp(dir=target.parent, suffix=".so.tmp")
+    os.close(fd)
+    try:
+        proc = subprocess.run([cc, *flags, "-x", lang, "-o", tmp, "-"],
+                              input=source, capture_output=True)
+        if proc.returncode:
+            err = proc.stderr.decode(errors="replace").strip().splitlines()
+            raise RuntimeError(f"{cc} exited {proc.returncode}"
+                               + (f": {err[-1]}" if err else ""))
+        os.replace(tmp, target)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+def build_library(source_path: Path, compilers: tuple[str, ...],
+                  flags: tuple[str, ...]):
+    """(library, "") for ``source_path`` compiled by the first of
+    ``compilers`` on PATH with ``flags``, or (None, reason).
+
+    The library is named by the source's stem and the sha256 of source and
+    flags, under ``$XDG_CACHE_HOME/gentomo`` (default ``~/.cache/gentomo``);
+    when that cannot be written it is built into a per-process temporary
+    directory.
+    """
+    import hashlib          # on first use: imports add to startup time
+    lang = _LANGUAGES[source_path.suffix]
+    cc = next(filter(None, map(shutil.which, compilers)), None)
+    if cc is None:
+        return None, (f"no {lang.upper()} compiler "
+                      f"({' or '.join(compilers)}) on PATH")
+    try:
+        source = source_path.read_bytes()
+    except OSError as exc:
+        return None, f"cannot read {source_path.name}: {exc}"
+    digest = hashlib.sha256(source + " ".join(flags).encode())
+    name = f"{source_path.stem.lstrip('_')}-{digest.hexdigest()[:16]}.so"
+    cache = Path(os.environ.get("XDG_CACHE_HOME")
+                 or Path.home() / ".cache") / "gentomo"
+    try:
+        target = cache / name
+        if not target.exists():
+            cache.mkdir(parents=True, exist_ok=True)
+            _compile(cc, flags, lang, source, target)
+        lib = ctypes.CDLL(str(target))
+    except OSError:
+        with tempfile.TemporaryDirectory(prefix="gentomo-") as tmp:
+            try:
+                _compile(cc, flags, lang, source, Path(tmp) / name)
+                # the mapping outlives the file
+                lib = ctypes.CDLL(str(Path(tmp) / name))
+            except (OSError, RuntimeError) as exc:
+                return None, str(exc)
+    except RuntimeError as exc:
+        return None, str(exc)
+    return lib, ""

@@ -51,6 +51,10 @@ class GridSpec:
                 raise GridError(f"axis count must be >= 2, got {n}")
             if not hi > lo:
                 raise GridError(f"axis max must exceed min, got ({lo}, {hi})")
+            # the last point as axis_points computes it; the spacing of
+            # finite bounds can still overflow, as for (-1e308, 1e308)
+            if not math.isfinite(lo + (hi - lo) / (n - 1) * (n - 1)):
+                raise GridError(f"axis spacing of ({lo}, {hi}, {n}) overflows")
             norm.append((lo, hi, n))
         object.__setattr__(self, "axes", tuple(norm))
 

@@ -10,10 +10,13 @@ bit-identical.
 
 from __future__ import annotations
 
+import ctypes
 import struct
+from pathlib import Path
 
 import numpy as np
 
+from ._native import build_library
 from .core import (GridError, GridSpec, ScalarField, TomogramFamily,
                    GaussianMixture, Phantom, UniformBall, UniformBox, gaussian)
 
@@ -113,7 +116,7 @@ def read_tomogram(path) -> TomogramFamily:
         raise FormatError(f"file ends inside the family tag: {path}")
     (tag,) = struct.unpack_from("<H", buf, 4)
     if tag not in TAG_NAMES:
-        raise FormatError(f"unknown family tag value {tag}")
+        raise FormatError(f"unknown family tag value {tag} in {path}")
     param_grid, off = _unpack_grid(buf, 6)
     x_grid, off = _unpack_grid(buf, off)
     if x_grid.ndim != 1:
@@ -130,17 +133,95 @@ def read_tomogram(path) -> TomogramFamily:
 # ---------------------------------------------------------------------------
 
 
+# the compiled CSV formatter: _UNSET until the first CSV export builds it,
+# then the ctypes function, or None (repr path) with the reason in
+# _formatter_missing
+_UNSET = object()
+_formatter = _UNSET
+_formatter_missing = ""
+_FORMATTER_SOURCE = Path(__file__).with_name("_csvformat.cpp")
+_FORMATTER_FLAGS = ("-O2", "-std=c++17", "-fPIC", "-shared")
+# output bytes per block of rows; a row longer than this is one block
+_CSV_BLOCK_BYTES = 1 << 20
+# the longest repr of a float, "-2.2250738585072014e-308", and a newline
+_MAX_VALUE_BYTES = 25
+
+
+def _load_formatter():
+    """The compiled ``gentomo_csv_rows``, or None for the repr path; built
+    on the first call, never at import."""
+    global _formatter, _formatter_missing
+    if _formatter is _UNSET:
+        lib, _formatter_missing = build_library(
+            _FORMATTER_SOURCE, ("c++", "g++"), _FORMATTER_FLAGS)
+        _formatter = None
+        if lib is not None:
+            ptr, long_ = ctypes.c_void_p, ctypes.c_long
+            _formatter = lib.gentomo_csv_rows
+            _formatter.argtypes = [ptr, ptr, ptr, ptr, long_, ptr, long_,
+                                   long_, ptr, long_]
+            _formatter.restype = long_
+    return _formatter
+
+
+def _offsets(strings: list[str]) -> tuple[bytes, np.ndarray]:
+    """The ASCII strings joined, and the (n + 1) offsets that split them."""
+    at = np.zeros(len(strings) + 1, dtype=np.int64)
+    np.cumsum([len(s) for s in strings], out=at[1:])
+    return "".join(strings).encode("ascii"), at
+
+
+def _compiled_rows(fmt, prefixes, tail, rows, cap: int):
+    """(start, stop) -> the CSV bytes of those rows, formatted by ``fmt``
+    into one reused buffer of ``cap`` bytes."""
+    if rows.shape != (len(prefixes), len(tail)) or rows.dtype != np.float64 \
+            or not rows.flags.c_contiguous:
+        raise ValueError("CSV rows must be a C-contiguous float64 table of "
+                         "one row per prefix and one column per tail value")
+    pre, pre_at = _offsets(prefixes)
+    tails, tail_at = _offsets(tail)
+    out = np.empty(cap, dtype=np.uint8)
+
+    def block(start, stop):
+        n = fmt(pre, pre_at.ctypes.data, tails, tail_at.ctypes.data,
+                rows.shape[1], rows.ctypes.data, start, stop,
+                out.ctypes.data, cap)
+        if n < 0:
+            raise RuntimeError("CSV block overran its buffer")
+        return memoryview(out)[:n]
+    return block
+
+
+def _repr_rows(prefixes, tail, rows):
+    """(start, stop) -> the CSV bytes of those rows, joined from repr."""
+    def block(start, stop):
+        return "".join([f"{prefix}{x}{v!r}\n"
+                        for prefix, row in zip(prefixes[start:stop],
+                                               rows[start:stop].tolist())
+                        for x, v in zip(tail, row)]).encode("ascii")
+    return block
+
+
 def _write_csv_rows(path, header, prefixes, tail, rows) -> None:
     """Header line, then ``prefix,tail[j],rows[i][j]`` per cell, row-major.
 
-    Every float is written as ``repr(float(v))``; each tail value and each
-    prefix is formatted once, and each row goes out in one write.
+    Every float is written as ``repr(float(v))``: the prefixes and the tail
+    values by repr, once each, and the cells by the compiled formatter, or
+    by repr where it cannot be built, with equal bytes.  Rows go out in
+    blocks of about _CSV_BLOCK_BYTES.
     """
     tail = [f"{v!r}," for v in tail.tolist()]
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for prefix, row in zip(prefixes, rows.tolist()):
-            fh.write("".join([f"{prefix}{x}{v!r}\n" for x, v in zip(tail, row)]))
+    rows = np.ascontiguousarray(rows, dtype=np.float64)
+    row_bytes = (rows.shape[1] * (max(map(len, prefixes), default=0)
+                                  + _MAX_VALUE_BYTES) + sum(map(len, tail)))
+    step = max(1, _CSV_BLOCK_BYTES // row_bytes)
+    fmt = _load_formatter()
+    block = (_repr_rows(prefixes, tail, rows) if fmt is None
+             else _compiled_rows(fmt, prefixes, tail, rows, step * row_bytes))
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode("ascii"))
+        for start in range(0, len(prefixes), step):
+            fh.write(block(start, min(start + step, len(prefixes))))
 
 
 def _prefixes(points: np.ndarray) -> list[str]:

@@ -33,13 +33,12 @@ from __future__ import annotations
 import ctypes
 import math
 import os
-import shutil
-import tempfile
 import threading
 from pathlib import Path
 
 import numpy as np
 
+from ._native import build_library
 from .core import (DimensionMismatchError, GridError, GridSpec, Phantom,
                    ScalarField, TomogramFamily, _mesh_rows, _node_axes,
                    _trapezoid_rows)
@@ -204,64 +203,6 @@ _KERNEL_FLAGS = ("-O3", "-ffp-contract=off", "-fno-trapping-math", "-fPIC",
 _KERNEL_MAX_BINS = 2**31 - 4
 
 
-def _compile_kernel(cc: str, source: bytes, target: Path) -> None:
-    """Compile into a temporary name next to ``target``, then rename it, so
-    a concurrent process sees the whole library or none.  Raises OSError
-    when the directory cannot be written, RuntimeError when cc fails."""
-    import subprocess       # on first use: imports add to startup time
-    fd, tmp = tempfile.mkstemp(dir=target.parent, suffix=".so.tmp")
-    os.close(fd)
-    try:
-        proc = subprocess.run([cc, *_KERNEL_FLAGS, "-x", "c", "-o", tmp, "-"],
-                              input=source, capture_output=True)
-        if proc.returncode:
-            err = proc.stderr.decode(errors="replace").strip().splitlines()
-            raise RuntimeError(f"{cc} exited {proc.returncode}"
-                               + (f": {err[-1]}" if err else ""))
-        os.replace(tmp, target)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-
-
-def _build_kernel():
-    """(library, "") for the compiled deposit, or (None, reason).
-
-    The library is named by the sha256 of source and flags, under
-    ``$XDG_CACHE_HOME/gentomo`` (default ``~/.cache/gentomo``); when that
-    cannot be written it is built into a per-process temporary directory.
-    """
-    import hashlib          # on first use: imports add to startup time
-    cc = shutil.which("cc") or shutil.which("gcc")
-    if cc is None:
-        return None, "no C compiler (cc or gcc) on PATH"
-    try:
-        source = _KERNEL_SOURCE.read_bytes()
-    except OSError as exc:
-        return None, f"cannot read the kernel source: {exc}"
-    digest = hashlib.sha256(source + " ".join(_KERNEL_FLAGS).encode())
-    name = f"deposit-{digest.hexdigest()[:16]}.so"
-    cache = Path(os.environ.get("XDG_CACHE_HOME")
-                 or Path.home() / ".cache") / "gentomo"
-    try:
-        target = cache / name
-        if not target.exists():
-            cache.mkdir(parents=True, exist_ok=True)
-            _compile_kernel(cc, source, target)
-        lib = ctypes.CDLL(str(target))
-    except OSError:
-        with tempfile.TemporaryDirectory(prefix="gentomo-") as tmp:
-            try:
-                _compile_kernel(cc, source, Path(tmp) / name)
-                # the mapping outlives the file
-                lib = ctypes.CDLL(str(Path(tmp) / name))
-            except (OSError, RuntimeError) as exc:
-                return None, str(exc)
-    except RuntimeError as exc:
-        return None, str(exc)
-    return lib, ""
-
-
 def _bind(lib: ctypes.CDLL):
     """The ``gentomo_deposit`` and ``gentomo_deposit_loop`` functions of a
     loaded library, typed."""
@@ -281,7 +222,8 @@ def _load_kernel():
     the first call, never at import."""
     global _kernel, _kernel_loop, _kernel_missing
     if _kernel is _UNSET:
-        lib, _kernel_missing = _build_kernel()
+        lib, _kernel_missing = build_library(_KERNEL_SOURCE, ("cc", "gcc"),
+                                             _KERNEL_FLAGS)
         _kernel, _kernel_loop = (None, None) if lib is None else _bind(lib)
     return _kernel
 

@@ -1,9 +1,9 @@
-import os
+import shutil
 
 import numpy as np
 import pytest
 
-from gentomo import checks, cli
+from gentomo import checks, cli, formats
 from gentomo.cli import main
 from gentomo.core import TomogramFamily, make_grid
 from gentomo.formats import read_field, read_tomogram, write_tomogram
@@ -277,6 +277,38 @@ class TestExportCommand:
         assert main(["export", str(tomo), "--format", "csv",
                      "--out", str(out)]) == 0
         assert out.read_text().startswith("param1,param2,X,omega\n")
+
+    @pytest.mark.parametrize("build", ["no-compiler", "compile-fails"])
+    def test_csv_without_the_formatter_is_silent(self, tmp_path, gauss_field,
+                                                 build, capfd, monkeypatch):
+        """Where the compiled formatter cannot be built, the CSV export
+        writes the same bytes at exit 0 and nothing reaches stderr, the
+        compiler's own output included."""
+        tomo = tmp_path / "t.gtmt"
+        assert main(_forward_args(gauss_field, tomo)) == 0
+        expect = tmp_path / "expect.csv"
+        assert main(["export", str(tomo), "--format", "csv",
+                     "--out", str(expect)]) == 0
+        capfd.readouterr()
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        monkeypatch.setattr(formats, "_formatter", formats._UNSET)
+        if build == "no-compiler":
+            monkeypatch.setattr(shutil, "which", lambda *args, **kw: None)
+            reason = "no C++ compiler"
+        else:
+            if not (shutil.which("c++") or shutil.which("g++")):
+                pytest.skip("no C++ compiler on PATH")
+            broken = tmp_path / "_csvformat.cpp"
+            broken.write_text("#error this source does not compile\n")
+            monkeypatch.setattr(formats, "_FORMATTER_SOURCE", broken)
+            reason = "exited"
+        out = tmp_path / "t.csv"
+        assert main(["export", str(tomo), "--format", "csv",
+                     "--out", str(out)]) == 0
+        assert capfd.readouterr().err == ""
+        assert formats._formatter is None
+        assert reason in formats._formatter_missing
+        assert out.read_bytes() == expect.read_bytes()
 
     def test_3d_field_to_pgm_rejected(self, tmp_path):
         from gentomo.core import ScalarField, make_grid

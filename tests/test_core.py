@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gentomo.core import (DimensionMismatchError, GaussianMixture, GridError,
-                          GridSpec, ScalarField, TomogramFamily, UniformBall,
-                          UniformBox, _mesh_points, _mesh_rows, _node_axes,
+                          ScalarField, TomogramFamily, UniformBall, UniformBox,
+                          _mesh_points, _mesh_rows, _node_axes,
                           _trapezoid_rows, gaussian, l2_rel_error, make_grid,
                           sample_phantom, standard_gaussian, total_mass)
 
@@ -34,6 +34,13 @@ class TestMakeGrid:
     def test_non_finite_rejected(self):
         with pytest.raises(GridError):
             make_grid(1, [(0, math.inf, 4)])
+
+    def test_overflowing_spacing_rejected(self):
+        """Finite bounds whose span is not finite gave spacing inf and NaN
+        points."""
+        with pytest.raises(GridError, match="overflows"):
+            make_grid(1, [(-1e308, 1e308, 2)])
+        assert make_grid(1, [(-8e307, 8e307, 2)]).points()[-1, 0] == 8e307
 
     def test_ndim_mismatch(self):
         with pytest.raises(GridError):

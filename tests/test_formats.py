@@ -1,11 +1,15 @@
+import math
 import re
+import shutil
 import struct
+import subprocess
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gentomo import formats
 from gentomo.cli import main
 from gentomo.core import (GaussianMixture, ScalarField, TomogramFamily,
                           UniformBall, UniformBox, make_grid, sample_phantom,
@@ -104,7 +108,7 @@ class TestGTMT:
         raw = bytearray(p.read_bytes())
         raw[4:6] = (999).to_bytes(2, "little")
         p.write_bytes(bytes(raw))
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match=f"999 in {re.escape(str(p))}"):
             read_tomogram(p)
 
     def test_every_truncation_is_a_format_error(self, tomogram, tmp_path):
@@ -128,6 +132,17 @@ class TestGTMT:
             read_tomogram(p)
         assert main(["export", str(p), "--format", "csv",
                      "--out", str(tmp_path / "a.csv")]) == 2
+
+    def test_overflowing_box_spacing_is_a_format_error(self, tmp_path):
+        """A parameter box of finite bounds whose spacing overflows, which
+        read as NaN parameter points."""
+        p = tmp_path / "a.gtmt"
+        p.write_bytes(b"GTMT" + struct.pack("<H", 1)
+                      + struct.pack("<IddI", 1, -1e308, 1e308, 2)
+                      + struct.pack("<IddI", 1, -1.0, 1.0, 3)
+                      + bytes(8 * 2 * 3))
+        with pytest.raises(FormatError, match="overflows"):
+            read_tomogram(p)
 
     def test_tomogram_without_a_box_rejected(self, tomogram, tmp_path):
         points_only = TomogramFamily(
@@ -203,27 +218,42 @@ def _rowwise_tomogram_csv(path, t):
                 fh.write(prefix + f",{float(xv)!r},{float(om)!r}\n")
 
 
+def _both_paths(monkeypatch, write, path):
+    """The bytes ``write(path)`` leaves with the compiled formatter (where
+    it builds), then with the repr join."""
+    monkeypatch.setattr(formats, "_formatter", formats._UNSET)
+    write(path)
+    compiled = path.read_bytes()
+    monkeypatch.setattr(formats, "_formatter", None)
+    write(path)
+    return compiled, path.read_bytes()
+
+
 class TestCSV:
     @pytest.mark.parametrize("axes", [
         [(-2, 2, 9)],
         [(-2, 2, 9), (-1, 3, 5)],
         [(-0.3, 0.7, 4), (-1, 3, 5), (1e-7, 2e5, 3)],
     ])
-    def test_field_csv_equals_rowwise_writer(self, axes, tmp_path):
+    def test_field_csv_equals_rowwise_writer(self, axes, tmp_path,
+                                             monkeypatch):
         grid = make_grid(len(axes), axes)
         rng = np.random.default_rng(len(axes))
         f = ScalarField(grid, rng.normal(size=grid.size) * 10.0 ** rng
                         .integers(-300, 300, size=grid.size))
-        write_field_csv(tmp_path / "a.csv", f)
         _rowwise_field_csv(tmp_path / "b.csv", f)
-        assert (tmp_path / "a.csv").read_bytes() \
-            == (tmp_path / "b.csv").read_bytes()
+        expect = (tmp_path / "b.csv").read_bytes()
+        compiled, joined = _both_paths(
+            monkeypatch, lambda p: write_field_csv(p, f), tmp_path / "a.csv")
+        assert compiled == expect
+        assert joined == expect
 
     @pytest.mark.parametrize("param_axes", [
         [(-1, 1, 7)],
         [(-1, 1, 3), (-0.1, 0.35, 4)],
     ])
-    def test_tomogram_csv_equals_rowwise_writer(self, param_axes, tmp_path):
+    def test_tomogram_csv_equals_rowwise_writer(self, param_axes, tmp_path,
+                                                monkeypatch):
         pg = make_grid(len(param_axes), param_axes)
         xg = make_grid(1, [(-3.3, 7.1, 29)])
         rng = np.random.default_rng(7)
@@ -231,10 +261,24 @@ class TestCSV:
         values[0, :3] = (0.0, 1e-320, 5e300)
         t = TomogramFamily(x_grid=xg, param_grid=pg, values=values,
                            family_tag="circle")
-        write_tomogram_csv(tmp_path / "a.csv", t)
         _rowwise_tomogram_csv(tmp_path / "b.csv", t)
-        assert (tmp_path / "a.csv").read_bytes() \
-            == (tmp_path / "b.csv").read_bytes()
+        expect = (tmp_path / "b.csv").read_bytes()
+        compiled, joined = _both_paths(
+            monkeypatch, lambda p: write_tomogram_csv(p, t), tmp_path / "a.csv")
+        assert compiled == expect
+        assert joined == expect
+
+    @pytest.mark.parametrize("block_bytes", [1, 3000, 1 << 20])
+    def test_every_block_size_gives_equal_bytes(self, tomogram, block_bytes,
+                                                tmp_path, monkeypatch):
+        """One row per block, a few rows per block and the whole table in
+        one block, on both paths."""
+        _rowwise_tomogram_csv(tmp_path / "b.csv", tomogram)
+        monkeypatch.setattr(formats, "_CSV_BLOCK_BYTES", block_bytes)
+        compiled, joined = _both_paths(
+            monkeypatch, lambda p: write_tomogram_csv(p, tomogram),
+            tmp_path / "a.csv")
+        assert compiled == (tmp_path / "b.csv").read_bytes() == joined
 
     def test_field_csv_layout(self, field, tmp_path):
         p = tmp_path / "f.csv"
@@ -258,6 +302,103 @@ class TestCSV:
         rows = p.read_text().strip().split("\n")[1:]
         vals = np.array([float(r.split(",")[-1]) for r in rows])
         assert np.array_equal(vals, field.flat)
+
+
+@pytest.fixture(scope="module")
+def compiled_formatter():
+    fmt = formats._load_formatter()
+    if fmt is None:
+        pytest.skip(f"no compiled formatter: {formats._formatter_missing}")
+    return fmt
+
+
+def _compiled_reprs(fmt, values) -> list[str]:
+    """The values through the compiled formatter, as one row of cells
+    with empty prefix and tails."""
+    row = np.array(values, dtype=np.float64).reshape(1, -1)
+    block = formats._compiled_rows(fmt, [""], [""] * row.shape[1], row,
+                                   row.shape[1] * formats._MAX_VALUE_BYTES)
+    return bytes(block(0, 1)).decode("ascii").split("\n")[:-1]
+
+
+def _with_neighbours(values):
+    """Each value with its one-ulp neighbours, and all of them negated."""
+    out = [v for x in values for v in (np.nextafter(x, 0.0), x,
+                                       np.nextafter(x, math.inf))]
+    return out + [-v for v in out]
+
+
+def _bits_to_float(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+class TestCompiledFormatter:
+    """The compiled formatter spells every double as repr does."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                    min_size=1, max_size=64))
+    def test_finite_floats_match_repr(self, compiled_formatter, values):
+        assert _compiled_reprs(compiled_formatter, values) \
+            == [repr(v) for v in values]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 2**64 - 1).map(_bits_to_float)
+                    .filter(math.isfinite), min_size=1, max_size=64))
+    def test_finite_bit_patterns_match_repr(self, compiled_formatter,
+                                            values):
+        assert _compiled_reprs(compiled_formatter, values) \
+            == [repr(v) for v in values]
+
+    @pytest.mark.parametrize("values", [
+        pytest.param([0.0, -0.0, 5e-324, -5e-324, 1e16, 9999999999999998.0,
+                      1e-05, 0.0001, 2.2250738585072014e-308,
+                      1.7976931348623157e308], id="edges"),
+        pytest.param(_with_neighbours([math.ldexp(1.0, k)
+                                       for k in range(-1074, 1024)]),
+                     id="powers-of-two"),
+        pytest.param(_with_neighbours([float(f"1e{k}")
+                                       for k in range(-323, 309)]),
+                     id="powers-of-ten"),
+        pytest.param([math.nan, _bits_to_float(0xFFF8000000000000), math.inf,
+                      -math.inf], id="non-finite"),
+    ])
+    def test_explicit_values_match_repr(self, compiled_formatter, values):
+        assert _compiled_reprs(compiled_formatter, values) \
+            == [repr(float(v)) for v in values]
+
+    def test_non_finite_tomogram_values_match_rowwise_writer(
+            self, compiled_formatter, tmp_path, monkeypatch):
+        """A field holds only finite values; a tomogram may hold NaN of
+        either sign and infinities, which repr spells nan, inf and -inf."""
+        values = np.array([[math.nan, _bits_to_float(0xFFF8000000000000),
+                            math.inf, -math.inf, 1.0]])
+        t = TomogramFamily(x_grid=make_grid(1, [(0, 1, 5)]),
+                           param_grid=make_grid(1, [(0, 1, 2)]),
+                           values=np.vstack([values, -values]),
+                           family_tag="hyperplane")
+        _rowwise_tomogram_csv(tmp_path / "b.csv", t)
+        compiled, joined = _both_paths(
+            monkeypatch, lambda p: write_tomogram_csv(p, t), tmp_path / "a.csv")
+        assert compiled == (tmp_path / "b.csv").read_bytes() == joined
+        assert b"-nan" not in compiled
+
+    def test_rows_that_overrun_the_buffer_are_refused(self,
+                                                      compiled_formatter):
+        block = formats._compiled_rows(compiled_formatter, ["1.0,"], ["2.0,"],
+                                       np.ones((1, 1)), 10)
+        with pytest.raises(RuntimeError, match="overran"):
+            block(0, 1)
+
+    def test_source_compiles_without_warnings(self, tmp_path):
+        cxx = shutil.which("c++") or shutil.which("g++")
+        if cxx is None:
+            pytest.skip("no C++ compiler on PATH")
+        proc = subprocess.run(
+            [cxx, *formats._FORMATTER_FLAGS, "-Wall", "-Wextra", "-Werror",
+             "-o", str(tmp_path / "csvformat.so"),
+             str(formats._FORMATTER_SOURCE)], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestPGM:

@@ -910,15 +910,17 @@ class TestCompiledDeposit:
             pytest.skip("needs /proc/self/maps")
         import gentomo
         src = str(Path(gentomo.__file__).resolve().parents[1])
-        code = ("import gentomo, gentomo.forward as f\n"
+        code = ("import gentomo, gentomo.cli, gentomo.forward as f\n"
+                "import gentomo.formats as fm\n"
                 "maps = open('/proc/self/maps').read()\n"
-                "print(f._kernel is f._UNSET, 'deposit-' in maps)\n")
+                "print(f._kernel is f._UNSET, 'deposit-' in maps,\n"
+                "      fm._formatter is fm._UNSET, 'csvformat-' in maps)\n")
         env = {**os.environ, "XDG_CACHE_HOME": str(tmp_path),
                "PYTHONPATH": os.pathsep.join(
                    [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True)
-        assert out.stdout.split() == ["True", "False"]
+        assert out.stdout.split() == ["True", "False", "True", "False"]
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("level", [None, 1, 3],

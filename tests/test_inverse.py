@@ -5,9 +5,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from gentomo.core import (GaussianMixture, ScalarField, TomogramFamily,
-                          gaussian, l2_rel_error, make_grid, sample_phantom,
-                          standard_gaussian, total_mass)
+from gentomo.core import (GaussianMixture, TomogramFamily, l2_rel_error,
+                          make_grid, sample_phantom, standard_gaussian)
 from gentomo.forward import forward_binned, normalization_profile
 from gentomo.geometry import (Deformed, Hybrid, Hyperplane, LevelFamily,
                               Quadric, QuadricForm, circle_family,

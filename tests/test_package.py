@@ -1,4 +1,10 @@
+from fnmatch import fnmatch
+from pathlib import Path
+
+import pytest
+
 import gentomo
+from gentomo import formats, forward
 
 
 def test_public_surface():
@@ -19,3 +25,21 @@ def test_public_surface():
         "make_grid", "mc_tomogram", "normalization_profile",
         "pullback_density", "roundtrip", "sample_phantom",
         "standard_gaussian", "total_mass"]
+
+
+def test_compiled_sources_ship_beside_their_modules():
+    """The sources the compiled helpers build from sit in the package, and
+    in a source checkout pyproject's package-data matches them."""
+    package = Path(gentomo.__file__).parent
+    sources = (forward._KERNEL_SOURCE, formats._FORMATTER_SOURCE)
+    for source in sources:
+        assert source.parent == package
+        assert source.is_file()
+    pyproject = package.parents[1] / "pyproject.toml"
+    if not pyproject.is_file():
+        pytest.skip("an installed package: no pyproject.toml beside it")
+    tomllib = pytest.importorskip("tomllib")
+    shipped = tomllib.loads(pyproject.read_text())["tool"]["setuptools"][
+        "package-data"]["gentomo"]
+    for source in sources:
+        assert any(fnmatch(source.name, pattern) for pattern in shipped)
