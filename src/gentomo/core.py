@@ -8,6 +8,7 @@ in row-major (C) order with axes in the order they were declared.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +25,16 @@ class DimensionMismatchError(ValueError):
 # ---------------------------------------------------------------------------
 # grids
 # ---------------------------------------------------------------------------
+
+
+def _integer(value, what: str) -> int:
+    """``value`` as an int: an integer, or a float with an integral value
+    such as 2.0.  A fraction, a string or any other type raises GridError
+    instead of being truncated."""
+    if isinstance(value, numbers.Integral) or (
+            isinstance(value, numbers.Real) and float(value).is_integer()):
+        return int(value)
+    raise GridError(f"{what} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -44,7 +55,7 @@ class GridSpec:
         for a in self.axes:
             if len(a) != 3:
                 raise GridError(f"axis spec must be (min, max, count), got {a!r}")
-            lo, hi, n = float(a[0]), float(a[1]), int(a[2])
+            lo, hi, n = float(a[0]), float(a[1]), _integer(a[2], "axis count")
             if not (math.isfinite(lo) and math.isfinite(hi)):
                 raise GridError(f"non-finite axis bounds ({lo}, {hi})")
             if n < 2:

@@ -46,6 +46,20 @@ class TestMakeGrid:
         with pytest.raises(GridError):
             make_grid(2, [(0, 1, 4)])
 
+    @pytest.mark.parametrize("count", [3.7, "5", 2.5, math.nan, None],
+                             ids=["3.7", "str", "2.5", "nan", "none"])
+    def test_count_that_is_not_an_integer_rejected(self, count):
+        """3.7 was truncated to 3 points and '5' read as 5."""
+        with pytest.raises(GridError, match="axis count must be an integer"):
+            make_grid(1, [(-1, 1, count)])
+
+    @pytest.mark.parametrize("count", [3, np.int64(3), 3.0, np.float32(3.0)],
+                             ids=["int", "int64", "float", "float32"])
+    def test_integral_count_accepted(self, count):
+        """An integral float such as 3.0 stays accepted, as 3."""
+        g = make_grid(1, [(-1, 1, count)])
+        assert g.axes == ((-1.0, 1.0, 3),) and type(g.axes[0][2]) is int
+
     def test_point_is_pure_function_of_spec(self):
         g = make_grid(2, [(-1, 1, 5), (0, 2, 3)])
         assert np.allclose(g.points()[1 * 3 + 2], [-0.5, 2.0])

@@ -243,6 +243,24 @@ class TestForwardInputErrors:
             forward_binned(np.ones((8, 8)), Hyperplane(2), [[1.0, 0.0]],
                            self.X, q_grid)
 
+    @pytest.mark.parametrize("source", ["phantom", "field"])
+    @pytest.mark.parametrize("s", [1.7, "2", 2.5], ids=["1.7", "str", "2.5"])
+    def test_supersample_that_is_not_an_integer(self, gauss2d, source, s):
+        """1.7 ran with 1 and '2' with 2."""
+        q = make_grid(2, [(-6, 6, 16)] * 2)
+        src = gauss2d if source == "phantom" else sample_phantom(gauss2d, q)
+        with pytest.raises(GridError, match="supersample must be an integer"):
+            forward_binned(src, Hyperplane(2), [[1.0, 0.0]], self.X, q,
+                           supersample=s)
+
+    def test_integral_supersample_accepted(self, gauss2d):
+        """An integral float such as 2.0 stays accepted, as 2."""
+        q = make_grid(2, [(-6, 6, 16)] * 2)
+        runs = [forward_binned(gauss2d, Hyperplane(2), [[1.0, 0.0]], self.X,
+                               q, supersample=s) for s in (2, 2.0, np.int64(2))]
+        assert runs[0].values.tobytes() == runs[1].values.tobytes() \
+            == runs[2].values.tobytes()
+
 
 class TestNormalization:
     def test_every_parameter_normalized(self, gauss2d, q_grid):
@@ -505,6 +523,19 @@ DEPOSIT_CASES = {
     "hyperboloid_6d": (hyperboloid_family(3), (-2.0, 2.0, 17)),
 }
 
+# the linear families of DEPOSIT_CASES whose X window is centred on 0, by
+# the points per axis of a centred parameter box: an odd count in 1-d and
+# 3-d, an even one in 2-d and 4-d
+REFLECTED_CASES = {"hyperplane_1d": 23, "circle": 6, "hyperplane_3d": 3,
+                   "hyperboloid_4d": 2}
+
+
+def _centred_box(ndim, count):
+    """The points of a box centred on 0 with ``count`` points per axis:
+    point P - 1 - i is point i reflected."""
+    return make_grid(ndim, [(-2.0, 2.0, count)] * ndim).points()
+
+
 # points per tile of the compiled loop
 _TILE = int(re.search(r"#define TILE (\d+)",
                       forward._KERNEL_SOURCE.read_text()).group(1))
@@ -611,25 +642,44 @@ def _deposit_spy(used):
     return spy
 
 
+def _bytes_for_every_thread_count(gauss2d, family, pg, x_grid, monkeypatch):
+    """Forward bytes at GENTOMO_THREADS 1, 2 and 3, each on its own worker
+    count, over at least five blocks of the deposited columns."""
+    q = make_grid(2, [(-6, 6, 128), (-6, 6, 128)])
+    n_dep = pg.size - forward._reflected_rows(family, pg.points(), x_grid)
+    n_blocks = -(-n_dep // (forward._CHUNK_ELEMS // q.size))
+    assert n_blocks >= 5
+    used = []
+
+    monkeypatch.setattr(forward, "_run_blocks", _deposit_spy(used))
+    outs = []
+    for threads in ("1", "2", "3"):
+        monkeypatch.setenv("GENTOMO_THREADS", threads)
+        t = forward_binned(gauss2d, family, pg, x_grid, q)
+        outs.append((t.values.tobytes(), t.overflow.tobytes()))
+    assert used == [1, 2, 3]
+    assert outs[0] == outs[1] == outs[2]
+
+
 class TestDepositThreads:
     def test_bytes_identical_for_every_thread_count(self, gauss2d,
                                                     monkeypatch):
-        q = make_grid(2, [(-6, 6, 128), (-6, 6, 128)])
         pg = make_grid(2, [(-3, 3, 12), (-3, 3, 12)])
         x_grid = make_grid(1, [(-5, 60, 401)])
         family = Quadric(QuadricForm(np.array([[1.0, 0.3], [0.3, 2.0]])))
-        n_blocks = -(-pg.size // (forward._CHUNK_ELEMS // q.size))
-        assert n_blocks >= 5
-        used = []
+        _bytes_for_every_thread_count(gauss2d, family, pg, x_grid,
+                                      monkeypatch)
 
-        monkeypatch.setattr(forward, "_run_blocks", _deposit_spy(used))
-        outs = []
-        for threads in ("1", "2", "3"):
-            monkeypatch.setenv("GENTOMO_THREADS", threads)
-            t = forward_binned(gauss2d, family, pg, x_grid, q)
-            outs.append((t.values.tobytes(), t.overflow.tobytes()))
-        assert used == [1, 2, 3]
-        assert outs[0] == outs[1] == outs[2]
+    def test_reflected_bytes_identical_for_every_thread_count(self, gauss2d,
+                                                              monkeypatch):
+        """A 16^2 box centred on 0: the first 128 columns are deposited and
+        reversed for the rest."""
+        pg = make_grid(2, [(-3, 3, 16), (-3, 3, 16)])
+        x_grid = make_grid(1, [(-8, 8, 401)])
+        assert forward._reflected_rows(Hyperplane(2), pg.points(),
+                                       x_grid) == 128
+        _bytes_for_every_thread_count(gauss2d, Hyperplane(2), pg, x_grid,
+                                      monkeypatch)
 
     def test_slab_bytes_identical_for_every_thread_count(self, gauss2d,
                                                          monkeypatch):
@@ -778,6 +828,166 @@ class TestDepositThreadsNumpy(TestDepositThreads):
         monkeypatch.setattr(forward, "_kernel", None)
 
 
+# linear families by name, each reached by ``_reflected_rows``
+REFLECTED_FAMILIES = {
+    "hyperplane_1d": Hyperplane(1), "hyperplane": Hyperplane(2),
+    "hyperplane_3d": Hyperplane(3), "hyperplane_4d": Hyperplane(4),
+    "circle": circle_family(), "hyperbola": hyperbola_family(),
+    "hyperboloid_4d": hyperboloid_family(2),
+}
+REFLECTED_X = make_grid(1, [(-2.0, 2.0, 17)])
+
+
+class TestReflectedParameters:
+    """A family linear in mu, an X axis with lo == -hi and parameter points
+    that are reflections of each other in reverse order: the deposit fills
+    the first half of the table and reverses it along X for the rest."""
+
+    @pytest.fixture(autouse=True, params=["compiled", "numpy"])
+    def path(self, request, monkeypatch):
+        if request.param == "compiled" and not _has_compiler():
+            pytest.skip("no C compiler on PATH")
+        monkeypatch.setattr(forward, "_kernel", None
+                            if request.param == "numpy" else forward._UNSET)
+        monkeypatch.setenv("GENTOMO_THREADS", "2")
+
+    @pytest.mark.parametrize("parity", ["odd", "even"])
+    @pytest.mark.parametrize("name", sorted(REFLECTED_FAMILIES))
+    def test_mirror_matches_direct_deposit(self, name, parity):
+        """Against the same points rolled by one, which are deposited
+        directly: the deposited rows (the centre row of an odd count
+        included) give equal bytes, the mirrored ones stay within 1e-13 of
+        the peak, and the overflow within 1e-13 of the kept mass."""
+        family = REFLECTED_FAMILIES[name]
+        points, _, _ = _deposit_inputs(family)
+        masses = np.random.default_rng(6).uniform(0.5, 1.5, len(points))
+        count = {1: 7, 2: 5, 3: 3, 4: 3}[family.ndim] + (parity == "even")
+        params = _centred_box(family.ndim, count)
+        n_par = len(params)
+        assert n_par % 2 == (parity == "odd")
+        assert forward._reflected_rows(family, params, REFLECTED_X) \
+            == n_par // 2
+        rolled = np.roll(params, 1, axis=0)
+        assert forward._reflected_rows(family, rolled, REFLECTED_X) == 0
+        values, overflow = _deposit(family, points, masses, params,
+                                    REFLECTED_X)
+        direct, direct_overflow = (np.roll(r, -1, axis=0) for r in _deposit(
+            family, points, masses, rolled, REFLECTED_X))
+        half = n_par - n_par // 2
+        assert np.array_equal(values[:half], direct[:half])
+        assert np.array_equal(overflow[:half], direct_overflow[:half])
+        assert np.array_equal(values[half:],
+                              values[n_par // 2 - 1::-1, ::-1])
+        peak = np.abs(direct).max()
+        assert np.abs(values - direct).max() <= 1e-13 * peak
+        assert np.abs(overflow - direct_overflow).max() \
+            <= 1e-13 * masses.sum()
+        assert 0.0 < overflow.max() < masses.sum()
+
+    @pytest.mark.parametrize("case", ["quadric", "hybrid", "x-window", "box",
+                                      "one-point", "directions"])
+    def test_rule_not_taken_matches_reference_loop(self, case, monkeypatch):
+        """Each case misses one condition; ``directions`` holds 16 angles
+        whose reflections are the pairs (k, k + 8), not reverse order."""
+        family, x_grid = Hyperplane(2), REFLECTED_X
+        params = _centred_box(2, 5)
+        if case in ("quadric", "hybrid"):
+            family = DEPOSIT_CASES[case][0]
+        elif case == "x-window":
+            x_grid = make_grid(1, [(-2.0, 2.5, 19)])
+        elif case == "box":
+            params = make_grid(2, [(-2.0, 2.5, 5)] * 2).points()
+        elif case == "one-point":
+            params = params[12:13]
+            assert np.array_equal(params, [[0.0, 0.0]])
+        else:
+            angles = 0.055 + np.arange(16) * np.pi / 8
+            params = np.column_stack([np.cos(angles), np.sin(angles)])
+        assert forward._reflected_rows(family, params, x_grid) == 0
+        points, masses, _ = _deposit_inputs(family)
+        _set_columns(monkeypatch, 5, len(points))
+        values, overflow = _deposit(family, points, masses, params, x_grid)
+        ref_values, ref_overflow = _reference_deposit(
+            family, points, masses, params, x_grid, 5 * len(points))
+        assert np.array_equal(values, ref_values)
+        assert np.array_equal(overflow, ref_overflow)
+
+    @pytest.mark.parametrize("box, deposited", [
+        ((-2.0, 2.0, 5), 13), ((-2.0, 2.0, 6), 18), ((-2.0, 2.5, 5), 25)],
+        ids=["odd", "even", "off-centre"])
+    def test_slab_function_gets_half_the_columns(self, box, deposited,
+                                                 monkeypatch):
+        """One slab: a centred box sends ceil(P / 2) columns through the
+        slab function, any other box all P."""
+        cols = []
+
+        def counting(factory):
+            def make(*args):
+                run = factory(*args)
+
+                def counted(L, a, m, M, *rest):
+                    cols.append(len(M))
+                    return run(L, a, m, M, *rest)
+
+                return counted
+            return make
+
+        for name in ("_compiled_slab", "_numpy_slab"):
+            monkeypatch.setattr(forward, name,
+                                counting(getattr(forward, name)))
+        family = Hyperplane(2)
+        points, masses, _ = _deposit_inputs(family)
+        params = make_grid(2, [box] * 2).points()
+        _deposit(family, points, masses, params, REFLECTED_X)
+        assert sum(cols) == deposited
+
+    def test_mirror_writes_in_place(self, gauss2d, monkeypatch):
+        """The tracemalloc peak of a forward whose table is 12.8 MB stays
+        within an eighth of the table above it, where a copy of the half
+        table would add a half.  Slabs of 4096 pairs keep the numpy path's
+        scratch at about 1 MB."""
+        monkeypatch.setattr(forward, "_CHUNK_ELEMS", 4096)
+        q = make_grid(2, [(-6, 6, 16)] * 2)
+        params = _centred_box(2, 40)
+        x_grid = make_grid(1, [(-6, 6, 1001)])
+        assert forward._reflected_rows(Hyperplane(2), params, x_grid) == 800
+        run = lambda: forward_binned(gauss2d, Hyperplane(2), params, x_grid, q)
+        run()                   # builds or loads the compiled loop
+        tracemalloc.start()
+        try:
+            t = run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.125 * t.values.nbytes
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_reflected_list_raises(self, bad):
+        """The symmetry test raises no floating-point warning (inf + -inf
+        would), and the deposit raises its non-finite level error."""
+        family = Hyperplane(2)
+        params = np.array([[bad, 1.0], [0.0, 0.0], [-bad, -1.0]])
+        points, masses, _ = _deposit_inputs(family)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert forward._reflected_rows(family, params, REFLECTED_X) == 0
+            huge = np.array([[1e308, 1.0], [1e308, 1.0]])
+            assert forward._reflected_rows(family, huge, REFLECTED_X) == 0
+            with pytest.raises(ValueError, match="non-finite level"):
+                _deposit(family, points, masses, params, REFLECTED_X)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.floats(1e-6, 1e6), st.integers(2, 12)),
+                min_size=1, max_size=4))
+def test_every_centred_box_is_reflected(axes):
+    """The 4 eps bound of ``_reflected_rows`` holds for the points of any
+    box with lo == -hi on every axis."""
+    box = make_grid(len(axes), [(-hi, hi, n) for hi, n in axes]).points()
+    family = Hyperplane(len(axes))
+    assert forward._reflected_rows(family, box, REFLECTED_X) == len(box) // 2
+
+
 def _has_compiler():
     return bool(shutil.which("cc") or shutil.which("gcc"))
 
@@ -844,18 +1054,33 @@ class TestCompiledDeposit:
     @pytest.mark.parametrize("threads", ["1", "2", "3"])
     @pytest.mark.parametrize("slabs", [1, 4])
     @pytest.mark.parametrize("cols", [1, 5, 1000])
-    @pytest.mark.parametrize("name", sorted(DEPOSIT_CASES))
+    @pytest.mark.parametrize("name", sorted(DEPOSIT_CASES) + [
+        f"{name}/reflected" for name in REFLECTED_CASES])
     def test_paths_give_equal_bytes(self, name, cols, slabs, threads,
                                     monkeypatch):
-        family, x_axis = DEPOSIT_CASES[name]
+        """A ``/reflected`` case takes a parameter box centred on 0, so only
+        its first half is deposited; both paths also give the bytes of the
+        compiled loop's one-column blocks on one thread."""
+        base = name.split("/")[0]
+        family, x_axis = DEPOSIT_CASES[base]
         x_grid = make_grid(1, [x_axis])
         points, masses, params = _deposit_inputs(family)
+        if name != base:
+            params = _centred_box(family.ndim, REFLECTED_CASES[base])
+            assert forward._reflected_rows(family, params, x_grid) > 0
         _set_columns(monkeypatch, cols, -(-len(points) // slabs))
         monkeypatch.setenv("GENTOMO_THREADS", threads)
-        compiled, numpy_path = _both_paths(monkeypatch, lambda: _deposit(
-            family, points, masses, params, x_grid))
+        run = lambda: _deposit(family, points, masses, params, x_grid)
+        compiled, numpy_path = _both_paths(monkeypatch, run)
         assert np.array_equal(compiled[0], numpy_path[0])
         assert np.array_equal(compiled[1], numpy_path[1])
+        if name != base:
+            monkeypatch.setattr(forward, "_kernel", forward._UNSET)
+            monkeypatch.setattr(forward, "_kernel_columns", lambda *_: 1)
+            monkeypatch.setenv("GENTOMO_THREADS", "1")
+            one = run()
+            assert np.array_equal(compiled[0], one[0])
+            assert np.array_equal(compiled[1], one[1])
 
     def _quadric_bytes(self, gauss2d):
         family = Quadric(QuadricForm(np.array([[1.0, 0.3], [0.3, 2.0]])))
