@@ -11,9 +11,9 @@
  * (the order of numpy.bincount).  Bucket k of a column (0 underflow,
  * 1 .. n_bins the bins, n_bins + 1 and n_bins + 2 overflow) is
  * left[k] + right[k - 1]; it is added to the column's row of bins
- * (row-major, cols x n_bins) or, for the three edge buckets, of edges
- * (cols x 3), so summing slabs in slab order gives the buckets of the
- * numpy path.
+ * (row-major, cols x n_bins), and the sum of the three edge buckets to
+ * the column's entry of overflow, so summing slabs in slab order gives
+ * the bins and overflow of the numpy path.
  *
  * Two slab loops fill the histograms; which one runs is picked per call
  * from d and the CPU.  slab_fused runs the columns outer and does everything
@@ -272,7 +272,7 @@ int gentomo_deposit_loop(long d)
 int gentomo_deposit(const double *L, const double *a, const double *mass,
                     long n, long d, const double *M, const double *b,
                     long cols, double inv_dx, double shift, long n_bins,
-                    double *bins, double *edges)
+                    double *bins, double *overflow)
 {
     if (n_bins > INT_MAX - 3)
         return -2;
@@ -288,12 +288,11 @@ int gentomo_deposit(const double *L, const double *a, const double *mass,
     }
     for (long j = 0; j < cols; j++) {
         const double *h = hist + j * per_col;
-        double *row = bins + j * n_bins, *edge = edges + 3 * j;
-        edge[0] += h[0];
+        double *row = bins + j * n_bins;
         for (long k = 1; k <= n_bins; k++)
             row[k - 1] += h[2 * k] + h[2 * k - 1];
-        edge[1] += h[2 * n_bins + 2] + h[2 * n_bins + 1];
-        edge[2] += h[2 * n_bins + 3];
+        overflow[j] += h[0] + (h[2 * n_bins + 2] + h[2 * n_bins + 1])
+                       + h[2 * n_bins + 3];
     }
     free(hist);
     return 0;

@@ -2,21 +2,23 @@
 
 Each helper is one source file beside this module (``_deposit.c`` for the
 forward deposit, ``_csvformat.cpp`` for the CSV writer), compiled on first
-use into a shared library that ``ctypes`` loads.  A caller that gets no
-library takes its pure-Python path, which gives the same bytes; nothing
-here writes to stdout or stderr.
+use into a shared library that ``ctypes`` loads, once per process: the
+library, or the reason it is missing, is remembered by ``build_library``.
+A caller that gets no library takes its pure-Python path, which gives the
+same bytes; nothing here writes to stdout or stderr.
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
 import os
 import shutil
 import tempfile
 from pathlib import Path
 
-# compiler language, by source suffix
-_LANGUAGES = {".c": "c", ".cpp": "c++"}
+# by source suffix: the compiler language, and the compilers tried in order
+_LANGUAGES = {".c": ("c", ("cc", "gcc")), ".cpp": ("c++", ("c++", "g++"))}
 
 
 def _compile(cc: str, flags, lang: str, source: bytes, target: Path) -> None:
@@ -40,18 +42,20 @@ def _compile(cc: str, flags, lang: str, source: bytes, target: Path) -> None:
             os.unlink(tmp)
 
 
-def build_library(source_path: Path, compilers: tuple[str, ...],
-                  flags: tuple[str, ...]):
-    """(library, "") for ``source_path`` compiled by the first of
-    ``compilers`` on PATH with ``flags``, or (None, reason).
+@functools.cache
+def build_library(source_path: Path, flags: tuple[str, ...]):
+    """(library, "") for ``source_path`` compiled with ``flags`` by the
+    first compiler of its language on PATH, or (None, reason).
 
-    The library is named by the source's stem and the sha256 of source and
-    flags, under ``$XDG_CACHE_HOME/gentomo`` (default ``~/.cache/gentomo``);
-    when that cannot be written it is built into a per-process temporary
-    directory.
+    Each (source, flags) pair is built and loaded once per process, on the
+    first call; later calls return the same result, a missing library
+    included, until ``build_library.cache_clear()``.  The library is named
+    by the source's stem and the sha256 of source and flags, under
+    ``$XDG_CACHE_HOME/gentomo`` (default ``~/.cache/gentomo``); when that
+    cannot be written it is built into a per-process temporary directory.
     """
     import hashlib          # on first use: imports add to startup time
-    lang = _LANGUAGES[source_path.suffix]
+    lang, compilers = _LANGUAGES[source_path.suffix]
     cc = next(filter(None, map(shutil.which, compilers)), None)
     if cc is None:
         return None, (f"no {lang.upper()} compiler "

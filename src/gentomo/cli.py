@@ -19,9 +19,10 @@ carries its own code.  Commands catch only to add context the exception
 lacks: the ``--B`` and ``--split`` token parsers, the grid flag parsers,
 and the ``bad config:`` / ``bad source`` wrappers, which also keep a
 phantom config's own dimension errors at exit 2.  The ``--taper``,
-``--decay-floor``, family tag, hyperboloid dimension and ``--B``/``--split``
-family checks stay in the commands because the library cannot name those
-flags.  Any other exception is a bug and keeps its traceback.
+``--decay-floor``, family tag, hyperboloid dimension, ``--B``/``--split``
+family and ``forward --q-box``/``--q-count`` source checks stay in the
+commands because the library cannot name those flags.  Any other
+exception is a bug and keeps its traceback.
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ from .core import (DimensionMismatchError, GridSpec, ScalarField, make_grid,
 from .forward import forward_binned, normalization_profile, thread_count
 from .geometry import (Hybrid, Hyperplane, LevelFamily, Quadric, QuadricForm,
                        circle_family, hyperbola_family, hyperboloid_family)
-from .inverse import characteristic_slice, invert_for_family
+from .inverse import (DEFAULT_DECAY_FLOOR, characteristic_slice,
+                      invert_for_family)
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
@@ -161,11 +163,16 @@ def cmd_forward(args) -> int:
     except ValueError as exc:
         raise CliError(f"bad X grid flags: {exc}", EXIT_BAD_INPUT) from None
     q_grid = None
-    if not isinstance(source, ScalarField):
-        if not args.q_box:
-            raise CliError("phantom sources require --q-box/--q-count",
+    if isinstance(source, ScalarField):
+        if args.q_box is not None or args.q_count is not None:
+            raise CliError("--q-box/--q-count apply to phantom sources; a "
+                           "GTM field is integrated on its own grid",
                            EXIT_BAD_INPUT)
+    elif args.q_box and args.q_count:
         q_grid = _parse_box(args.q_box, args.q_count)
+    else:
+        raise CliError("phantom sources require --q-box/--q-count",
+                       EXIT_BAD_INPUT)
     tomo = forward_binned(source, family, param_grid, x_grid, q_grid)
     for w in tomo.warnings:
         _warn(w)
@@ -285,7 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_family_flags(p)
     p.add_argument("--q-box", required=True, help="output grid box")
     p.add_argument("--q-count", required=True, help="output grid counts")
-    p.add_argument("--decay-floor", type=float, default=1e-4)
+    p.add_argument("--decay-floor", type=float,
+                   default=DEFAULT_DECAY_FLOOR)
     p.add_argument("--taper", nargs="?", const=True, default=None, type=float,
                    help="Gaussian taper width (bare flag = box half-width / 3)")
     p.add_argument("--out", required=True)

@@ -133,12 +133,6 @@ def read_tomogram(path) -> TomogramFamily:
 # ---------------------------------------------------------------------------
 
 
-# the compiled CSV formatter: _UNSET until the first CSV export builds it,
-# then the ctypes function, or None (repr path) with the reason in
-# _formatter_missing
-_UNSET = object()
-_formatter = _UNSET
-_formatter_missing = ""
 _FORMATTER_SOURCE = Path(__file__).with_name("_csvformat.cpp")
 _FORMATTER_FLAGS = ("-O2", "-std=c++17", "-fPIC", "-shared")
 # output bytes per block of rows; a row longer than this is one block
@@ -148,20 +142,16 @@ _MAX_VALUE_BYTES = 25
 
 
 def _load_formatter():
-    """The compiled ``gentomo_csv_rows``, or None for the repr path; built
-    on the first call, never at import."""
-    global _formatter, _formatter_missing
-    if _formatter is _UNSET:
-        lib, _formatter_missing = build_library(
-            _FORMATTER_SOURCE, ("c++", "g++"), _FORMATTER_FLAGS)
-        _formatter = None
-        if lib is not None:
-            ptr, long_ = ctypes.c_void_p, ctypes.c_long
-            _formatter = lib.gentomo_csv_rows
-            _formatter.argtypes = [ptr, ptr, ptr, ptr, long_, ptr, long_,
-                                   long_, ptr, long_]
-            _formatter.restype = long_
-    return _formatter
+    """The compiled ``gentomo_csv_rows``, typed, or None for the repr path;
+    built on first use, never at import."""
+    lib = build_library(_FORMATTER_SOURCE, _FORMATTER_FLAGS)[0]
+    if lib is None:
+        return None
+    ptr, long_ = ctypes.c_void_p, ctypes.c_long
+    fmt = lib.gentomo_csv_rows
+    fmt.argtypes = [ptr, ptr, ptr, ptr, long_, ptr, long_, long_, ptr, long_]
+    fmt.restype = long_
+    return fmt
 
 
 def _offsets(strings: list[str]) -> tuple[bytes, np.ndarray]:

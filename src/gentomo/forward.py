@@ -53,8 +53,8 @@ from .core import (DimensionMismatchError, GridError, GridSpec, Phantom,
                    _node_axes, _trapezoid_rows)
 from .geometry import Diffeomorphism, LevelFamily, combine_levels
 
-# (source point x parameter) pairs per deposit slab; sized so the slab
-# arrays stay cache-resident, which dominates deposit throughput
+# kept source points per deposit slab (12 MB of 2-d nodes and masses), and
+# the numpy deposit's (point x parameter) pairs per block of columns
 _CHUNK_ELEMS = 500_000
 # bytes of histograms and output rows per block of the compiled
 # deposit: kept in L2 while one tile of points serves every column
@@ -191,15 +191,6 @@ def _run_blocks(new_worker, starts, workers: int) -> None:
         raise errors[0]
 
 
-# the compiled deposit: _UNSET until the first deposit builds it, then the
-# ctypes function, or None (numpy path) with the reason in _kernel_missing
-_UNSET = object()
-_kernel = _UNSET
-_kernel_missing = ""
-# with a built _kernel, its library's gentomo_deposit_loop(d): the slab loop
-# that deposits d-dimensional levels, 1 for one pass per point, 3 or 4 for
-# the tiled loop built for x86-64-v3 or -v4; None otherwise
-_kernel_loop = None
 _KERNEL_SOURCE = Path(__file__).with_name("_deposit.c")
 # no -ffast-math or -march=native: no FMA and no reassociation, so every
 # operation rounds as the numpy path's does.  -fno-trapping-math lets gcc
@@ -214,7 +205,9 @@ _KERNEL_MAX_BINS = 2**31 - 4
 
 def _bind(lib: ctypes.CDLL):
     """The ``gentomo_deposit`` and ``gentomo_deposit_loop`` functions of a
-    loaded library, typed."""
+    loaded library, typed.  ``gentomo_deposit_loop(d)`` names the slab loop
+    that deposits d-dimensional levels: 1 for one pass per point, 3 or 4
+    for the tiled loop built for x86-64-v3 or -v4."""
     fn = lib.gentomo_deposit
     ptr, long_ = ctypes.c_void_p, ctypes.c_long
     fn.argtypes = [ptr, ptr, ptr, long_, long_, ptr, ptr, long_,
@@ -227,22 +220,19 @@ def _bind(lib: ctypes.CDLL):
 
 
 def _load_kernel():
-    """The compiled deposit function, or None for the numpy path; built on
-    the first call, never at import."""
-    global _kernel, _kernel_loop, _kernel_missing
-    if _kernel is _UNSET:
-        lib, _kernel_missing = build_library(_KERNEL_SOURCE, ("cc", "gcc"),
-                                             _KERNEL_FLAGS)
-        _kernel, _kernel_loop = (None, None) if lib is None else _bind(lib)
-    return _kernel
+    """The compiled deposit's (deposit, loop query) pair (``_bind``), or
+    (None, None) for the numpy path; built on first use, never at import."""
+    lib = build_library(_KERNEL_SOURCE, _KERNEL_FLAGS)[0]
+    return (None, None) if lib is None else _bind(lib)
 
 
 def _kernel_columns(n_par: int, n_bins: int, workers: int) -> int:
     """Parameter columns per block of the compiled deposit: at least two
     blocks per worker, and the block's histograms (2 (n_bins + 2) doubles
-    per column) and output rows (n_bins bins and 3 edge slots) within
-    _BLOCK_BYTES.  A count above 1 is even, since the tiled loop scatters
-    columns in pairs and a lone last column alone, more slowly."""
+    per column) and output rows (n_bins bins and an overflow slot, with two
+    doubles to spare) within _BLOCK_BYTES.  A count above 1 is even, since
+    the tiled loop scatters columns in pairs and a lone last column alone,
+    more slowly."""
     per_column = 8 * (3 * n_bins + 7)
     cols = min(_BLOCK_BYTES // per_column, -(-n_par // (2 * workers)))
     return max(1, cols - cols % 2)
@@ -255,12 +245,12 @@ _NON_FINITE_LEVEL = ("non-finite level value (nan or inf): a source point or "
 def _compiled_slab(kernel):
     """``kernel`` behind the slab call of ``_numpy_slab``: return code -1
     raises ValueError, any other nonzero code MemoryError."""
-    def run(L, a, m, M, b, inv_dx, shift, bins, edges):
+    def run(L, a, m, M, b, inv_dx, shift, bins, overflow):
         rc = kernel(L.ctypes.data, None if a is None else a.ctypes.data,
                     m.ctypes.data, len(L), L.shape[1], M.ctypes.data,
                     None if b is None else b.ctypes.data, len(M),
                     inv_dx, shift, bins.shape[1], bins.ctypes.data,
-                    edges.ctypes.data)
+                    overflow.ctypes.data)
         if rc == -1:
             raise ValueError(_NON_FINITE_LEVEL)
         if rc:
@@ -274,18 +264,18 @@ def _numpy_slab(chunk: int, slab: int):
     """The compiled loop's steps in numpy, for blocks of up to ``chunk``
     columns and slabs of up to ``slab`` points.
 
-    ``run(L, a, m, M, b, inv_dx, shift, bins, edges)`` adds one slab's
-    buckets into the block's (columns, n_bins) rows of ``bins`` and
-    (columns, 3) rows of ``edges``, as the compiled loop does, and raises
-    ValueError on a non-finite level.  The scratch arrays are reused by
-    every slab: a fresh multi-MB array per slab would be page-faulted in
-    anew each time.
+    ``run(L, a, m, M, b, inv_dx, shift, bins, overflow)`` adds one slab's
+    buckets into the block's (columns, n_bins) rows of ``bins`` and the sum
+    of its three edge buckets into the block's ``overflow`` entries, as the
+    compiled loop does, and raises ValueError on a non-finite level.  The
+    scratch arrays are reused by every slab: a fresh multi-MB array per
+    slab would be page-faulted in anew each time.
     """
     g_buf = np.empty(chunk * slab)
     key_buf = np.empty(chunk * slab)
     idx_buf = np.empty(chunk * slab, dtype=np.int64)
 
-    def run(L, a, m, M, b, inv_dx, shift, bins, edges):
+    def run(L, a, m, M, b, inv_dx, shift, bins, overflow):
         c, n_bins = bins.shape
         slots = n_bins + 3
         # (column, point) rows, so every pass runs along the points; each
@@ -315,8 +305,9 @@ def _numpy_slab(chunk: int, slab: int):
         right = np.bincount(idx, g.ravel(), c * slots).reshape(c, slots)
         part[:, 1:] += right[:, :-1]              # right neighbour: one slot up
         bins += part[:, 1:n_bins + 1]
-        edges[:, 0] += part[:, 0]
-        edges[:, 1:] += part[:, n_bins + 1:]
+        # underflow and overflow: the clamp parks far-out mass at the
+        # edges, where the split weight degenerates to all-left
+        overflow += part[:, 0] + part[:, n_bins + 1] + part[:, n_bins + 2]
 
     return run
 
@@ -360,10 +351,9 @@ def _deposit(family: LevelFamily, n_nodes: int, nodes, param_points,
 
     One block loop serves both paths: a block calls its slab function
     (``_compiled_slab`` or ``_numpy_slab``), which adds the slab straight
-    into the block's own rows of values (the bins) and of a (P, 3) array of
-    the three edge buckets.  Slabs come in slab order, so each column sums
-    in one order for every ``GENTOMO_THREADS``, and values is divided by dx
-    once at the end.  Both slab functions evaluate every level and weight
+    into the block's own rows of values (the bins) and of overflow.  Slabs
+    come in slab order, so each column sums in one order for every
+    ``GENTOMO_THREADS``, and values is divided by dx once at the end.  Both slab functions evaluate every level and weight
     in one fixed order and add each column's masses in point order, so they
     give equal bytes, for every block size.  The compiled loop takes
     ``_kernel_columns`` columns per block, so one pass over a tile of
@@ -393,10 +383,7 @@ def _deposit(family: LevelFamily, n_nodes: int, nodes, param_points,
             f"parameter points are {param_points.shape[1]}-d, "
             f"family wants {d}-d")
     values = np.zeros((n_par, n_bins))
-    # per column: [0] underflow, [1] and [2] overflow (the clamp parks
-    # far-out mass at the edges, where the split weight degenerates to
-    # all-left)
-    edges = np.zeros((n_par, 3))
+    overflow = np.zeros(n_par)
     n_singular = 0
     kept_mass = 0.0
     # the last n_mirror rows are the first ones reflected; only the first
@@ -405,7 +392,7 @@ def _deposit(family: LevelFamily, n_nodes: int, nodes, param_points,
     n_dep = n_par - n_mirror
     if n_par:
         M, b = family.param_terms(param_points[:n_dep])
-        kernel = _load_kernel() if n_bins <= _KERNEL_MAX_BINS else None
+        kernel = _load_kernel()[0] if n_bins <= _KERNEL_MAX_BINS else None
         slab = min(n_nodes, _CHUNK_ELEMS)
         chunk = (min(_CHUNK_ELEMS // slab, n_dep) if kernel is None
                  else _kernel_columns(n_dep, n_bins, _workers(n_dep)))
@@ -455,7 +442,7 @@ def _deposit(family: LevelFamily, n_nodes: int, nodes, param_points,
             def deposit_block(start):
                 rows = slice(start, min(start + chunk, n_dep))
                 run(L, a, m, M[rows], None if b is None else b[rows],
-                    inv_dx, shift, values[rows], edges[rows])
+                    inv_dx, shift, values[rows], overflow[rows])
 
             return deposit_block
 
@@ -463,7 +450,6 @@ def _deposit(family: LevelFamily, n_nodes: int, nodes, param_points,
         del p, m, L, a      # this slab's, before the next one is built
 
     np.divide(values[:n_dep], dx, out=values[:n_dep])
-    overflow = edges[:, 0] + edges[:, 1] + edges[:, 2]
     if n_mirror:
         # in place: the two row ranges do not overlap, so numpy copies
         # through no temporary table
@@ -485,8 +471,8 @@ def forward_binned(source, family: LevelFamily, params, x_grid: GridSpec,
     set contribute nothing and are tallied.  The source is streamed in
     slabs (see ``_deposit``), so its size costs time, not memory; a (P, Nx)
     table larger than physical memory is refused before anything is
-    allocated.  The overflow warning compares against the kept source mass
-    summed slab by slab.  ``supersample`` and every grid count must be
+    allocated, where the OS can tell its size.  The overflow warning
+    compares against the kept source mass summed slab by slab.  ``supersample`` and every grid count must be
     integers; an integral float such as 2.0 is taken as 2, and a fraction
     or a string raises GridError.
 
@@ -505,7 +491,9 @@ def forward_binned(source, family: LevelFamily, params, x_grid: GridSpec,
         params = params.reshape(0, family.ndim) if params.shape == (0,) \
             else np.atleast_2d(params)
     n_par, n_bins = params.size if box else len(params), x_grid.shape[0]
-    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    sysconf = getattr(os, "sysconf", None)      # none on Windows
+    have = (sysconf("SC_PAGE_SIZE") * sysconf("SC_PHYS_PAGES") if sysconf
+            else math.inf)
     if n_par * n_bins * 8 > have:
         raise ValueError(
             f"the tomogram table of {n_par} parameters x {n_bins} bins needs "

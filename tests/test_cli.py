@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gentomo import checks, cli, formats
+from gentomo._native import build_library
 from gentomo.cli import main
 from gentomo.core import TomogramFamily, make_grid
 from gentomo.formats import read_field, read_tomogram, write_tomogram
@@ -280,7 +281,8 @@ class TestExportCommand:
 
     @pytest.mark.parametrize("build", ["no-compiler", "compile-fails"])
     def test_csv_without_the_formatter_is_silent(self, tmp_path, gauss_field,
-                                                 build, capfd, monkeypatch):
+                                                 build, capfd, monkeypatch,
+                                                 fresh_builds):
         """Where the compiled formatter cannot be built, the CSV export
         writes the same bytes at exit 0 and nothing reaches stderr, the
         compiler's own output included."""
@@ -291,7 +293,7 @@ class TestExportCommand:
                      "--out", str(expect)]) == 0
         capfd.readouterr()
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
-        monkeypatch.setattr(formats, "_formatter", formats._UNSET)
+        build_library.cache_clear()
         if build == "no-compiler":
             monkeypatch.setattr(shutil, "which", lambda *args, **kw: None)
             reason = "no C++ compiler"
@@ -306,8 +308,9 @@ class TestExportCommand:
         assert main(["export", str(tomo), "--format", "csv",
                      "--out", str(out)]) == 0
         assert capfd.readouterr().err == ""
-        assert formats._formatter is None
-        assert reason in formats._formatter_missing
+        assert formats._load_formatter() is None
+        assert reason in build_library(formats._FORMATTER_SOURCE,
+                                       formats._FORMATTER_FLAGS)[1]
         assert out.read_bytes() == expect.read_bytes()
 
     def test_3d_field_to_pgm_rejected(self, tmp_path):
@@ -528,6 +531,21 @@ class TestExitCodes:
         pytest.param(2, "require --q-box", lambda tmp, field: _forward_args(
             _written(tmp, "g.cfg", GAUSS_CFG.encode()), tmp / "t.gtmt"),
             id="phantom-without-q-box"),
+        # the phantom sampling grid takes both flags; a field has its own
+        pytest.param(2, "require --q-box", lambda tmp, field: _forward_args(
+            _written(tmp, "g.cfg", GAUSS_CFG.encode()), tmp / "t.gtmt",
+            extra=["--q-box=-6,6;-6,6"]), id="phantom-q-box-alone"),
+        pytest.param(2, "require --q-box", lambda tmp, field: _forward_args(
+            _written(tmp, "g.cfg", GAUSS_CFG.encode()), tmp / "t.gtmt",
+            extra=["--q-count", "32"]), id="phantom-q-count-alone"),
+        pytest.param(2, "apply to phantom sources",
+                     lambda tmp, field: _forward_args(
+                         field, tmp / "t.gtmt", extra=["--q-box=-6,6;-6,6"]),
+                     id="field-with-q-box"),
+        pytest.param(2, "apply to phantom sources",
+                     lambda tmp, field: _forward_args(
+                         field, tmp / "t.gtmt", extra=["--q-count", "32"]),
+                     id="field-with-q-count"),
         pytest.param(3, "even-dimensional", lambda tmp, field: _forward_args(
             _written(tmp, "g3.cfg", GAUSS3_CFG.encode()), tmp / "t.gtmt",
             "hyperboloid", ["--q-box=-4,4;-4,4;-4,4", "--q-count", "8"]),

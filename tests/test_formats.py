@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gentomo import formats
+from gentomo._native import build_library
 from gentomo.cli import main
 from gentomo.core import (GaussianMixture, ScalarField, TomogramFamily,
                           UniformBall, UniformBox, make_grid, sample_phantom,
@@ -221,11 +222,11 @@ def _rowwise_tomogram_csv(path, t):
 def _both_paths(monkeypatch, write, path):
     """The bytes ``write(path)`` leaves with the compiled formatter (where
     it builds), then with the repr join."""
-    monkeypatch.setattr(formats, "_formatter", formats._UNSET)
     write(path)
     compiled = path.read_bytes()
-    monkeypatch.setattr(formats, "_formatter", None)
-    write(path)
+    with monkeypatch.context() as repr_path:
+        repr_path.setattr(formats, "_load_formatter", lambda: None)
+        write(path)
     return compiled, path.read_bytes()
 
 
@@ -308,7 +309,8 @@ class TestCSV:
 def compiled_formatter():
     fmt = formats._load_formatter()
     if fmt is None:
-        pytest.skip(f"no compiled formatter: {formats._formatter_missing}")
+        pytest.skip("no compiled formatter: " + build_library(
+            formats._FORMATTER_SOURCE, formats._FORMATTER_FLAGS)[1])
     return fmt
 
 

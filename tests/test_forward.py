@@ -16,7 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gentomo import forward
+from gentomo import _native, forward, formats
+from gentomo._native import build_library
 from gentomo.checks import homogeneity_residual
 from gentomo.core import (DimensionMismatchError, GaussianMixture, GridError,
                           ScalarField, TomogramFamily, UniformBall,
@@ -372,8 +373,8 @@ class TestStreamedSource:
         beforehand, which cuts the same slabs."""
         if path == "compiled" and not _has_compiler():
             pytest.skip("no C compiler on PATH")
-        monkeypatch.setattr(forward, "_kernel", None if path == "numpy"
-                            else forward._UNSET)
+        if path == "numpy":
+            _use_numpy(monkeypatch)
         monkeypatch.setattr(forward, "_CHUNK_ELEMS", 1000)
         monkeypatch.setenv("GENTOMO_THREADS", "2")
         family = hyperbola_family()
@@ -401,8 +402,8 @@ class TestStreamedSource:
         the whole source's nodes and masses."""
         if path == "compiled" and not _has_compiler():
             pytest.skip("no C compiler on PATH")
-        monkeypatch.setattr(forward, "_kernel", None if path == "numpy"
-                            else forward._UNSET)
+        if path == "numpy":
+            _use_numpy(monkeypatch)
         slab = 4096
         monkeypatch.setattr(forward, "_CHUNK_ELEMS", slab)
         monkeypatch.setenv("GENTOMO_THREADS", "2")
@@ -421,7 +422,7 @@ class TestStreamedSource:
             tracemalloc.stop()
         one_slab = slab * (q.ndim + 1) * 8
         source = (512 * 512) * (q.ndim + 1) * 8
-        table = t.values.nbytes + 4 * t.overflow.nbytes     # + (P, 3) edges
+        table = t.values.nbytes + 4 * t.overflow.nbytes     # + 3 spare (P,)
         assert source == 64 * one_slab
         assert 12 * one_slab + table < source / 5
         assert peak <= 12 * one_slab + table
@@ -793,6 +794,19 @@ class TestDepositThreads:
                               make_grid(2, [(-6, 6, 16), (-6, 6, 16)]))
         assert t.values.max() > 0.0
 
+    def test_no_sysconf_skips_the_memory_preflight(self, gauss2d,
+                                                    monkeypatch):
+        # Windows has no os.sysconf, so the preflight cannot size memory
+        run = lambda: forward_binned_at(gauss2d, Hyperplane(2),
+                                        [[1.0, 0.0], [0.6, 0.8]],
+                                        make_grid(1, [(-6, 6, 61)]),
+                                        make_grid(2, [(-6, 6, 16)] * 2))
+        expect = run()
+        monkeypatch.delattr(os, "sysconf")
+        t = run()
+        assert t.values.tobytes() == expect.values.tobytes()
+        assert t.overflow.tobytes() == expect.overflow.tobytes()
+
     def test_every_block_runs_once_under_contention(self):
         done = []
         old = sys.getswitchinterval()
@@ -817,7 +831,7 @@ class TestDepositKernelNumpy(TestDepositKernel):
 
     @pytest.fixture(autouse=True)
     def _numpy_path(self, monkeypatch):
-        monkeypatch.setattr(forward, "_kernel", None)
+        _use_numpy(monkeypatch)
 
 
 class TestDepositThreadsNumpy(TestDepositThreads):
@@ -825,7 +839,7 @@ class TestDepositThreadsNumpy(TestDepositThreads):
 
     @pytest.fixture(autouse=True)
     def _numpy_path(self, monkeypatch):
-        monkeypatch.setattr(forward, "_kernel", None)
+        _use_numpy(monkeypatch)
 
 
 # linear families by name, each reached by ``_reflected_rows``
@@ -847,8 +861,8 @@ class TestReflectedParameters:
     def path(self, request, monkeypatch):
         if request.param == "compiled" and not _has_compiler():
             pytest.skip("no C compiler on PATH")
-        monkeypatch.setattr(forward, "_kernel", None
-                            if request.param == "numpy" else forward._UNSET)
+        if request.param == "numpy":
+            _use_numpy(monkeypatch)
         monkeypatch.setenv("GENTOMO_THREADS", "2")
 
     @pytest.mark.parametrize("parity", ["odd", "even"])
@@ -992,12 +1006,27 @@ def _has_compiler():
     return bool(shutil.which("cc") or shutil.which("gcc"))
 
 
+def _use_numpy(monkeypatch):
+    """Every deposit takes the numpy path."""
+    monkeypatch.setattr(forward, "_load_kernel", lambda: (None, None))
+
+
+def _use_kernel(monkeypatch, kernel):
+    """Every deposit runs ``kernel``, a (deposit, loop query) pair."""
+    monkeypatch.setattr(forward, "_load_kernel", lambda: kernel)
+
+
+def _kernel_missing():
+    """Why the compiled deposit is not built, or "" when it is."""
+    return build_library(forward._KERNEL_SOURCE, forward._KERNEL_FLAGS)[1]
+
+
 def _both_paths(monkeypatch, run):
     """``run()`` on the compiled path, then on the numpy path."""
-    monkeypatch.setattr(forward, "_kernel", forward._UNSET)
     compiled = run()
-    monkeypatch.setattr(forward, "_kernel", None)
-    return compiled, run()
+    with monkeypatch.context() as numpy_path:
+        _use_numpy(numpy_path)
+        return compiled, run()
 
 
 def _host_levels(cc, tmp):
@@ -1044,12 +1073,11 @@ class TestCompiledDeposit:
     def test_compiler_on_path_takes_compiled_path(self, monkeypatch):
         if not _has_compiler():
             pytest.skip("no C compiler on PATH")
-        monkeypatch.setattr(forward, "_kernel", forward._UNSET)
         family, x_axis = DEPOSIT_CASES["quadric"]
         points, masses, params = _deposit_inputs(family)
         _deposit(family, points, masses, params, make_grid(1, [x_axis]))
-        assert forward._kernel is not None, forward._kernel_missing
-        assert forward._kernel_missing == ""
+        assert forward._load_kernel()[0] is not None, _kernel_missing()
+        assert _kernel_missing() == ""
 
     @pytest.mark.parametrize("threads", ["1", "2", "3"])
     @pytest.mark.parametrize("slabs", [1, 4])
@@ -1075,7 +1103,6 @@ class TestCompiledDeposit:
         assert np.array_equal(compiled[0], numpy_path[0])
         assert np.array_equal(compiled[1], numpy_path[1])
         if name != base:
-            monkeypatch.setattr(forward, "_kernel", forward._UNSET)
             monkeypatch.setattr(forward, "_kernel_columns", lambda *_: 1)
             monkeypatch.setenv("GENTOMO_THREADS", "1")
             one = run()
@@ -1089,63 +1116,98 @@ class TestCompiledDeposit:
                               make_grid(2, [(-6, 6, 64), (-6, 6, 64)]))
         return t.values.tobytes() + t.overflow.tobytes()
 
+    def _numpy_bytes(self, gauss2d, monkeypatch):
+        with monkeypatch.context() as numpy_path:
+            _use_numpy(numpy_path)
+            return self._quadric_bytes(gauss2d)
+
     def test_no_compiler_gives_equal_bytes(self, gauss2d, tmp_path,
-                                           monkeypatch):
-        monkeypatch.setattr(forward, "_kernel", None)
-        expect = self._quadric_bytes(gauss2d)
+                                           monkeypatch, fresh_builds):
+        expect = self._numpy_bytes(gauss2d, monkeypatch)
         monkeypatch.setenv("PATH", str(tmp_path))
-        monkeypatch.setattr(forward, "_kernel", forward._UNSET)
         assert self._quadric_bytes(gauss2d) == expect
-        assert forward._kernel is None
-        assert "no C compiler" in forward._kernel_missing
+        assert forward._load_kernel() == (None, None)
+        assert "no C compiler" in _kernel_missing()
 
     def test_unwritable_cache_gives_equal_bytes(self, gauss2d, tmp_path,
-                                                monkeypatch):
+                                                monkeypatch, fresh_builds):
         """The cache directory cannot be made (its parent is a file, which
         holds for root as well): the library is built per process."""
         if not _has_compiler():
             pytest.skip("no C compiler on PATH")
-        monkeypatch.setattr(forward, "_kernel", None)
-        expect = self._quadric_bytes(gauss2d)
+        expect = self._numpy_bytes(gauss2d, monkeypatch)
         blocker = tmp_path / "cache"
         blocker.write_text("")
         monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
-        monkeypatch.setattr(forward, "_kernel", forward._UNSET)
         assert self._quadric_bytes(gauss2d) == expect
-        assert forward._kernel is not None, forward._kernel_missing
+        assert forward._load_kernel()[0] is not None, _kernel_missing()
         assert blocker.read_text() == ""
 
-    def test_cache_is_reused(self, gauss2d, tmp_path, monkeypatch):
+    def test_cache_is_reused(self, gauss2d, tmp_path, monkeypatch,
+                             fresh_builds):
         if not _has_compiler():
             pytest.skip("no C compiler on PATH")
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-        monkeypatch.setattr(forward, "_kernel", forward._UNSET)
         first = self._quadric_bytes(gauss2d)
         (lib,) = (tmp_path / "gentomo").iterdir()
         assert lib.name.startswith("deposit-") and lib.suffix == ".so"
         stamp = lib.stat().st_mtime_ns
         monkeypatch.setenv("PATH", str(tmp_path / "no-compiler-here"))
-        monkeypatch.setattr(forward, "_kernel", forward._UNSET)
+        build_library.cache_clear()     # a second process, in effect
         assert self._quadric_bytes(gauss2d) == first
         assert [p.name for p in (tmp_path / "gentomo").iterdir()] == [lib.name]
         assert lib.stat().st_mtime_ns == stamp
+
+    def test_each_library_is_built_and_loaded_once(self, gauss2d, q_grid,
+                                                   tmp_path, monkeypatch,
+                                                   fresh_builds):
+        """Two forwards and two CSV exports in one process on an empty
+        cache: each library is compiled at most once and loaded once where
+        it builds, and the other calls take the memo."""
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        compiled, loaded = [], []
+        compile_, cdll = _native._compile, ctypes.CDLL
+
+        def spy_compile(cc, flags, lang, source, target):
+            compiled.append(target.name.split("-")[0])
+            return compile_(cc, flags, lang, source, target)
+
+        def spy_cdll(name, *args, **kw):
+            loaded.append(Path(name).name.split("-")[0])
+            return cdll(name, *args, **kw)
+
+        monkeypatch.setattr(_native, "_compile", spy_compile)
+        monkeypatch.setattr(_native.ctypes, "CDLL", spy_cdll)
+        for n in (4, 5):
+            t = forward_binned(gauss2d, Hyperplane(2),
+                               make_grid(2, [(-1, 1, n)] * 2),
+                               make_grid(1, [(-6, 6, 61)]), q_grid)
+            formats.write_tomogram_csv(tmp_path / f"t{n}.csv", t)
+        assert build_library.cache_info().misses == 2
+        for name, source, flags in [
+                ("deposit", forward._KERNEL_SOURCE, forward._KERNEL_FLAGS),
+                ("csvformat", formats._FORMATTER_SOURCE,
+                 formats._FORMATTER_FLAGS)]:
+            built = build_library(source, flags)[0] is not None
+            assert compiled.count(name) <= 1
+            assert loaded.count(name) == built
 
     def test_import_builds_and_loads_nothing(self, tmp_path):
         if not os.path.exists("/proc/self/maps"):
             pytest.skip("needs /proc/self/maps")
         import gentomo
         src = str(Path(gentomo.__file__).resolve().parents[1])
-        code = ("import gentomo, gentomo.cli, gentomo.forward as f\n"
-                "import gentomo.formats as fm\n"
+        code = ("import gentomo, gentomo.cli, gentomo.forward\n"
+                "from gentomo._native import build_library\n"
                 "maps = open('/proc/self/maps').read()\n"
-                "print(f._kernel is f._UNSET, 'deposit-' in maps,\n"
-                "      fm._formatter is fm._UNSET, 'csvformat-' in maps)\n")
+                "print(build_library.cache_info().currsize,\n"
+                "      'deposit-' in maps, 'csvformat-' in maps)\n")
         env = {**os.environ, "XDG_CACHE_HOME": str(tmp_path),
                "PYTHONPATH": os.pathsep.join(
                    [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True)
-        assert out.stdout.split() == ["True", "False", "True", "False"]
+        assert out.stdout.split() == ["0", "False", "False"]
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("level", [None, 1, 3],
@@ -1172,24 +1234,22 @@ class TestCompiledDeposit:
         x_grid = make_grid(1, [x_axis])
         points, masses, params = _deposit_inputs(family)
         _set_columns(monkeypatch, cols, -(-len(points) // slabs))
-        monkeypatch.setattr(forward, "_kernel", None)
+        _use_numpy(monkeypatch)
         expect = _deposit(family, points, masses, params, x_grid)
-        for level, (kernel, _) in variant_kernels.items():
-            monkeypatch.setattr(forward, "_kernel", kernel)
+        for level, kernel in variant_kernels.items():
+            _use_kernel(monkeypatch, kernel)
             values, overflow = _deposit(family, points, masses, params, x_grid)
             assert np.array_equal(values, expect[0]), level
             assert np.array_equal(overflow, expect[1]), level
 
-    def test_loop_query_names_the_highest_loop(self, variant_kernels,
-                                                monkeypatch):
+    def test_loop_query_names_the_highest_loop(self, variant_kernels):
         """The build as shipped names the highest x86-64 level this CPU
         runs for d <= 4 and one pass per point for d = 5; the build capped
         at level 1 names one pass per point for every d."""
-        monkeypatch.setattr(forward, "_kernel", forward._UNSET)
-        monkeypatch.setattr(forward, "_kernel_loop", None)
-        assert forward._load_kernel() is not None, forward._kernel_missing
+        kernel, shipped = forward._load_kernel()
+        assert kernel is not None, _kernel_missing()
         top = max(filter(None, variant_kernels), default=1)
-        assert [forward._kernel_loop(d) for d in range(1, 6)] == [top] * 4 + [1]
+        assert [shipped(d) for d in range(1, 6)] == [top] * 4 + [1]
         if 1 in variant_kernels:
             loop = variant_kernels[1][1]
             assert [loop(d) for d in range(1, 6)] == [1] * 5
@@ -1252,7 +1312,8 @@ from gentomo.core import make_grid
 from gentomo.geometry import Hyperplane
 import test_forward as t
 
-forward._kernel = forward._bind(ctypes.CDLL({str(lib)!r}))[0]
+kernel = forward._bind(ctypes.CDLL({str(lib)!r}))
+forward._load_kernel = lambda: kernel
 for family, x_axis in t.DEPOSIT_CASES.values():
     points, masses, params = t._deposit_inputs(family)
     t._deposit(family, points, masses, params, make_grid(1, [x_axis]))
@@ -1278,9 +1339,8 @@ t._deposit(Hyperplane(2), np.array([[1e308, 0.0], [-1e308, 1.0]]),
     def test_bins_beyond_the_int_index_are_refused(self, monkeypatch):
         if not _has_compiler():
             pytest.skip("no C compiler on PATH")
-        monkeypatch.setattr(forward, "_kernel", forward._UNSET)
         out = np.zeros(1)                 # never touched
-        rc = forward._load_kernel()(None, None, None, 0, 2, None, None, 1,
+        rc = forward._load_kernel()[0](None, None, None, 0, 2, None, None, 1,
                                     1.0, 0.0, forward._KERNEL_MAX_BINS + 1,
                                     out.ctypes.data, out.ctypes.data)
         assert rc == -2
@@ -1292,12 +1352,15 @@ t._deposit(Hyperplane(2), np.array([[1e308, 0.0], [-1e308, 1.0]]),
         family, x_axis = DEPOSIT_CASES["quadric"]
         x_grid = make_grid(1, [x_axis])
         points, masses, params = _deposit_inputs(family)
-        monkeypatch.setattr(forward, "_kernel", None)
-        expect = _deposit(family, points, masses, params, x_grid)
-        monkeypatch.setattr(forward, "_kernel", forward._UNSET)
+        with monkeypatch.context() as numpy_path:
+            _use_numpy(numpy_path)
+            expect = _deposit(family, points, masses, params, x_grid)
+        loads = []
+        monkeypatch.setattr(forward, "_load_kernel",
+                            lambda: loads.append(1) or (None, None))
         monkeypatch.setattr(forward, "_KERNEL_MAX_BINS", x_grid.shape[0] - 1)
         values, overflow = _deposit(family, points, masses, params, x_grid)
-        assert forward._kernel is forward._UNSET
+        assert loads == []
         assert np.array_equal(values, expect[0])
         assert np.array_equal(overflow, expect[1])
 
@@ -1317,23 +1380,23 @@ t._deposit(Hyperplane(2), np.array([[1e308, 0.0], [-1e308, 1.0]]),
     def test_non_finite_level_raises(self, path, bad, monkeypatch):
         if path == "compiled" and not _has_compiler():
             pytest.skip("no C compiler on PATH")
-        monkeypatch.setattr(forward, "_kernel", None if path == "numpy"
-                            else forward._UNSET)
+        if path == "numpy":
+            _use_numpy(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="non-finite level value"):
                 _deposit(Hyperplane(2), np.array([[0.0, 0.0], [bad, 1.0]]),
                          np.ones(2), np.array([[1.0, 0.5]]),
                          make_grid(1, [(-2.0, 2.0, 9)]))
-        assert (forward._kernel is None) == (path == "numpy")
+        assert (forward._load_kernel()[0] is None) == (path == "numpy")
 
     def test_non_finite_level_in_a_column_pair_raises(self, variant_kernels,
                                                       monkeypatch):
         """One block of two columns, of which only the second one's level
         overflows: the tiled loop returns from the middle of a pair."""
         _set_columns(monkeypatch, 2, 1)
-        for kernel in [None, *(fn for fn, _ in variant_kernels.values())]:
-            monkeypatch.setattr(forward, "_kernel", kernel)
+        for kernel in [(None, None), *variant_kernels.values()]:
+            _use_kernel(monkeypatch, kernel)
             with (warnings.catch_warnings(),
                   pytest.raises(ValueError, match="non-finite level value")):
                 warnings.simplefilter("error")
