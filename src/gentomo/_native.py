@@ -21,12 +21,16 @@ from pathlib import Path
 _LANGUAGES = {".c": ("c", ("cc", "gcc")), ".cpp": ("c++", ("c++", "g++"))}
 
 
-def _compile(cc: str, flags, lang: str, source: bytes, target: Path) -> None:
-    """Compile into a temporary name next to ``target``, then rename it, so
-    a concurrent process sees the whole library or none.  The compiler's
-    output is captured.  Raises OSError when the directory cannot be
-    written, RuntimeError when the compiler fails."""
+def _compile(compilers, flags, lang: str, source: bytes, target: Path):
+    """Compile with the first of ``compilers`` on PATH into a temporary name
+    next to ``target`` and rename it, so a concurrent process sees the whole
+    library or none; compiler output is captured.  Raises OSError on an
+    unwritable directory, RuntimeError if no compiler is found or it fails."""
     import subprocess       # on first use: imports add to startup time
+    cc = next(filter(None, map(shutil.which, compilers)), None)
+    if cc is None:
+        raise RuntimeError(f"no {lang.upper()} compiler "
+                           f"({' or '.join(compilers)}) on PATH")
     fd, tmp = tempfile.mkstemp(dir=target.parent, suffix=".so.tmp")
     os.close(fd)
     try:
@@ -50,16 +54,12 @@ def build_library(source_path: Path, flags: tuple[str, ...]):
     Each (source, flags) pair is built and loaded once per process, on the
     first call; later calls return the same result, a missing library
     included, until ``build_library.cache_clear()``.  The library is named
-    by the source's stem and the sha256 of source and flags, under
-    ``$XDG_CACHE_HOME/gentomo`` (default ``~/.cache/gentomo``); when that
-    cannot be written it is built into a per-process temporary directory.
+    by the source's stem and the sha256 of source and flags, and one cached
+    under ``$XDG_CACHE_HOME/gentomo`` (default ``~/.cache/gentomo``) loads
+    with no compiler; where that cannot be written it is built per process.
     """
     import hashlib          # on first use: imports add to startup time
     lang, compilers = _LANGUAGES[source_path.suffix]
-    cc = next(filter(None, map(shutil.which, compilers)), None)
-    if cc is None:
-        return None, (f"no {lang.upper()} compiler "
-                      f"({' or '.join(compilers)}) on PATH")
     try:
         source = source_path.read_bytes()
     except OSError as exc:
@@ -72,12 +72,12 @@ def build_library(source_path: Path, flags: tuple[str, ...]):
         target = cache / name
         if not target.exists():
             cache.mkdir(parents=True, exist_ok=True)
-            _compile(cc, flags, lang, source, target)
+            _compile(compilers, flags, lang, source, target)
         lib = ctypes.CDLL(str(target))
     except OSError:
         with tempfile.TemporaryDirectory(prefix="gentomo-") as tmp:
             try:
-                _compile(cc, flags, lang, source, Path(tmp) / name)
+                _compile(compilers, flags, lang, source, Path(tmp) / name)
                 # the mapping outlives the file
                 lib = ctypes.CDLL(str(Path(tmp) / name))
             except (OSError, RuntimeError) as exc:

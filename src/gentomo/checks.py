@@ -41,17 +41,17 @@ def normalization_suite(seed: int = 0, **_) -> list[CheckResult]:
     """Every tomogram of a unit-mass phantom integrates to 1 over X."""
     results = []
     cases = [
-        ("hyperplane", geometry.Hyperplane(2), DIRECTIONS, X_PLANE, 2),
-        ("quadric", geometry.Quadric(geometry.QuadricForm(np.eye(2))),
+        (geometry.Hyperplane(2), DIRECTIONS, X_PLANE, 2),
+        (geometry.Quadric(geometry.QuadricForm(np.eye(2))),
          [(0.5, -0.3), (0.0, 0.0)], core.make_grid(1, [(-2, 60, 249)]), 1),
     ]
-    for tag, fam, params, xg, supersample in cases:
+    for fam, params, xg, supersample in cases:
         t = forward.forward_binned(GAUSS2, fam, params, xg, Q_GRID,
                                    supersample=supersample)
         norm = forward.normalization_profile(t)
-        results.append(_result(f"normalization/{tag}/deviation",
+        results.append(_result(f"normalization/{fam.tag}/deviation",
                                np.abs(norm - 1.0).max(), 1e-2))
-        results.append(_result(f"normalization/{tag}/overflow",
+        results.append(_result(f"normalization/{fam.tag}/overflow",
                                t.overflow.max(), 1e-3))
     return results
 
@@ -95,12 +95,11 @@ def homogeneity_suite(seed: int = 0, lam: float | None = None, **_,
     results = []
     factors = (2.0, -1.0, 0.5) if lam is None else (2.0, -1.0, 0.5, lam)
     params = np.array([0.8, -0.6])
-    for fam, tag in [(geometry.Hyperplane(2), "hyperplane"),
-                     (geometry.circle_family(), "circle")]:
+    for fam in (geometry.Hyperplane(2), geometry.circle_family()):
         for lam in factors:
             res = homogeneity_residual(GAUSS2, fam, params, lam, Q_GRID,
                                        x_grid)
-            results.append(_result(f"homogeneity/{tag}/lambda={lam:g}", res, 2e-2))
+            results.append(_result(f"homogeneity/{fam.tag}/lambda={lam:g}", res, 2e-2))
     return results
 
 
@@ -117,17 +116,16 @@ def diffeo_equivalence_suite(seed: int = 0, **_) -> list[CheckResult]:
     t_ref = forward.forward_binned(GAUSS2, geometry.Hyperplane(2), DIRECTIONS,
                                    x_grid, Q_GRID)
     cases = [
-        ("circle", geometry.circle_family(),
-         core.make_grid(2, [(-12, 12, 1536)] * 2)),
-        ("hyperbola", geometry.hyperbola_family(),
+        (geometry.circle_family(), core.make_grid(2, [(-12, 12, 1536)] * 2)),
+        (geometry.hyperbola_family(),
          core.make_grid(2, [(-120, 120, 4801), (-6, 6, 241)])),
     ]
     results = []
-    for tag, fam, q_def in cases:
+    for fam, q_def in cases:
         pulled = forward.pullback_density(GAUSS2, fam.diffeo, q_def)
         t_def = forward.forward_binned(pulled, fam, DIRECTIONS, x_grid)
         gap = np.abs(t_def.values - t_ref.values).sum(axis=1) * x_grid.spacing[0]
-        results.append(_result(f"diffeo-equivalence/{tag}/L1", gap.max(), 3e-2))
+        results.append(_result(f"diffeo-equivalence/{fam.tag}/L1", gap.max(), 3e-2))
     return results
 
 
@@ -149,17 +147,16 @@ def oracle_agreement_suite(seed: int = 0, samples: int | None = None, **_,
     n_samples = 400_000 if samples is None else int(samples)
     results = []
     cases = [
-        ("hyperplane", geometry.Hyperplane(2), (0.6, 0.8),
-         core.make_grid(1, [(-6, 6, 121)])),
-        ("quadric", geometry.Quadric(geometry.QuadricForm(np.eye(2))),
-         (0.0, 0.0), core.make_grid(1, [(-2, 30, 129)])),
+        (geometry.Hyperplane(2), (0.6, 0.8), core.make_grid(1, [(-6, 6, 121)])),
+        (geometry.Quadric(geometry.QuadricForm(np.eye(2))), (0.0, 0.0),
+         core.make_grid(1, [(-2, 30, 129)])),
     ]
-    for tag, fam, params, xg in cases:
+    for fam, params, xg in cases:
         t = forward.forward_binned(GAUSS2, fam, [params], xg, Q_GRID)
         mc = oracle.mc_tomogram(GAUSS2, fam, params, xg, n_samples=n_samples,
                                 seed=seed)
         gap = np.abs(t.values[0] - mc.density) - 3.0 * mc.stderr
-        results.append(_result(f"oracle-agreement/{tag}/excess", gap.max(), 5e-3))
+        results.append(_result(f"oracle-agreement/{fam.tag}/excess", gap.max(), 5e-3))
     return results
 
 

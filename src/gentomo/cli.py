@@ -16,7 +16,7 @@ the library rejects, ``check`` values included) -> 2, ``MemoryError`` (a
 size flag such as ``invert --q-count`` or ``--samples`` too large to
 allocate; ``forward`` streams its source) -> 2, and a ``CliError``
 carries its own code.  Commands catch only to add context the exception
-lacks: the ``--B`` and ``--split`` token parsers, the grid flag parsers,
+lacks: the ``--B``/``--split`` comma-list parser, the grid flag parsers,
 and the ``bad config:`` / ``bad source`` wrappers, which also keep a
 phantom config's own dimension errors at exit 2.  The ``--taper``,
 ``--decay-floor``, family tag, hyperboloid dimension, ``--B``/``--split``
@@ -36,8 +36,9 @@ from . import checks, formats
 from .core import (DimensionMismatchError, GridSpec, ScalarField, make_grid,
                    sample_phantom, total_mass)
 from .forward import forward_binned, normalization_profile, thread_count
-from .geometry import (Hybrid, Hyperplane, LevelFamily, Quadric, QuadricForm,
-                       circle_family, hyperbola_family, hyperboloid_family)
+from .geometry import (FAMILY_NAMES, Hybrid, Hyperplane, LevelFamily, Quadric,
+                       QuadricForm, circle_family, hyperbola_family,
+                       hyperboloid_family)
 from .inverse import (DEFAULT_DECAY_FLOOR, characteristic_slice,
                       invert_for_family)
 
@@ -76,49 +77,48 @@ def _parse_box(text: str, count_text: str) -> GridSpec:
         raise CliError(f"bad grid flags: {exc}", EXIT_BAD_INPUT) from None
 
 
+def _hyperboloid(ndim: int) -> LevelFamily:
+    if ndim % 2:
+        raise CliError("hyperboloid family needs an even-dimensional space",
+                       EXIT_INCONSISTENT)
+    return hyperboloid_family(ndim // 2)
+
+
+# --family constructors: of the data's dimension, or of the --B/--split form
+_MATRIX_FREE = dict(zip(FAMILY_NAMES, (
+    Hyperplane, lambda ndim: circle_family(), lambda ndim: hyperbola_family(),
+    _hyperboloid)))
+_WITH_MATRIX = dict(zip(FAMILY_NAMES[len(_MATRIX_FREE):], (Quadric, Hybrid)))
+
+
+def _comma_list(flag: str, text: str, kind, what: str) -> list:
+    try:
+        return [kind(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        raise CliError(f"{flag} must be a comma list of {what}, got "
+                       f"{text!r}", EXIT_BAD_INPUT) from None
+
+
 def _family_from_args(args, ndim: int) -> LevelFamily:
     name = args.family
-    if name not in ("quadric", "hybrid") and (args.B or args.split):
-        raise CliError(f"--family {name} takes neither --B nor --split",
-                       EXIT_BAD_INPUT)
-    if name == "hyperplane":
-        return Hyperplane(ndim)
-    if name == "circle":
-        return circle_family()
-    if name == "hyperbola":
-        return hyperbola_family()
-    if name == "hyperboloid":
-        if ndim % 2:
-            raise CliError("hyperboloid family needs an even-dimensional space",
-                           EXIT_INCONSISTENT)
-        return hyperboloid_family(ndim // 2)
-    if name in ("quadric", "hybrid"):
-        if not args.B:
-            raise CliError(f"--family {name} requires --B", EXIT_BAD_INPUT)
-        try:
-            entries = [float(tok) for tok in args.B.split(",") if tok.strip()]
-        except ValueError:
-            raise CliError(f"--B must be a comma list of numbers, got "
-                           f"{args.B!r}", EXIT_BAD_INPUT) from None
-        n = int(round(len(entries) ** 0.5))
-        if n * n != len(entries):
-            raise CliError("--B must hold a square row-major matrix",
+    if name in _MATRIX_FREE:
+        if args.B or args.split:
+            raise CliError(f"--family {name} takes neither --B nor --split",
                            EXIT_BAD_INPUT)
-        if n != ndim:
-            raise CliError(f"--B is {n}x{n} but the data is {ndim}-dimensional",
-                           EXIT_INCONSISTENT)
-        split = ()
-        if args.split:
-            try:
-                split = tuple(int(tok) for tok in args.split.split(",")
-                              if tok.strip())
-            except ValueError:
-                raise CliError(f"--split must be a comma list of axis "
-                               f"indices, got {args.split!r}",
-                               EXIT_BAD_INPUT) from None
-        form = QuadricForm(np.array(entries).reshape(n, n), linear_axes=split)
-        return Hybrid(form) if name == "hybrid" else Quadric(form)
-    raise CliError(f"unknown family {name!r}", EXIT_BAD_INPUT)
+        return _MATRIX_FREE[name](ndim)
+    if not args.B:
+        raise CliError(f"--family {name} requires --B", EXIT_BAD_INPUT)
+    entries = _comma_list("--B", args.B, float, "numbers")
+    n = int(round(len(entries) ** 0.5))
+    if n * n != len(entries):
+        raise CliError("--B must hold a square row-major matrix",
+                       EXIT_BAD_INPUT)
+    if n != ndim:
+        raise CliError(f"--B is {n}x{n} but the data is {ndim}-dimensional",
+                       EXIT_INCONSISTENT)
+    split = _comma_list("--split", args.split or "", int, "axis indices")
+    return _WITH_MATRIX[name](
+        QuadricForm(np.array(entries).reshape(n, n), linear_axes=split))
 
 
 def _load_source(path: str):
@@ -176,7 +176,7 @@ def cmd_forward(args) -> int:
     tomo = forward_binned(source, family, param_grid, x_grid, q_grid)
     for w in tomo.warnings:
         _warn(w)
-    if args.family == "circle":
+    if family.tag == circle_family().tag:
         degenerate = np.all(param_grid.points() == 0.0, axis=1)
         if degenerate.any():
             _warn("parameter grid contains the degenerate direction (0, 0)")
@@ -258,8 +258,7 @@ def cmd_export(args) -> int:
 
 def _add_family_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--family", required=True,
-                   choices=["hyperplane", "circle", "hyperbola", "hyperboloid",
-                            "quadric", "hybrid"])
+                   choices=[*_MATRIX_FREE, *_WITH_MATRIX])
     p.add_argument("--B", help="row-major comma list for quadric/hybrid forms")
     p.add_argument("--split", help="comma list of linear axes for hybrid forms")
 

@@ -19,20 +19,10 @@ import numpy as np
 from ._native import build_library
 from .core import (GridError, GridSpec, ScalarField, TomogramFamily,
                    GaussianMixture, Phantom, UniformBall, UniformBox, gaussian)
+from .geometry import FAMILY_NAMES
 
 FIELD_MAGIC = b"GTM1"
 TOMOGRAM_MAGIC = b"GTMT"
-
-FAMILY_TAGS = {
-    "hyperplane": 1,
-    "circle": 2,
-    "hyperbola": 3,
-    "hyperboloid": 4,
-    "quadric": 5,
-    "hybrid": 6,
-    "deformed": 7,
-}
-TAG_NAMES = {v: k for k, v in FAMILY_TAGS.items()}
 
 
 class FormatError(ValueError):
@@ -93,15 +83,14 @@ def read_field(path) -> ScalarField:
 
 def write_tomogram(path, t: TomogramFamily) -> None:
     """GTM-T file of a tomogram on a parameter box (``param_grid`` set)."""
-    tag = FAMILY_TAGS.get(t.family_tag)
-    if tag is None:
+    if t.family_tag not in FAMILY_NAMES:
         raise FormatError(f"unknown family tag {t.family_tag!r}")
     if t.param_grid is None:
         raise FormatError("GTM-T stores a parameter box; this tomogram has "
                           "only a list of parameter points")
     with open(path, "wb") as fh:
         fh.write(TOMOGRAM_MAGIC)
-        fh.write(struct.pack("<H", tag))
+        fh.write(struct.pack("<H", FAMILY_NAMES.index(t.family_tag) + 1))
         fh.write(_pack_grid(t.param_grid))
         fh.write(_pack_grid(t.x_grid))
         fh.write(np.ascontiguousarray(t.values, dtype="<f8").tobytes())
@@ -115,7 +104,7 @@ def read_tomogram(path) -> TomogramFamily:
     if len(buf) < 6:
         raise FormatError(f"file ends inside the family tag: {path}")
     (tag,) = struct.unpack_from("<H", buf, 4)
-    if tag not in TAG_NAMES:
+    if not 1 <= tag <= len(FAMILY_NAMES):
         raise FormatError(f"unknown family tag value {tag} in {path}")
     param_grid, off = _unpack_grid(buf, 6)
     x_grid, off = _unpack_grid(buf, off)
@@ -125,7 +114,7 @@ def read_tomogram(path) -> TomogramFamily:
     values = _unpack_values(buf, off, param_grid.size * x_grid.size, path)
     return TomogramFamily(x_grid=x_grid, param_grid=param_grid,
                           values=values.reshape(param_grid.size, x_grid.size),
-                          family_tag=TAG_NAMES[tag])
+                          family_tag=FAMILY_NAMES[tag - 1])
 
 
 # ---------------------------------------------------------------------------

@@ -549,7 +549,7 @@ def pullback_density(target: Phantom, diffeo: Diffeomorphism,
     if q_grid.ndim != diffeo.ndim:
         raise DimensionMismatchError("grid and diffeomorphism dimensions differ")
     pts = q_grid.points()
-    ok = ~diffeo.singular_fn(pts)
+    ok = diffeo.singular_distance_fn(pts) != 0.0
     values = np.zeros(len(pts))
     if np.any(ok):
         values[ok] = target.pdf(diffeo.map_fn(pts[ok])) * diffeo.jacobian_fn(pts[ok])

@@ -3,14 +3,14 @@
 
 Every family is one ``LevelFamily``: a quadric form, possibly all-linear,
 over an optional diffeomorphism.  It exposes a level function g(q; params),
-a Jacobian weight used by the deformed inversion kernel, and a singular-set
-predicate.  Singular points are handled by exclusion: the vectorized
+a Jacobian weight used by the deformed inversion kernel, and a singular set
+(distance zero).  Singular points are handled by exclusion: the vectorized
 methods let the marginal engine skip offending cells (a measure-zero set).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
@@ -20,6 +20,10 @@ from .core import DimensionMismatchError
 
 # relative spectral threshold below which an eigenvalue counts as zero
 ZERO_EIG_RTOL = 1e-10
+
+# every LevelFamily.tag, in GTM-T code order (code = index + 1): append only
+FAMILY_NAMES = ("hyperplane", "circle", "hyperbola", "hyperboloid",
+                "quadric", "hybrid", "deformed")
 
 
 # ---------------------------------------------------------------------------
@@ -33,16 +37,15 @@ class Diffeomorphism:
 
     ``map_fn`` and ``jacobian_fn`` are vectorized over an (N, ndim) array of
     points; ``jacobian_fn`` returns the absolute determinant of the map's
-    derivative.  ``singular_fn`` flags points where the map is undefined and
-    ``singular_distance_fn`` gives the distance to that set (+inf when the
-    set is empty), used to carve evaluation margins.
+    derivative.  ``singular_distance_fn`` is the distance to the set where
+    the map is undefined, zero exactly on it and +inf when it is empty.  A
+    deformed hyperplane family's ``LevelFamily.tag`` is read off ``name``.
     """
 
     ndim: int
     name: str
     map_fn: Callable[[np.ndarray], np.ndarray]
     jacobian_fn: Callable[[np.ndarray], np.ndarray]
-    singular_fn: Callable[[np.ndarray], np.ndarray]
     singular_distance_fn: Callable[[np.ndarray], np.ndarray]
 
 
@@ -54,7 +57,6 @@ def identity_map(ndim: int) -> Diffeomorphism:
         name="identity",
         map_fn=lambda q: np.array(q, dtype=float, copy=True),
         jacobian_fn=lambda q: np.ones(len(q)),
-        singular_fn=lambda q: np.zeros(len(q), dtype=bool),
         singular_distance_fn=lambda q: np.full(len(q), np.inf),
     )
 
@@ -75,7 +77,6 @@ def conformal_inversion() -> Diffeomorphism:
         name="conformal_inversion",
         map_fn=_map,
         jacobian_fn=_jac,
-        singular_fn=lambda q: np.all(q == 0.0, axis=1),
         singular_distance_fn=lambda q: np.sqrt(np.sum(q * q, axis=1)),
     )
 
@@ -93,7 +94,6 @@ def axis_inversion() -> Diffeomorphism:
         name="axis_inversion",
         map_fn=_map,
         jacobian_fn=lambda q: 1.0 / q[:, 0] ** 2,
-        singular_fn=lambda q: q[:, 0] == 0.0,
         singular_distance_fn=lambda q: np.abs(q[:, 0]),
     )
 
@@ -112,7 +112,6 @@ def hyperboloid_map(n: int) -> Diffeomorphism:
         name="hyperboloid_map",
         map_fn=_map,
         jacobian_fn=lambda z: np.prod(np.abs(z[:, :n]), axis=1),
-        singular_fn=lambda z: np.any(z[:, :n] == 0.0, axis=1),
         singular_distance_fn=lambda z: np.min(np.abs(z[:, :n]), axis=1),
     )
 
@@ -211,12 +210,11 @@ class LevelFamily:
     with B2 the form's core block on its quadric axes (primed) and p = q
     when ``diffeo`` is None.  An all-linear form gives hyperplanes, or
     deformed hyperplanes under phi; a form with a core gives quadrics, or
-    hybrids when linear axes remain.
+    hybrids when linear axes remain.  ``tag`` is read off both fields.
     """
 
     form: QuadricForm
     diffeo: Diffeomorphism | None = None
-    tag: str = field(kw_only=True)
 
     def __post_init__(self):
         if self.diffeo is not None and self.diffeo.ndim != self.form.ndim:
@@ -233,6 +231,22 @@ class LevelFamily:
     def linear_in_params(self) -> bool:
         """True when the form has no quadric core, so g is linear in mu."""
         return not self.form.quadric_axes
+
+    @property
+    def undeformed(self) -> bool:
+        """True when p = q: no diffeomorphism, or ``identity_map(ndim)``."""
+        return self.diffeo in (None, identity_map(self.ndim))
+
+    @property
+    def tag(self) -> str:
+        plane, circle, hyperbola, hyperboloid, quadric, hybrid, deformed = \
+            FAMILY_NAMES
+        if self.undeformed:
+            return (plane if self.linear_in_params
+                    else hybrid if self.form.linear_axes else quadric)
+        name = self.diffeo.name if self.linear_in_params else None
+        return {"conformal_inversion": circle, "axis_inversion": hyperbola,
+                "hyperboloid_map": hyperboloid}.get(name, deformed)
 
     def level_evaluator(self, points: np.ndarray):
         """Closure mapping a (C, ndim) parameter block to the (N, C) level
@@ -286,9 +300,9 @@ class LevelFamily:
         return self.diffeo.jacobian_fn(np.asarray(points, dtype=float))
 
     def singular_mask(self, points: np.ndarray) -> np.ndarray:
-        if self.diffeo is None:
+        if self.undeformed:
             return np.zeros(len(points), dtype=bool)
-        return self.diffeo.singular_fn(np.asarray(points, dtype=float))
+        return self.singular_distance(points) == 0.0
 
     def singular_distance(self, points: np.ndarray) -> np.ndarray:
         if self.diffeo is None:
@@ -348,26 +362,26 @@ class Hyperplane(LevelFamily):
     """g(q; mu) = mu . q"""
 
     def __init__(self, ndim: int):
-        super().__init__(_plane_wave(ndim), tag="hyperplane")
+        super().__init__(_plane_wave(ndim))
 
 
 class Deformed(LevelFamily):
     """g(q; mu) = mu . phi(q) for a fixed diffeomorphism phi."""
 
-    def __init__(self, diffeo: Diffeomorphism, tag: str = "deformed"):
-        super().__init__(_plane_wave(diffeo.ndim), diffeo, tag=tag)
+    def __init__(self, diffeo: Diffeomorphism):
+        super().__init__(_plane_wave(diffeo.ndim), diffeo)
 
 
 def circle_family() -> Deformed:
-    return Deformed(conformal_inversion(), tag="circle")
+    return Deformed(conformal_inversion())
 
 
 def hyperbola_family() -> Deformed:
-    return Deformed(axis_inversion(), tag="hyperbola")
+    return Deformed(axis_inversion())
 
 
 def hyperboloid_family(n: int) -> Deformed:
-    return Deformed(hyperboloid_map(n), tag="hyperboloid")
+    return Deformed(hyperboloid_map(n))
 
 
 class Quadric(LevelFamily):
@@ -375,7 +389,7 @@ class Quadric(LevelFamily):
 
     def __init__(self, form: QuadricForm):
         form.require_nondegenerate()
-        super().__init__(form, tag="quadric")
+        super().__init__(form)
 
 
 class Hybrid(LevelFamily):
@@ -389,4 +403,4 @@ class Hybrid(LevelFamily):
             raise ValueError("hybrid form has no quadric core: every axis is "
                              "declared linear; use the hyperplane family")
         QuadricForm(form.B_core).require_nondegenerate()
-        super().__init__(form, tag="hybrid")
+        super().__init__(form)

@@ -19,7 +19,7 @@ from .core import (DimensionMismatchError, GridError, GridSpec, Phantom,
                    ScalarField, TomogramFamily, l2_rel_error, sample_phantom)
 from .forward import (_run_blocks, _workers, forward_binned,
                       normalization_profile, pullback_density)
-from .geometry import LevelFamily, identity_map
+from .geometry import LevelFamily
 
 DEFAULT_DECAY_FLOOR = 1e-4
 
@@ -277,7 +277,7 @@ def invert_for_family(slc: CharacteristicSlice, family: LevelFamily,
     prefactor = abs(form.core_determinant) / np.pi ** k \
         / (2 * np.pi) ** (n - k)
     singular_fraction = 0.0
-    if family.diffeo in (None, identity_map(n)) and (k < 2 or np.abs(
+    if family.undeformed and (k < 2 or np.abs(
             B2 - np.diag(np.diag(B2))).max() <= 1e-12 * np.abs(B2).max()):
         fc = prefactor * _separable_sum(coef, family, slc.param_grid, out_grid)
     else:

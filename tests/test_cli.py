@@ -1,3 +1,4 @@
+import argparse
 import shutil
 
 import numpy as np
@@ -8,6 +9,8 @@ from gentomo._native import build_library
 from gentomo.cli import main
 from gentomo.core import TomogramFamily, make_grid
 from gentomo.formats import read_field, read_tomogram, write_tomogram
+from gentomo.forward import forward_binned
+from gentomo.geometry import LevelFamily, QuadricForm, conformal_inversion
 
 GAUSS_CFG = "type=gaussian\nmean=0,0\ncov=1,0,0,1\ngrid=-6,6,128;-6,6,128\n"
 GAUSS3_CFG = "type=gaussian\nmean=0,0,0\ncov=1,0,0,0,1,0,0,0,1\n"
@@ -66,6 +69,15 @@ class TestPhantomCommand:
 
 
 class TestForwardCommand:
+    @pytest.mark.parametrize("name,flags", [
+        ("hyperplane", {}), ("circle", {}), ("hyperbola", {}),
+        ("hyperboloid", {}), ("quadric", {"B": "1,0,0,2"}),
+        ("hybrid", {"B": "1,0,0,0", "split": "1"})])
+    def test_each_family_flag_builds_that_family(self, name, flags):
+        args = argparse.Namespace(**{"B": None, "split": None, **flags},
+                                  family=name)
+        assert cli._family_from_args(args, 2).tag == name
+
     def test_field_input(self, tmp_path, gauss_field, capsys):
         out = tmp_path / "t.gtmt"
         assert main(_forward_args(gauss_field, out)) == 0
@@ -165,6 +177,24 @@ class TestInvertCommand:
         assert main(["invert", str(tomo), "--family", "circle",
                      "--q-box=-4,4;-4,4", "--q-count", "17;17",
                      "--out", str(tmp_path / "r.gtm")]) == 3
+
+    def test_deformed_quadric_refused_as_quadric(self, tmp_path, gauss_field,
+                                                 capsys):
+        """A library family's tag is read off its form and map, so the
+        tomogram of a quadric under the conformal inversion is not inverted
+        with the undeformed quadric kernel."""
+        family = LevelFamily(QuadricForm(np.eye(2)), conformal_inversion())
+        tomo = tmp_path / "t.gtmt"
+        write_tomogram(tomo, forward_binned(
+            read_field(gauss_field), family, make_grid(2, [(-1, 1, 4)] * 2),
+            make_grid(1, [(0, 8, 33)])))
+        capsys.readouterr()
+        recon = tmp_path / "r.gtm"
+        assert main(["invert", str(tomo), "--family", "quadric",
+                     "--B", "1,0,0,1", "--q-box=-1,1;-1,1", "--q-count", "5;5",
+                     "--out", str(recon)]) == 3
+        assert "'deformed' family" in _one_error_line(capsys)
+        assert not recon.exists()
 
     def test_out_grid_rank_mismatch_exits_3(self, tmp_path, gauss_field,
                                             capsys):

@@ -3,6 +3,7 @@ import re
 import shutil
 import struct
 import subprocess
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from gentomo.formats import (FormatError, grid_from_config, parse_config,
                              phantom_from_config, read_field, read_tomogram,
                              write_field, write_field_csv, write_pgm,
                              write_tomogram, write_tomogram_csv)
+from gentomo.geometry import FAMILY_NAMES
 
 
 @pytest.fixture
@@ -102,6 +104,25 @@ class TestGTMT:
         raw = p.read_bytes()
         assert raw[:4] == b"GTMT"
         assert int.from_bytes(raw[4:6], "little") == 1  # hyperplane
+
+    @pytest.mark.parametrize("name", FAMILY_NAMES)
+    def test_every_family_name_roundtrips(self, tomogram, name, tmp_path):
+        p = tmp_path / "a.gtmt"
+        write_tomogram(p, replace(tomogram, family_tag=name))
+        assert read_tomogram(p).family_tag == name
+
+    @pytest.mark.parametrize("code,name", [
+        (1, "hyperplane"), (2, "circle"), (3, "hyperbola"), (4, "hyperboloid"),
+        (5, "quadric"), (6, "hybrid"), (7, "deformed")])
+    def test_each_code_reads_its_family(self, code, name, tmp_path):
+        """Files written before hold these codes, so a reordered
+        FAMILY_NAMES fails here."""
+        p = tmp_path / "a.gtmt"
+        p.write_bytes(b"GTMT" + struct.pack("<H", code)
+                      + struct.pack("<IddI", 1, -1.0, 1.0, 2)
+                      + struct.pack("<IddI", 1, -1.0, 1.0, 3)
+                      + bytes(8 * 2 * 3))
+        assert read_tomogram(p).family_tag == name
 
     def test_unknown_tag_rejected(self, tomogram, tmp_path):
         p = tmp_path / "a.gtmt"

@@ -38,8 +38,7 @@ from gentomo.oracle import (chi_square_density, gaussian_hyperplane_tomogram,
 def _circle_quadric():
     """The paper's deformed quadric: the B = diag(1, 2.5) family under the
     conformal inversion."""
-    return LevelFamily(QuadricForm(np.diag([1.0, 2.5])), conformal_inversion(),
-                       tag="circle_quadric")
+    return LevelFamily(QuadricForm(np.diag([1.0, 2.5])), conformal_inversion())
 
 
 @pytest.fixture(scope="module")
@@ -181,6 +180,15 @@ class TestForwardBinned:
         t2 = forward_binned_at(gauss2d, fam, [[1.0, 0.0]], x_grid, off_axis)
         assert t2.singular_fraction == 0.0
 
+    def test_underflowing_radius_is_singular(self):
+        """The node (1e-170, 0) squares to a zero radius, where the
+        conformal inversion divides by zero: it is skipped and counted."""
+        grid = make_grid(2, [(1e-170, 1.0, 3), (0.0, 1.0, 3)])
+        t = forward_binned(ScalarField(grid, np.ones(grid.size)),
+                           circle_family(), [[1.0, 0.5]],
+                           make_grid(1, [(-4, 4, 9)]))
+        assert t.singular_fraction == 1 / 9
+
     @pytest.mark.parametrize("s", [2, 0, -3])
     def test_field_source_refuses_supersample(self, q_grid, s):
         """A field is integrated on its own grid: no cell to subdivide."""
@@ -314,7 +322,7 @@ class TestHomogeneity:
     def test_deformed_quadric_rejected(self, gauss2d):
         grid = make_grid(2, [(-4, 4, 64), (-4, 4, 64)])
         x_grid = make_grid(1, [(-8, 8, 101)])
-        with pytest.raises(ValueError, match="circle_quadric"):
+        with pytest.raises(ValueError, match="deformed"):
             homogeneity_residual(gauss2d, _circle_quadric(),
                                  np.array([0.7, 0.4]), 2.0, grid, x_grid)
         assert homogeneity_residual(gauss2d, circle_family(),
@@ -1125,6 +1133,7 @@ class TestCompiledDeposit:
                                            monkeypatch, fresh_builds):
         expect = self._numpy_bytes(gauss2d, monkeypatch)
         monkeypatch.setenv("PATH", str(tmp_path))
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
         assert self._quadric_bytes(gauss2d) == expect
         assert forward._load_kernel() == (None, None)
         assert "no C compiler" in _kernel_missing()
@@ -1155,6 +1164,7 @@ class TestCompiledDeposit:
         monkeypatch.setenv("PATH", str(tmp_path / "no-compiler-here"))
         build_library.cache_clear()     # a second process, in effect
         assert self._quadric_bytes(gauss2d) == first
+        assert forward._load_kernel()[0] is not None, _kernel_missing()
         assert [p.name for p in (tmp_path / "gentomo").iterdir()] == [lib.name]
         assert lib.stat().st_mtime_ns == stamp
 
@@ -1168,9 +1178,9 @@ class TestCompiledDeposit:
         compiled, loaded = [], []
         compile_, cdll = _native._compile, ctypes.CDLL
 
-        def spy_compile(cc, flags, lang, source, target):
+        def spy_compile(compilers, flags, lang, source, target):
             compiled.append(target.name.split("-")[0])
-            return compile_(cc, flags, lang, source, target)
+            return compile_(compilers, flags, lang, source, target)
 
         def spy_cdll(name, *args, **kw):
             loaded.append(Path(name).name.split("-")[0])

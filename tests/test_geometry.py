@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -125,9 +126,11 @@ class TestJacobianWeight:
 
 class TestSingularSets:
     def test_conformal_origin(self):
+        # (1e-170, 0) squares to a zero radius: at distance 0, and undefined
         mask = circle_family().singular_mask(np.array([[0.0, 0.0],
-                                                       [1e-9, 0.0]]))
-        assert mask.tolist() == [True, False]
+                                                       [1e-9, 0.0],
+                                                       [1e-170, 0.0]]))
+        assert mask.tolist() == [True, False, True]
 
     def test_axis_inversion_axis(self):
         mask = hyperbola_family().singular_mask(np.array([[0.0, 5.0],
@@ -219,8 +222,10 @@ class TestQuadricForm:
 
 
 class TestNamedFamilies:
-    """The named constructors build (form, diffeo, tag) triples whose derived
-    properties are those of the former per-family classes."""
+    """The named constructors build (form, diffeo) pairs whose derived
+    properties, the tag included, are those of the former per-family
+    classes; a family built from any other pair gets its tag by the same
+    rule."""
 
     @pytest.mark.parametrize("make,cls,ndim,linear,tag,diffeo", [
         (lambda: Hyperplane(3), Hyperplane, 3, True, "hyperplane", None),
@@ -233,6 +238,13 @@ class TestNamedFamilies:
         (lambda: Hybrid(QuadricForm(np.diag([1.0, 2.0, 0.0]),
                                     linear_axes=(2,))),
          Hybrid, 3, False, "hybrid", None),
+        (lambda: LevelFamily(QuadricForm(np.diag([1.0, 2.5])),
+                             conformal_inversion()),
+         LevelFamily, 2, False, "deformed", "conformal_inversion"),
+        (lambda: Deformed(identity_map(2)), Deformed, 2, True, "hyperplane",
+         "identity"),
+        (lambda: Deformed(replace(axis_inversion(), name="shear")), Deformed,
+         2, True, "deformed", "shear"),
     ])
     def test_derived_properties(self, make, cls, ndim, linear, tag, diffeo):
         fam = make()
@@ -261,8 +273,7 @@ class TestNamedFamilies:
 
     def test_diffeo_must_match_the_form(self):
         with pytest.raises(DimensionMismatchError):
-            LevelFamily(QuadricForm(np.eye(3)), conformal_inversion(),
-                        tag="bad")
+            LevelFamily(QuadricForm(np.eye(3)), conformal_inversion())
 
     def test_equal_hyperplanes_compare_equal(self):
         assert Hyperplane(2) == Hyperplane(2)

@@ -134,8 +134,7 @@ _THREAD_CASES = {
     "hybrid_general": _hybrid_case(),
     # the deformed quadric: a(p), b(mu), J and the singular set together
     "circle_quadric": (
-        LevelFamily(QuadricForm(np.diag([1.0, 2.5])), conformal_inversion(),
-                    tag="circle_quadric"),
+        LevelFamily(QuadricForm(np.diag([1.0, 2.5])), conformal_inversion()),
         make_grid(2, [(-5, 5, 32), (-4, 4, 27)]),
         make_grid(2, [(-2, 2, 41), (-2, 2, 41)])),
 }
@@ -286,8 +285,8 @@ _ORACLE_CASES = {
     # the paper's deformed quadric: the B = diag(1, 2.5) ellipse family
     # under the conformal inversion
     "circle_quadric": (
-        LevelFamily(QuadricForm(np.diag([1.0, 2.5])), conformal_inversion(),
-                    tag="circle_quadric"), _PG2, _OUT2,
+        LevelFamily(QuadricForm(np.diag([1.0, 2.5])), conformal_inversion()),
+        _PG2, _OUT2,
         _pulled_back(_quadric_kernel(np.diag([1.0, 2.5])),
                      lambda q: q / (q @ q), lambda q: 1.0 / (q @ q) ** 2,
                      lambda q: not q.any())),
