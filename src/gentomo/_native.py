@@ -56,7 +56,8 @@ def build_library(source_path: Path, flags: tuple[str, ...]):
     included, until ``build_library.cache_clear()``.  The library is named
     by the source's stem and the sha256 of source and flags, and one cached
     under ``$XDG_CACHE_HOME/gentomo`` (default ``~/.cache/gentomo``) loads
-    with no compiler; where that cannot be written it is built per process.
+    with no compiler; where that cannot be written, or no home directory is
+    known, it is built per process.
     """
     import hashlib          # on first use: imports add to startup time
     lang, compilers = _LANGUAGES[source_path.suffix]
@@ -66,9 +67,12 @@ def build_library(source_path: Path, flags: tuple[str, ...]):
         return None, f"cannot read {source_path.name}: {exc}"
     digest = hashlib.sha256(source + " ".join(flags).encode())
     name = f"{source_path.stem.lstrip('_')}-{digest.hexdigest()[:16]}.so"
-    cache = Path(os.environ.get("XDG_CACHE_HOME")
-                 or Path.home() / ".cache") / "gentomo"
     try:
+        try:
+            cache = Path(os.environ.get("XDG_CACHE_HOME")
+                         or Path.home() / ".cache") / "gentomo"
+        except RuntimeError as exc:     # no home: as if unwritable
+            raise OSError(str(exc)) from None
         target = cache / name
         if not target.exists():
             cache.mkdir(parents=True, exist_ok=True)

@@ -18,7 +18,7 @@ import numpy as np
 
 from ._native import build_library
 from .core import (GridError, GridSpec, ScalarField, TomogramFamily,
-                   GaussianMixture, Phantom, UniformBall, UniformBox, gaussian)
+                   GaussianMixture, Phantom, UniformBall, UniformBox)
 from .geometry import FAMILY_NAMES
 
 FIELD_MAGIC = b"GTM1"
@@ -286,28 +286,23 @@ def phantom_from_config(cfg: dict[str, str]) -> Phantom:
     type=box             min=-1,-1  max=1,1
     """
     kind = cfg.get("type")
-    if kind == "gaussian":
-        mean = _floats(cfg.get("mean", ""))
-        cov = _floats(cfg.get("cov", ""))
-        n = len(mean)
-        if len(cov) != n * n:
-            raise FormatError("cov must hold ndim*ndim row-major entries")
-        return gaussian(mean, np.array(cov).reshape(n, n))
-    if kind == "mixture":
+    if kind in ("gaussian", "mixture"):
+        # a gaussian is the one component keyed mean/cov, of weight 1
+        suffixes = [""] if kind == "gaussian" else []
+        while kind == "mixture" and f"weight{len(suffixes) + 1}" in cfg:
+            suffixes.append(str(len(suffixes) + 1))
+        if not suffixes:
+            raise FormatError("mixture needs weight1/mean1/cov1, ...")
         weights, means, covs = [], [], []
-        k = 1
-        while f"weight{k}" in cfg:
-            weights.append(float(cfg[f"weight{k}"]))
+        for k in suffixes:
+            weights.append(float(cfg[f"weight{k}"]) if k else 1.0)
             mean = _floats(cfg.get(f"mean{k}", ""))
             cov = _floats(cfg.get(f"cov{k}", ""))
             n = len(mean)
             if len(cov) != n * n:
                 raise FormatError(f"cov{k} must hold ndim*ndim entries")
-            means.append(tuple(mean))
-            covs.append(tuple(map(tuple, np.array(cov).reshape(n, n))))
-            k += 1
-        if not weights:
-            raise FormatError("mixture needs weight1/mean1/cov1, ...")
+            means.append(mean)
+            covs.append(np.array(cov).reshape(n, n))
         return GaussianMixture(weights=tuple(weights), means=tuple(means),
                                covariances=tuple(covs))
     if kind == "ball":

@@ -48,6 +48,10 @@ class Diffeomorphism:
     jacobian_fn: Callable[[np.ndarray], np.ndarray]
     singular_distance_fn: Callable[[np.ndarray], np.ndarray]
 
+    def singular_mask(self, points: np.ndarray) -> np.ndarray:
+        """True at the (N, ndim) points on the singular set: distance 0."""
+        return self.singular_distance_fn(points) == 0.0
+
 
 @lru_cache(maxsize=None)
 def identity_map(ndim: int) -> Diffeomorphism:
@@ -137,10 +141,14 @@ class QuadricForm:
         B = np.asarray(self.B, dtype=float)
         if B.ndim != 2 or B.shape[0] != B.shape[1] or B.size == 0:
             raise ValueError("B must be a non-empty square matrix")
+        with np.errstate(over="ignore", invalid="ignore"):
+            sym = 0.5 * (B + B.T)
+        if not np.isfinite(sym).all():
+            raise ValueError("B must be finite, and B + B^T must not overflow")
         scale = max(np.abs(B).max(), 1e-300)
         if not np.allclose(B, B.T, atol=1e-12 * scale):
             raise ValueError("B must be symmetric")
-        B = 0.5 * (B + B.T)
+        B = sym
         B.setflags(write=False)
         object.__setattr__(self, "B", B)
         lin = tuple(sorted(int(a) for a in self.linear_axes))
@@ -302,7 +310,7 @@ class LevelFamily:
     def singular_mask(self, points: np.ndarray) -> np.ndarray:
         if self.undeformed:
             return np.zeros(len(points), dtype=bool)
-        return self.singular_distance(points) == 0.0
+        return self.diffeo.singular_mask(np.asarray(points, dtype=float))
 
     def singular_distance(self, points: np.ndarray) -> np.ndarray:
         if self.diffeo is None:

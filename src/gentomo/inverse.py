@@ -5,7 +5,7 @@ characteristic value; stage two sums the family's oscillatory kernel over
 the parameter box.  Reconstructions report their real part; the size of the
 imaginary remainder and the measured decay of the characteristic values at
 the parameter-box boundary are returned as diagnostics, never silently
-assumed.
+assumed.  A slice carries its family's tag, and only that family inverts it.
 """
 
 from __future__ import annotations
@@ -32,27 +32,11 @@ _OUT_CHUNK = 512
 
 @dataclass(frozen=True, eq=False)
 class CharacteristicSlice:
-    """Unit-frequency X integral of a tomogram family, per parameter point."""
+    """Unit-frequency X integral per parameter point, and the family's tag."""
 
     param_grid: GridSpec
     values: np.ndarray
-    family_tag: str = ""
-    warnings: tuple[str, ...] = ()
-
-    def tapered(self, width: float) -> "CharacteristicSlice":
-        """Apply a Gaussian window exp(-|mu|^2 / (2 width^2)) to the values.
-
-        Windows bias amplitudes, so tapering is opt-in for slowly decaying
-        slices and never the default.  The width must be finite and > 0.
-        """
-        if not (np.isfinite(width) and width > 0):
-            raise ValueError(
-                f"taper width must be finite and > 0, got {width!r}")
-        mu = self.param_grid.points()
-        damp = np.exp(-np.sum(mu * mu, axis=1) / (2.0 * width**2))
-        return CharacteristicSlice(self.param_grid, self.values * damp,
-                                   self.family_tag,
-                                   self.warnings + (f"taper width {width:g}",))
+    family_tag: str
 
 
 @dataclass(frozen=True)
@@ -87,8 +71,7 @@ def _endpoint_fit(values: np.ndarray, dx: float, k: int, end: str):
     return mean + slope * (0.0 - um), slope
 
 
-def characteristic_slice(t: TomogramFamily,
-                         tail_correction: bool = True) -> CharacteristicSlice:
+def characteristic_slice(t: TomogramFamily) -> CharacteristicSlice:
     """Integrate omega(X) e^{iX} over the X window for every parameter.
 
     Trapezoid quadrature, plus asymptotic tail terms built from the window
@@ -115,14 +98,13 @@ def characteristic_slice(t: TomogramFamily,
     values = np.empty(len(t.values), dtype=complex)
     values.real = t.values @ kern.real
     values.imag = t.values @ kern.imag
-    if tail_correction and n >= 3:
+    if n >= 3:
         k = min(max(n // 12, 3), 25)
         om_hi, d_hi = _endpoint_fit(t.values, dx, k, "hi")
         om_lo, d_lo = _endpoint_fit(t.values, dx, k, "lo")
         values = values + (1j * (om_hi * phase[-1] - om_lo * phase[0])
                            - (d_hi * phase[-1] - d_lo * phase[0]))
-    return CharacteristicSlice(param_grid=t.param_grid, values=values,
-                               family_tag=t.family_tag, warnings=t.warnings)
+    return CharacteristicSlice(t.param_grid, values, t.family_tag)
 
 
 # ---------------------------------------------------------------------------
@@ -143,8 +125,9 @@ def _boundary_decay(slc: CharacteristicSlice) -> float:
 
 
 def _prepare(slc: CharacteristicSlice, decay_floor: float, taper):
-    """Quadrature-weighted kernel coefficients, plus boundary diagnostics
-    and the taper note.  The decay floor must be >= 0 (not NaN)."""
+    """Quadrature-weighted kernel coefficients of the values, tapered first
+    when asked, plus boundary diagnostics and the taper note.  The decay
+    floor must be >= 0 (not NaN)."""
     if not decay_floor >= 0:
         raise ValueError(f"decay floor must be >= 0, got {decay_floor!r}")
     warnings = []
@@ -153,16 +136,17 @@ def _prepare(slc: CharacteristicSlice, decay_floor: float, taper):
         warnings.append(
             f"characteristic values at the parameter-box boundary are "
             f"{decay:.3g} of the peak (floor {decay_floor:g}); widen the box")
-    work = slc
+    values = slc.values
     if taper is not None and taper is not False:
-        if taper is True:
-            lo, hi, _ = min(slc.param_grid.axes, key=lambda a: a[1] - a[0])
-            width = (hi - lo) / 6.0
-        else:
-            width = float(taper)
-        work = work.tapered(width)
-        warnings.append(work.warnings[-1])
-    coef = work.values * slc.param_grid.trapezoid_weights().ravel()
+        lo, hi, _ = min(slc.param_grid.axes, key=lambda a: a[1] - a[0])
+        width = (hi - lo) / 6.0 if taper is True else float(taper)
+        if not 1e-100 < width < 1e100:     # so 2 width^2 is finite, not 0
+            raise ValueError(
+                f"taper width must lie in (1e-100, 1e100), got {width!r}")
+        mu = slc.param_grid.points()
+        values = values * np.exp(-np.sum(mu * mu, axis=1) / (2.0 * width**2))
+        warnings.append(f"taper width {width:g}")
+    coef = values * slc.param_grid.trapezoid_weights().ravel()
     return coef, warnings, decay
 
 
@@ -266,7 +250,15 @@ def invert_for_family(slc: CharacteristicSlice, family: LevelFamily,
     e^{-i L . mu}, a plane wave in mu (see ``_direct_sum``).  Output points
     on the deformation's singular set get value zero and are tallied in the
     diagnostics.
+
+    A slice of another family (``family_tag`` not ``family.tag``) raises
+    ValueError before any work.  A ``taper`` width in (1e-100, 1e100) (True:
+    a sixth of the narrowest box side) windows the values by
+    exp(-|mu|^2 / (2 width^2)) and is noted in the diagnostics' warnings.
     """
+    if slc.family_tag != family.tag:
+        raise ValueError(f"slice of the {slc.family_tag!r} family cannot be "
+                         f"inverted as the {family.tag!r} family")
     form = family.form
     n = form.ndim
     if slc.param_grid.ndim != n or out_grid.ndim != n:

@@ -543,6 +543,15 @@ class TestExitCodes:
         pytest.param(3, "--B is 3x3", lambda tmp, field: _forward_args(
             field, tmp / "t.gtmt", "quadric", ["--B", "1,0,0,0,1,0,0,0,1"]),
             id="B-3x3-on-2d-data"),
+        # a non-finite B, or one whose symmetrized form overflows, is
+        # refused by name, with no numpy RuntimeWarning on the way
+        *[pytest.param(2, "B must be finite", lambda tmp, field, B=B:
+                       _forward_args(field, tmp / "t.gtmt", "quadric",
+                                     ["--B", B]),
+                       id=f"B-{name}",
+                       marks=pytest.mark.filterwarnings("error"))
+          for name, B in [("nan", "nan,0,0,1"), ("inf", "inf,0,0,1"),
+                          ("overflowing", "1e308,0,0,1e308")]],
         pytest.param(2, "disagree in axis count", lambda tmp, field: [
             "forward", str(field), "--family", "hyperplane",
             "--mu-box=-1,1;-1,1", "--mu-count", "4;4;4", "--x-range=-8,8",
@@ -609,6 +618,15 @@ class TestExitCodes:
             "invert", _box_tomogram(tmp, fill=np.nan),
             "--family", "hyperplane", "--q-box=-1,1;-1,1", "--q-count", "3",
             "--out", str(tmp / "t.gtm")], id="invert-nan-tomogram"),
+        # a finite width whose 2 width^2 overflows or reaches 0 is refused
+        # by the library: no OverflowError traceback, no NaN window
+        *[pytest.param(2, "taper width must lie in", lambda tmp, field,
+                       width=width: [
+            "invert", _box_tomogram(tmp), "--family", "hyperplane",
+            f"--taper={width}", "--q-box=-1,1;-1,1", "--q-count", "3",
+            "--out", str(tmp / "t.gtm")], id=f"invert-taper-{width}",
+            marks=pytest.mark.filterwarnings("error"))
+          for width in ("1e-200", "1e200")],
     ])
     def test_bad_flags(self, tmp_path, gauss_field, code, needle, make_argv,
                        capsys):

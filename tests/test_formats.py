@@ -479,6 +479,23 @@ class TestConfig:
         assert isinstance(ph, GaussianMixture)
         assert len(ph.weights) == 2
 
+    def test_gaussian_is_a_one_component_mixture(self):
+        ph = phantom_from_config(parse_config(
+            "type=gaussian\nmean=1,0\ncov=2,0.5,0.5,1\n"))
+        mix = phantom_from_config(parse_config(
+            "type=mixture\nweight1=1\nmean1=1,0\ncov1=2,0.5,0.5,1\n"))
+        assert (ph.weights, ph.means, ph.covariances) \
+            == (mix.weights, mix.means, mix.covariances)
+
+    @pytest.mark.parametrize("text, key", [
+        ("type=gaussian\nmean=0,0\ncov=1,0,0\n", "cov"),
+        ("type=mixture\nweight1=0.5\nmean1=0,0\ncov1=1,0,0,1\n"
+         "weight2=0.5\nmean2=1,0\ncov2=1,0\n", "cov2"),
+    ], ids=["gaussian", "mixture"])
+    def test_bad_covariance_names_its_key(self, text, key):
+        with pytest.raises(FormatError, match=f"^{key} must hold"):
+            phantom_from_config(parse_config(text))
+
     def test_ball_and_box(self):
         ball = phantom_from_config(parse_config("type=ball\ncenter=0,0\nradius=1\n"))
         assert isinstance(ball, UniformBall)

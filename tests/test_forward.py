@@ -1152,6 +1152,22 @@ class TestCompiledDeposit:
         assert forward._load_kernel()[0] is not None, _kernel_missing()
         assert blocker.read_text() == ""
 
+    def test_unknown_home_gives_equal_bytes(self, gauss2d, monkeypatch,
+                                            fresh_builds):
+        """No XDG_CACHE_HOME and no home directory (``Path.home`` raises
+        RuntimeError, as with no HOME and no passwd entry): the forward
+        works, and with a compiler the library is built per process."""
+        expect = self._numpy_bytes(gauss2d, monkeypatch)
+
+        def no_home(cls):
+            raise RuntimeError("Could not determine home directory.")
+
+        monkeypatch.delenv("XDG_CACHE_HOME", raising=False)
+        monkeypatch.setattr(Path, "home", classmethod(no_home))
+        assert self._quadric_bytes(gauss2d) == expect
+        if _has_compiler():
+            assert forward._load_kernel()[0] is not None, _kernel_missing()
+
     def test_cache_is_reused(self, gauss2d, tmp_path, monkeypatch,
                              fresh_builds):
         if not _has_compiler():

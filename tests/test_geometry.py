@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 
 from gentomo.core import DimensionMismatchError, make_grid, standard_gaussian
-from gentomo.geometry import (Deformed, Hybrid, Hyperplane, LevelFamily,
-                              Quadric, QuadricForm, axis_inversion,
-                              circle_family, conformal_inversion,
-                              hyperbola_family, hyperboloid_family,
-                              hyperboloid_map, identity_map)
+from gentomo.forward import pullback_density
+from gentomo.geometry import (Deformed, Diffeomorphism, Hybrid, Hyperplane,
+                              LevelFamily, Quadric, QuadricForm,
+                              axis_inversion, circle_family,
+                              conformal_inversion, hyperbola_family,
+                              hyperboloid_family, hyperboloid_map,
+                              identity_map)
 from gentomo.oracle import mc_tomogram
 
 
@@ -146,6 +148,25 @@ class TestSingularSets:
 
     def test_hyperplane_never_singular(self):
         assert not Hyperplane(2).singular_mask(np.array([[0.0, 0.0]]))[0]
+
+    def test_one_rule_for_family_and_pullback(self, monkeypatch):
+        """``LevelFamily.singular_mask`` and ``pullback_density`` both take
+        the map's ``singular_mask``; an undeformed family asks no map."""
+        calls = []
+        rule = Diffeomorphism.singular_mask
+
+        def spy(diffeo, points):
+            calls.append(diffeo.name)
+            return rule(diffeo, points)
+
+        monkeypatch.setattr(Diffeomorphism, "singular_mask", spy)
+        pts = np.array([[0.0, 0.0], [1.0, 2.0]])
+        assert circle_family().singular_mask(pts).tolist() == [True, False]
+        f = pullback_density(standard_gaussian(2), conformal_inversion(),
+                             make_grid(2, [(-1, 1, 3)] * 2))
+        assert f.values[1, 1] == 0.0
+        assert not Deformed(identity_map(2)).singular_mask(pts).any()
+        assert calls == ["conformal_inversion"] * 2
 
     def test_singular_distance(self):
         fam = circle_family()

@@ -1,5 +1,6 @@
 import math
 import threading
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -29,6 +30,14 @@ def _slice_from_values(param_grid, values, tag="hyperplane"):
     return CharacteristicSlice(param_grid=param_grid,
                                values=np.asarray(values, dtype=complex),
                                family_tag=tag)
+
+
+def _without_tail(t):
+    """t with its 25 outermost bins at each end zeroed: the slice's endpoint
+    fits (at most 25 bins) then read zero, so no tail term is added."""
+    values = t.values.copy()
+    values[:, :25] = values[:, -25:] = 0.0
+    return replace(t, values=values)
 
 
 def _pointwise_sum(coef, phase_lhs, param_grid):
@@ -197,16 +206,17 @@ class TestDirectSumThreads:
         monkeypatch.setenv("GENTOMO_THREADS", "64")
         pg = make_grid(2, [(-5, 5, 16), (-5, 5, 16)])
         out = make_grid(2, [(-3, 3, n_out), (-3, 3, n_out)])
-        slc = _slice_from_values(pg, _random_coef(pg))
-        invert_for_family(slc, _THREAD_CASES["quadric_general"][0], out)
+        family = _THREAD_CASES["quadric_general"][0]
+        slc = _slice_from_values(pg, _random_coef(pg), tag=family.tag)
+        invert_for_family(slc, family, out)
         assert len(starts) == min(blocks, forward._MAX_WORKERS) - 1
 
 
-def _random_slice(pg):
+def _random_slice(pg, tag):
     rng = np.random.default_rng(2)
     vals = (rng.normal(size=pg.size) + 1j * rng.normal(size=pg.size)) \
         * np.exp(-np.sum(pg.points()**2, axis=1) / 2)
-    return _slice_from_values(pg, vals)
+    return _slice_from_values(pg, vals, tag)
 
 
 def _deformed_kernel(phi, jac, singular):
@@ -299,7 +309,7 @@ class TestKernelOracle:
     @pytest.mark.parametrize("case", list(_ORACLE_CASES))
     def test_matches_pointwise_kernel(self, case):
         family, pg, out, kernel = _ORACLE_CASES[case]
-        slc = _random_slice(pg)
+        slc = _random_slice(pg, family.tag)
         field, diag = invert_for_family(slc, family, out)
         mu = pg.points()
         coef = slc.values * pg.trapezoid_weights().ravel()
@@ -326,9 +336,22 @@ class TestStrategyRule:
                 calls.append(_name)
                 return _real(*args)
             monkeypatch.setattr(inverse, name, spy)
-        invert_for_family(_random_slice(pg), family, out)
+        invert_for_family(_random_slice(pg, family.tag), family, out)
         assert calls == ["_separable_sum" if case in self._SEPARABLE
                          else "_direct_sum"]
+
+
+class TestFamilyTag:
+    def test_slice_of_another_family_rejected(self):
+        """A hyperplane slice under a quadric kernel inverts nothing: the
+        error names both tags."""
+        pg = make_grid(2, [(-3, 3, 9)] * 2)
+        out = make_grid(2, [(-1, 1, 3)] * 2)
+        with pytest.raises(ValueError, match="'hyperplane'.*'quadric'"):
+            invert_for_family(_random_slice(pg, "hyperplane"),
+                              Quadric(QuadricForm(np.eye(2))), out)
+        with pytest.raises(ValueError, match="'quadric'.*'hyperplane'"):
+            invert_for_family(_random_slice(pg, "quadric"), Hyperplane(2), out)
 
 
 class TestTaper:
@@ -336,10 +359,9 @@ class TestTaper:
         pg = make_grid(2, [(-3, 3, 9), (-3, 3, 9)])
         return _slice_from_values(pg, np.ones(pg.size))
 
-    @pytest.mark.parametrize("width", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("width", [0.0, -1.0, math.nan, math.inf,
+                                       1e-200, 1e200])
     def test_bad_width_rejected(self, width):
-        with pytest.raises(ValueError, match="taper width"):
-            self._slice().tapered(width)
         with pytest.raises(ValueError, match="taper width"):
             invert_for_family(self._slice(), Hyperplane(2),
                               make_grid(2, [(-1, 1, 3)] * 2), taper=width)
@@ -352,12 +374,26 @@ class TestTaper:
                                      taper=off)
         assert np.array_equal(field.values, plain.values)
 
+    @staticmethod
+    def _windowed_equals_tapered(pg, width, taper):
+        """taper gives the bytes of the values pre-multiplied by
+        exp(-|mu|^2 / (2 width^2)), and notes the width."""
+        slc = _random_slice(pg, "hyperplane")
+        mu = pg.points()
+        window = np.exp(-np.sum(mu * mu, axis=1) / (2.0 * width**2))
+        out = make_grid(2, [(-1, 1, 5)] * 2)
+        field, diag = invert_for_family(slc, Hyperplane(2), out, taper=taper)
+        ref, _ = invert_for_family(_slice_from_values(pg, slc.values * window),
+                                   Hyperplane(2), out)
+        assert field.values.tobytes() == ref.values.tobytes()
+        assert f"taper width {width:g}" in diag.warnings
+
     def test_positive_width_damps_box_corners(self):
-        slc = self._slice().tapered(1.5)
-        vals = slc.values.reshape(9, 9)
-        assert vals[4, 4] == 1.0
-        assert abs(vals[0, 0]) == pytest.approx(math.exp(-18 / 4.5))
-        assert "taper width 1.5" in slc.warnings
+        self._windowed_equals_tapered(make_grid(2, [(-3, 3, 9)] * 2), 1.5, 1.5)
+
+    def test_bare_taper_is_a_sixth_of_the_narrowest_side(self):
+        pg = make_grid(2, [(-3, 3, 9), (-1.5, 1.5, 7)])
+        self._windowed_equals_tapered(pg, 0.5, True)
 
     @pytest.mark.parametrize("taper, note", [(1.5, "taper width 1.5"),
                                              (True, "taper width 1")])
@@ -429,8 +465,8 @@ class TestCharacteristicSlice:
         q = make_grid(2, [(-6, 6, 128), (-6, 6, 128)])
         pg = make_grid(2, [(-3, 3, 9), (-3, 3, 9)])
         xg = make_grid(1, [(-8, 8, 161)])
-        t = forward_binned(ph, Hyperplane(2), pg, xg, q)
-        slc = characteristic_slice(t, tail_correction=False)
+        t = _without_tail(forward_binned(ph, Hyperplane(2), pg, xg, q))
+        slc = characteristic_slice(t)
         assert np.all(np.abs(slc.values) <= normalization_profile(t) + 1e-12)
 
     def test_conjugate_symmetry_at_reflected_parameters(self):
@@ -449,12 +485,12 @@ class TestCharacteristicSlice:
         xg = make_grid(1, [(-30, 30, 481)])
         pg = make_grid(2, [(-5, 5, 20), (-5, 5, 15)])
         rng = np.random.default_rng(8)
-        t = TomogramFamily(x_grid=xg, param_grid=pg,
-                           values=rng.random((pg.size, 481)),
-                           family_tag="hyperplane")
+        t = _without_tail(TomogramFamily(x_grid=xg, param_grid=pg,
+                                         values=rng.random((pg.size, 481)),
+                                         family_tag="hyperplane"))
         w = xg.trapezoid_weights().ravel()
         ref = t.values @ (np.exp(1j * xg.axis_points(0)) * w)
-        got = characteristic_slice(t, tail_correction=False).values
+        got = characteristic_slice(t).values
         _assert_close_to_peak(got, ref, rtol=1e-14)
 
     def test_tail_correction_recovers_clipped_gaussian(self):
@@ -466,7 +502,8 @@ class TestCharacteristicSlice:
         t = _tomogram_from_function(
             lambda x, p: np.exp(-x**2 / (2 * sig**2))
             / math.sqrt(2 * math.pi * sig**2), xg, pg)
-        plain = characteristic_slice(t, tail_correction=False).values[0]
+        w = xg.trapezoid_weights().ravel()
+        plain = t.values[0] @ (np.exp(1j * xg.axis_points(0)) * w)
         fixed = characteristic_slice(t).values[0]
         target = math.exp(-sig**2 / 2)
         assert abs(plain - target) > 5 * abs(fixed - target)
@@ -642,7 +679,7 @@ class TestInvertQuadric:
 class TestInvertHybrid:
     def test_missing_split_rejected(self):
         pg = make_grid(3, [(-1, 1, 4)] * 3)
-        slc = _random_slice(pg)
+        slc = _random_slice(pg, "hybrid")
         with pytest.raises(ValueError, match="split"):
             invert_for_family(slc, Hybrid(QuadricForm(np.diag([1.0, 1.0, 0.0]))),
                               make_grid(3, [(-1, 1, 3)] * 3))

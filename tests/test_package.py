@@ -1,3 +1,6 @@
+import functools
+import inspect
+import re
 from fnmatch import fnmatch
 from pathlib import Path
 
@@ -43,3 +46,25 @@ def test_compiled_sources_ship_beside_their_modules():
         "package-data"]["gentomo"]
     for source in sources:
         assert any(fnmatch(source.name, pattern) for pattern in shipped)
+
+
+def test_readme_keywords_are_parameters():
+    """Every ``kw=`` inside a backticked call of a public ``gentomo`` name
+    in README.md is a parameter of that callable, so the README cannot keep
+    a keyword the code no longer takes."""
+    readme = Path(gentomo.__file__).parents[2] / "README.md"
+    if not readme.is_file():
+        pytest.skip("an installed package: no README.md beside it")
+    text = re.sub(r"```.*?```", "", readme.read_text(), flags=re.S)
+    checked = []
+    for name, args in re.findall(r"`(?:gentomo\.)?([A-Za-z_][\w.]*)"
+                                 r"\(([^`]*)\)`", text):
+        head, *attrs = name.split(".")
+        if head not in gentomo.__all__:
+            continue
+        params = inspect.signature(functools.reduce(
+            getattr, attrs, getattr(gentomo, head))).parameters
+        for kw in re.findall(r"(\w+)=(?!=)", args):
+            assert kw in params, f"README passes {kw}= to {name}"
+            checked.append(f"{name}:{kw}")
+    assert checked
