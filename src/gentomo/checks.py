@@ -171,6 +171,13 @@ SUITES = {
 
 def run_suite(name: str, seed: int = 0, samples: int | None = None,
               lam: float | None = None) -> list[CheckResult]:
+    """Rows of suite ``name``, or of every suite for "all".  ``samples``
+    below 1 and a ``lam`` that is zero or not finite raise ValueError
+    before any suite runs, whichever suite reads them."""
+    if samples is not None and samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {samples}")
+    if lam is not None and not (math.isfinite(lam) and lam != 0.0):
+        raise ValueError(f"lam must be finite and nonzero, got {lam:g}")
     kwargs = {"seed": seed, "samples": samples, "lam": lam}
     if name == "all":
         return [r for suite in SUITES.values() for r in suite(**kwargs)]

@@ -273,6 +273,8 @@ class GaussianMixture(Phantom):
         if not (len(means) == len(covs) == w.size):
             raise ValueError("weights, means and covariances must align")
         nd = means[0].size
+        if nd == 0:
+            raise ValueError("a component mean needs at least one coordinate")
         chols = []
         for m, c in zip(means, covs):
             if m.size != nd or c.shape != (nd, nd):
@@ -437,9 +439,10 @@ class TomogramFamily:
     ``values[p, k]`` is the marginal density in the bin centered at the k-th
     X grid point, for the parameter point ``param_points[p]``.  A tomogram
     taken on a parameter box keeps the box in ``param_grid`` and its points
-    in row-major order (the default ``param_points``); inversion and the
-    GTM-T format need the box.  A tomogram at an explicit list of points,
-    such as unit directions, has ``param_grid`` None.  ``overflow[p]`` is the
+    in row-major order as ``param_points``, which, if given, must equal
+    them (DimensionMismatchError); inversion and the GTM-T format need the
+    box.  A tomogram at an explicit list of points, such as unit
+    directions, has ``param_grid`` None.  ``overflow[p]`` is the
     source mass that fell outside the X window and was kept out of the bins;
     ``singular_fraction`` is the share of source points skipped because the
     level function is undefined there.  ``warnings`` carries data-quality
@@ -458,17 +461,16 @@ class TomogramFamily:
     def __post_init__(self):
         if self.x_grid.ndim != 1:
             raise GridError("x_grid must be one-dimensional")
-        if self.param_points is None:
-            if self.param_grid is None:
-                raise GridError("a tomogram needs param_grid or param_points")
+        if self.param_grid is not None:
             pts = self.param_grid.points()
+            if self.param_points is not None and not np.array_equal(
+                    self.param_points, pts):
+                raise DimensionMismatchError(
+                    "param_points differ from the parameter box's points")
+        elif self.param_points is None:
+            raise GridError("a tomogram needs param_grid or param_points")
         else:
             pts = np.array(self.param_points, dtype=np.float64, ndmin=2)
-            if self.param_grid is not None and \
-                    pts.shape != (self.param_grid.size, self.param_grid.ndim):
-                raise DimensionMismatchError(
-                    f"param_points shape {pts.shape} does not match the "
-                    f"parameter box")
         pts.setflags(write=False)
         object.__setattr__(self, "param_points", pts)
         n_par = len(pts)

@@ -11,6 +11,7 @@ bit-identical.
 from __future__ import annotations
 
 import ctypes
+import re
 import struct
 from pathlib import Path
 
@@ -264,12 +265,17 @@ def _floats(s: str) -> list[float]:
     return [float(tok) for tok in s.replace(";", ",").split(",") if tok.strip()]
 
 
+def _entry(cfg: dict[str, str], key: str) -> str:
+    """The value of ``key``; a missing or empty one raises FormatError."""
+    if not cfg.get(key):
+        raise FormatError(f"config is missing a value for '{key}'")
+    return cfg[key]
+
+
 def grid_from_config(cfg: dict[str, str], key: str = "grid") -> GridSpec:
     """Axis specs like ``grid = -6,6,256 ; -6,6,256``."""
-    if key not in cfg:
-        raise FormatError(f"config is missing '{key}'")
     axes = []
-    for part in cfg[key].split(";"):
+    for part in _entry(cfg, key).split(";"):
         vals = [tok.strip() for tok in part.split(",") if tok.strip()]
         if len(vals) != 3:
             raise FormatError(f"axis spec must be min,max,count: {part!r}")
@@ -278,12 +284,16 @@ def grid_from_config(cfg: dict[str, str], key: str = "grid") -> GridSpec:
 
 
 def phantom_from_config(cfg: dict[str, str]) -> Phantom:
-    """Phantom descriptions:
+    """Phantom descriptions (each key on its own line):
 
     type=gaussian        mean=0,0  cov=1,0,0,1        (row-major covariance)
     type=mixture         weight1=.5 mean1=2,0 cov1=1,0,0,1  weight2=...
     type=ball            center=0,0  radius=1
     type=box             min=-1,-1  max=1,1
+
+    A missing or empty weight, mean, cov, center, radius, min or max raises
+    FormatError naming its key, as does a numbered key of no component read:
+    a mixture reads components 1, 2, ... up to the first missing weight{k}.
     """
     kind = cfg.get("type")
     if kind in ("gaussian", "mixture"):
@@ -293,11 +303,16 @@ def phantom_from_config(cfg: dict[str, str]) -> Phantom:
             suffixes.append(str(len(suffixes) + 1))
         if not suffixes:
             raise FormatError("mixture needs weight1/mean1/cov1, ...")
+        for key in cfg:
+            num = re.fullmatch(r"(?:weight|mean|cov)(\d+)", key)
+            if num and num[1] not in suffixes:
+                raise FormatError(f"no component of this {kind} reads "
+                                  f"config key '{key}'")
         weights, means, covs = [], [], []
         for k in suffixes:
-            weights.append(float(cfg[f"weight{k}"]) if k else 1.0)
-            mean = _floats(cfg.get(f"mean{k}", ""))
-            cov = _floats(cfg.get(f"cov{k}", ""))
+            weights.append(float(_entry(cfg, f"weight{k}")) if k else 1.0)
+            mean = _floats(_entry(cfg, f"mean{k}"))
+            cov = _floats(_entry(cfg, f"cov{k}"))
             n = len(mean)
             if len(cov) != n * n:
                 raise FormatError(f"cov{k} must hold ndim*ndim entries")
@@ -306,9 +321,9 @@ def phantom_from_config(cfg: dict[str, str]) -> Phantom:
         return GaussianMixture(weights=tuple(weights), means=tuple(means),
                                covariances=tuple(covs))
     if kind == "ball":
-        return UniformBall(center=tuple(_floats(cfg.get("center", ""))),
-                           radius=float(cfg.get("radius", "0")))
+        return UniformBall(center=tuple(_floats(_entry(cfg, "center"))),
+                           radius=float(_entry(cfg, "radius")))
     if kind == "box":
-        return UniformBox(lo=tuple(_floats(cfg.get("min", ""))),
-                          hi=tuple(_floats(cfg.get("max", ""))))
+        return UniformBox(lo=tuple(_floats(_entry(cfg, "min"))),
+                          hi=tuple(_floats(_entry(cfg, "max"))))
     raise FormatError(f"unknown phantom type {kind!r}")

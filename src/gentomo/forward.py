@@ -9,7 +9,7 @@ window is kept in per-parameter overflow counters, so normalization checks
 can tell truncation from bugs.  The closed forms that check the engine
 live in ``oracle``.
 
-``_deposit`` fixes its plan (parameter terms, column blocks, a slab
+``_deposit`` fixes its plan (parameter terms, column blocks, a block
 function per worker) before the first slab, then streams the source: it
 builds the quadrature nodes one slab at a time and deposits each slab into
 every parameter column before it builds the next, so forward memory is one
@@ -40,6 +40,7 @@ row differs from a direct deposit of its point by rounding alone, within
 from __future__ import annotations
 
 import ctypes
+import functools
 import math
 import os
 import threading
@@ -124,7 +125,7 @@ def _source_nodes(source, q_grid: GridSpec | None, supersample: int = 1):
                             out=masses[start:stop])
 
             starts = range(0, len(pts), _PDF_SLAB)
-            _run_blocks(lambda: weigh, starts, _workers(len(starts)))
+            _run_blocks([weigh] * _workers(len(starts)), starts)
             return pts, masses
 
         return math.prod(len(ax) for ax in axes), phantom_nodes
@@ -157,21 +158,19 @@ def _workers(n_blocks: int) -> int:
     return max(1, min(thread_count(), _MAX_WORKERS, n_blocks))
 
 
-def _run_blocks(new_worker, starts, workers: int) -> None:
-    """Run every block start on ``workers`` threads, the caller's included.
+def _run_blocks(blocks, starts) -> None:
+    """Run every start on ``len(blocks)`` threads, the caller's included.
 
-    Each thread calls ``new_worker()`` once for a block function that owns
-    its scratch buffers, then feeds it starts taken from a shared iterator.
-    The first exception raised in any thread is re-raised after all threads
-    have stopped.
+    Each thread feeds its own block function, which owns its scratch
+    buffers, starts taken from a shared iterator.  The first exception
+    raised in any thread is re-raised after all threads have stopped.
     """
     pending = iter(starts)
     lock = threading.Lock()
     errors = []
 
-    def work():
+    def work(run):
         try:
-            run = new_worker()
             while not errors:
                 with lock:
                     start = next(pending, None)
@@ -181,10 +180,10 @@ def _run_blocks(new_worker, starts, workers: int) -> None:
         except BaseException as exc:
             errors.append(exc)
 
-    threads = [threading.Thread(target=work) for _ in range(1, workers)]
+    threads = [threading.Thread(target=work, args=[run]) for run in blocks[1:]]
     for t in threads:
         t.start()
-    work()
+    work(blocks[0])
     for t in threads:
         t.join()
     if errors:
@@ -340,7 +339,7 @@ def _deposit(family: LevelFamily, n_nodes: int, nodes, param_points,
 
     The plan is fixed before the first slab: one ``param_terms`` call for
     all P columns, of which each block takes its rows, the blocks, and a
-    slab function for each of ``_workers(blocks)`` workers.  Then the
+    block function for each of ``_workers(blocks)`` workers.  Then the
     source is the outer loop.  Nodes are built ``_CHUNK_ELEMS`` at a
     time; those on the singular set are dropped, and a carry holds the kept
     points until they fill a slab of ``_CHUNK_ELEMS``, so the slabs are the
@@ -353,9 +352,10 @@ def _deposit(family: LevelFamily, n_nodes: int, nodes, param_points,
     (``_compiled_slab`` or ``_numpy_slab``), which adds the slab straight
     into the block's own rows of values (the bins) and of overflow.  Slabs
     come in slab order, so each column sums in one order for every
-    ``GENTOMO_THREADS``, and values is divided by dx once at the end.  Both slab functions evaluate every level and weight
-    in one fixed order and add each column's masses in point order, so they
-    give equal bytes, for every block size.  The compiled loop takes
+    ``GENTOMO_THREADS``, and values is divided by dx once at the end.
+    Both slab functions evaluate every level and weight in one fixed order
+    and add each column's masses in point order, so they give equal bytes,
+    for every block size.  The compiled loop takes
     ``_kernel_columns`` columns per block, so one pass over a tile of
     points serves every column of the block.  The numpy path takes
     ``min(_CHUNK_ELEMS // slab, P)`` columns, ``slab = min(N,
@@ -397,9 +397,16 @@ def _deposit(family: LevelFamily, n_nodes: int, nodes, param_points,
         chunk = (min(_CHUNK_ELEMS // slab, n_dep) if kernel is None
                  else _kernel_columns(n_dep, n_bins, _workers(n_dep)))
         starts = range(0, n_dep, chunk)
-        runs = [_numpy_slab(chunk, slab) if kernel is None
-                else _compiled_slab(kernel)
-                for _ in range(_workers(len(starts)))]
+
+        def deposit_block(run, start):  # L, a, m: the current slab's
+            rows = slice(start, min(start + chunk, n_dep))
+            run(L, a, m, M[rows], None if b is None else b[rows],
+                inv_dx, shift, values[rows], overflow[rows])
+
+        blocks = [functools.partial(deposit_block, _numpy_slab(chunk, slab)
+                                    if kernel is None else
+                                    _compiled_slab(kernel))
+                  for _ in range(_workers(len(starts)))]
 
     def slabs():
         nonlocal n_singular
@@ -434,19 +441,7 @@ def _deposit(family: LevelFamily, n_nodes: int, nodes, param_points,
             raise DimensionMismatchError(
                 f"level terms of shape {L.shape} for {len(m)} points, "
                 f"family wants ({len(m)}, {d})")
-        free = list(runs)
-
-        def new_worker():
-            run = free.pop()
-
-            def deposit_block(start):
-                rows = slice(start, min(start + chunk, n_dep))
-                run(L, a, m, M[rows], None if b is None else b[rows],
-                    inv_dx, shift, values[rows], overflow[rows])
-
-            return deposit_block
-
-        _run_blocks(new_worker, starts, len(runs))
+        _run_blocks(blocks, starts)
         del p, m, L, a      # this slab's, before the next one is built
 
     np.divide(values[:n_dep], dx, out=values[:n_dep])
@@ -519,7 +514,8 @@ def forward_binned(source, family: LevelFamily, params, x_grid: GridSpec,
             f"singular set covers {singular_fraction:.3g} of source points")
     return TomogramFamily(x_grid=x_grid, values=values, family_tag=family.tag,
                           param_grid=params if box else None,
-                          param_points=param_points, overflow=overflow,
+                          param_points=None if box else param_points,
+                          overflow=overflow,
                           singular_fraction=singular_fraction,
                           warnings=warnings)
 

@@ -55,7 +55,7 @@ class Diffeomorphism:
 
 @lru_cache(maxsize=None)
 def identity_map(ndim: int) -> Diffeomorphism:
-    """q -> q; one shared instance per n, so a family can test for it."""
+    """q -> q; one shared instance per n, which a family stores as None."""
     return Diffeomorphism(
         ndim=ndim,
         name="identity",
@@ -216,9 +216,10 @@ class LevelFamily:
         g(q; mu) = (p' - mu', B2 (p' - mu')) + mu_lin . p_lin,  p = phi(q)
 
     with B2 the form's core block on its quadric axes (primed) and p = q
-    when ``diffeo`` is None.  An all-linear form gives hyperplanes, or
-    deformed hyperplanes under phi; a form with a core gives quadrics, or
-    hybrids when linear axes remain.  ``tag`` is read off both fields.
+    when ``diffeo`` is None, which is how ``identity_map(ndim)`` is stored.
+    An all-linear form gives hyperplanes, or deformed hyperplanes under phi;
+    a form with a core gives quadrics, or hybrids when linear axes remain.
+    ``tag`` is read off both fields.
     """
 
     form: QuadricForm
@@ -229,6 +230,8 @@ class LevelFamily:
             raise DimensionMismatchError(
                 f"diffeomorphism is {self.diffeo.ndim}-d, "
                 f"form is {self.form.ndim}-d")
+        if self.diffeo is identity_map(self.ndim):
+            object.__setattr__(self, "diffeo", None)
 
     @property
     def ndim(self) -> int:
@@ -241,15 +244,10 @@ class LevelFamily:
         return not self.form.quadric_axes
 
     @property
-    def undeformed(self) -> bool:
-        """True when p = q: no diffeomorphism, or ``identity_map(ndim)``."""
-        return self.diffeo in (None, identity_map(self.ndim))
-
-    @property
     def tag(self) -> str:
         plane, circle, hyperbola, hyperboloid, quadric, hybrid, deformed = \
             FAMILY_NAMES
-        if self.undeformed:
+        if self.diffeo is None:
             return (plane if self.linear_in_params
                     else hybrid if self.form.linear_axes else quadric)
         name = self.diffeo.name if self.linear_in_params else None
@@ -308,7 +306,7 @@ class LevelFamily:
         return self.diffeo.jacobian_fn(np.asarray(points, dtype=float))
 
     def singular_mask(self, points: np.ndarray) -> np.ndarray:
-        if self.undeformed:
+        if self.diffeo is None:
             return np.zeros(len(points), dtype=bool)
         return self.diffeo.singular_mask(np.asarray(points, dtype=float))
 

@@ -41,7 +41,14 @@ class CharacteristicSlice:
 
 @dataclass(frozen=True)
 class InversionDiagnostics:
-    """Quality indicators attached to every reconstruction."""
+    """Quality indicators attached to every reconstruction.
+
+    ``imag_ratio`` is the largest imaginary part of the reconstruction over
+    its largest real part.  It measures how far the characteristic values
+    break c(-mu) = conj c(mu), their symmetry under mu -> -mu for a real
+    source, not the reconstruction's error: on a box centred on 0, a family
+    linear in mu keeps that symmetry, so the ratio is rounding noise
+    whatever the error."""
 
     imag_ratio: float
     boundary_decay: float
@@ -173,7 +180,7 @@ def _direct_sum(coef: np.ndarray, phase_lhs: np.ndarray,
     starts = range(0, len(phase_lhs), _OUT_CHUNK)
     rows = min(len(phase_lhs), _OUT_CHUNK)
 
-    def new_worker():
+    def new_block():
         args = [np.empty((rows, len(m))) for m in mu]
         tables = [np.empty((rows, len(m)), dtype=complex) for m in mu]
 
@@ -194,7 +201,7 @@ def _direct_sum(coef: np.ndarray, phase_lhs: np.ndarray,
 
         return sum_block
 
-    _run_blocks(new_worker, starts, _workers(len(starts)))
+    _run_blocks([new_block() for _ in range(_workers(len(starts)))], starts)
     return out
 
 
@@ -244,12 +251,11 @@ def invert_for_family(slc: CharacteristicSlice, family: LevelFamily,
     kernel for all-linear forms (hyperplanes, deformed hyperplanes) and the
     shifted-quadric kernel for forms with a core.  The kernel is built from
     the family's own hoisted terms g = L(p) . mu + a(p) + b(mu).  One rule
-    picks the sum: a family without deformation (or with the identity map)
-    whose core is empty or diagonal separates per axis (``_separable_sum``);
-    every other kernel is summed directly as e^{-i a} sum_mu w e^{-i b}
-    e^{-i L . mu}, a plane wave in mu (see ``_direct_sum``).  Output points
-    on the deformation's singular set get value zero and are tallied in the
-    diagnostics.
+    picks the sum: a family without deformation whose core is empty or
+    diagonal separates per axis (``_separable_sum``); every other kernel is
+    summed directly as e^{-i a} sum_mu w e^{-i b} e^{-i L . mu}, a plane
+    wave in mu (see ``_direct_sum``).  Output points on the deformation's
+    singular set get value zero and are tallied in the diagnostics.
 
     A slice of another family (``family_tag`` not ``family.tag``) raises
     ValueError before any work.  A ``taper`` width in (1e-100, 1e100) (True:
@@ -269,7 +275,7 @@ def invert_for_family(slc: CharacteristicSlice, family: LevelFamily,
     prefactor = abs(form.core_determinant) / np.pi ** k \
         / (2 * np.pi) ** (n - k)
     singular_fraction = 0.0
-    if family.undeformed and (k < 2 or np.abs(
+    if family.diffeo is None and (k < 2 or np.abs(
             B2 - np.diag(np.diag(B2))).max() <= 1e-12 * np.abs(B2).max()):
         fc = prefactor * _separable_sum(coef, family, slc.param_grid, out_grid)
     else:

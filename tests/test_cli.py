@@ -1,5 +1,9 @@
 import argparse
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -366,6 +370,44 @@ class TestExportCommand:
                      "--out", str(tmp_path / "x.csv")]) == 2
 
 
+# a two-Gaussian mixture shaped like the benchmark's shell pipeline
+MIX_CFG = ("type=mixture\n"
+           "weight1=0.55\nmean1=1.9,0.6\ncov1=1.0,0.1,0.1,0.9\n"
+           "weight2=0.45\nmean2=-2.1,-0.5\ncov2=0.95,-0.05,-0.05,1.05\n"
+           "grid=-6,6,64;-6,6,64\n")
+
+
+class TestFreshProcesses:
+    def test_readme_pipeline(self, tmp_path):
+        """phantom, forward, invert and both exports, each in its own
+        ``python -m gentomo.cli`` process (field 64^2, mu 16^2 on +-5, X 401
+        on +-40, out 16^2): each exits 0, warns nothing and writes its
+        file."""
+        (tmp_path / "mix.cfg").write_text(MIX_CFG)
+        p = {name: str(tmp_path / name) for name in (
+            "mix.cfg", "mix.gtm", "mix.gtmt", "recon.gtm", "mix.csv",
+            "recon.pgm")}
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        for argv, out in [
+            (["phantom", p["mix.cfg"]], "mix.gtm"),
+            (["forward", p["mix.gtm"], "--family", "hyperplane",
+              "--mu-box=-5,5;-5,5", "--mu-count", "16;16",
+              "--x-range=-40,40", "--x-count", "401"], "mix.gtmt"),
+            (["invert", p["mix.gtmt"], "--family", "hyperplane",
+              "--q-box=-5,5;-5,5", "--q-count", "16;16"], "recon.gtm"),
+            (["export", p["mix.gtmt"], "--format", "csv"], "mix.csv"),
+            (["export", p["recon.gtm"], "--format", "pgm"], "recon.pgm"),
+        ]:
+            proc = subprocess.run(
+                [sys.executable, "-m", "gentomo.cli", *argv, "--out", p[out]],
+                env=env, capture_output=True, text=True, cwd=tmp_path)
+            assert proc.returncode == 0, (argv[0], proc.stderr)
+            assert "warning" not in proc.stderr, (argv[0], proc.stderr)
+            assert Path(p[out]).stat().st_size > 0
+
+
 class TestDeterminism:
     def test_thread_env_does_not_change_bytes(self, tmp_path, gauss_config,
                                               monkeypatch):
@@ -452,11 +494,32 @@ class TestCheckCommand:
         ["homogeneity", "--lambda", "nan"],
         ["oracle-agreement", "--samples", "0"],
         ["oracle-agreement", "--samples", "-5"],
-    ], ids=["lambda=0", "lambda=nan", "samples=0", "samples=-5"])
+        ["quadric-support", "--samples", "0"],
+    ], ids=["lambda=0", "lambda=nan", "samples=0", "samples=-5",
+            "unread-samples=0"])
     def test_bad_value_exits_2(self, argv, capsys):
         assert main(["check", *argv]) == 2
         line = _one_error_line(capsys)
         assert ("lam" if argv[0] == "homogeneity" else "n_samples") in line
+
+    @pytest.mark.parametrize("argv", [
+        ["quadric-support", "--samples", "0", "--lambda", "0"],
+        ["quadric-support", "--lambda", "inf"],
+        ["all", "--samples", "0"],
+        ["all", "--lambda", "nan"],
+    ], ids=["unread-both", "unread-lambda=inf", "all-samples=0",
+            "all-lambda=nan"])
+    def test_bad_value_runs_no_suite(self, argv, capsys, monkeypatch):
+        """Both values are checked before any suite runs, whether or not
+        the suite reads them."""
+        ran = []
+        for name in checks.SUITES:
+            monkeypatch.setitem(checks.SUITES, name, lambda _name=name, **_:
+                                ran.append(_name) or [])
+        assert main(["check", *argv]) == 2
+        line = _one_error_line(capsys)
+        assert ("lam" if "--samples" not in argv else "n_samples") in line
+        assert ran == []
 
 
 def _written(tmp_path, name, data):

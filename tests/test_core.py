@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -278,6 +279,10 @@ class TestPhantoms:
             GaussianMixture(weights=(0.5, 0.4), means=((0.0,), (1.0,)),
                             covariances=(((1.0,),), ((1.0,),)))
 
+    def test_zero_dimensional_component_rejected(self):
+        with pytest.raises(ValueError, match="at least one coordinate"):
+            gaussian([], np.zeros((0, 0)))
+
     def test_covariance_must_be_spd(self):
         with pytest.raises(ValueError):
             gaussian([0.0, 0.0], [[1.0, 2.0], [2.0, 1.0]])
@@ -425,6 +430,20 @@ class TestTomogramFamily:
             TomogramFamily(x_grid=xg, param_grid=pg,
                            param_points=np.zeros((2, 1)),
                            values=np.zeros((2, 5)), family_tag="hyperplane")
+
+    def test_points_must_equal_the_box(self):
+        """Points of the box's shape but not its values are refused, so the
+        GTM-T file (the box) and the CSV export (the points) agree."""
+        xg = make_grid(1, [(0, 1, 5)])
+        pg = make_grid(1, [(0, 1, 2)])
+        with pytest.raises(DimensionMismatchError, match="differ"):
+            TomogramFamily(x_grid=xg, param_grid=pg,
+                           param_points=[[5.0], [7.0]],
+                           values=np.zeros((2, 5)), family_tag="hyperplane")
+        t = TomogramFamily(x_grid=xg, param_grid=pg, values=np.zeros((2, 5)),
+                           family_tag="hyperplane")
+        t2 = replace(t, values=np.ones((2, 5)))
+        assert np.array_equal(t2.param_points, pg.points())
 
     def test_points_default_to_the_box(self):
         xg = make_grid(1, [(0, 1, 5)])

@@ -496,6 +496,32 @@ class TestConfig:
         with pytest.raises(FormatError, match=f"^{key} must hold"):
             phantom_from_config(parse_config(text))
 
+    @pytest.mark.parametrize("text, key", [
+        ("type=mixture\nweight1=1\nmean1=0,0\ncov1=1,0,0,1\nweight3=0.5\n",
+         "weight3"),
+        ("type=mixture\nweight1=1\nmean1=0,0\ncov1=1,0,0,1\nmean2=1,1\n",
+         "mean2"),
+        ("type=gaussian\nmean=0,0\ncov=1,0,0,1\ncov1=1,0,0,1\n", "cov1"),
+    ], ids=["weight-past-a-gap", "mean-without-weight", "numbered-gaussian"])
+    def test_unread_component_key_rejected(self, text, key):
+        with pytest.raises(FormatError, match=f"reads config key '{key}'$"):
+            phantom_from_config(parse_config(text))
+
+    @pytest.mark.parametrize("text, key", [
+        ("type=gaussian\n", "mean"),
+        ("type=gaussian\nmean=0,0\ncov=\n", "cov"),
+        ("type=mixture\nweight1=1\ncov1=1,0,0,1\n", "mean1"),
+        ("type=mixture\nweight1=\nmean1=0,0\ncov1=1,0,0,1\n", "weight1"),
+        ("type=ball\nradius=1\n", "center"),
+        ("type=ball\ncenter=0,0\nradius=\n", "radius"),
+        ("type=box\nmax=1,1\n", "min"),
+        ("type=box\nmin=0,0\n", "max"),
+    ], ids=["mean", "empty-cov", "mean1", "empty-weight1", "center",
+            "empty-radius", "min", "max"])
+    def test_missing_key_named(self, text, key):
+        with pytest.raises(FormatError, match=f"missing a value for '{key}'$"):
+            phantom_from_config(parse_config(text))
+
     def test_ball_and_box(self):
         ball = phantom_from_config(parse_config("type=ball\ncenter=0,0\nradius=1\n"))
         assert isinstance(ball, UniformBall)

@@ -643,11 +643,13 @@ class TestDepositKernel:
 
 
 def _deposit_spy(used):
-    """A ``_run_blocks`` that records the worker count of deposit calls."""
-    def spy(new_worker, starts, workers):
-        if new_worker.__qualname__.startswith("_deposit."):
-            used.append(workers)
-        return _run_blocks(new_worker, starts, workers)
+    """A ``_run_blocks`` that records the worker count of deposit calls:
+    every call but the phantom quadrature's, whose starts step by
+    ``_PDF_SLAB`` nodes."""
+    def spy(blocks, starts):
+        if starts.step != forward._PDF_SLAB:
+            used.append(len(blocks))
+        return _run_blocks(blocks, starts)
     return spy
 
 
@@ -820,7 +822,7 @@ class TestDepositThreads:
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            _run_blocks(lambda: done.append, range(0, 2000, 3), 8)
+            _run_blocks([done.append] * 8, range(0, 2000, 3))
         finally:
             sys.setswitchinterval(old)
         assert sorted(done) == list(range(0, 2000, 3))
@@ -831,7 +833,7 @@ class TestDepositThreads:
                 raise RuntimeError("block 7")
 
         with pytest.raises(RuntimeError, match="block 7"):
-            _run_blocks(lambda: run, range(20), 3)
+            _run_blocks([run] * 3, range(20))
 
 
 class TestDepositKernelNumpy(TestDepositKernel):

@@ -262,8 +262,9 @@ class TestNamedFamilies:
         (lambda: LevelFamily(QuadricForm(np.diag([1.0, 2.5])),
                              conformal_inversion()),
          LevelFamily, 2, False, "deformed", "conformal_inversion"),
-        (lambda: Deformed(identity_map(2)), Deformed, 2, True, "hyperplane",
-         "identity"),
+        pytest.param(lambda: Deformed(identity_map(2)), Deformed, 2, True,
+                     "hyperplane", None,
+                     id="<lambda>-Deformed-2-True-hyperplane-identity"),
         (lambda: Deformed(replace(axis_inversion(), name="shear")), Deformed,
          2, True, "deformed", "shear"),
     ])

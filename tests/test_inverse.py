@@ -151,9 +151,9 @@ _THREAD_CASES = {
 
 def _kernel_spy(used):
     """A ``_run_blocks`` that records the worker count of kernel sums."""
-    def spy(new_worker, starts, workers):
-        used.append(workers)
-        return forward._run_blocks(new_worker, starts, workers)
+    def spy(blocks, starts):
+        used.append(len(blocks))
+        return forward._run_blocks(blocks, starts)
     return spy
 
 
@@ -612,6 +612,39 @@ class TestInvertDeformed:
         f_id, diag = invert_for_family(slc, Deformed(identity_map(2)), out)
         assert np.array_equal(f_plane.values, f_id.values)
         assert diag.singular_fraction == 0.0
+
+    def test_identity_roundtrip_is_the_hyperplane_roundtrip(self):
+        """The identity map is no deformation: the round trip integrates
+        the phantom on its cell centres, as for the hyperplane family, not
+        a pullback field on trapezoid nodes."""
+        grids = dict(q_grid=make_grid(2, [(-6, 6, 64)] * 2),
+                     x_grid=make_grid(1, [(-10, 10, 201)]),
+                     param_grid=make_grid(2, [(-4, 4, 24)] * 2),
+                     out_grid=make_grid(2, [(-3, 3, 24)] * 2))
+        plane = roundtrip(standard_gaussian(2), Hyperplane(2), **grids)
+        ident = roundtrip(standard_gaussian(2), Deformed(identity_map(2)),
+                          **grids)
+        assert (ident.reconstruction.values.tobytes()
+                == plane.reconstruction.values.tobytes())
+        assert ident.l2_rel_error == plane.l2_rel_error
+
+    def test_imag_ratio_measures_box_symmetry(self):
+        """On a box centred on 0 a family linear in mu gives an imaginary
+        ratio of rounding noise; the same box with its upper ends moved
+        gives one of over 1e-3 at a nearly equal error."""
+        grids = dict(q_grid=make_grid(2, [(-6, 6, 64)] * 2),
+                     x_grid=make_grid(1, [(-10, 10, 201)]),
+                     out_grid=make_grid(2, [(-3, 3, 24)] * 2))
+        mix = GaussianMixture(weights=(1.0,), means=((0.3, -0.2),),
+                              covariances=(((1.0, 0.1), (0.1, 0.9)),))
+        centred, moved = (
+            roundtrip(mix, Hyperplane(2),
+                      param_grid=make_grid(2, [(-4, hi, 24)] * 2), **grids)
+            for hi in (4.0, 4.2))
+        assert centred.imag_residual_ratio < 1e-13
+        assert moved.imag_residual_ratio > 1e-3
+        assert moved.l2_rel_error == pytest.approx(centred.l2_rel_error,
+                                                   rel=0.2)
 
     def test_singular_out_points_zeroed_and_tallied(self):
         pg = make_grid(2, [(-5, 5, 32), (-5, 5, 32)])
