@@ -1,7 +1,8 @@
 """Build, cache and load the package's compiled helpers.
 
 Each helper is one source file beside this module (``_deposit.c`` for the
-forward deposit, ``_csvformat.cpp`` for the CSV writer), compiled on first
+forward deposit, ``_nufft.c`` for the NUFFT kernel sum's window sums,
+``_csvformat.cpp`` for the CSV writer), compiled on first
 use into a shared library that ``ctypes`` loads, once per process: the
 library, or the reason it is missing, is remembered by ``build_library``.
 A caller that gets no library takes its pure-Python path, which gives the

@@ -265,11 +265,16 @@ def _floats(s: str) -> list[float]:
     return [float(tok) for tok in s.replace(";", ",").split(",") if tok.strip()]
 
 
-def _entry(cfg: dict[str, str], key: str) -> str:
-    """The value of ``key``; a missing or empty one raises FormatError."""
+def _entry(cfg: dict[str, str], key: str, read=str):
+    """``read`` of the value of ``key``; a missing or empty value, or one
+    that ``read`` cannot parse, raises FormatError naming the key."""
     if not cfg.get(key):
         raise FormatError(f"config is missing a value for '{key}'")
-    return cfg[key]
+    try:
+        return read(cfg[key])
+    except ValueError:
+        raise FormatError(f"config key '{key}' holds a malformed number: "
+                          f"{cfg[key]!r}") from None
 
 
 def grid_from_config(cfg: dict[str, str], key: str = "grid") -> GridSpec:
@@ -291,9 +296,10 @@ def phantom_from_config(cfg: dict[str, str]) -> Phantom:
     type=ball            center=0,0  radius=1
     type=box             min=-1,-1  max=1,1
 
-    A missing or empty weight, mean, cov, center, radius, min or max raises
-    FormatError naming its key, as does a numbered key of no component read:
-    a mixture reads components 1, 2, ... up to the first missing weight{k}.
+    A missing, empty or malformed weight, mean, cov, center, radius, min or
+    max raises FormatError naming its key, as does a numbered key of no
+    component read: a mixture reads components 1, 2, ... up to the first
+    missing weight{k}.
     """
     kind = cfg.get("type")
     if kind in ("gaussian", "mixture"):
@@ -310,9 +316,9 @@ def phantom_from_config(cfg: dict[str, str]) -> Phantom:
                                   f"config key '{key}'")
         weights, means, covs = [], [], []
         for k in suffixes:
-            weights.append(float(_entry(cfg, f"weight{k}")) if k else 1.0)
-            mean = _floats(_entry(cfg, f"mean{k}"))
-            cov = _floats(_entry(cfg, f"cov{k}"))
+            weights.append(_entry(cfg, f"weight{k}", float) if k else 1.0)
+            mean = _entry(cfg, f"mean{k}", _floats)
+            cov = _entry(cfg, f"cov{k}", _floats)
             n = len(mean)
             if len(cov) != n * n:
                 raise FormatError(f"cov{k} must hold ndim*ndim entries")
@@ -321,9 +327,9 @@ def phantom_from_config(cfg: dict[str, str]) -> Phantom:
         return GaussianMixture(weights=tuple(weights), means=tuple(means),
                                covariances=tuple(covs))
     if kind == "ball":
-        return UniformBall(center=tuple(_floats(_entry(cfg, "center"))),
-                           radius=float(_entry(cfg, "radius")))
+        return UniformBall(center=tuple(_entry(cfg, "center", _floats)),
+                           radius=_entry(cfg, "radius", float))
     if kind == "box":
-        return UniformBox(lo=tuple(_floats(_entry(cfg, "min"))),
-                          hi=tuple(_floats(_entry(cfg, "max"))))
+        return UniformBox(lo=tuple(_entry(cfg, "min", _floats)),
+                          hi=tuple(_entry(cfg, "max", _floats)))
     raise FormatError(f"unknown phantom type {kind!r}")

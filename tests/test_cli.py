@@ -11,10 +11,11 @@ import pytest
 from gentomo import checks, cli, formats
 from gentomo._native import build_library
 from gentomo.cli import main
-from gentomo.core import TomogramFamily, make_grid
+from gentomo.core import TomogramFamily, make_grid, standard_gaussian
 from gentomo.formats import read_field, read_tomogram, write_tomogram
-from gentomo.forward import forward_binned
-from gentomo.geometry import LevelFamily, QuadricForm, conformal_inversion
+from gentomo.forward import forward_binned, pullback_density
+from gentomo.geometry import (LevelFamily, QuadricForm, circle_family,
+                              conformal_inversion)
 
 GAUSS_CFG = "type=gaussian\nmean=0,0\ncov=1,0,0,1\ngrid=-6,6,128;-6,6,128\n"
 GAUSS3_CFG = "type=gaussian\nmean=0,0,0\ncov=1,0,0,0,1,0,0,0,1\n"
@@ -66,6 +67,20 @@ class TestPhantomCommand:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("type=gaussian\nmean=0,0\ncov=1,0,0,1\ngrid=-6,6,1\n")
         assert main(["phantom", str(cfg), "--out", str(tmp_path / "x.gtm")]) == 2
+
+    @pytest.mark.parametrize("text, key", [
+        ("type=ball\ncenter=0,0\nradius=abc\ngrid=-2,2,8;-2,2,8\n",
+         "radius"),
+        ("type=gaussian\nmean=0,x\ncov=1,0,0,1\ngrid=-2,2,8;-2,2,8\n",
+         "mean"),
+    ], ids=["ball-radius", "gaussian-mean"])
+    def test_malformed_number_names_its_key(self, tmp_path, capsys, text,
+                                            key):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        assert main(["phantom", str(cfg), "--out", str(tmp_path / "x.gtm")]) == 2
+        assert f"bad config: config key '{key}' holds a malformed number" \
+            in capsys.readouterr().err
 
     def test_missing_config_exits_4(self, tmp_path):
         assert main(["phantom", str(tmp_path / "none.cfg"),
@@ -406,6 +421,44 @@ class TestFreshProcesses:
             assert proc.returncode == 0, (argv[0], proc.stderr)
             assert "warning" not in proc.stderr, (argv[0], proc.stderr)
             assert Path(p[out]).stat().st_size > 0
+
+
+    def test_only_a_non_separable_invert_builds_the_nufft(self, tmp_path):
+        """With an empty ``XDG_CACHE_HOME``, the benchmark's shell pipeline
+        (field 128^2, hyperplane mu 32^2, out 64^2) exits 0 with empty
+        stderr at every step and builds no kernel-sum library; a circle
+        invert on a 24^2 box builds it on first use and also writes nothing
+        to stderr (a decay floor of 1 silences its box-boundary warning)."""
+        cache = tmp_path / "cache"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, XDG_CACHE_HOME=str(cache),
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        (tmp_path / "mix.cfg").write_text(MIX_CFG.replace(",64", ",128"))
+        circle = circle_family()
+        write_tomogram(tmp_path / "c.gtmt", forward_binned(
+            pullback_density(standard_gaussian(2), circle.diffeo,
+                             make_grid(2, [(-8, 8, 128)] * 2)),
+            circle, make_grid(2, [(-5, 5, 24)] * 2),
+            make_grid(1, [(-30, 30, 241)])))
+        box = ["--q-box=-5,5;-5,5", "--q-count", "64;64"]
+        steps = [
+            (["phantom", "mix.cfg", "--out", "mix.gtm"], False),
+            (["forward", "mix.gtm", "--family", "hyperplane",
+              "--mu-box=-5,5;-5,5", "--mu-count", "32;32",
+              "--x-range=-40,40", "--x-count", "401", "--out", "mix.gtmt"],
+             False),
+            (["invert", "mix.gtmt", "--family", "hyperplane", *box,
+              "--out", "r.gtm"], False),
+            (["invert", "c.gtmt", "--family", "circle", *box,
+              "--decay-floor", "1", "--out", "c.gtm"], True),
+        ]
+        for argv, built in steps:
+            proc = subprocess.run(
+                [sys.executable, "-m", "gentomo.cli", *argv], env=env,
+                capture_output=True, text=True, cwd=tmp_path)
+            assert (proc.returncode, proc.stderr) == (0, ""), argv
+            assert bool(list(cache.glob("gentomo/nufft-*.so"))) == built, argv
 
 
 class TestDeterminism:

@@ -522,6 +522,17 @@ class TestConfig:
         with pytest.raises(FormatError, match=f"missing a value for '{key}'$"):
             phantom_from_config(parse_config(text))
 
+    @pytest.mark.parametrize("text, key, value", [
+        ("type=ball\ncenter=0,0\nradius=abc\n", "radius", "abc"),
+        ("type=gaussian\nmean=0,x\ncov=1,0,0,1\n", "mean", "0,x"),
+        ("type=mixture\nweight1=half\nmean1=0,0\ncov1=1,0,0,1\n",
+         "weight1", "half"),
+    ], ids=["ball-radius", "gaussian-mean", "mixture-weight"])
+    def test_malformed_number_names_its_key(self, text, key, value):
+        with pytest.raises(FormatError, match=f"^config key '{key}' holds a "
+                           f"malformed number: '{value}'$"):
+            phantom_from_config(parse_config(text))
+
     def test_ball_and_box(self):
         ball = phantom_from_config(parse_config("type=ball\ncenter=0,0\nradius=1\n"))
         assert isinstance(ball, UniformBall)

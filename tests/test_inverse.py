@@ -1,4 +1,6 @@
 import math
+import shutil
+import subprocess
 import threading
 from dataclasses import replace
 
@@ -14,7 +16,8 @@ from gentomo.geometry import (Deformed, Hybrid, Hyperplane, LevelFamily,
                               conformal_inversion, hyperbola_family,
                               hyperboloid_family, identity_map)
 from gentomo import forward, inverse
-from gentomo.inverse import (CharacteristicSlice, _direct_sum,
+from gentomo._native import build_library
+from gentomo.inverse import (CharacteristicSlice, _direct_sum, _nufft_sum,
                              characteristic_slice, invert_for_family,
                              roundtrip)
 
@@ -49,6 +52,16 @@ def _pointwise_sum(coef, phase_lhs, param_grid):
         block = phase_lhs[s:s + 512] @ mu.T
         out[s:s + 512] = np.exp(1j * block) @ coef
     return out
+
+
+def _thirty_digit_sum(coef, phase_lhs, param_grid):
+    """The 2-d kernel sum evaluated at 30 digits, rounded to complex."""
+    with mpmath.workdps(30):
+        mu = [[mpmath.mpf(v) for v in m] for m in param_grid.points()]
+        return np.array([complex(mpmath.fsum(
+            mpmath.mpc(c.real, c.imag)
+            * mpmath.expj(mpmath.mpf(l[0]) * m[0] + mpmath.mpf(l[1]) * m[1])
+            for c, m in zip(coef, mu))) for l in phase_lhs])
 
 
 def _assert_close_to_peak(got, ref, rtol=1e-12):
@@ -105,6 +118,7 @@ class TestDirectSum:
         out = make_grid(2, [(-2, 2, 41), (-2, 2, 41)])  # holds the origin
         field, diag = invert_for_family(slc, circle_family(), out)
         monkeypatch.setattr(inverse, "_direct_sum", _pointwise_sum)
+        monkeypatch.setattr(inverse, "_nufft_sum", _pointwise_sum)
         ref, ref_diag = invert_for_family(slc, circle_family(), out)
         assert field.values[20, 20] == 0.0
         assert diag.singular_fraction == 1 / 41**2
@@ -114,21 +128,87 @@ class TestDirectSum:
     def test_matches_thirty_digit_reference(self):
         """Within 1e-13 of the peak of the sum evaluated at 30 digits."""
         pg = make_grid(2, [(-5, 4, 12), (-3, 5, 9)])
-        rng = np.random.default_rng(5)
-        lhs = rng.uniform(-20.0, 20.0, size=(50, 2))
+        lhs = np.random.default_rng(5).uniform(-20.0, 20.0, size=(50, 2))
         coef = _random_coef(pg, seed=6)
-        with mpmath.workdps(30):
-            mu = [[mpmath.mpf(v) for v in m] for m in pg.points()]
-            ref = np.array([complex(mpmath.fsum(
-                mpmath.mpc(c.real, c.imag)
-                * mpmath.expj(mpmath.mpf(l[0]) * m[0] + mpmath.mpf(l[1]) * m[1])
-                for c, m in zip(coef, mu))) for l in lhs])
-        _assert_close_to_peak(_direct_sum(coef, lhs, pg), ref, rtol=1e-13)
+        _assert_close_to_peak(_direct_sum(coef, lhs, pg),
+                              _thirty_digit_sum(coef, lhs, pg), rtol=1e-13)
 
     def test_no_out_points_give_an_empty_sum(self):
         # every out point on the singular set leaves none to sum
         pg = make_grid(2, [(-2, 2, 5), (-1, 1, 4)])
         got = _direct_sum(_random_coef(pg), np.zeros((0, 2)), pg)
+        assert got.shape == (0,) and got.dtype == complex
+
+
+class TestNufftSum:
+    """The type-2 NUFFT against the point-wise and 30-digit references on
+    random coefficients, and its bytes on both paths and every thread
+    count."""
+
+    @pytest.mark.parametrize("axes, scale", [
+        ([(-5, 5, 80), (-5, 5, 80)], 3.0),
+        ([(-3, 2.5, 2), (-2, 3, 200)], 5.0),
+        ([(-3, 2.5, 3), (-2, 3, 150)], 5.0),
+        ([(-5, 4, 31), (-3, 5, 17)], 200.0),
+    ], ids=["rt-circle-box", "two-point-axis", "three-point-axis",
+            "phase-wraps"])
+    def test_matches_pointwise_sum(self, axes, scale):
+        # phase-wraps: |l| h reaches 60 rad, so x = l h wraps about 10 times
+        pg = make_grid(2, axes)
+        lhs = np.random.default_rng(8).normal(scale=scale, size=(1300, 2))
+        coef = _random_coef(pg, seed=9)
+        _assert_close_to_peak(_nufft_sum(coef, lhs, pg),
+                              _pointwise_sum(coef, lhs, pg))
+
+    def test_matches_thirty_digit_reference(self):
+        """Within 1e-13 of the peak of the sum evaluated at 30 digits
+        (measured 4e-15)."""
+        pg = make_grid(2, [(-5, 4, 19), (-3, 5, 17)])
+        lhs = np.random.default_rng(5).uniform(-20.0, 20.0, size=(40, 2))
+        coef = _random_coef(pg, seed=6)
+        _assert_close_to_peak(_nufft_sum(coef, lhs, pg),
+                              _thirty_digit_sum(coef, lhs, pg), rtol=1e-13)
+
+    @pytest.mark.parametrize("axes, scale", [
+        ([(-5, 5, 80), (-5, 5, 80)], 3.0), ([(-5, 4, 31), (-3, 5, 17)], 200.0)])
+    def test_compiled_and_numpy_paths_give_equal_bytes(self, axes, scale,
+                                                       monkeypatch):
+        assert inverse._load_interp() is not inverse._numpy_interp, \
+            build_library(inverse._NUFFT_SOURCE, forward._KERNEL_FLAGS)[1]
+        pg = make_grid(2, axes)
+        lhs = np.random.default_rng(10).normal(scale=scale, size=(1100, 2))
+        coef = _random_coef(pg, seed=11)
+        compiled = _nufft_sum(coef, lhs, pg)
+        monkeypatch.setattr(inverse, "_load_interp",
+                            lambda: inverse._numpy_interp)
+        assert compiled.tobytes() == _nufft_sum(coef, lhs, pg).tobytes()
+
+    def test_bytes_identical_for_every_thread_count(self, monkeypatch):
+        # 1681 = 3 x 512 + 145 out points: a ragged last block
+        pg = make_grid(2, [(-5, 5, 32), (-4, 4, 27)])
+        lhs = np.random.default_rng(12).normal(scale=4.0, size=(1681, 2))
+        coef = _random_coef(pg, seed=13)
+        used, outs = [], []
+        monkeypatch.setattr(inverse, "_run_blocks", _kernel_spy(used))
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("GENTOMO_THREADS", threads)
+            outs.append(_nufft_sum(coef, lhs, pg).tobytes())
+        assert used == [1, 2, 3]
+        assert outs[0] == outs[1] == outs[2]
+
+    def test_source_compiles_without_warnings(self, tmp_path):
+        cc = shutil.which("cc") or shutil.which("gcc")
+        if cc is None:
+            pytest.skip("no C compiler on PATH")
+        proc = subprocess.run(
+            [cc, *forward._KERNEL_FLAGS, "-Wall", "-Wextra", "-Werror", "-o",
+             str(tmp_path / "nufft.so"), str(inverse._NUFFT_SOURCE)],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_no_out_points_give_an_empty_sum(self):
+        pg = make_grid(2, [(-2, 2, 20), (-1, 1, 20)])
+        got = _nufft_sum(_random_coef(pg), np.zeros((0, 2)), pg)
         assert got.shape == (0,) and got.dtype == complex
 
 
@@ -141,6 +221,9 @@ _THREAD_CASES = {
                         make_grid(2, [(-5, 5, 32), (-4, 4, 27)]),
                         make_grid(2, [(-3, 3, 40), (-3, 3, 38)])),
     "hybrid_general": _hybrid_case(),
+    # a 16 x 16 box, too small for the NUFFT: the 2-d direct sum
+    "circle_direct": (circle_family(), make_grid(2, [(-5, 5, 16), (-4, 4, 16)]),
+                      make_grid(2, [(-2, 2, 41), (-2, 2, 41)])),
     # the deformed quadric: a(p), b(mu), J and the singular set together
     "circle_quadric": (
         LevelFamily(QuadricForm(np.diag([1.0, 2.5])), conformal_inversion()),
@@ -303,6 +386,17 @@ _ORACLE_CASES = {
 }
 
 
+# the 2-d non-separable families again on a 19 x 17 box, above the
+# NUFFT's w^2 = 256 points
+_PG2_NUFFT = make_grid(2, [(-3, 2.5, 19), (-2, 3, 17)])
+_NUFFT_CASES = {
+    f"{name}_nufft": (family, _PG2_NUFFT, out, kernel)
+    for name in ("circle", "hyperbola", "hyperboloid", "quadric_general",
+                 "quadric_indefinite", "circle_quadric")
+    for family, _, out, kernel in [_ORACLE_CASES[name]]}
+_ORACLE_CASES.update(_NUFFT_CASES)
+
+
 class TestKernelOracle:
     """invert_for_family against the paper's kernel summed point by point."""
 
@@ -319,10 +413,22 @@ class TestKernelOracle:
             np.abs(expect.imag).max() / np.abs(expect.real).max(), rel=1e-9)
 
 
+def _sums_called(monkeypatch, family, pg, out):
+    """The kernel sums one inversion of a random slice calls, in order."""
+    calls = []
+    for name in ("_separable_sum", "_direct_sum", "_nufft_sum"):
+        def spy(*args, _name=name, _real=getattr(inverse, name)):
+            calls.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(inverse, name, spy)
+    invert_for_family(_random_slice(pg, family.tag), family, out)
+    return calls
+
+
 class TestStrategyRule:
     """One rule picks the kernel sum: undeformed (or the identity map) with
-    an empty or diagonal core takes the separable sum, all else the direct
-    sum."""
+    an empty or diagonal core takes the separable sum, a 2-d box of more
+    than w^2 points the NUFFT, and all else the direct sum."""
 
     _SEPARABLE = {"hyperplane", "hyperplane_1d", "hyperplane_3d", "identity",
                   "quadric_diagonal", "hybrid_diagonal"}
@@ -330,15 +436,21 @@ class TestStrategyRule:
     @pytest.mark.parametrize("case", list(_ORACLE_CASES))
     def test_family_takes_its_sum(self, case, monkeypatch):
         family, pg, out, _ = _ORACLE_CASES[case]
-        calls = []
-        for name in ("_separable_sum", "_direct_sum"):
-            def spy(*args, _name=name, _real=getattr(inverse, name)):
-                calls.append(_name)
-                return _real(*args)
-            monkeypatch.setattr(inverse, name, spy)
-        invert_for_family(_random_slice(pg, family.tag), family, out)
-        assert calls == ["_separable_sum" if case in self._SEPARABLE
-                         else "_direct_sum"]
+        assert _sums_called(monkeypatch, family, pg, out) == [
+            "_separable_sum" if case in self._SEPARABLE else
+            "_nufft_sum" if case in _NUFFT_CASES else "_direct_sum"]
+
+    @pytest.mark.parametrize("family, counts, expect", [
+        (circle_family(), (16, 16), "_direct_sum"),
+        (circle_family(), (2, 129), "_nufft_sum"),
+        (_hybrid_case()[0], (7, 7, 6), "_direct_sum"),
+    ], ids=["2d-at-w-squared", "2d-above-w-squared", "3d-above-w-squared"])
+    def test_nufft_takes_2d_boxes_above_w_squared(self, family, counts,
+                                                   expect, monkeypatch):
+        assert inverse._NUFFT_W ** 2 == 256
+        pg = make_grid(len(counts), [(-2, 2.5, c) for c in counts])
+        out = make_grid(len(counts), [(-1, 1.2, 5)] * len(counts))
+        assert _sums_called(monkeypatch, family, pg, out) == [expect]
 
 
 class TestFamilyTag:
