@@ -1,12 +1,15 @@
-"""Build, cache and load the package's compiled helpers.
+"""Build, cache, load and type the package's compiled helpers.
 
-Each helper is one source file beside this module (``_deposit.c`` for the
-forward deposit, ``_nufft.c`` for the NUFFT kernel sum's window sums,
-``_csvformat.cpp`` for the CSV writer), compiled on first
-use into a shared library that ``ctypes`` loads, once per process: the
+Three helpers, each one source file beside this module with a twin that
+gives the same bytes: ``_deposit.c``, the forward deposit (twin: numpy),
+and ``_nufft.c``, the NUFFT kernel sum's window sums (twin: numpy), built
+with the no-FMA C flags of ``_FLAGS``; and ``_csvformat.cpp``, the CSV
+writer (twin: ``repr``), built with the C++17 flags.  ``load_function``
+answers a helper's exported function, typed from the caller's ctypes
+signature, or None, and None means take the twin.  Each library is
+compiled on first use, never at import, and loaded once per process: the
 library, or the reason it is missing, is remembered by ``build_library``.
-A caller that gets no library takes its pure-Python path, which gives the
-same bytes; nothing here writes to stdout or stderr.
+Nothing here writes to stdout or stderr.
 """
 
 from __future__ import annotations
@@ -18,8 +21,19 @@ import shutil
 import tempfile
 from pathlib import Path
 
-# by source suffix: the compiler language, and the compilers tried in order
-_LANGUAGES = {".c": ("c", ("cc", "gcc")), ".cpp": ("c++", ("c++", "g++"))}
+# compiler flags by language.  C: no -ffast-math or -march=native: no FMA
+# and no reassociation, so every operation rounds as the numpy twin's does.
+# -fno-trapping-math lets gcc vectorize the deposit's tiled floor; it only
+# drops the promise that the floating-point exception flags are raised as
+# written, which nothing reads, and changes no rounding
+_FLAGS = {"c": ("-O3", "-ffp-contract=off", "-fno-trapping-math", "-fPIC",
+                "-shared"),
+          "c++": ("-O2", "-std=c++17", "-fPIC", "-shared")}
+# the compilers tried in order, by language
+_COMPILERS = {"c": ("cc", "gcc"), "c++": ("c++", "g++")}
+# every helper: its source file in _SOURCE_DIR, and the source's language
+_HELPERS = {"_deposit.c": "c", "_nufft.c": "c", "_csvformat.cpp": "c++"}
+_SOURCE_DIR = Path(__file__).parent
 
 
 def _compile(compilers, flags, lang: str, source: bytes, target: Path):
@@ -48,26 +62,28 @@ def _compile(compilers, flags, lang: str, source: bytes, target: Path):
 
 
 @functools.cache
-def build_library(source_path: Path, flags: tuple[str, ...]):
-    """(library, "") for ``source_path`` compiled with ``flags`` by the
-    first compiler of its language on PATH, or (None, reason).
+def build_library(helper: str):
+    """(library, "") for the source file ``helper`` compiled with its
+    language's flags by the first compiler of that language on PATH, or
+    (None, reason).
 
-    Each (source, flags) pair is built and loaded once per process, on the
-    first call; later calls return the same result, a missing library
-    included, until ``build_library.cache_clear()``.  The library is named
-    by the source's stem and the sha256 of source and flags, and one cached
-    under ``$XDG_CACHE_HOME/gentomo`` (default ``~/.cache/gentomo``) loads
-    with no compiler; where that cannot be written, or no home directory is
+    Each helper is built and loaded once per process, on the first call;
+    later calls return the same result, a missing library included, until
+    ``build_library.cache_clear()``.  The library is named by the source's
+    stem and the sha256 of source and flags, and one cached under
+    ``$XDG_CACHE_HOME/gentomo`` (default ``~/.cache/gentomo``) loads with
+    no compiler; where that cannot be written, or no home directory is
     known, it is built per process.
     """
     import hashlib          # on first use: imports add to startup time
-    lang, compilers = _LANGUAGES[source_path.suffix]
+    lang = _HELPERS[helper]
+    compilers, flags = _COMPILERS[lang], _FLAGS[lang]
     try:
-        source = source_path.read_bytes()
+        source = (_SOURCE_DIR / helper).read_bytes()
     except OSError as exc:
-        return None, f"cannot read {source_path.name}: {exc}"
+        return None, f"cannot read {helper}: {exc}"
     digest = hashlib.sha256(source + " ".join(flags).encode())
-    name = f"{source_path.stem.lstrip('_')}-{digest.hexdigest()[:16]}.so"
+    name = f"{Path(helper).stem.lstrip('_')}-{digest.hexdigest()[:16]}.so"
     try:
         try:
             cache = Path(os.environ.get("XDG_CACHE_HOME")
@@ -90,3 +106,15 @@ def build_library(source_path: Path, flags: tuple[str, ...]):
     except RuntimeError as exc:
         return None, str(exc)
     return lib, ""
+
+
+def load_function(helper: str, symbol: str, restype, *argtypes):
+    """``symbol`` of the library built from ``helper``, typed as returning
+    ``restype`` from ``argtypes``, or None where the library is missing:
+    the caller then takes its twin."""
+    lib = build_library(helper)[0]
+    if lib is None:
+        return None
+    fn = getattr(lib, symbol)
+    fn.restype, fn.argtypes = restype, argtypes
+    return fn

@@ -58,8 +58,23 @@ def _warn(msg: str) -> None:
     print(f"warning: {msg}", file=sys.stderr)
 
 
-def _parse_box(text: str, count_text: str) -> GridSpec:
-    """--*-box 'lo,hi;lo,hi' + --*-count 'n;n' (singletons broadcast)."""
+def _axis(flag: str, text: str, n: int, form: str,
+          prefix: str = "bad grid flags") -> list[float]:
+    """The ``n`` comma-separated numbers of one axis of ``flag``; anything
+    else raises CliError naming the flag and the ``form`` it wants."""
+    try:
+        vals = [float(tok) for tok in text.split(",")]
+    except ValueError:
+        vals = []
+    if len(vals) != n:
+        raise CliError(f"{prefix}: {flag} wants {form} per axis, got "
+                       f"{text!r}", EXIT_BAD_INPUT)
+    return vals
+
+
+def _parse_box(name: str, text: str, count_text: str) -> GridSpec:
+    """--{name}-box 'lo,hi;lo,hi' + --{name}-count 'n;n' (singletons
+    broadcast); ``GridSpec`` judges each count, so 8.0 counts 8."""
     boxes = [part for part in text.split(";") if part.strip()]
     counts = [part for part in count_text.split(";") if part.strip()]
     if len(counts) == 1 and len(boxes) > 1:
@@ -67,11 +82,10 @@ def _parse_box(text: str, count_text: str) -> GridSpec:
     if len(counts) != len(boxes):
         raise CliError("box and count flags disagree in axis count",
                        EXIT_BAD_INPUT)
-    axes = []
+    axes = [(*_axis(f"--{name}-box", box, 2, "'lo,hi'"),
+             *_axis(f"--{name}-count", count, 1, "a count"))
+            for box, count in zip(boxes, counts)]
     try:
-        for box, cnt in zip(boxes, counts):
-            lo, hi = (float(tok) for tok in box.split(","))
-            axes.append((lo, hi, int(cnt)))
         return GridSpec(tuple(axes))
     except ValueError as exc:
         raise CliError(f"bad grid flags: {exc}", EXIT_BAD_INPUT) from None
@@ -156,10 +170,11 @@ def cmd_forward(args) -> int:
     source = _load_source(args.input)
     ndim = source.grid.ndim if isinstance(source, ScalarField) else source.ndim
     family = _family_from_args(args, ndim)
-    param_grid = _parse_box(args.mu_box, args.mu_count)
+    param_grid = _parse_box("mu", args.mu_box, args.mu_count)
+    lo, hi = _axis("--x-range", args.x_range, 2, "'lo,hi'",
+                   "bad X grid flags")
     try:
-        lo, hi = (float(tok) for tok in args.x_range.split(","))
-        x_grid = make_grid(1, [(lo, hi, int(args.x_count))])
+        x_grid = make_grid(1, [(lo, hi, args.x_count)])
     except ValueError as exc:
         raise CliError(f"bad X grid flags: {exc}", EXIT_BAD_INPUT) from None
     q_grid = None
@@ -169,7 +184,7 @@ def cmd_forward(args) -> int:
                            "GTM field is integrated on its own grid",
                            EXIT_BAD_INPUT)
     elif args.q_box and args.q_count:
-        q_grid = _parse_box(args.q_box, args.q_count)
+        q_grid = _parse_box("q", args.q_box, args.q_count)
     else:
         raise CliError("phantom sources require --q-box/--q-count",
                        EXIT_BAD_INPUT)
@@ -194,7 +209,7 @@ def cmd_invert(args) -> int:
         raise CliError(
             f"tomogram was produced by the {tomo.family_tag!r} family, "
             f"flags request {family.tag!r}", EXIT_INCONSISTENT)
-    out_grid = _parse_box(args.q_box, args.q_count)
+    out_grid = _parse_box("q", args.q_box, args.q_count)
     taper = args.taper
     if taper is not None and taper is not True \
             and not (np.isfinite(taper) and taper > 0):
@@ -280,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu-box", required=True, help="'lo,hi;lo,hi' per axis")
     p.add_argument("--mu-count", required=True, help="'n;n' per axis")
     p.add_argument("--x-range", required=True, help="'lo,hi'")
-    p.add_argument("--x-count", required=True, type=int)
+    p.add_argument("--x-count", required=True, type=float)
     p.add_argument("--q-box", help="phantom sampling box (phantom input only)")
     p.add_argument("--q-count", help="phantom sampling counts")
     p.add_argument("--out", required=True)

@@ -13,11 +13,10 @@ from __future__ import annotations
 import ctypes
 import re
 import struct
-from pathlib import Path
 
 import numpy as np
 
-from ._native import build_library
+from ._native import load_function
 from .core import (GridError, GridSpec, ScalarField, TomogramFamily,
                    GaussianMixture, Phantom, UniformBall, UniformBox)
 from .geometry import FAMILY_NAMES
@@ -123,25 +122,14 @@ def read_tomogram(path) -> TomogramFamily:
 # ---------------------------------------------------------------------------
 
 
-_FORMATTER_SOURCE = Path(__file__).with_name("_csvformat.cpp")
-_FORMATTER_FLAGS = ("-O2", "-std=c++17", "-fPIC", "-shared")
+# the compiled formatter's ``load_function`` arguments
+_PTR, _LONG = ctypes.c_void_p, ctypes.c_long
+_FORMATTER = ("_csvformat.cpp", "gentomo_csv_rows", _LONG, _PTR, _PTR, _PTR,
+              _PTR, _LONG, _PTR, _LONG, _LONG, _PTR, _LONG)
 # output bytes per block of rows; a row longer than this is one block
 _CSV_BLOCK_BYTES = 1 << 20
 # the longest repr of a float, "-2.2250738585072014e-308", and a newline
 _MAX_VALUE_BYTES = 25
-
-
-def _load_formatter():
-    """The compiled ``gentomo_csv_rows``, typed, or None for the repr path;
-    built on first use, never at import."""
-    lib = build_library(_FORMATTER_SOURCE, _FORMATTER_FLAGS)[0]
-    if lib is None:
-        return None
-    ptr, long_ = ctypes.c_void_p, ctypes.c_long
-    fmt = lib.gentomo_csv_rows
-    fmt.argtypes = [ptr, ptr, ptr, ptr, long_, ptr, long_, long_, ptr, long_]
-    fmt.restype = long_
-    return fmt
 
 
 def _offsets(strings: list[str]) -> tuple[bytes, np.ndarray]:
@@ -195,7 +183,7 @@ def _write_csv_rows(path, header, prefixes, tail, rows) -> None:
     row_bytes = (rows.shape[1] * (max(map(len, prefixes), default=0)
                                   + _MAX_VALUE_BYTES) + sum(map(len, tail)))
     step = max(1, _CSV_BLOCK_BYTES // row_bytes)
-    fmt = _load_formatter()
+    fmt = load_function(*_FORMATTER)
     block = (_repr_rows(prefixes, tail, rows) if fmt is None
              else _compiled_rows(fmt, prefixes, tail, rows, step * row_bytes))
     with open(path, "wb") as fh:
@@ -278,14 +266,14 @@ def _entry(cfg: dict[str, str], key: str, read=str):
 
 
 def grid_from_config(cfg: dict[str, str], key: str = "grid") -> GridSpec:
-    """Axis specs like ``grid = -6,6,256 ; -6,6,256``."""
-    axes = []
-    for part in _entry(cfg, key).split(";"):
-        vals = [tok.strip() for tok in part.split(",") if tok.strip()]
-        if len(vals) != 3:
+    """Axis specs like ``grid = -6,6,256 ; -6,6,256``.  A malformed number
+    raises FormatError naming ``key``; ``GridSpec`` judges each count, so
+    an integral float such as 8.0 counts 8."""
+    axes = _entry(cfg, key, lambda s: [_floats(part) for part in s.split(";")])
+    for part, axis in zip(cfg[key].split(";"), axes):
+        if len(axis) != 3:
             raise FormatError(f"axis spec must be min,max,count: {part!r}")
-        axes.append((float(vals[0]), float(vals[1]), int(vals[2])))
-    return GridSpec(tuple(axes))
+    return GridSpec(tuple(map(tuple, axes)))
 
 
 def phantom_from_config(cfg: dict[str, str]) -> Phantom:

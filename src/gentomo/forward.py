@@ -44,11 +44,10 @@ import functools
 import math
 import os
 import threading
-from pathlib import Path
 
 import numpy as np
 
-from ._native import build_library
+from ._native import load_function
 from .core import (DimensionMismatchError, GridError, GridSpec, Phantom,
                    ScalarField, TomogramFamily, _integer, _mesh_rows,
                    _node_axes, _trapezoid_rows)
@@ -190,39 +189,13 @@ def _run_blocks(blocks, starts) -> None:
         raise errors[0]
 
 
-_KERNEL_SOURCE = Path(__file__).with_name("_deposit.c")
-# no -ffast-math or -march=native: no FMA and no reassociation, so every
-# operation rounds as the numpy path's does.  -fno-trapping-math lets gcc
-# vectorize the tiled loop's floor; it only drops the promise that the
-# floating-point exception flags are raised as written, which nothing reads,
-# and changes no rounding
-_KERNEL_FLAGS = ("-O3", "-ffp-contract=off", "-fno-trapping-math", "-fPIC",
-                 "-shared")
+# the compiled deposit's ``load_function`` arguments
+_PTR, _LONG = ctypes.c_void_p, ctypes.c_long
+_DEPOSIT = ("_deposit.c", "gentomo_deposit", ctypes.c_int,
+            _PTR, _PTR, _PTR, _LONG, _LONG, _PTR, _PTR, _LONG,
+            ctypes.c_double, ctypes.c_double, _LONG, _PTR, _PTR)
 # bins the compiled loop indexes (a C int bucket); more take the numpy path
 _KERNEL_MAX_BINS = 2**31 - 4
-
-
-def _bind(lib: ctypes.CDLL):
-    """The ``gentomo_deposit`` and ``gentomo_deposit_loop`` functions of a
-    loaded library, typed.  ``gentomo_deposit_loop(d)`` names the slab loop
-    that deposits d-dimensional levels: 1 for one pass per point, 3 or 4
-    for the tiled loop built for x86-64-v3 or -v4."""
-    fn = lib.gentomo_deposit
-    ptr, long_ = ctypes.c_void_p, ctypes.c_long
-    fn.argtypes = [ptr, ptr, ptr, long_, long_, ptr, ptr, long_,
-                   ctypes.c_double, ctypes.c_double, long_, ptr, ptr]
-    fn.restype = ctypes.c_int
-    loop = lib.gentomo_deposit_loop
-    loop.argtypes = [long_]
-    loop.restype = ctypes.c_int
-    return fn, loop
-
-
-def _load_kernel():
-    """The compiled deposit's (deposit, loop query) pair (``_bind``), or
-    (None, None) for the numpy path; built on first use, never at import."""
-    lib = build_library(_KERNEL_SOURCE, _KERNEL_FLAGS)[0]
-    return (None, None) if lib is None else _bind(lib)
 
 
 def _kernel_columns(n_par: int, n_bins: int, workers: int) -> int:
@@ -392,7 +365,8 @@ def _deposit(family: LevelFamily, n_nodes: int, nodes, param_points,
     n_dep = n_par - n_mirror
     if n_par:
         M, b = family.param_terms(param_points[:n_dep])
-        kernel = _load_kernel()[0] if n_bins <= _KERNEL_MAX_BINS else None
+        kernel = (load_function(*_DEPOSIT) if n_bins <= _KERNEL_MAX_BINS
+                  else None)
         slab = min(n_nodes, _CHUNK_ELEMS)
         chunk = (min(_CHUNK_ELEMS // slab, n_dep) if kernel is None
                  else _kernel_columns(n_dep, n_bins, _workers(n_dep)))

@@ -17,9 +17,9 @@ import numpy as np
 
 from .core import (DimensionMismatchError, GridError, GridSpec, Phantom,
                    ScalarField, TomogramFamily, l2_rel_error, sample_phantom)
-from ._native import build_library
-from .forward import (_KERNEL_FLAGS, _KERNEL_SOURCE, _run_blocks, _workers,
-                      forward_binned, normalization_profile, pullback_density)
+from ._native import load_function
+from .forward import (_run_blocks, _workers, forward_binned,
+                      normalization_profile, pullback_density)
 from .geometry import LevelFamily
 
 DEFAULT_DECAY_FLOOR = 1e-4
@@ -30,7 +30,6 @@ _OUT_CHUNK = 512
 # the NUFFT kernel's width per axis on its 2x fine grid: on random
 # coefficients 1e-14 of the peak, against 3e-13 at 14 and 2e-11 at 12
 _NUFFT_W = 16
-_NUFFT_SOURCE = _KERNEL_SOURCE.with_name("_nufft.c")
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,20 +210,6 @@ def _numpy_interp(grid, cols, n, w, start, wts, out):
     out[:] = f.ravel()
 
 
-def _load_interp():
-    """``_nufft.c``'s window sums, typed, or ``_numpy_interp`` where they
-    cannot be built; built on first use, never at import."""
-    lib = build_library(_NUFFT_SOURCE, _KERNEL_FLAGS)[0]
-    if lib is None:
-        return _numpy_interp
-    f64, intp = np.ctypeslib.ndpointer(float, flags="C"), np.ctypeslib.c_intp
-    fn = lib.gentomo_nufft_interp
-    fn.argtypes = [f64, intp, intp, intp,
-                   np.ctypeslib.ndpointer(np.intp, flags="C"), f64, f64]
-    fn.restype = None
-    return fn
-
-
 def _nufft_sum(coef: np.ndarray, phase_lhs: np.ndarray,
                param_grid: GridSpec) -> np.ndarray:
     """``_direct_sum`` on a 2-d box, as a type-2 NUFFT.
@@ -233,8 +218,9 @@ def _nufft_sum(coef: np.ndarray, phase_lhs: np.ndarray,
     sum_k coef e^{i x . k}, x = l h mod 2 pi.  The coefficients, deconvolved
     and padded to max(2 n, 2 w) points per axis, take one ``ifftn``; each
     out point sums a w x w window of it, weighed in numpy by the
-    "exponential of semicircle" kernel (w = ``_NUFFT_W``).  Both
-    ``_load_interp`` paths and every ``GENTOMO_THREADS`` give equal bytes.
+    "exponential of semicircle" kernel (w = ``_NUFFT_W``).  The compiled
+    window sums, their twin ``_numpy_interp`` and every ``GENTOMO_THREADS``
+    give equal bytes.
     On random coefficients it is within 1e-12 of the point-wise sum's peak
     and 1e-13 of a 30-digit one (measured 4e-15; ``TestNufftSum``).
     """
@@ -254,7 +240,13 @@ def _nufft_sum(coef: np.ndarray, phase_lhs: np.ndarray,
     grid = np.pad(np.fft.ifftn(grid, norm="forward"), half, mode="wrap")
     h = np.array(param_grid.spacing)
     centre = np.array(param_grid.axes)[:, 0] + h * (n // 2)
-    interp, out = _load_interp(), np.empty(len(phase_lhs), dtype=complex)
+    # _numpy_interp's arguments; each array's dtype and order are checked
+    f64, ints, intp = (np.ctypeslib.ndpointer(float, flags="C"),
+                       np.ctypeslib.ndpointer(np.intp, flags="C"),
+                       np.ctypeslib.c_intp)
+    interp = load_function("_nufft.c", "gentomo_nufft_interp", None, f64,
+                           intp, intp, intp, ints, f64, f64) or _numpy_interp
+    out = np.empty(len(phase_lhs), dtype=complex)
 
     def block(s):
         lhs = phase_lhs[s:s + _OUT_CHUNK]

@@ -8,8 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gentomo import checks, cli, formats
-from gentomo._native import build_library
+from gentomo import _native, checks, cli, formats
+from gentomo._native import build_library, load_function
 from gentomo.cli import main
 from gentomo.core import TomogramFamily, make_grid, standard_gaussian
 from gentomo.formats import read_field, read_tomogram, write_tomogram
@@ -73,7 +73,11 @@ class TestPhantomCommand:
          "radius"),
         ("type=gaussian\nmean=0,x\ncov=1,0,0,1\ngrid=-2,2,8;-2,2,8\n",
          "mean"),
-    ], ids=["ball-radius", "gaussian-mean"])
+        ("type=gaussian\nmean=0,0\ncov=1,0,0,1\ngrid=-6,6,abc;-6,6,8\n",
+         "grid"),
+        ("type=gaussian\nmean=0,0\ncov=1,0,0,1\ngrid=-6,x,8;-6,6,8\n",
+         "grid"),
+    ], ids=["ball-radius", "gaussian-mean", "grid-count", "grid-bound"])
     def test_malformed_number_names_its_key(self, tmp_path, capsys, text,
                                             key):
         cfg = tmp_path / "bad.cfg"
@@ -81,6 +85,15 @@ class TestPhantomCommand:
         assert main(["phantom", str(cfg), "--out", str(tmp_path / "x.gtm")]) == 2
         assert f"bad config: config key '{key}' holds a malformed number" \
             in capsys.readouterr().err
+
+    def test_integral_float_grid_count_counts(self, tmp_path):
+        """A grid count of 8.0 counts 8, as ``GridSpec`` takes it."""
+        cfg = tmp_path / "g.cfg"
+        cfg.write_text("type=gaussian\nmean=0,0\ncov=1,0,0,1\n"
+                       "grid=-6,6,8.0;-6,6,8\n")
+        out = tmp_path / "x.gtm"
+        assert main(["phantom", str(cfg), "--out", str(out)]) == 0
+        assert read_field(out).grid.shape == (8, 8)
 
     def test_missing_config_exits_4(self, tmp_path):
         assert main(["phantom", str(tmp_path / "none.cfg"),
@@ -105,6 +118,19 @@ class TestForwardCommand:
         t = read_tomogram(out)
         assert t.family_tag == "hyperplane"
         assert t.values.shape == (81, 161)
+
+    def test_integral_float_counts_count(self, tmp_path, gauss_field):
+        """``--mu-count 9.0`` counts 9 and ``--x-count 161.0`` counts 161,
+        as ``GridSpec`` takes them: the tomogram's bytes equal those of
+        the integer counts."""
+        outs = []
+        for suffix in ("", ".0"):
+            argv = _forward_args(gauss_field, tmp_path / f"t{suffix}.gtmt")
+            for flag in ("--mu-count", "--x-count"):
+                argv[argv.index(flag) + 1] += suffix
+            assert main(argv) == 0
+            outs.append((tmp_path / f"t{suffix}.gtmt").read_bytes())
+        assert outs[0] == outs[1]
 
     def test_phantom_config_input(self, tmp_path, gauss_config, capsys):
         out = tmp_path / "t.gtmt"
@@ -349,17 +375,16 @@ class TestExportCommand:
         else:
             if not (shutil.which("c++") or shutil.which("g++")):
                 pytest.skip("no C++ compiler on PATH")
-            broken = tmp_path / "_csvformat.cpp"
-            broken.write_text("#error this source does not compile\n")
-            monkeypatch.setattr(formats, "_FORMATTER_SOURCE", broken)
+            (tmp_path / "_csvformat.cpp").write_text(
+                "#error this source does not compile\n")
+            monkeypatch.setattr(_native, "_SOURCE_DIR", tmp_path)
             reason = "exited"
         out = tmp_path / "t.csv"
         assert main(["export", str(tomo), "--format", "csv",
                      "--out", str(out)]) == 0
         assert capfd.readouterr().err == ""
-        assert formats._load_formatter() is None
-        assert reason in build_library(formats._FORMATTER_SOURCE,
-                                       formats._FORMATTER_FLAGS)[1]
+        assert load_function(*formats._FORMATTER) is None
+        assert reason in build_library("_csvformat.cpp")[1]
         assert out.read_bytes() == expect.read_bytes()
 
     def test_3d_field_to_pgm_rejected(self, tmp_path):
@@ -459,6 +484,46 @@ class TestFreshProcesses:
                 capture_output=True, text=True, cwd=tmp_path)
             assert (proc.returncode, proc.stderr) == (0, ""), argv
             assert bool(list(cache.glob("gentomo/nufft-*.so"))) == built, argv
+
+    def test_warm_cache_pipeline_adds_nothing(self, tmp_path):
+        """The benchmark's shell pipeline (field 128^2, hyperplane mu 32^2,
+        X 401 on +-40, out 64^2, CSV and PGM exports) in fresh processes
+        with its own ``XDG_CACHE_HOME``: after one warm-up run, a second
+        run exits 0 with empty stderr at every step and adds or rewrites
+        no cache file, and the cache holds the deposit and CSV libraries
+        alone, under the names their sources and flags give."""
+        cache = tmp_path / "cache"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, XDG_CACHE_HOME=str(cache),
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        (tmp_path / "mix.cfg").write_text(MIX_CFG.replace(",64", ",128"))
+        steps = [
+            ["phantom", "mix.cfg", "--out", "mix.gtm"],
+            ["forward", "mix.gtm", "--family", "hyperplane",
+             "--mu-box=-5,5;-5,5", "--mu-count", "32;32",
+             "--x-range=-40,40", "--x-count", "401", "--out", "mix.gtmt"],
+            ["invert", "mix.gtmt", "--family", "hyperplane",
+             "--q-box=-5,5;-5,5", "--q-count", "64;64", "--out", "r.gtm"],
+            ["export", "mix.gtmt", "--format", "csv", "--out", "mix.csv"],
+            ["export", "r.gtm", "--format", "pgm", "--out", "r.pgm"],
+        ]
+
+        def cached():
+            return sorted((p.name, p.stat().st_mtime_ns)
+                          for p in (cache / "gentomo").iterdir())
+
+        for run in ("warm-up", "warm"):
+            if run == "warm":
+                before = cached()
+            for argv in steps:
+                proc = subprocess.run(
+                    [sys.executable, "-m", "gentomo.cli", *argv], env=env,
+                    capture_output=True, text=True, cwd=tmp_path)
+                assert (proc.returncode, proc.stderr) == (0, ""), (run, argv)
+        assert cached() == before
+        assert [name for name, _ in before] == [
+            "csvformat-b3eff02324cc0b01.so", "deposit-4c61217a9e8e7a1c.so"]
 
 
 class TestDeterminism:
@@ -683,6 +748,37 @@ class TestExitCodes:
             "--mu-box=-1,1;-1,1", "--mu-count", "4", "--x-range=-5",
             "--x-count", "61", "--out", str(tmp / "t.gtmt")],
             id="x-range-one-number"),
+        # each grid flag names itself and the form it wants
+        pytest.param(2, "bad grid flags: --mu-box wants 'lo,hi' per axis, "
+                     "got '-3'", lambda tmp, field: [
+            "forward", str(field), "--family", "hyperplane",
+            "--mu-box=-3,3;-3", "--mu-count", "4", "--x-range=-8,8",
+            "--x-count", "61", "--out", str(tmp / "t.gtmt")],
+            id="mu-box-axis-of-one-number"),
+        pytest.param(2, "bad X grid flags: --x-range wants 'lo,hi' per "
+                     "axis, got '-10,10,5'", lambda tmp, field: [
+            "forward", str(field), "--family", "hyperplane",
+            "--mu-box=-1,1;-1,1", "--mu-count", "4", "--x-range=-10,10,5",
+            "--x-count", "61", "--out", str(tmp / "t.gtmt")],
+            id="x-range-three-numbers"),
+        pytest.param(2, "bad grid flags: --mu-count wants a count per axis, "
+                     "got 'x'", lambda tmp, field: [
+            "forward", str(field), "--family", "hyperplane",
+            "--mu-box=-1,1;-1,1", "--mu-count", "4;x", "--x-range=-8,8",
+            "--x-count", "61", "--out", str(tmp / "t.gtmt")],
+            id="mu-count-not-numeric"),
+        pytest.param(2, "bad grid flags: axis count must be an integer, "
+                     "got 4.5", lambda tmp, field: [
+            "forward", str(field), "--family", "hyperplane",
+            "--mu-box=-1,1;-1,1", "--mu-count", "4.5", "--x-range=-8,8",
+            "--x-count", "61", "--out", str(tmp / "t.gtmt")],
+            id="mu-count-fraction"),
+        pytest.param(2, "bad X grid flags: axis count must be an integer, "
+                     "got 60.5", lambda tmp, field: [
+            "forward", str(field), "--family", "hyperplane",
+            "--mu-box=-1,1;-1,1", "--mu-count", "4", "--x-range=-8,8",
+            "--x-count", "60.5", "--out", str(tmp / "t.gtmt")],
+            id="x-count-fraction"),
         pytest.param(2, "require --q-box", lambda tmp, field: _forward_args(
             _written(tmp, "g.cfg", GAUSS_CFG.encode()), tmp / "t.gtmt"),
             id="phantom-without-q-box"),

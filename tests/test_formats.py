@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gentomo import formats
-from gentomo._native import build_library
+from gentomo import _native, formats
+from gentomo._native import build_library, load_function
 from gentomo.cli import main
 from gentomo.core import (GaussianMixture, ScalarField, TomogramFamily,
                           UniformBall, UniformBox, make_grid, sample_phantom,
@@ -246,7 +246,7 @@ def _both_paths(monkeypatch, write, path):
     write(path)
     compiled = path.read_bytes()
     with monkeypatch.context() as repr_path:
-        repr_path.setattr(formats, "_load_formatter", lambda: None)
+        repr_path.setattr(_native, "build_library", lambda helper: (None, ""))
         write(path)
     return compiled, path.read_bytes()
 
@@ -328,10 +328,10 @@ class TestCSV:
 
 @pytest.fixture(scope="module")
 def compiled_formatter():
-    fmt = formats._load_formatter()
+    fmt = load_function(*formats._FORMATTER)
     if fmt is None:
-        pytest.skip("no compiled formatter: " + build_library(
-            formats._FORMATTER_SOURCE, formats._FORMATTER_FLAGS)[1])
+        pytest.skip("no compiled formatter: "
+                    + build_library("_csvformat.cpp")[1])
     return fmt
 
 
@@ -418,9 +418,10 @@ class TestCompiledFormatter:
         if cxx is None:
             pytest.skip("no C++ compiler on PATH")
         proc = subprocess.run(
-            [cxx, *formats._FORMATTER_FLAGS, "-Wall", "-Wextra", "-Werror",
+            [cxx, *_native._FLAGS["c++"], "-Wall", "-Wextra", "-Werror",
              "-o", str(tmp_path / "csvformat.so"),
-             str(formats._FORMATTER_SOURCE)], capture_output=True, text=True)
+             str(_native._SOURCE_DIR / "_csvformat.cpp")],
+            capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
 
 

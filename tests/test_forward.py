@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gentomo import _native, forward, formats
-from gentomo._native import build_library
+from gentomo._native import build_library, load_function
 from gentomo.checks import homogeneity_residual
 from gentomo.core import (DimensionMismatchError, GaussianMixture, GridError,
                           ScalarField, TomogramFamily, UniformBall,
@@ -545,9 +545,12 @@ def _centred_box(ndim, count):
     return make_grid(ndim, [(-2.0, 2.0, count)] * ndim).points()
 
 
+# the compiled deposit's source and C flags, for variant builds
+_DEPOSIT_SOURCE = _native._SOURCE_DIR / "_deposit.c"
+_C_FLAGS = _native._FLAGS["c"]
 # points per tile of the compiled loop
 _TILE = int(re.search(r"#define TILE (\d+)",
-                      forward._KERNEL_SOURCE.read_text()).group(1))
+                      _DEPOSIT_SOURCE.read_text()).group(1))
 
 
 def _deposit_inputs(family):
@@ -1016,19 +1019,30 @@ def _has_compiler():
     return bool(shutil.which("cc") or shutil.which("gcc"))
 
 
+# the loop query that only tests read: 1 for one pass per point, 3 or 4
+# for the tiled loop built for x86-64-v3 or -v4
+_LOOP = ("_deposit.c", "gentomo_deposit_loop", ctypes.c_int, ctypes.c_long)
+
+
+def _use_library(monkeypatch, lib):
+    """Every compiled-helper lookup answers ``lib``: a loaded build of
+    ``_deposit.c``, or None, which sends each caller to its twin."""
+    monkeypatch.setattr(_native, "build_library", lambda helper: (lib, ""))
+
+
 def _use_numpy(monkeypatch):
     """Every deposit takes the numpy path."""
-    monkeypatch.setattr(forward, "_load_kernel", lambda: (None, None))
+    _use_library(monkeypatch, None)
 
 
-def _use_kernel(monkeypatch, kernel):
-    """Every deposit runs ``kernel``, a (deposit, loop query) pair."""
-    monkeypatch.setattr(forward, "_load_kernel", lambda: kernel)
+def _compiled_deposit():
+    """The compiled deposit as ``forward`` looks it up, or None."""
+    return load_function(*forward._DEPOSIT)
 
 
 def _kernel_missing():
     """Why the compiled deposit is not built, or "" when it is."""
-    return build_library(forward._KERNEL_SOURCE, forward._KERNEL_FLAGS)[1]
+    return build_library("_deposit.c")[1]
 
 
 def _both_paths(monkeypatch, run):
@@ -1061,22 +1075,21 @@ def _host_levels(cc, tmp):
 
 
 @pytest.fixture(scope="module")
-def variant_kernels(tmp_path_factory):
+def variant_libraries(tmp_path_factory):
     """The compiled loop built once per variant this CPU runs, by level:
-    its (deposit, loop query) functions."""
+    its loaded library."""
     cc = shutil.which("cc") or shutil.which("gcc")
     if cc is None:
         pytest.skip("no C compiler on PATH")
     tmp = tmp_path_factory.mktemp("variants")
-    kernels = {}
+    libraries = {}
     for level in _host_levels(cc, tmp):
         lib = tmp / f"deposit-{level or 'shipped'}.so"
         define = [] if level is None else [f"-DGENTOMO_DEPOSIT_LEVEL={level}"]
-        subprocess.run([cc, *forward._KERNEL_FLAGS, *define, "-o", str(lib),
-                        str(forward._KERNEL_SOURCE)],
-                       check=True, capture_output=True)
-        kernels[level] = forward._bind(ctypes.CDLL(str(lib)))
-    return kernels
+        subprocess.run([cc, *_C_FLAGS, *define, "-o", str(lib),
+                        _DEPOSIT_SOURCE], check=True, capture_output=True)
+        libraries[level] = ctypes.CDLL(str(lib))
+    return libraries
 
 
 class TestCompiledDeposit:
@@ -1086,7 +1099,7 @@ class TestCompiledDeposit:
         family, x_axis = DEPOSIT_CASES["quadric"]
         points, masses, params = _deposit_inputs(family)
         _deposit(family, points, masses, params, make_grid(1, [x_axis]))
-        assert forward._load_kernel()[0] is not None, _kernel_missing()
+        assert _compiled_deposit() is not None, _kernel_missing()
         assert _kernel_missing() == ""
 
     @pytest.mark.parametrize("threads", ["1", "2", "3"])
@@ -1137,7 +1150,7 @@ class TestCompiledDeposit:
         monkeypatch.setenv("PATH", str(tmp_path))
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
         assert self._quadric_bytes(gauss2d) == expect
-        assert forward._load_kernel() == (None, None)
+        assert _compiled_deposit() is None
         assert "no C compiler" in _kernel_missing()
 
     def test_unwritable_cache_gives_equal_bytes(self, gauss2d, tmp_path,
@@ -1151,7 +1164,7 @@ class TestCompiledDeposit:
         blocker.write_text("")
         monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
         assert self._quadric_bytes(gauss2d) == expect
-        assert forward._load_kernel()[0] is not None, _kernel_missing()
+        assert _compiled_deposit() is not None, _kernel_missing()
         assert blocker.read_text() == ""
 
     def test_unknown_home_gives_equal_bytes(self, gauss2d, monkeypatch,
@@ -1168,7 +1181,7 @@ class TestCompiledDeposit:
         monkeypatch.setattr(Path, "home", classmethod(no_home))
         assert self._quadric_bytes(gauss2d) == expect
         if _has_compiler():
-            assert forward._load_kernel()[0] is not None, _kernel_missing()
+            assert _compiled_deposit() is not None, _kernel_missing()
 
     def test_cache_is_reused(self, gauss2d, tmp_path, monkeypatch,
                              fresh_builds):
@@ -1182,7 +1195,7 @@ class TestCompiledDeposit:
         monkeypatch.setenv("PATH", str(tmp_path / "no-compiler-here"))
         build_library.cache_clear()     # a second process, in effect
         assert self._quadric_bytes(gauss2d) == first
-        assert forward._load_kernel()[0] is not None, _kernel_missing()
+        assert _compiled_deposit() is not None, _kernel_missing()
         assert [p.name for p in (tmp_path / "gentomo").iterdir()] == [lib.name]
         assert lib.stat().st_mtime_ns == stamp
 
@@ -1212,11 +1225,9 @@ class TestCompiledDeposit:
                                make_grid(1, [(-6, 6, 61)]), q_grid)
             formats.write_tomogram_csv(tmp_path / f"t{n}.csv", t)
         assert build_library.cache_info().misses == 2
-        for name, source, flags in [
-                ("deposit", forward._KERNEL_SOURCE, forward._KERNEL_FLAGS),
-                ("csvformat", formats._FORMATTER_SOURCE,
-                 formats._FORMATTER_FLAGS)]:
-            built = build_library(source, flags)[0] is not None
+        for name, helper in [
+                ("deposit", "_deposit.c"), ("csvformat", "_csvformat.cpp")]:
+            built = build_library(helper)[0] is not None
             assert compiled.count(name) <= 1
             assert loaded.count(name) == built
 
@@ -1249,15 +1260,15 @@ class TestCompiledDeposit:
             pytest.skip("no C compiler on PATH")
         define = [] if level is None else [f"-DGENTOMO_DEPOSIT_LEVEL={level}"]
         proc = subprocess.run(
-            [cc, *forward._KERNEL_FLAGS, *define, "-Wall", "-Wextra", "-Werror",
-             "-o", str(tmp_path / "deposit.so"), str(forward._KERNEL_SOURCE)],
+            [cc, *_C_FLAGS, *define, "-Wall", "-Wextra", "-Werror",
+             "-o", str(tmp_path / "deposit.so"), _DEPOSIT_SOURCE],
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
 
     @pytest.mark.parametrize("slabs", [1, 4])
     @pytest.mark.parametrize("cols", [1, 5, 1000])
     @pytest.mark.parametrize("name", sorted(DEPOSIT_CASES))
-    def test_every_variant_gives_numpy_bytes(self, variant_kernels, name,
+    def test_every_variant_gives_numpy_bytes(self, variant_libraries, name,
                                              cols, slabs, monkeypatch):
         family, x_axis = DEPOSIT_CASES[name]
         x_grid = make_grid(1, [x_axis])
@@ -1265,22 +1276,24 @@ class TestCompiledDeposit:
         _set_columns(monkeypatch, cols, -(-len(points) // slabs))
         _use_numpy(monkeypatch)
         expect = _deposit(family, points, masses, params, x_grid)
-        for level, kernel in variant_kernels.items():
-            _use_kernel(monkeypatch, kernel)
+        for level, lib in variant_libraries.items():
+            _use_library(monkeypatch, lib)
             values, overflow = _deposit(family, points, masses, params, x_grid)
             assert np.array_equal(values, expect[0]), level
             assert np.array_equal(overflow, expect[1]), level
 
-    def test_loop_query_names_the_highest_loop(self, variant_kernels):
+    def test_loop_query_names_the_highest_loop(self, variant_libraries,
+                                               monkeypatch):
         """The build as shipped names the highest x86-64 level this CPU
         runs for d <= 4 and one pass per point for d = 5; the build capped
         at level 1 names one pass per point for every d."""
-        kernel, shipped = forward._load_kernel()
-        assert kernel is not None, _kernel_missing()
-        top = max(filter(None, variant_kernels), default=1)
+        shipped = load_function(*_LOOP)
+        assert shipped is not None, _kernel_missing()
+        top = max(filter(None, variant_libraries), default=1)
         assert [shipped(d) for d in range(1, 6)] == [top] * 4 + [1]
-        if 1 in variant_kernels:
-            loop = variant_kernels[1][1]
+        if 1 in variant_libraries:
+            _use_library(monkeypatch, variant_libraries[1])
+            loop = load_function(*_LOOP)
             assert [loop(d) for d in range(1, 6)] == [1] * 5
 
     def test_phase_one_vectorizes(self, tmp_path):
@@ -1290,9 +1303,9 @@ class TestCompiledDeposit:
         cc = shutil.which("cc") or shutil.which("gcc")
         if cc is None:
             pytest.skip("no C compiler on PATH")
-        src = forward._KERNEL_SOURCE
-        macros = subprocess.run([cc, *forward._KERNEL_FLAGS, "-E", "-dM",
-                                 str(src)], capture_output=True, text=True)
+        src = _DEPOSIT_SOURCE
+        macros = subprocess.run([cc, *_C_FLAGS, "-E", "-dM", str(src)],
+                                capture_output=True, text=True)
         if "#define VECTOR_SLABS" not in macros.stdout:
             pytest.skip("the tiled loop needs gcc 12 or later on x86-64")
         lines = src.read_text().splitlines()
@@ -1305,7 +1318,7 @@ class TestCompiledDeposit:
 
         def widths(define):
             proc = subprocess.run(
-                [cc, *forward._KERNEL_FLAGS, *define, "-fopt-info-vec-optimized",
+                [cc, *_C_FLAGS, *define, "-fopt-info-vec-optimized",
                  "-o", str(tmp_path / "deposit.so"), str(src)],
                 capture_output=True, text=True)
             assert proc.returncode == 0, proc.stderr
@@ -1326,23 +1339,23 @@ class TestCompiledDeposit:
         lib = tmp_path / "deposit-ubsan.so"
         define = [] if level is None else [f"-DGENTOMO_DEPOSIT_LEVEL={level}"]
         build = subprocess.run(
-            [cc, *forward._KERNEL_FLAGS, *define,
+            [cc, *_C_FLAGS, *define,
              "-fsanitize=undefined,float-cast-overflow",
              "-fno-sanitize-recover=all", "-o", str(lib),
-             str(forward._KERNEL_SOURCE)], capture_output=True, text=True)
+             _DEPOSIT_SOURCE], capture_output=True, text=True)
         if build.returncode:
             pytest.skip(f"no sanitizer runtime: {build.stderr.strip()[-200:]}")
         code = f"""
 import ctypes, math
 import numpy as np
-from gentomo import forward
+from gentomo import _native, forward
 from gentomo.checks import homogeneity_residual
 from gentomo.core import make_grid
 from gentomo.geometry import Hyperplane
 import test_forward as t
 
-kernel = forward._bind(ctypes.CDLL({str(lib)!r}))
-forward._load_kernel = lambda: kernel
+lib = ctypes.CDLL({str(lib)!r})
+_native.build_library = lambda helper: (lib, "")
 for family, x_axis in t.DEPOSIT_CASES.values():
     points, masses, params = t._deposit_inputs(family)
     t._deposit(family, points, masses, params, make_grid(1, [x_axis]))
@@ -1369,9 +1382,9 @@ t._deposit(Hyperplane(2), np.array([[1e308, 0.0], [-1e308, 1.0]]),
         if not _has_compiler():
             pytest.skip("no C compiler on PATH")
         out = np.zeros(1)                 # never touched
-        rc = forward._load_kernel()[0](None, None, None, 0, 2, None, None, 1,
-                                    1.0, 0.0, forward._KERNEL_MAX_BINS + 1,
-                                    out.ctypes.data, out.ctypes.data)
+        rc = _compiled_deposit()(None, None, None, 0, 2, None, None, 1,
+                                 1.0, 0.0, forward._KERNEL_MAX_BINS + 1,
+                                 out.ctypes.data, out.ctypes.data)
         assert rc == -2
 
     def test_bins_beyond_the_int_index_take_the_numpy_path(self,
@@ -1385,8 +1398,8 @@ t._deposit(Hyperplane(2), np.array([[1e308, 0.0], [-1e308, 1.0]]),
             _use_numpy(numpy_path)
             expect = _deposit(family, points, masses, params, x_grid)
         loads = []
-        monkeypatch.setattr(forward, "_load_kernel",
-                            lambda: loads.append(1) or (None, None))
+        monkeypatch.setattr(_native, "build_library",
+                            lambda helper: loads.append(helper) or (None, ""))
         monkeypatch.setattr(forward, "_KERNEL_MAX_BINS", x_grid.shape[0] - 1)
         values, overflow = _deposit(family, points, masses, params, x_grid)
         assert loads == []
@@ -1417,15 +1430,16 @@ t._deposit(Hyperplane(2), np.array([[1e308, 0.0], [-1e308, 1.0]]),
                 _deposit(Hyperplane(2), np.array([[0.0, 0.0], [bad, 1.0]]),
                          np.ones(2), np.array([[1.0, 0.5]]),
                          make_grid(1, [(-2.0, 2.0, 9)]))
-        assert (forward._load_kernel()[0] is None) == (path == "numpy")
+        assert (_compiled_deposit() is None) == (path == "numpy")
 
-    def test_non_finite_level_in_a_column_pair_raises(self, variant_kernels,
+    def test_non_finite_level_in_a_column_pair_raises(self,
+                                                      variant_libraries,
                                                       monkeypatch):
         """One block of two columns, of which only the second one's level
         overflows: the tiled loop returns from the middle of a pair."""
         _set_columns(monkeypatch, 2, 1)
-        for kernel in [(None, None), *variant_kernels.values()]:
-            _use_kernel(monkeypatch, kernel)
+        for lib in [None, *variant_libraries.values()]:
+            _use_library(monkeypatch, lib)
             with (warnings.catch_warnings(),
                   pytest.raises(ValueError, match="non-finite level value")):
                 warnings.simplefilter("error")

@@ -15,7 +15,7 @@ from gentomo.geometry import (Deformed, Hybrid, Hyperplane, LevelFamily,
                               Quadric, QuadricForm, circle_family,
                               conformal_inversion, hyperbola_family,
                               hyperboloid_family, identity_map)
-from gentomo import forward, inverse
+from gentomo import _native, forward, inverse
 from gentomo._native import build_library
 from gentomo.inverse import (CharacteristicSlice, _direct_sum, _nufft_sum,
                              characteristic_slice, invert_for_family,
@@ -173,14 +173,14 @@ class TestNufftSum:
         ([(-5, 5, 80), (-5, 5, 80)], 3.0), ([(-5, 4, 31), (-3, 5, 17)], 200.0)])
     def test_compiled_and_numpy_paths_give_equal_bytes(self, axes, scale,
                                                        monkeypatch):
-        assert inverse._load_interp() is not inverse._numpy_interp, \
-            build_library(inverse._NUFFT_SOURCE, forward._KERNEL_FLAGS)[1]
+        lib, reason = build_library("_nufft.c")
+        assert lib is not None, reason
         pg = make_grid(2, axes)
         lhs = np.random.default_rng(10).normal(scale=scale, size=(1100, 2))
         coef = _random_coef(pg, seed=11)
         compiled = _nufft_sum(coef, lhs, pg)
-        monkeypatch.setattr(inverse, "_load_interp",
-                            lambda: inverse._numpy_interp)
+        monkeypatch.setattr(_native, "build_library",
+                            lambda helper: (None, ""))
         assert compiled.tobytes() == _nufft_sum(coef, lhs, pg).tobytes()
 
     def test_bytes_identical_for_every_thread_count(self, monkeypatch):
@@ -201,8 +201,8 @@ class TestNufftSum:
         if cc is None:
             pytest.skip("no C compiler on PATH")
         proc = subprocess.run(
-            [cc, *forward._KERNEL_FLAGS, "-Wall", "-Wextra", "-Werror", "-o",
-             str(tmp_path / "nufft.so"), str(inverse._NUFFT_SOURCE)],
+            [cc, *_native._FLAGS["c"], "-Wall", "-Wextra", "-Werror", "-o",
+             str(tmp_path / "nufft.so"), _native._SOURCE_DIR / "_nufft.c"],
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import gentomo
-from gentomo import formats, forward
+from gentomo import _native
 
 
 def test_public_surface():
@@ -31,10 +31,11 @@ def test_public_surface():
 
 
 def test_compiled_sources_ship_beside_their_modules():
-    """The sources the compiled helpers build from sit in the package, and
-    in a source checkout pyproject's package-data matches them."""
+    """The source of every helper ``_native`` builds sits in the package,
+    and in a source checkout pyproject's package-data matches it."""
     package = Path(gentomo.__file__).parent
-    sources = (forward._KERNEL_SOURCE, formats._FORMATTER_SOURCE)
+    sources = [_native._SOURCE_DIR / helper for helper in _native._HELPERS]
+    assert {"_deposit.c", "_nufft.c", "_csvformat.cpp"} <= {*_native._HELPERS}
     for source in sources:
         assert source.parent == package
         assert source.is_file()
