@@ -16,9 +16,10 @@ the library rejects, ``check`` values included) -> 2, ``MemoryError`` (a
 size flag such as ``invert --q-count`` or ``--samples`` too large to
 allocate; ``forward`` streams its source) -> 2, and a ``CliError``
 carries its own code.  Commands catch only to add context the exception
-lacks: the ``--B``/``--split`` comma-list parser, the grid flag parsers,
-and the ``bad config:`` / ``bad source`` wrappers, which also keep a
-phantom config's own dimension errors at exit 2.  The ``--taper``,
+lacks: ``_numbers`` (``--B``, ``--split`` and each grid axis, by
+``formats.number_list``), ``_grid_flags`` (the mu, X and q grids), and the
+``bad config:`` / ``bad source`` wrappers, which also keep a phantom
+config's own dimension errors at exit 2.  The ``--taper``,
 ``--decay-floor``, family tag, hyperboloid dimension, ``--B``/``--split``
 family and ``forward --q-box``/``--q-count`` source checks stay in the
 commands because the library cannot name those flags.  Any other
@@ -33,7 +34,7 @@ import sys
 import numpy as np
 
 from . import checks, formats
-from .core import (DimensionMismatchError, GridSpec, ScalarField, make_grid,
+from .core import (DimensionMismatchError, GridSpec, ScalarField,
                    sample_phantom, total_mass)
 from .forward import forward_binned, normalization_profile, thread_count
 from .geometry import (FAMILY_NAMES, Hybrid, Hyperplane, LevelFamily, Quadric,
@@ -58,37 +59,41 @@ def _warn(msg: str) -> None:
     print(f"warning: {msg}", file=sys.stderr)
 
 
-def _axis(flag: str, text: str, n: int, form: str,
-          prefix: str = "bad grid flags") -> list[float]:
-    """The ``n`` comma-separated numbers of one axis of ``flag``; anything
-    else raises CliError naming the flag and the ``form`` it wants."""
+def _numbers(flag: str, text: str, want: str, n: int | None = None,
+             kind=float, prefix: str = "") -> list:
+    """``formats.number_list`` of ``flag``'s ``text``, of ``n`` numbers when
+    ``n`` is set; else CliError naming the flag and the ``want`` form."""
     try:
-        vals = [float(tok) for tok in text.split(",")]
+        vals = formats.number_list(text, kind)
+        if n in (None, len(vals)):
+            return vals
     except ValueError:
-        vals = []
-    if len(vals) != n:
-        raise CliError(f"{prefix}: {flag} wants {form} per axis, got "
-                       f"{text!r}", EXIT_BAD_INPUT)
-    return vals
+        pass
+    raise CliError(f"{prefix}{flag} wants {want}, got {text!r}",
+                   EXIT_BAD_INPUT)
 
 
-def _parse_box(name: str, text: str, count_text: str) -> GridSpec:
-    """--{name}-box 'lo,hi;lo,hi' + --{name}-count 'n;n' (singletons
-    broadcast); ``GridSpec`` judges each count, so 8.0 counts 8."""
-    boxes = [part for part in text.split(";") if part.strip()]
-    counts = [part for part in count_text.split(";") if part.strip()]
-    if len(counts) == 1 and len(boxes) > 1:
-        counts = counts * len(boxes)
+def _grid_flags(box_flag: str, box_text: str, count_flag: str,
+                count_text: str, prefix: str = "bad grid flags: ",
+                one_axis: bool = False) -> GridSpec:
+    """The grid of a box flag ('lo,hi;lo,hi') and a count flag ('n;n', or
+    one count for all axes); ``one_axis`` refuses a box of more axes."""
+    boxes = [_numbers(box_flag, box, "'lo,hi' per axis", 2, prefix=prefix)
+             for box in box_text.split(";")]
+    counts = [_numbers(count_flag, count, "a count per axis", 1,
+                       prefix=prefix) for count in count_text.split(";")]
+    if one_axis and len(boxes) > 1:
+        raise CliError(f"{prefix}{box_flag} wants one axis, got "
+                       f"{box_text!r}", EXIT_BAD_INPUT)
+    if len(counts) == 1:
+        counts *= len(boxes)
     if len(counts) != len(boxes):
         raise CliError("box and count flags disagree in axis count",
                        EXIT_BAD_INPUT)
-    axes = [(*_axis(f"--{name}-box", box, 2, "'lo,hi'"),
-             *_axis(f"--{name}-count", count, 1, "a count"))
-            for box, count in zip(boxes, counts)]
     try:
-        return GridSpec(tuple(axes))
+        return GridSpec(tuple((*b, *c) for b, c in zip(boxes, counts)))
     except ValueError as exc:
-        raise CliError(f"bad grid flags: {exc}", EXIT_BAD_INPUT) from None
+        raise CliError(f"{prefix}{exc}", EXIT_BAD_INPUT) from None
 
 
 def _hyperboloid(ndim: int) -> LevelFamily:
@@ -105,14 +110,6 @@ _MATRIX_FREE = dict(zip(FAMILY_NAMES, (
 _WITH_MATRIX = dict(zip(FAMILY_NAMES[len(_MATRIX_FREE):], (Quadric, Hybrid)))
 
 
-def _comma_list(flag: str, text: str, kind, what: str) -> list:
-    try:
-        return [kind(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        raise CliError(f"{flag} must be a comma list of {what}, got "
-                       f"{text!r}", EXIT_BAD_INPUT) from None
-
-
 def _family_from_args(args, ndim: int) -> LevelFamily:
     name = args.family
     if name in _MATRIX_FREE:
@@ -122,7 +119,7 @@ def _family_from_args(args, ndim: int) -> LevelFamily:
         return _MATRIX_FREE[name](ndim)
     if not args.B:
         raise CliError(f"--family {name} requires --B", EXIT_BAD_INPUT)
-    entries = _comma_list("--B", args.B, float, "numbers")
+    entries = _numbers("--B", args.B, "a comma list of numbers")
     n = int(round(len(entries) ** 0.5))
     if n * n != len(entries):
         raise CliError("--B must hold a square row-major matrix",
@@ -130,18 +127,21 @@ def _family_from_args(args, ndim: int) -> LevelFamily:
     if n != ndim:
         raise CliError(f"--B is {n}x{n} but the data is {ndim}-dimensional",
                        EXIT_INCONSISTENT)
-    split = _comma_list("--split", args.split or "", int, "axis indices")
+    split = (_numbers("--split", args.split, "a comma list of axis indices",
+                      kind=int) if args.split else [])
     return _WITH_MATRIX[name](
         QuadricForm(np.array(entries).reshape(n, n), linear_axes=split))
 
 
 def _load_source(path: str):
+    reader = formats.reader_of(path)
+    if reader is formats.read_tomogram:
+        raise CliError(f"bad source {path}: forward reads a GTM field or a "
+                       f"phantom config", EXIT_BAD_INPUT)
     try:
-        with open(path, "rb") as fh:
-            magic = fh.read(4)
-        if magic == formats.FIELD_MAGIC:
-            return formats.read_field(path)
-        with open(path, "r") as fh:
+        if reader is not None:
+            return reader(path)
+        with open(path) as fh:
             return formats.phantom_from_config(formats.parse_config(fh.read()))
     except ValueError as exc:
         raise CliError(f"bad source {path}: {exc}", EXIT_BAD_INPUT) from None
@@ -170,13 +170,10 @@ def cmd_forward(args) -> int:
     source = _load_source(args.input)
     ndim = source.grid.ndim if isinstance(source, ScalarField) else source.ndim
     family = _family_from_args(args, ndim)
-    param_grid = _parse_box("mu", args.mu_box, args.mu_count)
-    lo, hi = _axis("--x-range", args.x_range, 2, "'lo,hi'",
-                   "bad X grid flags")
-    try:
-        x_grid = make_grid(1, [(lo, hi, args.x_count)])
-    except ValueError as exc:
-        raise CliError(f"bad X grid flags: {exc}", EXIT_BAD_INPUT) from None
+    param_grid = _grid_flags("--mu-box", args.mu_box, "--mu-count",
+                             args.mu_count)
+    x_grid = _grid_flags("--x-range", args.x_range, "--x-count", args.x_count,
+                         "bad X grid flags: ", one_axis=True)
     q_grid = None
     if isinstance(source, ScalarField):
         if args.q_box is not None or args.q_count is not None:
@@ -184,17 +181,16 @@ def cmd_forward(args) -> int:
                            "GTM field is integrated on its own grid",
                            EXIT_BAD_INPUT)
     elif args.q_box and args.q_count:
-        q_grid = _parse_box("q", args.q_box, args.q_count)
+        q_grid = _grid_flags("--q-box", args.q_box, "--q-count", args.q_count)
     else:
         raise CliError("phantom sources require --q-box/--q-count",
                        EXIT_BAD_INPUT)
     tomo = forward_binned(source, family, param_grid, x_grid, q_grid)
     for w in tomo.warnings:
         _warn(w)
-    if family.tag == circle_family().tag:
-        degenerate = np.all(param_grid.points() == 0.0, axis=1)
-        if degenerate.any():
-            _warn("parameter grid contains the degenerate direction (0, 0)")
+    if family.tag == circle_family().tag \
+            and np.all(param_grid.points() == 0.0, axis=1).any():
+        _warn("parameter grid contains the degenerate direction (0, 0)")
     formats.write_tomogram(args.out, tomo)
     norm = normalization_profile(tomo)
     print(f"normalization min {norm.min():.6g} max {norm.max():.6g}")
@@ -209,7 +205,7 @@ def cmd_invert(args) -> int:
         raise CliError(
             f"tomogram was produced by the {tomo.family_tag!r} family, "
             f"flags request {family.tag!r}", EXIT_INCONSISTENT)
-    out_grid = _parse_box("q", args.q_box, args.q_count)
+    out_grid = _grid_flags("--q-box", args.q_box, "--q-count", args.q_count)
     taper = args.taper
     if taper is not None and taper is not True \
             and not (np.isfinite(taper) and taper > 0):
@@ -232,27 +228,22 @@ def cmd_invert(args) -> int:
 def cmd_check(args) -> int:
     results = checks.run_suite(args.suite, seed=args.seed,
                                samples=args.samples, lam=args.lam)
-    failed = 0
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         print(f"{r.name} measured={r.measured:.6g} bound={r.bound:.6g} {status}")
-        failed += not r.passed
-    return EXIT_OK if failed == 0 else 1
+    return EXIT_OK if all(r.passed for r in results) else 1
 
 
 def cmd_export(args) -> int:
-    with open(args.input, "rb") as fh:
-        magic = fh.read(4)
-    if magic not in (formats.FIELD_MAGIC, formats.TOMOGRAM_MAGIC):
+    reader = formats.reader_of(args.input)
+    if reader is None:
         raise CliError(f"{args.input} is neither a GTM nor a GTM-T file",
                        EXIT_BAD_INPUT)
-    is_field = magic == formats.FIELD_MAGIC
-    obj = (formats.read_field if is_field else formats.read_tomogram)(args.input)
+    obj = reader(args.input)
+    is_field = reader is formats.read_field
     if args.format == "csv":
-        if is_field:
-            formats.write_field_csv(args.out, obj)
-        else:
-            formats.write_tomogram_csv(args.out, obj)
+        (formats.write_field_csv if is_field
+         else formats.write_tomogram_csv)(args.out, obj)
         return EXIT_OK
     if is_field and obj.grid.ndim != 2:
         raise CliError("PGM export of a field needs two dimensions "
@@ -295,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu-box", required=True, help="'lo,hi;lo,hi' per axis")
     p.add_argument("--mu-count", required=True, help="'n;n' per axis")
     p.add_argument("--x-range", required=True, help="'lo,hi'")
-    p.add_argument("--x-count", required=True, type=float)
+    p.add_argument("--x-count", required=True, help="'n'")
     p.add_argument("--q-box", help="phantom sampling box (phantom input only)")
     p.add_argument("--q-count", help="phantom sampling counts")
     p.add_argument("--out", required=True)

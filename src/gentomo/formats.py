@@ -30,26 +30,19 @@ class FormatError(ValueError):
 
 
 def _pack_grid(grid: GridSpec) -> bytes:
-    out = [struct.pack("<I", grid.ndim)]
-    for lo, hi, n in grid.axes:
-        out.append(struct.pack("<ddI", lo, hi, n))
-    return b"".join(out)
+    return struct.pack("<I", grid.ndim) + b"".join(
+        struct.pack("<ddI", *axis) for axis in grid.axes)
 
 
 def _unpack_grid(buf: bytes, off: int) -> tuple[GridSpec, int]:
     if len(buf) < off + 4:
         raise FormatError("file ends inside a grid header")
     (ndim,) = struct.unpack_from("<I", buf, off)
-    off += 4
-    if len(buf) < off + 20 * ndim:
+    off, end = off + 4, off + 4 + 20 * ndim
+    if len(buf) < end:
         raise FormatError("file ends inside a grid header")
-    axes = []
-    for _ in range(ndim):
-        lo, hi, n = struct.unpack_from("<ddI", buf, off)
-        off += 20
-        axes.append((lo, hi, n))
     try:
-        return GridSpec(tuple(axes)), off
+        return GridSpec(tuple(struct.iter_unpack("<ddI", buf[off:end]))), end
     except GridError as exc:
         raise FormatError(f"bad grid header: {exc}") from None
 
@@ -115,6 +108,13 @@ def read_tomogram(path) -> TomogramFamily:
     return TomogramFamily(x_grid=x_grid, param_grid=param_grid,
                           values=values.reshape(param_grid.size, x_grid.size),
                           family_tag=FAMILY_NAMES[tag - 1])
+
+
+def reader_of(path):
+    """``read_field`` or ``read_tomogram`` by the file's magic, else None."""
+    with open(path, "rb") as fh:
+        return {FIELD_MAGIC: read_field,
+                TOMOGRAM_MAGIC: read_tomogram}.get(fh.read(4))
 
 
 # ---------------------------------------------------------------------------
@@ -249,8 +249,14 @@ def parse_config(text: str) -> dict[str, str]:
     return out
 
 
+def number_list(text: str, kind=float) -> list:
+    """Comma-separated numbers, each read by ``kind``: the one list rule of
+    configs and flags, where an empty token raises ValueError as ``x`` does."""
+    return [kind(tok) for tok in text.split(",")]
+
+
 def _floats(s: str) -> list[float]:
-    return [float(tok) for tok in s.replace(";", ",").split(",") if tok.strip()]
+    return number_list(s.replace(";", ","))  # a phantom list reads ; as ,
 
 
 def _entry(cfg: dict[str, str], key: str, read=str):
@@ -266,10 +272,10 @@ def _entry(cfg: dict[str, str], key: str, read=str):
 
 
 def grid_from_config(cfg: dict[str, str], key: str = "grid") -> GridSpec:
-    """Axis specs like ``grid = -6,6,256 ; -6,6,256``.  A malformed number
-    raises FormatError naming ``key``; ``GridSpec`` judges each count, so
-    an integral float such as 8.0 counts 8."""
-    axes = _entry(cfg, key, lambda s: [_floats(part) for part in s.split(";")])
+    """Axis specs like ``grid = -6,6,256 ; -6,6,256``.  A malformed number,
+    an empty token or axis too, raises FormatError naming ``key``;
+    ``GridSpec`` judges each count, so an integral float 8.0 counts 8."""
+    axes = _entry(cfg, key, lambda s: list(map(number_list, s.split(";"))))
     for part, axis in zip(cfg[key].split(";"), axes):
         if len(axis) != 3:
             raise FormatError(f"axis spec must be min,max,count: {part!r}")

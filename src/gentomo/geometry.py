@@ -196,12 +196,6 @@ class QuadricForm:
             return 1.0
         return float(np.linalg.det(core))
 
-    def require_nondegenerate(self):
-        n_plus, n_minus, n_zero = self.signature
-        if n_zero > 0:
-            raise ValueError(
-                "B is degenerate; declare linear_axes and use the hybrid family")
-
 
 # ---------------------------------------------------------------------------
 # level families
@@ -218,8 +212,8 @@ class LevelFamily:
     with B2 the form's core block on its quadric axes (primed) and p = q
     when ``diffeo`` is None, which is how ``identity_map(ndim)`` is stored.
     An all-linear form gives hyperplanes, or deformed hyperplanes under phi;
-    a form with a core gives quadrics, or hybrids when linear axes remain.
-    ``tag`` is read off both fields.
+    a form with a core gives quadrics, or hybrids when linear axes remain,
+    and a degenerate core is refused.  ``tag`` is read off both fields.
     """
 
     form: QuadricForm
@@ -232,6 +226,11 @@ class LevelFamily:
                 f"form is {self.form.ndim}-d")
         if self.diffeo is identity_map(self.ndim):
             object.__setattr__(self, "diffeo", None)
+        # |det B2| scales the inversion; all-linear forms skip LAPACK here
+        core = self.form.B_core
+        if core.size and QuadricForm(core).signature[2]:
+            raise ValueError("B is degenerate; declare linear_axes and use "
+                             "the hybrid family")
 
     @property
     def ndim(self) -> int:
@@ -394,7 +393,9 @@ class Quadric(LevelFamily):
     """g(q; mu) = (q - mu, B (q - mu)) for a fixed non-degenerate B."""
 
     def __init__(self, form: QuadricForm):
-        form.require_nondegenerate()
+        if form.linear_axes:
+            raise ValueError("the quadric family takes no linear axes; use "
+                             "the hybrid family")
         super().__init__(form)
 
 
@@ -408,5 +409,4 @@ class Hybrid(LevelFamily):
         if not form.quadric_axes:
             raise ValueError("hybrid form has no quadric core: every axis is "
                              "declared linear; use the hyperplane family")
-        QuadricForm(form.B_core).require_nondegenerate()
         super().__init__(form)

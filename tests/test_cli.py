@@ -77,14 +77,21 @@ class TestPhantomCommand:
          "grid"),
         ("type=gaussian\nmean=0,0\ncov=1,0,0,1\ngrid=-6,x,8;-6,6,8\n",
          "grid"),
-    ], ids=["ball-radius", "gaussian-mean", "grid-count", "grid-bound"])
+        # an empty token is malformed, not skipped
+        ("type=gaussian\nmean=0,,0\ncov=1,0,0,1\ngrid=-6,6,16;-6,6,16\n",
+         "mean"),
+        ("type=gaussian\nmean=0,0\ncov=1,0,0,1\ngrid=-6,,6,16;-6,6,16\n",
+         "grid"),
+    ], ids=["ball-radius", "gaussian-mean", "grid-count", "grid-bound",
+            "mean-doubled-comma", "grid-doubled-comma"])
     def test_malformed_number_names_its_key(self, tmp_path, capsys, text,
                                             key):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(text)
         assert main(["phantom", str(cfg), "--out", str(tmp_path / "x.gtm")]) == 2
         assert f"bad config: config key '{key}' holds a malformed number" \
-            in capsys.readouterr().err
+            in _one_error_line(capsys)
+        assert not (tmp_path / "x.gtm").exists()
 
     def test_integral_float_grid_count_counts(self, tmp_path):
         """A grid count of 8.0 counts 8, as ``GridSpec`` takes it."""
@@ -761,6 +768,50 @@ class TestExitCodes:
             "--mu-box=-1,1;-1,1", "--mu-count", "4", "--x-range=-10,10,5",
             "--x-count", "61", "--out", str(tmp / "t.gtmt")],
             id="x-range-three-numbers"),
+        pytest.param(2, "bad X grid flags: --x-range wants one axis, got "
+                     "'-5,5;-5,5'", lambda tmp, field: [
+            "forward", str(field), "--family", "hyperplane",
+            "--mu-box=-1,1;-1,1", "--mu-count", "4", "--x-range=-5,5;-5,5",
+            "--x-count", "61", "--out", str(tmp / "t.gtmt")],
+            id="x-range-two-axes"),
+        # an empty token, also an empty axis, is malformed, not skipped
+        pytest.param(2, "--B wants a comma list of numbers, got '1,,0,0,1'",
+                     lambda tmp, field: _forward_args(
+                         field, tmp / "t.gtmt", "quadric",
+                         ["--B", "1,,0,0,1"]), id="B-doubled-comma"),
+        pytest.param(2, "--split wants a comma list of axis indices, got "
+                     "'1,'", lambda tmp, field: _forward_args(
+                         field, tmp / "t.gtmt", "hybrid",
+                         ["--B", "1,0,0,0", "--split", "1,"]),
+                     id="split-trailing-comma"),
+        pytest.param(2, "bad grid flags: --mu-box wants 'lo,hi' per axis, "
+                     "got ''", lambda tmp, field: [
+            "forward", str(field), "--family", "hyperplane",
+            "--mu-box=-3,3;;-3,3", "--mu-count", "4", "--x-range=-8,8",
+            "--x-count", "61", "--out", str(tmp / "t.gtmt")],
+            id="mu-box-empty-axis"),
+        pytest.param(2, "bad grid flags: --mu-count wants a count per axis, "
+                     "got ''", lambda tmp, field: [
+            "forward", str(field), "--family", "hyperplane",
+            "--mu-box=-3,3;-3,3", "--mu-count", "9;", "--x-range=-8,8",
+            "--x-count", "61", "--out", str(tmp / "t.gtmt")],
+            id="mu-count-trailing-semicolon"),
+        pytest.param(2, "bad grid flags: --q-count wants a count per axis, "
+                     "got ''", lambda tmp, field: _forward_args(
+                         _written(tmp, "g.cfg", GAUSS_CFG.encode()),
+                         tmp / "t.gtmt",
+                         extra=["--q-box=-6,6;-6,6", "--q-count", "8;;"]),
+                     id="q-count-empty-axes"),
+        pytest.param(2, "bad X grid flags: --x-count wants a count per axis, "
+                     "got 'abc'", lambda tmp, field: [
+            "forward", str(field), "--family", "hyperplane",
+            "--mu-box=-1,1;-1,1", "--mu-count", "4", "--x-range=-8,8",
+            "--x-count", "abc", "--out", str(tmp / "t.gtmt")],
+            id="x-count-not-numeric"),
+        pytest.param(2, "box.gtmt: forward reads a GTM field or a phantom "
+                     "config", lambda tmp, field: _forward_args(
+                         _box_tomogram(tmp), tmp / "t.gtmt"),
+                     id="forward-of-a-tomogram"),
         pytest.param(2, "bad grid flags: --mu-count wants a count per axis, "
                      "got 'x'", lambda tmp, field: [
             "forward", str(field), "--family", "hyperplane",

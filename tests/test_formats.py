@@ -16,10 +16,10 @@ from gentomo.cli import main
 from gentomo.core import (GaussianMixture, ScalarField, TomogramFamily,
                           UniformBall, UniformBox, make_grid, sample_phantom,
                           standard_gaussian)
-from gentomo.formats import (FormatError, grid_from_config, parse_config,
-                             phantom_from_config, read_field, read_tomogram,
-                             write_field, write_field_csv, write_pgm,
-                             write_tomogram, write_tomogram_csv)
+from gentomo.formats import (FormatError, grid_from_config, number_list,
+                             parse_config, phantom_from_config, read_field,
+                             read_tomogram, write_field, write_field_csv,
+                             write_pgm, write_tomogram, write_tomogram_csv)
 from gentomo.geometry import FAMILY_NAMES
 
 
@@ -528,11 +528,60 @@ class TestConfig:
         ("type=gaussian\nmean=0,x\ncov=1,0,0,1\n", "mean", "0,x"),
         ("type=mixture\nweight1=half\nmean1=0,0\ncov1=1,0,0,1\n",
          "weight1", "half"),
-    ], ids=["ball-radius", "gaussian-mean", "mixture-weight"])
+        # an empty token is malformed, not skipped
+        ("type=gaussian\nmean=0,,0\ncov=1,0,0,1\n", "mean", "0,,0"),
+        ("type=box\nmin=-1,-1\nmax=1,1,\n", "max", "1,1,"),
+    ], ids=["ball-radius", "gaussian-mean", "mixture-weight",
+            "mean-doubled-comma", "max-trailing-comma"])
     def test_malformed_number_names_its_key(self, text, key, value):
         with pytest.raises(FormatError, match=f"^config key '{key}' holds a "
                            f"malformed number: '{value}'$"):
             phantom_from_config(parse_config(text))
+
+    def test_semicolon_in_a_phantom_list_reads_as_a_comma(self):
+        rows = phantom_from_config(parse_config(
+            "type=gaussian\nmean=0,0\ncov=2,0.5;0.5,1\n"))
+        flat = phantom_from_config(parse_config(
+            "type=gaussian\nmean=0,0\ncov=2,0.5,0.5,1\n"))
+        assert np.array_equal(rows.covariances[0], flat.covariances[0])
+
+    @pytest.mark.parametrize("text", [
+        "-6,,6,16;-6,6,16", "-6,6,16;;-6,6,16", "-6,6,16;-6,6,16;",
+        "-6,6,16,;-6,6,16"],
+        ids=["doubled-comma", "empty-axis", "trailing-semicolon",
+             "trailing-comma"])
+    def test_empty_token_in_grid_names_the_key(self, text):
+        with pytest.raises(FormatError, match="^config key 'grid' holds a "
+                           f"malformed number: '{text}'$"):
+            grid_from_config({"grid": text})
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                    min_size=1, max_size=8),
+           st.lists(st.tuples(st.floats(-1e6, 1e6), st.floats(1e-3, 1e6),
+                              st.integers(2, 512)), min_size=1, max_size=4),
+           st.data())
+    def test_number_lists_read_back_and_refuse_an_empty_token(
+            self, values, axes, data):
+        """A repr-written list reads back equal, alone and as grid axes,
+        and an empty token at any position is refused."""
+        tokens = [repr(v) for v in values]
+        assert number_list(",".join(tokens)) == values
+        specs = tuple((lo, lo + width, n) for lo, width, n in axes)
+        text = ";".join(f"{lo!r},{hi!r},{n!r}" for lo, hi, n in specs)
+        assert grid_from_config({"grid": text}).axes == specs
+
+        def hole(tokens):
+            at = data.draw(st.integers(0, len(tokens)))
+            return ",".join(tokens[:at] + [""] + tokens[at:])
+
+        holed = hole(tokens)
+        with pytest.raises(ValueError):
+            number_list(holed)
+        with pytest.raises(FormatError, match="^config key 'mean' holds"):
+            phantom_from_config({"type": "gaussian", "mean": holed})
+        with pytest.raises(FormatError, match="^config key 'grid' holds"):
+            grid_from_config({"grid": hole(text.split(","))})
 
     def test_ball_and_box(self):
         ball = phantom_from_config(parse_config("type=ball\ncenter=0,0\nradius=1\n"))

@@ -287,11 +287,39 @@ class TestNamedFamilies:
          "hybrid form has no quadric core: every axis is declared linear; "
          "use the hyperplane family"),
         (lambda: Hyperplane(0), "B must be a non-empty square matrix"),
+        # |det B2| = 0 would scale every reconstruction to zero
+        pytest.param(lambda: LevelFamily(QuadricForm(np.diag([1.0, 0.0]))),
+                     "B is degenerate; declare linear_axes and use the "
+                     "hybrid family", id="degenerate-level-family"),
+        pytest.param(lambda: LevelFamily(QuadricForm(np.diag([1.0, 0.0])),
+                                         conformal_inversion()),
+                     "B is degenerate; declare linear_axes and use the "
+                     "hybrid family", id="degenerate-deformed-family"),
+        pytest.param(lambda: Hybrid(QuadricForm(np.diag([1.0, 0.0, 0.0]),
+                                                linear_axes=(2,))),
+                     "B is degenerate; declare linear_axes and use the "
+                     "hybrid family", id="degenerate-hybrid-core"),
+        pytest.param(lambda: Quadric(QuadricForm(np.diag([1.0, 0.0]),
+                                                 linear_axes=(1,))),
+                     "the quadric family takes no linear axes; use the "
+                     "hybrid family", id="quadric-with-linear-axes"),
     ])
     def test_constructor_errors(self, make, message):
         with pytest.raises(ValueError) as info:
             make()
         assert str(info.value) == message
+
+    def test_all_linear_families_solve_no_eigenproblem(self, monkeypatch):
+        """Only a form with a core is checked for degeneracy, so the
+        plane-wave families make no LAPACK call (it costs about 1 MB of
+        resident memory the first time)."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg.eigvalsh called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        for make in (lambda: Hyperplane(3), circle_family, hyperbola_family,
+                     lambda: hyperboloid_family(2)):
+            assert make().linear_in_params
 
     def test_diffeo_must_match_the_form(self):
         with pytest.raises(DimensionMismatchError):

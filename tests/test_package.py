@@ -1,3 +1,4 @@
+import argparse
 import functools
 import inspect
 import re
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import gentomo
-from gentomo import _native
+from gentomo import _native, cli
 
 
 def test_public_surface():
@@ -69,3 +70,22 @@ def test_readme_keywords_are_parameters():
             assert kw in params, f"README passes {kw}= to {name}"
             checked.append(f"{name}:{kw}")
     assert checked
+
+
+def test_readme_flags_are_the_parser_flags():
+    """The ``--flags`` README.md names are exactly those some subcommand of
+    ``cli.build_parser()`` defines, ``--help`` aside, so a flag cannot be
+    added, renamed or dropped on one side only."""
+    readme = Path(gentomo.__file__).parents[2] / "README.md"
+    if not readme.is_file():
+        pytest.skip("an installed package: no README.md beside it")
+    documented = set(re.findall(r"(?<![\w-])--[A-Za-z][\w-]*",
+                                readme.read_text()))
+    defined = {flag
+               for action in cli.build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction)
+               for sub in action.choices.values()
+               for flag_action in sub._actions
+               for flag in flag_action.option_strings
+               if flag.startswith("--") and flag != "--help"}
+    assert documented == defined
